@@ -28,7 +28,7 @@ from .errors import (
     WindowInvariantError,
     WpError,
 )
-from .expectations import Expectation, almost_equal, constant, from_expr, indicator
+from .expectations import Expectation, constant, from_expr, indicator
 from .exprs import Expr, eval_expr, free_vars, pretty_expr, substitute
 from .machine import (
     Machine,
@@ -60,7 +60,7 @@ from .sampler import (
     sample_discrete,
 )
 from .states import State, StateSpace, VarDomain, space_of
-from .wp import WpConfig, WpResult, wp
+from .wp import WpConfig, WpResult, compile_program, wp
 
 __version__ = "0.1.0"
 
@@ -74,8 +74,8 @@ __all__ = [
     "State", "StateSpace", "TrialsResult", "UndefinedStateError",
     "VarDomain", "VariantError", "VariantSpec", "Verdict", "WeightedDist",
     "WindowInvariantError", "WpConfig", "WpError", "WpResult",
-    "almost_equal", "analyze", "build_machine", "check_equal",
-    "check_refines", "check_variant", "constant", "crosscheck",
+    "analyze", "build_machine", "check_equal", "check_refines",
+    "check_variant", "compile_program", "constant", "crosscheck",
     "dyadic_grid", "enumerate_resolutions", "eval_expr", "free_vars",
     "from_expr", "indicator", "load_machine", "machine_to_text",
     "min_expected", "parse_expression", "parse_program", "parse_rational",

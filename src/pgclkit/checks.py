@@ -19,9 +19,9 @@ from typing import Iterable, Optional
 from .errors import LoopBudgetError, UndefinedStateError, VariantError
 from .expectations import Expectation, from_expr, indicator
 from .exprs import Bracket, Expr, eval_expr, static_kind
-from .programs import Program, VariantSpec, While, collect_predicates, loop_free
+from .programs import Program, VariantSpec, While, collect_predicates
 from .states import State, StateSpace
-from .wp import WpConfig, wp
+from .wp import WpConfig, compile_program
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -161,9 +161,39 @@ def dyadic_grid(denominator: int = 8) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, denominator) for k in range(denominator + 1))
 
 
-def _wp_pair(left: Program, right: Program, probe: Expectation,
-             space: StateSpace, cfg: WpConfig):
-    return wp(left, probe, space, cfg), wp(right, probe, space, cfg)
+def _compare(left: Program, right: Program, probes: ProbeFamily,
+             space: Optional[StateSpace], cfg: Optional[WpConfig],
+             excess, detail: str) -> Verdict:
+    """Run both programs on every probe.  excess(lhs - rhs) is the amount
+    by which a state violates the relation; above the combined loop
+    residual it refutes, and any positive amount rules out `holds`."""
+    if not len(probes):
+        raise VariantError("empty probe family")
+    space = space or probes.probes[0].space
+    left_c, right_c = compile_program(left, space), compile_program(right, space)
+    worst = ZERO
+    exact = True
+    for probe in probes:
+        try:
+            lhs, rhs = left_c.wp(probe, cfg), right_c.wp(probe, cfg)
+        except LoopBudgetError as exc:
+            return Verdict("inconclusive", residual=exc.residual,
+                           detail=f"loop budget exhausted: {exc}")
+        slack = lhs.loop_residual + rhs.loop_residual
+        worst = max(worst, slack)
+        for i, (a, b) in enumerate(zip(lhs.pre.values, rhs.pre.values)):
+            gap = excess(a - b)
+            if gap > 0:
+                exact = False
+            if gap > slack:
+                return Verdict(
+                    "fails",
+                    counterexample=Counterexample(probe, space.state_at(i), a, b),
+                    residual=slack,
+                )
+    if exact and worst == 0:
+        return Verdict("holds")
+    return Verdict("inconclusive", residual=worst, detail=detail)
 
 
 def check_equal(left: Program, right: Program, probes: ProbeFamily,
@@ -171,37 +201,8 @@ def check_equal(left: Program, right: Program, probes: ProbeFamily,
                 cfg: Optional[WpConfig] = None) -> Verdict:
     """Probe-based equivalence: refutation-sound, and exact (holds) only
     when every probe agrees exactly with zero loop residual."""
-    if not len(probes):
-        raise VariantError("empty probe family")
-    space = space or probes.probes[0].space
-    cfg = cfg or WpConfig()
-    worst = ZERO
-    exact = True
-    for probe in probes:
-        try:
-            lhs, rhs = _wp_pair(left, right, probe, space, cfg)
-        except LoopBudgetError as exc:
-            return Verdict("inconclusive", residual=exc.residual,
-                           detail=f"loop budget exhausted: {exc}")
-        slack = lhs.loop_residual + rhs.loop_residual
-        worst = max(worst, slack)
-        for i in range(space.size):
-            gap = lhs.pre.values[i] - rhs.pre.values[i]
-            if gap != 0:
-                exact = False
-            if abs(gap) > slack:
-                return Verdict(
-                    "fails",
-                    counterexample=Counterexample(
-                        probe, space.state_at(i),
-                        lhs.pre.values[i], rhs.pre.values[i],
-                    ),
-                    residual=slack,
-                )
-    if exact and worst == 0:
-        return Verdict("holds")
-    return Verdict("inconclusive", residual=worst,
-                   detail="agreement within loop residual only")
+    return _compare(left, right, probes, space, cfg, abs,
+                    "agreement within loop residual only")
 
 
 def check_refines(spec: Program, impl: Program, probes: ProbeFamily,
@@ -213,37 +214,8 @@ def check_refines(spec: Program, impl: Program, probes: ProbeFamily,
     the spec's guarantee exceeds the implementation's beyond the combined
     loop residuals refutes the refinement.
     """
-    if not len(probes):
-        raise VariantError("empty probe family")
-    space = space or probes.probes[0].space
-    cfg = cfg or WpConfig()
-    worst = ZERO
-    exact = True
-    for probe in probes:
-        try:
-            lo, hi = _wp_pair(spec, impl, probe, space, cfg)
-        except LoopBudgetError as exc:
-            return Verdict("inconclusive", residual=exc.residual,
-                           detail=f"loop budget exhausted: {exc}")
-        slack = lo.loop_residual + hi.loop_residual
-        worst = max(worst, slack)
-        for i in range(space.size):
-            gap = lo.pre.values[i] - hi.pre.values[i]
-            if gap > 0:
-                exact = False
-            if gap > slack:
-                return Verdict(
-                    "fails",
-                    counterexample=Counterexample(
-                        probe, space.state_at(i),
-                        lo.pre.values[i], hi.pre.values[i],
-                    ),
-                    residual=slack,
-                )
-    if exact and worst == 0:
-        return Verdict("holds")
-    return Verdict("inconclusive", residual=worst,
-                   detail="inequality within loop residual only")
+    return _compare(spec, impl, probes, space, cfg, lambda gap: gap,
+                    "inequality within loop residual only")
 
 
 def check_variant(loop: Program, spec: VariantSpec,
@@ -289,6 +261,7 @@ def check_variant(loop: Program, spec: VariantSpec,
     # the body's wp outside the guard is irrelevant; mask it, then surface
     # undefinedness only where the loop actually iterates
     body_cfg = replace(cfg, undefined="mask")
+    body = compile_program(loop.body, space)
     inconclusive: Optional[Verdict] = None
     for cut in sorted({v for _, v in guard_states}):
         decrease = from_expr(
@@ -297,7 +270,7 @@ def check_variant(loop: Program, spec: VariantSpec,
             label=f"[{spec.variant} < {cut}]",
         )
         try:
-            result = wp(loop.body, decrease, space, body_cfg)
+            result = body.wp(decrease, body_cfg)
         except LoopBudgetError as exc:
             return Verdict("inconclusive", residual=exc.residual,
                            detail=f"loop budget exhausted: {exc}")

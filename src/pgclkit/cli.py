@@ -24,17 +24,21 @@ from .checks import (
     dyadic_grid,
 )
 from .errors import LoopBudgetError, PgclError, PgclSyntaxError
-from .machine import analyze, build_machine, load_machine, machine_to_text, to_dot
+from .machine import (
+    DEFAULT_MAX_NODES,
+    analyze,
+    build_machine,
+    load_machine,
+    machine_to_text,
+    to_dot,
+)
 from .bits import RandomBitSource, ScriptedBitSource
 from .parser import parse_expression, parse_rational, parse_source
 from .programs import VariantSpec, While
 from .expectations import from_expr
 from .sampler import WeightedDist, read_trials_file, run_trials, sample_discrete
 from .states import StateSpace
-from .wp import WpConfig, wp
-
-DEFAULT_MAX_ITERS = 100_000
-DEFAULT_RESIDUAL = "1/1099511627776"  # 2^-40
+from .wp import DEFAULT_MAX_ITERS, DEFAULT_RESIDUAL_TOL, WpConfig, wp
 
 
 def rat(q: Fraction) -> str:
@@ -322,9 +326,9 @@ def _cmd_machine_dot(args) -> int:
 
 def _add_loop_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
-                   help="loop sweep budget (default 100000)")
-    p.add_argument("--residual", default=DEFAULT_RESIDUAL,
-                   help="loop stopping tolerance (default 2^-40)")
+                   help="loop sweep budget (default %(default)s)")
+    p.add_argument("--residual", default=rat(DEFAULT_RESIDUAL_TOL),
+                   help="loop stopping tolerance (default %(default)s)")
 
 
 def _add_check_flags(p: argparse.ArgumentParser):
@@ -404,7 +408,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--dist")
         p.add_argument("--machine", metavar="FILE",
                        help="load a machine file instead of building one")
-        p.add_argument("--max-nodes", type=int, default=100_000)
+        p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+                       help="node budget for building (default %(default)s)")
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=fn)
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .errors import EvalError
 from .exprs import Bracket, Expr, eval_expr, static_kind
@@ -85,12 +84,6 @@ def from_expr(space: StateSpace, expr: Expr, label: str = "") -> Expectation:
     return Expectation(space, tuple(values), label=label or str(expr))
 
 
-def from_function(space: StateSpace, fn: Callable[[State], Fraction],
-                  label: str = "") -> Expectation:
-    return Expectation(space, tuple(Fraction(fn(s)) for s in space.states()),
-                       label=label)
-
-
 def constant(space: StateSpace, value) -> Expectation:
     v = Fraction(value)
     return Expectation(space, (v,) * space.size, label=str(v))
@@ -102,7 +95,3 @@ def indicator(space: StateSpace, index: int) -> Expectation:
     return Expectation(space, tuple(values),
                        label=f"point {space.state_at(index)}")
 
-
-def almost_equal(a: Expectation, b: Expectation, tol: Fraction) -> bool:
-    a._check_space(b)
-    return all(abs(x - y) <= tol for x, y in zip(a.values, b.values))

@@ -19,7 +19,6 @@ of every flip, and sampling ends when low == high with outcome low
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +28,9 @@ from .errors import DistError, WindowInvariantError
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+# more shards than this would make _shard_seed collide across seeds
+MAX_SHARDS = 1_000_003
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,8 @@ def run_trials(d: WeightedDist, runs: int, seed: int, shards: int = 1) -> Trials
         raise DistError("need at least one run")
     if shards < 1 or shards > runs:
         raise DistError("shards must be between 1 and the run count")
+    if shards > MAX_SHARDS:
+        raise DistError(f"at most {MAX_SHARDS} shards keep shard seeds distinct")
     tallies = [0] * d.size
     total_flips = 0
     total_flips_sq = 0
@@ -270,8 +274,9 @@ def run_trials(d: WeightedDist, runs: int, seed: int, shards: int = 1) -> Trials
 
 
 def _shard_seed(seed: int, shard: int) -> int:
-    # fixed affine mix; random.Random seeds must not collide across shards
-    return seed * 1_000_003 + shard
+    # fixed affine mix, one-to-one for non-negative seeds while
+    # shard < MAX_SHARDS; random.Random seeds must not collide
+    return seed * MAX_SHARDS + shard
 
 
 def read_trials_file(text: str) -> tuple[int, WeightedDist]:

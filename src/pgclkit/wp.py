@@ -22,7 +22,7 @@ reports them in WpResult.undefined_states instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -167,6 +167,18 @@ class _CSeq:
         return self.first.run(self.second.run(f, ctx), ctx)
 
 
+def _select(mask, a, b) -> list:
+    """Per state: a where mask holds, b where it fails, the marker where undefined."""
+    return [m if isinstance(m, _Undef) else (x if m else y)
+            for m, x, y in zip(mask, a, b)]
+
+
+def _mix(probs, a, b) -> list:
+    """Per state: p*a + (1-p)*b, or the marker where p is undefined."""
+    return [p if isinstance(p, _Undef) else _add(_scale(p, x), _scale(ONE - p, y))
+            for p, x, y in zip(probs, a, b)]
+
+
 class _CIf:
     def __init__(self, mask, then, orelse):
         self.mask = mask  # per state: bool, or _Undef
@@ -174,15 +186,7 @@ class _CIf:
         self.orelse = orelse
 
     def run(self, f, ctx):
-        vt = self.then.run(f, ctx)
-        ve = self.orelse.run(f, ctx)
-        out = []
-        for m, a, b in zip(self.mask, vt, ve):
-            if isinstance(m, _Undef):
-                out.append(m)
-            else:
-                out.append(a if m else b)
-        return out
+        return _select(self.mask, self.then.run(f, ctx), self.orelse.run(f, ctx))
 
 
 class _CProb:
@@ -192,15 +196,7 @@ class _CProb:
         self.right = right
 
     def run(self, f, ctx):
-        va = self.left.run(f, ctx)
-        vb = self.right.run(f, ctx)
-        out = []
-        for p, a, b in zip(self.probs, va, vb):
-            if isinstance(p, _Undef):
-                out.append(p)
-            else:
-                out.append(_add(_scale(p, a), _scale(ONE - p, b)))
-        return out
+        return _mix(self.probs, self.left.run(f, ctx), self.right.run(f, ctx))
 
 
 class _CDemon:
@@ -234,17 +230,18 @@ class _CChooseMin:
 
 
 class _CDist:
-    def __init__(self, entries):
-        self.entries = entries  # per state: list of (prob, index), or _Undef
+    def __init__(self, probs, options):
+        self.probs = probs  # per item: Fraction > 0
+        self.options = options  # per state: list of indices, one per item, or _Undef
 
     def run(self, f, ctx):
         out = []
-        for entry in self.entries:
-            if isinstance(entry, _Undef):
-                out.append(entry)
+        for opts in self.options:
+            if isinstance(opts, _Undef):
+                out.append(opts)
                 continue
             acc: _Val = ZERO
-            for p, t in entry:
+            for p, t in zip(self.probs, opts):
                 acc = _add(acc, _scale(p, f[t]))
             out.append(acc)
         return out
@@ -281,44 +278,26 @@ class _CAssert:
         self.mask = mask
 
     def run(self, f, ctx):
-        out = []
-        for m, v in zip(self.mask, f):
-            if isinstance(m, _Undef):
-                out.append(m)
-            else:
-                out.append(v if m else ZERO)
-        return out
+        return _select(self.mask, f, [ZERO] * len(f))
+
+
+def _magnitude(q: Fraction) -> str:
+    """A message-safe rendering of an exact value.  Loop chains grow their
+    denominators every sweep, and str() of an integer past 4300 digits raises."""
+    return f"{float(q):.6g} with a {q.denominator.bit_length()}-bit denominator"
 
 
 class _CWhile:
     def __init__(self, probabilistic, gate, body):
-        self.probabilistic = probabilistic
         self.gate = gate  # mask when boolean, per-state probs when probabilistic
         self.body = body
-
-    def _step(self, w, f):
-        out = []
-        if self.probabilistic:
-            for p, a, b in zip(self.gate, w, f):
-                if isinstance(p, _Undef):
-                    out.append(p)
-                else:
-                    out.append(_add(_scale(p, a), _scale(ONE - p, b)))
-        else:
-            for m, a, b in zip(self.gate, w, f):
-                if isinstance(m, _Undef):
-                    out.append(m)
-                else:
-                    out.append(a if m else b)
-        return out
+        self.combine = _mix if probabilistic else _select
 
     def run(self, f, ctx):
-        size = len(f)
-        current: list[_Val] = [ZERO] * size
+        current: list[_Val] = [ZERO] * len(f)
         change = ZERO
         for _ in range(ctx.cfg.max_iters):
-            w = self.body.run(current, ctx)
-            nxt = self._step(w, f)
+            nxt = self.combine(self.gate, self.body.run(current, ctx), f)
             change = ZERO
             settled = True
             for a, b in zip(current, nxt):
@@ -334,21 +313,17 @@ class _CWhile:
                 d = b - a
                 if d < 0:
                     raise ChainAscentError(
-                        f"loop chain descended by {-d} in one sweep"
+                        f"loop chain descended in one sweep by {_magnitude(-d)}"
                     )
                 if d > change:
                     change = d
-            if settled:
-                if change == 0:
-                    ctx.note_residual(ZERO)
-                    return nxt
-                if change < ctx.cfg.residual_tol:
-                    ctx.note_residual(change)
-                    return nxt
+            if settled and (change == 0 or change < ctx.cfg.residual_tol):
+                ctx.note_residual(change)
+                return nxt
             current = nxt
         raise LoopBudgetError(
             f"loop did not converge within {ctx.cfg.max_iters} sweeps "
-            f"(last change {change})",
+            f"(last change {_magnitude(change)})",
             iterations=ctx.cfg.max_iters,
             residual=change,
         )
@@ -410,8 +385,18 @@ def _assign_targets(space: StateSpace, var: str, expr) -> list:
     return targets
 
 
-def compile_program(prog: Program, space: StateSpace):
-    """Resolve a program against a space; see module docstring."""
+def _per_state(columns: list[list]) -> list:
+    """Per-item target lists (one column per item) into per-state lists of
+    targets, in item order; the first _Undef in a state's row wins."""
+    rows = []
+    for row in zip(*columns):
+        undef = next((t for t in row if isinstance(t, _Undef)), None)
+        rows.append(undef if undef is not None else list(row))
+    return rows
+
+
+def _compile(prog: Program, space: StateSpace):
+    """Resolve a program against a space; see the compiled-form notes above."""
     if isinstance(prog, Skip):
         return _CSkip()
     if isinstance(prog, Abort):
@@ -419,23 +404,21 @@ def compile_program(prog: Program, space: StateSpace):
     if isinstance(prog, Assign):
         return _CAssign(_assign_targets(space, prog.var, prog.expr))
     if isinstance(prog, Seq):
-        return _CSeq(compile_program(prog.first, space),
-                     compile_program(prog.second, space))
+        return _CSeq(_compile(prog.first, space), _compile(prog.second, space))
     if isinstance(prog, IfBool):
         return _CIf(_eval_guarded(space, prog.guard, "bool"),
-                    compile_program(prog.then, space),
-                    compile_program(prog.orelse, space))
+                    _compile(prog.then, space),
+                    _compile(prog.orelse, space))
     if isinstance(prog, IfProb):
         return _CProb(_eval_guarded(space, prog.prob, "prob"),
-                      compile_program(prog.then, space),
-                      compile_program(prog.orelse, space))
+                      _compile(prog.then, space),
+                      _compile(prog.orelse, space))
     if isinstance(prog, ProbChoice):
         return _CProb(_eval_guarded(space, prog.prob, "prob"),
-                      compile_program(prog.left, space),
-                      compile_program(prog.right, space))
+                      _compile(prog.left, space),
+                      _compile(prog.right, space))
     if isinstance(prog, DemonChoice):
-        return _CDemon(compile_program(prog.left, space),
-                       compile_program(prog.right, space))
+        return _CDemon(_compile(prog.left, space), _compile(prog.right, space))
     if isinstance(prog, ProbAssign):
         return _CProb(_eval_guarded(space, prog.prob, "prob"),
                       _CAssign(_assign_targets(space, prog.var, prog.left)),
@@ -444,42 +427,19 @@ def compile_program(prog: Program, space: StateSpace):
         return _CDemon(_CAssign(_assign_targets(space, prog.var, prog.left)),
                        _CAssign(_assign_targets(space, prog.var, prog.right)))
     if isinstance(prog, ChooseFromSet):
-        per_choice = [_assign_targets(space, prog.var, e) for e in prog.choices]
-        options = []
-        for i in range(space.size):
-            opts = []
-            undef = None
-            for targets in per_choice:
-                t = targets[i]
-                if isinstance(t, _Undef):
-                    undef = t
-                    break
-                opts.append(t)
-            options.append(undef if undef is not None else opts)
-        return _CChooseMin(options)
+        return _CChooseMin(_per_state(
+            [_assign_targets(space, prog.var, e) for e in prog.choices]
+        ))
     if isinstance(prog, SuchThat):
         return _CChooseMin(_suchthat_options(space, prog))
     if isinstance(prog, ChooseFromDist):
-        per_item = [
-            (p, _assign_targets(space, prog.var, e))
-            for e, p in prog.dist.items
-            if p > 0
-        ]
-        entries = []
-        for i in range(space.size):
-            entry = []
-            undef = None
-            for p, targets in per_item:
-                t = targets[i]
-                if isinstance(t, _Undef):
-                    undef = t
-                    break
-                entry.append((p, t))
-            entries.append(undef if undef is not None else entry)
-        return _CDist(entries)
+        items = [(p, e) for e, p in prog.dist.items if p > 0]
+        return _CDist([p for p, _ in items], _per_state(
+            [_assign_targets(space, prog.var, e) for _, e in items]
+        ))
     if isinstance(prog, GuardedIf):
         return _CGuarded([
-            (_eval_guarded(space, g, "bool"), compile_program(b, space))
+            (_eval_guarded(space, g, "bool"), _compile(b, space))
             for g, b in prog.branches
         ])
     if isinstance(prog, Assert):
@@ -488,13 +448,11 @@ def compile_program(prog: Program, space: StateSpace):
         kind = static_kind(prog.guard, space)
         if kind == "bool":
             gate = _eval_guarded(space, prog.guard, "bool")
-            probabilistic = False
         elif kind == "num":
             gate = _eval_guarded(space, prog.guard, "prob")
-            probabilistic = True
         else:
             raise WpError("loop condition must be boolean or numeric")
-        return _CWhile(probabilistic, gate, compile_program(prog.body, space))
+        return _CWhile(kind == "num", gate, _compile(prog.body, space))
     raise WpError(f"unknown program node {type(prog).__name__}")
 
 
@@ -534,6 +492,53 @@ def _suchthat_options(space: StateSpace, prog: SuchThat):
     return options
 
 
+class Compiled:
+    """A program resolved against one state space, to be run for many posts."""
+
+    def __init__(self, space: StateSpace, root):
+        self.space = space
+        self._root = root
+
+    def wp(self, post: Expectation, cfg: Optional[WpConfig] = None) -> WpResult:
+        """Pre-expectation of `post`; see wp() for what it raises."""
+        space = self.space
+        if post.space != space:
+            raise WpError("post-expectation lives on a different state space")
+        cfg = cfg or WpConfig()
+        ctx = _Ctx(cfg)
+        vec = self._root.run(list(post.values), ctx)
+
+        bound = post.max_value()
+        undefined: list[State] = []
+        values = []
+        for i, v in enumerate(vec):
+            if isinstance(v, _Undef):
+                undefined.append(space.state_at(i))
+                if cfg.undefined == "raise":
+                    raise UndefinedStateError(
+                        f"wp is undefined at {space.state_at(i)}: {v.reason}",
+                        state=space.state_at(i),
+                    )
+                values.append(ZERO)
+                continue
+            if v < 0 or v > bound + ctx.residual:
+                raise WpError(
+                    f"feasibility violated at {space.state_at(i)}: {v} "
+                    f"outside [0, {bound}]"
+                )
+            values.append(v)
+        return WpResult(
+            pre=Expectation(space, tuple(values)),
+            loop_residual=ctx.residual,
+            undefined_states=tuple(undefined),
+        )
+
+
+def compile_program(prog: Program, space: StateSpace) -> Compiled:
+    """Resolve a program against a space once; run it with Compiled.wp."""
+    return Compiled(space, _compile(prog, space))
+
+
 def wp(prog: Program, post: Expectation, space: Optional[StateSpace] = None,
        cfg: Optional[WpConfig] = None) -> WpResult:
     """Pre-expectation of `post` under `prog`.
@@ -543,36 +548,4 @@ def wp(prog: Program, post: Expectation, space: Optional[StateSpace] = None,
     converge within the budget, and ChainAscentError on a non-ascending
     chain, which would indicate a bug in the engine itself.
     """
-    if space is None:
-        space = post.space
-    elif space != post.space:
-        raise WpError("post-expectation lives on a different state space")
-    cfg = cfg or WpConfig()
-    ctx = _Ctx(cfg)
-    compiled = compile_program(prog, space)
-    vec = compiled.run(list(post.values), ctx)
-
-    bound = post.max_value()
-    undefined: list[State] = []
-    values = []
-    for i, v in enumerate(vec):
-        if isinstance(v, _Undef):
-            undefined.append(space.state_at(i))
-            if cfg.undefined == "raise":
-                raise UndefinedStateError(
-                    f"wp is undefined at {space.state_at(i)}: {v.reason}",
-                    state=space.state_at(i),
-                )
-            values.append(ZERO)
-            continue
-        if v < 0 or v > bound + ctx.residual:
-            raise WpError(
-                f"feasibility violated at {space.state_at(i)}: {v} "
-                f"outside [0, {bound}]"
-            )
-        values.append(v)
-    return WpResult(
-        pre=Expectation(space, tuple(values)),
-        loop_residual=ctx.residual,
-        undefined_states=tuple(undefined),
-    )
+    return compile_program(prog, post.space if space is None else space).wp(post, cfg)

@@ -199,3 +199,32 @@ def test_epsilon_sharpness():
     assert check_variant(loop, variant(s, "[c = H]", 1, "5/8"), s).holds
     v = check_variant(loop, variant(s, "[c = H]", 1, "3/4"), s)
     assert v.status == "fails"
+
+
+def test_checkers_compile_each_program_once(monkeypatch):
+    import pgclkit.checks
+
+    calls = []
+    real = pgclkit.checks.compile_program
+
+    def counting(prog, space):
+        calls.append(prog)
+        return real(prog, space)
+
+    monkeypatch.setattr(pgclkit.checks, "compile_program", counting)
+    s = helpers.coin_space()
+    left = helpers.prog("c1 :in H <1/2> T", s)
+    right = helpers.prog("c1 :in H |^| T", s)
+    for extra in (0, 16):
+        fam = ProbeFamily.default(s, (left, right), extra=extra)
+        for check in (check_equal, check_refines):
+            calls.clear()
+            check(left, left, fam, s)
+            check(right, left, fam, s)
+            assert len(calls) == 4
+
+    s = space_of(("x", (0, 1, 2, 3)))
+    loop = helpers.prog("WHILE x > 0 DO x := x - 1 OD", s)
+    calls.clear()
+    assert check_variant(loop, variant(s, "x", 3, "1/2"), s).holds
+    assert calls == [loop.body]

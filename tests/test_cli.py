@@ -108,10 +108,14 @@ def test_wp_undefined_state_raise_and_mask(tmp_path, capsys):
 
 
 def test_wp_loop_budget_exits_3(tmp_path, capsys):
-    prog = write(tmp_path, "loop.pgcl", COIN_LOOP)
-    rc = main(["wp", "--program", prog, "--max-iters", "5"])
-    assert rc == 3
-    assert "inconclusive" in capsys.readouterr().err
+    # the biased loop's last change has a denominator past the 4300-digit
+    # limit on int-to-string conversion
+    biased = "var c in {H, T}\nWHILE c = H DO c :in H <1023/1024> T OD\n"
+    for text, max_iters in ((COIN_LOOP, "5"), (biased, "1500")):
+        prog = write(tmp_path, "loop.pgcl", text)
+        rc = main(["wp", "--program", prog, "--max-iters", max_iters])
+        assert rc == 3
+        assert "inconclusive" in capsys.readouterr().err
 
 
 def test_check_equal_grid_holds(tmp_path, capsys):

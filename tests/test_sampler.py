@@ -178,6 +178,9 @@ def test_trials_sharding_is_reproducible():
     assert sum(a.tallies) == 1000
     with pytest.raises(DistError):
         run_trials(d, 10, seed=0, shards=11)
+    # seed * 1_000_003 + shard: (0, 1_000_003) would replay (1, 0)
+    with pytest.raises(DistError):
+        run_trials(d, 2_000_000, 0, shards=1_000_004)
 
 
 def test_fair_coin_statistics_are_sane():
