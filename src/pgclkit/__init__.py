@@ -13,10 +13,8 @@ from .checks import (
 )
 from .errors import (
     BitsExhaustedError,
-    ChainAscentError,
     DistError,
     EvalError,
-    LoopBudgetError,
     MachineAnalysisError,
     MachineFormatError,
     PgclError,
@@ -65,9 +63,9 @@ from .wp import WpConfig, WpResult, compile_program, wp
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitsExhaustedError", "ChainAscentError", "Counterexample",
+    "BitsExhaustedError", "Counterexample",
     "CumulativeDist", "Dist", "DistError", "EvalError", "Expectation",
-    "Expr", "LoopBudgetError", "Machine", "MachineAnalysis",
+    "Expr", "Machine", "MachineAnalysis",
     "MachineAnalysisError", "MachineFormatError", "MachineNode", "PgclError",
     "PgclSyntaxError", "ProbeFamily", "Program", "RandomBitSource",
     "ResolutionLimitError", "SampleTrace", "ScriptedBitSource", "SpaceError",

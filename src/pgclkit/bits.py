@@ -9,9 +9,15 @@ from .errors import BitsExhaustedError, DistError
 
 
 class RandomBitSource:
-    """Seeded PRNG bit stream; identical seeds give identical streams."""
+    """Seeded PRNG bit stream; identical seeds give identical streams.
+
+    Seeds must be non-negative: random.Random seeds with the absolute value
+    of an int, so seed -1 would replay seed 1.
+    """
 
     def __init__(self, seed: int):
+        if seed < 0:
+            raise DistError("seed must be non-negative")
         self.seed = seed
         self._rng = random.Random(seed)
 

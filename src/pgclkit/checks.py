@@ -4,19 +4,19 @@ Two programs are compared through a finite family of probe expectations:
 per-state indicators separate any two distinct pre-expectation maps on the
 space, guard brackets cover the predicates the programs actually branch
 on, and a few seeded pseudo-random expectations guard against functionals
-that happen to agree on indicators.  Probe disagreement beyond the loop
-residuals refutes; exact agreement with zero residual confirms; anything
-in between stays inconclusive rather than over-claiming.
+that happen to agree on indicators.  Every pre-expectation is exact, loops
+included, so any probe disagreement refutes and agreement on every probe
+confirms.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import LoopBudgetError, UndefinedStateError, VariantError
+from .errors import UndefinedStateError, VariantError
 from .expectations import Expectation, from_expr, indicator
 from .exprs import Bracket, Expr, eval_expr, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
@@ -45,13 +45,13 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "holds" | "fails" | "inconclusive"
+    status: str  # "holds" | "fails"
     counterexample: Optional[Counterexample] = None
-    residual: Fraction = ZERO
+    residual: Fraction = ZERO  # always 0: every loop is solved exactly
     detail: str = ""
 
     def __post_init__(self):
-        if self.status not in ("holds", "fails", "inconclusive"):
+        if self.status not in ("holds", "fails"):
             raise ValueError(f"bad verdict status {self.status!r}")
 
     @property
@@ -163,46 +163,30 @@ def dyadic_grid(denominator: int = 8) -> tuple[Fraction, ...]:
 
 def _compare(left: Program, right: Program, probes: ProbeFamily,
              space: Optional[StateSpace], cfg: Optional[WpConfig],
-             excess, detail: str) -> Verdict:
+             excess) -> Verdict:
     """Run both programs on every probe.  excess(lhs - rhs) is the amount
-    by which a state violates the relation; above the combined loop
-    residual it refutes, and any positive amount rules out `holds`."""
+    by which a state violates the relation; any positive amount refutes."""
     if not len(probes):
         raise VariantError("empty probe family")
     space = space or probes.probes[0].space
     left_c, right_c = compile_program(left, space), compile_program(right, space)
-    worst = ZERO
-    exact = True
     for probe in probes:
-        try:
-            lhs, rhs = left_c.wp(probe, cfg), right_c.wp(probe, cfg)
-        except LoopBudgetError as exc:
-            return Verdict("inconclusive", residual=exc.residual,
-                           detail=f"loop budget exhausted: {exc}")
-        slack = lhs.loop_residual + rhs.loop_residual
-        worst = max(worst, slack)
+        lhs, rhs = left_c.wp(probe, cfg), right_c.wp(probe, cfg)
         for i, (a, b) in enumerate(zip(lhs.pre.values, rhs.pre.values)):
-            gap = excess(a - b)
-            if gap > 0:
-                exact = False
-            if gap > slack:
+            if excess(a - b) > 0:
                 return Verdict(
                     "fails",
                     counterexample=Counterexample(probe, space.state_at(i), a, b),
-                    residual=slack,
                 )
-    if exact and worst == 0:
-        return Verdict("holds")
-    return Verdict("inconclusive", residual=worst, detail=detail)
+    return Verdict("holds")
 
 
 def check_equal(left: Program, right: Program, probes: ProbeFamily,
                 space: Optional[StateSpace] = None,
                 cfg: Optional[WpConfig] = None) -> Verdict:
-    """Probe-based equivalence: refutation-sound, and exact (holds) only
-    when every probe agrees exactly with zero loop residual."""
-    return _compare(left, right, probes, space, cfg, abs,
-                    "agreement within loop residual only")
+    """Probe-based equivalence: holds exactly when every probe agrees
+    exactly; a disagreement is a counterexample."""
+    return _compare(left, right, probes, space, cfg, abs)
 
 
 def check_refines(spec: Program, impl: Program, probes: ProbeFamily,
@@ -211,16 +195,14 @@ def check_refines(spec: Program, impl: Program, probes: ProbeFamily,
     """Refinement: every probe must satisfy wp(spec) <= wp(impl) pointwise.
 
     The implementation may only improve the guaranteed value; a state where
-    the spec's guarantee exceeds the implementation's beyond the combined
-    loop residuals refutes the refinement.
+    the spec's guarantee exceeds the implementation's refutes the
+    refinement.
     """
-    return _compare(spec, impl, probes, space, cfg, lambda gap: gap,
-                    "inequality within loop residual only")
+    return _compare(spec, impl, probes, space, cfg, lambda gap: gap)
 
 
 def check_variant(loop: Program, spec: VariantSpec,
-                  space: StateSpace,
-                  cfg: Optional[WpConfig] = None) -> Verdict:
+                  space: StateSpace) -> Verdict:
     """Zero-one style progress check for almost-sure termination.
 
     On every guard-satisfying state the variant must be a natural number
@@ -233,7 +215,6 @@ def check_variant(loop: Program, spec: VariantSpec,
         raise VariantError("variant checking expects a loop")
     if static_kind(loop.guard, space) != "bool":
         raise VariantError("variant checking expects a boolean loop guard")
-    cfg = cfg or WpConfig()
 
     guard_states: list[tuple[int, Fraction]] = []
     for i, state in enumerate(space.states()):
@@ -260,20 +241,14 @@ def check_variant(loop: Program, spec: VariantSpec,
 
     # the body's wp outside the guard is irrelevant; mask it, then surface
     # undefinedness only where the loop actually iterates
-    body_cfg = replace(cfg, undefined="mask")
     body = compile_program(loop.body, space)
-    inconclusive: Optional[Verdict] = None
     for cut in sorted({v for _, v in guard_states}):
         decrease = from_expr(
             space,
             Bracket(_lt(spec.variant, cut)),
             label=f"[{spec.variant} < {cut}]",
         )
-        try:
-            result = body.wp(decrease, body_cfg)
-        except LoopBudgetError as exc:
-            return Verdict("inconclusive", residual=exc.residual,
-                           detail=f"loop budget exhausted: {exc}")
+        result = body.wp(decrease, WpConfig(undefined="mask"))
         masked = {st.index for st in result.undefined_states}
         for i, v in guard_states:
             if v != cut:
@@ -284,23 +259,15 @@ def check_variant(loop: Program, spec: VariantSpec,
                     state=space.state_at(i),
                 )
             achieved = result.pre.values[i]
-            if achieved >= spec.epsilon:
-                continue
-            if result.loop_residual and achieved + result.loop_residual >= spec.epsilon:
-                inconclusive = Verdict(
-                    "inconclusive", residual=result.loop_residual,
-                    detail="progress bound within loop residual only",
+            if achieved < spec.epsilon:
+                return Verdict(
+                    "fails",
+                    counterexample=Counterexample(
+                        decrease, space.state_at(i), achieved, spec.epsilon
+                    ),
+                    detail="variant may fail to decrease often enough",
                 )
-                continue
-            return Verdict(
-                "fails",
-                counterexample=Counterexample(
-                    decrease, space.state_at(i), achieved, spec.epsilon
-                ),
-                residual=result.loop_residual,
-                detail="variant may fail to decrease often enough",
-            )
-    return inconclusive or Verdict("holds")
+    return Verdict("holds")
 
 
 def _lt(variant: Expr, cut: Fraction) -> Expr:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success or verdict holds, 1 failure (counterexample on
-stdout), 2 usage or parse error, 3 inconclusive (loop residual above
-tolerance).  Diagnostics go to stderr, results to stdout.  Every
-subcommand takes --json; rationals are rendered as "num/den" strings.
+stdout), 2 usage or parse error.  Every loop is solved exactly, so there
+is no inconclusive outcome.  Diagnostics go to stderr, results to stdout.
+Every subcommand takes --json; rationals are rendered as "num/den" strings.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .checks import (
     check_variant,
     dyadic_grid,
 )
-from .errors import LoopBudgetError, PgclError, PgclSyntaxError
+from .errors import PgclError, PgclSyntaxError
 from .machine import (
     DEFAULT_MAX_NODES,
     analyze,
@@ -38,7 +38,7 @@ from .programs import VariantSpec, While
 from .expectations import from_expr
 from .sampler import WeightedDist, read_trials_file, run_trials, sample_discrete
 from .states import StateSpace
-from .wp import DEFAULT_MAX_ITERS, DEFAULT_RESIDUAL_TOL, WpConfig, wp
+from .wp import WpConfig, wp
 
 
 def rat(q: Fraction) -> str:
@@ -106,14 +106,6 @@ def _load_dist(value: str) -> tuple[Optional[int], WeightedDist]:
     return None, WeightedDist.parse(" ".join(lines) if lines else text)
 
 
-def _wp_config(args) -> WpConfig:
-    return WpConfig(
-        max_iters=args.max_iters,
-        residual_tol=parse_rational(args.residual),
-        undefined=getattr(args, "undefined", "raise"),
-    )
-
-
 def _verdict_json(v: Verdict) -> dict:
     out = {"status": v.status, "residual": rat(v.residual)}
     if v.detail:
@@ -130,7 +122,7 @@ def _verdict_json(v: Verdict) -> dict:
 
 
 def _verdict_exit(v: Verdict) -> int:
-    return {"holds": 0, "fails": 1, "inconclusive": 3}[v.status]
+    return 0 if v.holds else 1
 
 
 # --- subcommands -----------------------------------------------------------
@@ -140,7 +132,7 @@ def _cmd_wp(args) -> int:
     params = _parse_params(args.param)
     space, prog = _load_program(args.program, params)
     post = from_expr(space, parse_expression(args.post, space, params))
-    result = wp(prog, post, space, _wp_config(args))
+    result = wp(prog, post, space, WpConfig(undefined=args.undefined))
     if args.json:
         payload = {
             "post": args.post,
@@ -152,8 +144,6 @@ def _cmd_wp(args) -> int:
     else:
         for s in space.states():
             print(f"{s}  {rat(result.pre[s])}")
-        if result.loop_residual:
-            print(f"loop residual {rat(result.loop_residual)}", file=sys.stderr)
         for s in result.undefined_states:
             print(f"undefined at {s}", file=sys.stderr)
     return 0
@@ -170,7 +160,6 @@ def _probes_for(args, space, progs) -> ProbeFamily:
 
 def _run_check(args, kind: str) -> int:
     params = _parse_params(args.param)
-    cfg = _wp_config(args)
 
     def one(extra_params) -> Verdict:
         merged = {**params, **extra_params}
@@ -178,7 +167,7 @@ def _run_check(args, kind: str) -> int:
         space, rhs = _load_program(args.rhs, merged, space)
         probes = _probes_for(args, space, (lhs, rhs))
         fn = check_equal if kind == "equal" else check_refines
-        return fn(lhs, rhs, probes, space, cfg)
+        return fn(lhs, rhs, probes, space)
 
     if args.grid:
         grid = dyadic_grid(args.grid_denominator)
@@ -220,7 +209,7 @@ def _cmd_check_variant(args) -> int:
         upper_bound=args.bound,
         epsilon=parse_rational(args.epsilon),
     )
-    v = check_variant(prog, spec, space, _wp_config(args))
+    v = check_variant(prog, spec, space)
     if args.json:
         print(json.dumps(_verdict_json(v), indent=2))
     else:
@@ -324,15 +313,7 @@ def _cmd_machine_dot(args) -> int:
 # --- argument wiring ---------------------------------------------------------
 
 
-def _add_loop_flags(p: argparse.ArgumentParser):
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
-                   help="loop sweep budget (default %(default)s)")
-    p.add_argument("--residual", default=rat(DEFAULT_RESIDUAL_TOL),
-                   help="loop stopping tolerance (default %(default)s)")
-
-
 def _add_check_flags(p: argparse.ArgumentParser):
-    _add_loop_flags(p)
     p.add_argument("--param", action="append", metavar="NAME=RAT",
                    help="substitute a rational for a parameter name")
     p.add_argument("--probe-vars", metavar="X,Y",
@@ -359,7 +340,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--post", default="1", help="post-expectation (default 1)")
     p.add_argument("--param", action="append", metavar="NAME=RAT")
     p.add_argument("--undefined", choices=("raise", "mask"), default="raise")
-    _add_loop_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_wp)
 
@@ -381,7 +361,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", required=True, type=int)
     p.add_argument("--epsilon", required=True, metavar="RAT")
     p.add_argument("--param", action="append", metavar="NAME=RAT")
-    _add_loop_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_check_variant)
 
@@ -424,9 +403,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PgclSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LoopBudgetError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
     except PgclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

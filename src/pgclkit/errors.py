@@ -38,23 +38,6 @@ class UndefinedStateError(WpError):
         self.state = state
 
 
-class LoopBudgetError(WpError):
-    """Loop iteration budget exhausted with residual above tolerance.
-
-    Deliberately loud: callers that can live with a partial answer must
-    catch this and report an inconclusive verdict instead.
-    """
-
-    def __init__(self, message: str, iterations: int, residual):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-
-
-class ChainAscentError(WpError):
-    """The loop approximation chain failed to ascend.  Always a bug."""
-
-
 class ResolutionLimitError(PgclError):
     """Demonic strategy enumeration exceeded the configured bound."""
 

@@ -14,9 +14,10 @@ Analysis solves the absorption equations exactly over the rationals:
     E(leaf)        = 0
     E(interior)    = 1 + (E(heads) + E(tails)) / 2
 
-by Gaussian elimination with partial pivoting on rational magnitude.  A
-singular system means some interior node is never absorbed; the machine is
-rejected loudly.
+with the sparse elimination of linear.absorb, the solver the loop fixpoints
+of wp.py use too; each row has at most two successors, which keeps the
+elimination sparse.  A vanishing pivot means some interior node is never
+absorbed; the machine is rejected loudly.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import MachineAnalysisError, MachineFormatError
+from .linear import absorb
 from .sampler import CumulativeDist, TrialsResult, WeightedDist, run_trials
 
 ZERO = Fraction(0)
@@ -158,79 +160,32 @@ def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machin
     return Machine(tuple(nodes), root=0, outcomes=d.size)
 
 
-def solve_linear(matrix: list[list[Fraction]],
-                 rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly; A square over Fractions, B a list of rows.
-
-    Partial pivoting picks the largest remaining |entry| per column, which
-    keeps intermediate numerators and denominators from ballooning.
-    Raises MachineAnalysisError when A is singular.
-    """
-    n = len(matrix)
-    a = [row[:] for row in matrix]
-    b = [row[:] for row in rhs]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise MachineAnalysisError("singular system: absorption is not almost sure")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = ONE / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] = [v * inv for v in b[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-            b[r] = [v - factor * w for v, w in zip(b[r], b[col])]
-    return b
-
-
 def analyze(m: Machine) -> MachineAnalysis:
     """Exact outcome probabilities and expected flips from the root."""
-    interior = [n for n in m.nodes if n.kind == "interior"]
-    index = {n.id: k for k, n in enumerate(interior)}
-    k = len(interior)
-    width = m.outcomes + 1  # one column per outcome, then expected flips
-
-    def leaf_row(node: MachineNode) -> list[Fraction]:
-        row = [ZERO] * width
-        row[node.outcome - 1] = ONE
-        return row
-
-    if k == 0:
-        root = m.node(m.root)
-        probs = leaf_row(root)[: m.outcomes]
-        return MachineAnalysis(tuple(probs), ZERO, m.size)
-
-    a = [[ZERO] * k for _ in range(k)]
-    b = [[ZERO] * width for _ in range(k)]
-    for node in interior:
-        r = index[node.id]
-        a[r][r] = ONE
-        b[r][m.outcomes] = ONE  # each interior node costs one flip
-        for succ_id in (node.heads, node.tails):
-            succ = m.node(succ_id)
-            if succ.kind == "interior":
-                a[r][index[succ.id]] -= HALF
-            else:
-                row = leaf_row(succ)
-                for c in range(m.outcomes):
-                    b[r][c] += HALF * row[c]
-    solution = solve_linear(a, b)
-
-    if m.node(m.root).kind == "leaf":
-        root_row = leaf_row(m.node(m.root))
+    # interior nodes are keyed by their int id; the absorbing keys are
+    # ("leaf", outcome) and "flips", which counts one flip per visit
+    rows = {}
+    for node in m.nodes:
+        if node.kind == "interior":
+            row = rows[node.id] = {"flips": ONE}
+            for succ_id in (node.heads, node.tails):
+                succ = m.node(succ_id)
+                key = succ_id if succ.kind == "interior" else ("leaf", succ.outcome)
+                row[key] = row.get(key, ZERO) + HALF
+    root = m.node(m.root)
+    if root.kind == "leaf":
+        solved = {("leaf", root.outcome): ONE}
     else:
-        root_row = solution[index[m.root]]
-    probs = tuple(root_row[: m.outcomes])
+        try:
+            solved = absorb(rows)[m.root]
+        except ZeroDivisionError as exc:
+            raise MachineAnalysisError(str(exc)) from None
+    probs = tuple(solved.get(("leaf", o), ZERO) for o in range(1, m.outcomes + 1))
     if sum(probs, ZERO) != ONE:
         raise MachineAnalysisError(
             f"outcome probabilities sum to {sum(probs, ZERO)}, not 1"
         )
-    return MachineAnalysis(probs, root_row[m.outcomes], m.size)
+    return MachineAnalysis(probs, solved.get("flips", ZERO), m.size)
 
 
 def load_machine(text: str) -> Machine:

@@ -5,12 +5,17 @@ value of `post` after running P, as a function of the initial state:
 probabilistic choice averages, demonic choice takes the pointwise minimum,
 assertion failure and a guarded IF with no enabled branch contribute 0.
 
-Loops are least fixpoints, computed as the ascending chain seeded with the
-everywhere-0 expectation.  The chain must ascend (anything else is a bug
-and raises ChainAscentError) and stops when a sweep changes nothing (exact
-fixpoint, residual 0) or changes less than the residual tolerance.  A loop
-that exhausts its iteration budget raises LoopBudgetError rather than
-returning a silently truncated answer.
+Loops are least fixpoints, solved exactly with the compiled body as the
+only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10):
+
+- undefined states: the least marker set the step maps to itself;
+- stuck states, where the demon can keep the loop going forever: the
+  greatest set Z with step([not Z]) = 0 on Z; their value is 0;
+- the rest by policy iteration over memoryless demon choices.  A body run
+  on _Lin values gives the step at the current values and the policy that
+  attains it; linear.absorb solves that policy's chain, and the loop ends
+  when the step maps the solved values to themselves exactly.  Outside
+  the stuck states every policy is absorbing, so that fixpoint is unique.
 
 States whose live execution paths are undefined (division by zero, an
 assignment leaving the variable's domain, a probability outside [0, 1])
@@ -26,15 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import (
-    ChainAscentError,
-    EvalError,
-    LoopBudgetError,
-    UndefinedStateError,
-    WpError,
-)
+from .errors import EvalError, UndefinedStateError, WpError
 from .expectations import Expectation
 from .exprs import eval_expr, static_kind
+from .linear import absorb
 from .programs import (
     Abort,
     Assert,
@@ -59,37 +59,25 @@ from .states import State, StateSpace
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEFAULT_MAX_ITERS = 100_000
-DEFAULT_RESIDUAL_TOL = Fraction(1, 2**40)
-
-
 @dataclass(frozen=True)
 class WpConfig:
-    max_iters: int = DEFAULT_MAX_ITERS
-    residual_tol: Fraction = DEFAULT_RESIDUAL_TOL
     undefined: str = "raise"  # or "mask"
 
     def __post_init__(self):
-        object.__setattr__(self, "residual_tol", Fraction(self.residual_tol))
-        if self.max_iters < 1:
-            raise WpError("max_iters must be positive")
-        if self.residual_tol < 0:
-            raise WpError("residual tolerance must be non-negative")
         if self.undefined not in ("raise", "mask"):
             raise WpError("undefined must be 'raise' or 'mask'")
 
 
 @dataclass(frozen=True)
 class WpResult:
-    """Pre-expectation plus loop bookkeeping.
+    """Pre-expectation plus the states where it is undefined.
 
-    loop_residual is the largest stopping residual among the loop fixpoint
-    computations contributing to `pre`; it is 0 exactly when every loop
-    reached its fixpoint exactly (loop-free programs always report 0).
+    Every loop is solved exactly, so loop_residual is always 0; it stays
+    for callers that read it.
     """
 
     pre: Expectation
-    loop_residual: Fraction
+    loop_residual: Fraction = ZERO
     undefined_states: tuple[State, ...] = ()
 
 
@@ -132,6 +120,45 @@ def _vmin(a: _Val, b: _Val) -> _Val:
     return a if a <= b else b
 
 
+class _Lin:
+    """An exact value plus the linear form that produced it, over a loop's
+    states (keys i >= 0) and its exits (keys ~i).  Running a loop body on
+    these gives each state's value at the current point together with the
+    policy that attains it, since _vmin keeps the form of the option it
+    picks.  Constants (always 0 in a body) carry no form."""
+
+    __slots__ = ("value", "form")
+
+    def __init__(self, value: Fraction, form: dict):
+        self.value = value
+        self.form = form
+
+    def __add__(self, other):
+        if not isinstance(other, _Lin):
+            return _Lin(self.value + other, self.form)
+        form = dict(self.form)
+        for k, c in other.form.items():
+            form[k] = form.get(k, ZERO) + c
+        return _Lin(self.value + other.value, form)
+
+    __radd__ = __add__
+
+    def __mul__(self, c: Fraction):
+        return _Lin(c * self.value, {k: c * w for k, w in self.form.items()})
+
+    __rmul__ = __mul__
+
+    def __le__(self, other):
+        return self.value <= _value(other)
+
+    def __ge__(self, other):
+        return self.value >= _value(other)
+
+
+def _value(v):
+    return v.value if isinstance(v, _Lin) else v
+
+
 # --- compiled form ---------------------------------------------------------
 #
 # Compilation resolves every expression against the concrete state space
@@ -141,12 +168,12 @@ def _vmin(a: _Val, b: _Val) -> _Val:
 
 
 class _CSkip:
-    def run(self, f, ctx):
+    def run(self, f):
         return list(f)
 
 
 class _CAbort:
-    def run(self, f, ctx):
+    def run(self, f):
         return [ZERO] * len(f)
 
 
@@ -154,7 +181,7 @@ class _CAssign:
     def __init__(self, targets):
         self.targets = targets  # per state: index, or _Undef
 
-    def run(self, f, ctx):
+    def run(self, f):
         return [t if isinstance(t, _Undef) else f[t] for t in self.targets]
 
 
@@ -163,8 +190,8 @@ class _CSeq:
         self.first = first
         self.second = second
 
-    def run(self, f, ctx):
-        return self.first.run(self.second.run(f, ctx), ctx)
+    def run(self, f):
+        return self.first.run(self.second.run(f))
 
 
 def _select(mask, a, b) -> list:
@@ -185,8 +212,8 @@ class _CIf:
         self.then = then
         self.orelse = orelse
 
-    def run(self, f, ctx):
-        return _select(self.mask, self.then.run(f, ctx), self.orelse.run(f, ctx))
+    def run(self, f):
+        return _select(self.mask, self.then.run(f), self.orelse.run(f))
 
 
 class _CProb:
@@ -195,8 +222,8 @@ class _CProb:
         self.left = left
         self.right = right
 
-    def run(self, f, ctx):
-        return _mix(self.probs, self.left.run(f, ctx), self.right.run(f, ctx))
+    def run(self, f):
+        return _mix(self.probs, self.left.run(f), self.right.run(f))
 
 
 class _CDemon:
@@ -204,9 +231,9 @@ class _CDemon:
         self.left = left
         self.right = right
 
-    def run(self, f, ctx):
-        va = self.left.run(f, ctx)
-        vb = self.right.run(f, ctx)
+    def run(self, f):
+        va = self.left.run(f)
+        vb = self.right.run(f)
         return [_vmin(a, b) for a, b in zip(va, vb)]
 
 
@@ -216,7 +243,7 @@ class _CChooseMin:
     def __init__(self, options):
         self.options = options  # per state: list of indices, or _Undef
 
-    def run(self, f, ctx):
+    def run(self, f):
         out = []
         for opts in self.options:
             if isinstance(opts, _Undef):
@@ -234,7 +261,7 @@ class _CDist:
         self.probs = probs  # per item: Fraction > 0
         self.options = options  # per state: list of indices, one per item, or _Undef
 
-    def run(self, f, ctx):
+    def run(self, f):
         out = []
         for opts in self.options:
             if isinstance(opts, _Undef):
@@ -251,8 +278,8 @@ class _CGuarded:
     def __init__(self, branches):
         self.branches = branches  # list of (mask, compiled body)
 
-    def run(self, f, ctx):
-        vecs = [(mask, body.run(f, ctx)) for mask, body in self.branches]
+    def run(self, f):
+        vecs = [(mask, body.run(f)) for mask, body in self.branches]
         out = []
         for i in range(len(f)):
             acc: Optional[_Val] = None
@@ -277,66 +304,86 @@ class _CAssert:
     def __init__(self, mask):
         self.mask = mask
 
-    def run(self, f, ctx):
+    def run(self, f):
         return _select(self.mask, f, [ZERO] * len(f))
 
 
-def _magnitude(q: Fraction) -> str:
-    """A message-safe rendering of an exact value.  Loop chains grow their
-    denominators every sweep, and str() of an integer past 4300 digits raises."""
-    return f"{float(q):.6g} with a {q.denominator.bit_length()}-bit denominator"
-
-
 class _CWhile:
+    """A loop, solved exactly on every run; see the module notes."""
+
     def __init__(self, probabilistic, gate, body):
         self.gate = gate  # mask when boolean, per-state probs when probabilistic
         self.body = body
         self.combine = _mix if probabilistic else _select
+        self.stuck = self._stuck_states(len(gate))
 
-    def run(self, f, ctx):
-        current: list[_Val] = [ZERO] * len(f)
-        change = ZERO
-        for _ in range(ctx.cfg.max_iters):
-            nxt = self.combine(self.gate, self.body.run(current, ctx), f)
-            change = ZERO
-            settled = True
-            for a, b in zip(current, nxt):
-                au = isinstance(a, _Undef)
-                bu = isinstance(b, _Undef)
-                if au and bu:
-                    continue
-                if au or bu:
-                    # a state turning undefined is a change of unknown size;
-                    # the undefined set grows monotonically and stabilises
-                    settled = False
-                    continue
-                d = b - a
-                if d < 0:
-                    raise ChainAscentError(
-                        f"loop chain descended in one sweep by {_magnitude(-d)}"
-                    )
-                if d > change:
-                    change = d
-            if settled and (change == 0 or change < ctx.cfg.residual_tol):
-                ctx.note_residual(change)
-                return nxt
-            current = nxt
-        raise LoopBudgetError(
-            f"loop did not converge within {ctx.cfg.max_iters} sweeps "
-            f"(last change {_magnitude(change)})",
-            iterations=ctx.cfg.max_iters,
-            residual=change,
-        )
+    def _step(self, x, exits):
+        return self.combine(self.gate, self.body.run(x), exits)
 
+    def _stuck_states(self, n):
+        """States where the demon can keep the loop going forever: the
+        greatest Z with step([not Z]) = 0 on Z, exits scored 1."""
+        stuck = set(range(n))
+        while stuck:
+            out = self._step([ZERO if i in stuck else ONE for i in range(n)],
+                             [ONE] * n)
+            kept = {i for i in stuck
+                    if not isinstance(out[i], _Undef) and out[i] == 0}
+            if kept == stuck:
+                break
+            stuck = kept
+        return stuck
 
-class _Ctx:
-    def __init__(self, cfg: WpConfig):
-        self.cfg = cfg
-        self.residual = ZERO
+    def _undefined(self, f):
+        """The states that turn undefined on the way up from 0: the least
+        marker set the step maps to itself.  Markers ignore values."""
+        exits = [x if isinstance(x, _Undef) else ZERO for x in f]
+        undef: dict[int, _Undef] = {}
+        while True:
+            out = self._step([undef.get(i, ZERO) for i in range(len(f))], exits)
+            grown = {i: v for i, v in enumerate(out) if isinstance(v, _Undef)}
+            if grown.keys() == undef.keys():
+                return undef
+            undef = grown
 
-    def note_residual(self, r: Fraction):
-        if r > self.residual:
-            self.residual = r
+    def run(self, f):
+        n, stuck = len(f), self.stuck
+        undef, rows = self._undefined(f), None
+        live = [i for i in range(n) if i not in undef and i not in stuck]
+        fv = [x if isinstance(x, _Undef) else _value(x) for x in f]
+        exits = [x if isinstance(x, _Undef) else _Lin(x, {~i: ONE})
+                 for i, x in enumerate(fv)]
+        ceiling = None
+        while True:
+            v = [ZERO] * n
+            if rows is not None:
+                for s in live:
+                    v[s] = sum((c * fv[~k] for k, c in rows[s].items()), ZERO)
+                out = self._step([undef.get(i) or v[i] for i in range(n)], fv)
+                # policy iteration descends: step(v) <= v, and each policy's
+                # values lie below the step that chose it; a fixpoint ends it
+                if any(out[s] > v[s] or (ceiling and v[s] > ceiling[s])
+                       for s in live):
+                    raise WpError("exact loop solve failed its fixpoint check; "
+                                  "this is a bug in the engine")
+                if all(out[s] == v[s] for s in live):
+                    break
+                ceiling = out
+            # the same step on _Lin values: its forms are the improved policy
+            x = [undef.get(i) or (ZERO if i in stuck else _Lin(v[i], {i: ONE}))
+                 for i in range(n)]
+            out = self._step(x, exits)
+            rows = absorb({s: out[s].form if isinstance(out[s], _Lin) else {}
+                           for s in live})
+        result: list[_Val] = [ZERO] * n
+        for i, marker in undef.items():
+            result[i] = marker
+        for s in live:
+            acc: _Val = ZERO
+            for k, c in rows[s].items():
+                acc = _add(acc, _scale(c, f[~k]))
+            result[s] = acc
+        return result
 
 
 def _eval_guarded(space: StateSpace, expr, want: str):
@@ -505,8 +552,7 @@ class Compiled:
         if post.space != space:
             raise WpError("post-expectation lives on a different state space")
         cfg = cfg or WpConfig()
-        ctx = _Ctx(cfg)
-        vec = self._root.run(list(post.values), ctx)
+        vec = self._root.run(list(post.values))
 
         bound = post.max_value()
         undefined: list[State] = []
@@ -521,7 +567,7 @@ class Compiled:
                     )
                 values.append(ZERO)
                 continue
-            if v < 0 or v > bound + ctx.residual:
+            if v < 0 or v > bound:
                 raise WpError(
                     f"feasibility violated at {space.state_at(i)}: {v} "
                     f"outside [0, {bound}]"
@@ -529,7 +575,6 @@ class Compiled:
             values.append(v)
         return WpResult(
             pre=Expectation(space, tuple(values)),
-            loop_residual=ctx.residual,
             undefined_states=tuple(undefined),
         )
 
@@ -544,8 +589,8 @@ def wp(prog: Program, post: Expectation, space: Optional[StateSpace] = None,
     """Pre-expectation of `post` under `prog`.
 
     Raises UndefinedStateError when a live path is undefined somewhere
-    (unless cfg.undefined == "mask"), LoopBudgetError when a loop fails to
-    converge within the budget, and ChainAscentError on a non-ascending
-    chain, which would indicate a bug in the engine itself.
+    (unless cfg.undefined == "mask"), and WpError when a result leaves
+    [0, max post] or a loop solve fails its fixpoint check, either of which
+    would indicate a bug in the engine itself.
     """
     return compile_program(prog, post.space if space is None else space).wp(post, cfg)

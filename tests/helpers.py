@@ -1,20 +1,27 @@
-"""Shared fixtures: state spaces, program corpus, and a classical-wp oracle."""
+"""Shared fixtures: state spaces, program corpus, a classical-wp oracle and
+a floating-point value-iteration oracle for loops."""
 
 from fractions import Fraction
 
 from pgclkit import parse_expression, parse_program, space_of
+from pgclkit.errors import EvalError
 from pgclkit.exprs import Bracket, eval_expr
 from pgclkit.programs import (
     Abort,
     Assert,
     Assign,
     ChooseFromSet,
+    DemonAssign,
     DemonChoice,
     GuardedIf,
     IfBool,
+    IfProb,
+    ProbAssign,
+    ProbChoice,
     Seq,
     Skip,
     SuchThat,
+    While,
 )
 
 F = Fraction
@@ -184,6 +191,97 @@ def classical_wp(p, space, post: frozenset) -> frozenset:
             i for i in post if eval_expr(p.pred, space.state_at(i))
         )
     raise AssertionError(f"oracle does not cover {type(p).__name__}")
+
+
+# --- floating-point value iteration oracle -----------------------------------
+#
+# wp over floats, loops by plain value iteration from 0 until a sweep moves
+# nothing by more than 1e-15.  None marks an undefined state; a weight of
+# exactly 0 discards it.  Independent of the engine on purpose: it exists to
+# cross-check the exact loop solver on loops whose values are limits.
+
+
+def value_iteration(p, space, post: list) -> list:
+    n = space.size
+    seen = {}  # loops re-ask the same questions; answer each once
+
+    def once(key, compute):
+        if key not in seen:
+            seen[key] = compute()
+        return seen[key]
+
+    def at(expr, i):
+        def compute():
+            try:
+                return eval_expr(expr, space.state_at(i))
+            except EvalError:
+                return None
+        return once((id(expr), i), compute)
+
+    def weight(expr, i):
+        # a probability as a float, None where it is undefined
+        def compute():
+            q = at(expr, i)
+            return None if q is None or not 0 <= q <= 1 else float(q)
+        return once(("weight", id(expr), i), compute)
+
+    def mix(prob, a, b):
+        # q * a + (1 - q) * b; a boolean q picks a or b
+        out = []
+        for i in range(n):
+            q = weight(prob, i)
+            parts = [(w, v) for w, v in ((q, a[i]), (1 - (q or 0), b[i])) if w != 0]
+            bad = q is None or any(v is None for _, v in parts)
+            out.append(None if bad else sum(w * v for w, v in parts))
+        return out
+
+    def demon(a, b):
+        return [None if x is None or y is None else min(x, y) for x, y in zip(a, b)]
+
+    def assign(var, expr, f):
+        def target(i):
+            v = at(expr, i)
+            return -1 if v is None else space.reindex(i, space.var_pos(var), v)
+        out = []
+        for i in range(n):
+            t = once(("target", var, id(expr), i), lambda: target(i))
+            out.append(None if t < 0 else f[t])
+        return out
+
+    def run(p, f):
+        if isinstance(p, Skip):
+            return f
+        if isinstance(p, Abort):
+            return [0.0] * n
+        if isinstance(p, Assign):
+            return assign(p.var, p.expr, f)
+        if isinstance(p, Seq):
+            return run(p.first, run(p.second, f))
+        if isinstance(p, (IfBool, IfProb)):
+            cond = p.guard if isinstance(p, IfBool) else p.prob
+            return mix(cond, run(p.then, f), run(p.orelse, f))
+        if isinstance(p, ProbChoice):
+            return mix(p.prob, run(p.left, f), run(p.right, f))
+        if isinstance(p, ProbAssign):
+            return mix(p.prob, assign(p.var, p.left, f), assign(p.var, p.right, f))
+        if isinstance(p, DemonChoice):
+            return demon(run(p.left, f), run(p.right, f))
+        if isinstance(p, DemonAssign):
+            return demon(assign(p.var, p.left, f), assign(p.var, p.right, f))
+        if isinstance(p, Assert):
+            return [f[i] if at(p.pred, i) else 0.0 for i in range(n)]
+        if isinstance(p, While):
+            x = [0.0] * n
+            for _ in range(100_000):
+                nxt = mix(p.guard, run(p.body, x), f)
+                if all((a is None) == (b is None) and (a is None or b - a < 1e-15)
+                       for a, b in zip(x, nxt)):
+                    return nxt
+                x = nxt
+            raise AssertionError("value iteration did not settle")
+        raise AssertionError(f"oracle does not cover {type(p).__name__}")
+
+    return run(p, list(post))
 
 
 def pred_states(space, text) -> frozenset:

@@ -7,13 +7,13 @@ from pgclkit import (
     ProbeFamily,
     VariantError,
     VariantSpec,
-    WpConfig,
     check_equal,
     check_refines,
     check_variant,
     dyadic_grid,
     parse_expression,
     space_of,
+    wp,
 )
 
 F = Fraction
@@ -74,18 +74,28 @@ def test_halving_loop_equals_bias_spec_exactly_on_dyadic_space():
     assert v.residual == 0
 
 
-def test_halving_loop_on_thirds_agrees_within_residual_only():
-    # 1/3 never reaches an endpoint by doubling, so the fixpoint is a limit:
-    # agreement is reported, but only up to the stopping residual
+def test_halving_loop_on_thirds_holds_exactly():
+    # 1/3 never reaches an endpoint by doubling, so the fixpoint is a limit,
+    # which the exact loop solve reaches all the same
     s = helpers.pqr_space(grid=helpers.THIRDS)
     fam = ProbeFamily.over_vars(s, ("x",))
     left = helpers.prog(helpers.BIAS_SPEC, s)
     right = helpers.prog(helpers.HALVING_LOOP, s)
     v = check_equal(left, right, fam, s)
-    assert v.status == "inconclusive"
+    assert v.status == "holds"
     assert v.counterexample is None
-    assert 0 < v.residual <= 2 * F(1, 2**40)
-    assert "within loop residual" in v.detail
+    assert v.residual == 0
+    r = wp(right, helpers.bracket_post(s, "x = 1"), s)
+    assert all(r.pre[st] == st["p"] for st in s.states())  # 1/3 and 2/3 exactly
+
+
+def test_nearly_sure_coin_loop_equals_its_exit():
+    # stays at H with probability 1 - 2^-41 per round, yet ends at T surely
+    s = space_of(("c", ("H", "T")))
+    loop = helpers.prog("WHILE c = H DO c :in H <1 - 1/2199023255552> T OD", s)
+    v = check_equal(loop, helpers.prog("c := T", s), ProbeFamily.default(s), s)
+    assert v.status == "holds"
+    assert v.residual == 0
 
 
 def test_unequal_biases_are_refuted():
@@ -127,15 +137,6 @@ def test_refinement_of_choice_to_branch():
     assert check_refines(spec, impl, ProbeFamily.default(s), s).holds
     v = check_refines(impl, helpers.prog("x := 1", s), ProbeFamily.default(s), s)
     assert v.status == "fails"
-
-
-def test_loop_budget_turns_into_inconclusive():
-    s = space_of(("c", ("H", "T")))
-    loop = helpers.prog("WHILE c = H DO c :in H <1/2> T OD", s)
-    v = check_equal(loop, helpers.prog("c := T", s), ProbeFamily.default(s),
-                    s, cfg=WpConfig(max_iters=5))
-    assert v.status == "inconclusive"
-    assert "loop budget exhausted" in v.detail
 
 
 def variant(space, text, bound, eps):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -16,7 +17,7 @@ from pgclkit import (
     machine_to_text,
     to_dot,
 )
-from pgclkit.machine import solve_linear
+from pgclkit.linear import absorb
 
 F = Fraction
 
@@ -84,16 +85,20 @@ def test_interior_labels_describe_the_window():
 
 
 def test_exactness_over_weight_corpus():
+    # the last two build 300 and 982 nodes
     corpus = (
         (1,), (1, 1), (1, 2), (1, 3), (2, 1, 3, 4),
         (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1), (5, 1, 1, 1),
+        (106, 436, 54), (50, 98, 54, 6, 34, 66, 63, 52),
     )
+    t0 = time.monotonic()
     for ws in corpus:
         d = WeightedDist(ws)
         a = analyze(build_machine(d))
         for i, w in enumerate(ws, start=1):
             assert a.probability(i) == F(w, d.total)
         assert a.expected_flips <= 2 * len(ws) - 2
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_single_outcome_machine_is_one_leaf():
@@ -166,6 +171,19 @@ def test_comments_and_blanks_in_machine_files():
     assert analyze(m).expected_flips == 1
 
 
+def test_negative_node_ids_analyze_exactly():
+    # interior ids -1 and -2 must not be mistaken for leaves of outcomes 1, 2
+    text = "root -1\noutcomes 2\nnode -1 interior 1 2\nnode 1 leaf 1\nnode 2 leaf 2\n"
+    a = analyze(load_machine(text))
+    assert a.outcome_prob == (F(1, 2), F(1, 2))
+    assert a.expected_flips == 1
+    text = ("root -2\noutcomes 2\nnode -2 interior -1 2\n"
+            "node -1 interior 1 -2\nnode 1 leaf 1\nnode 2 leaf 2\n")
+    a = analyze(load_machine(text))
+    assert a.outcome_prob == (F(1, 3), F(2, 3))
+    assert a.expected_flips == 2
+
+
 def test_dot_output_shape():
     m = build_machine(WeightedDist((1, 1)))
     dot = to_dot(m)
@@ -199,13 +217,21 @@ def test_partially_absorbing_machine_is_rejected():
         analyze(m)
 
 
-def test_solve_linear_small_system():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    b = [[F(5)], [F(10)]]
-    x = solve_linear(a, b)
-    assert x == [[F(1)], [F(3)]]
-    with pytest.raises(MachineAnalysisError):
-        solve_linear([[F(1), F(2)], [F(2), F(4)]], [[F(0)], [F(0)]])
+def test_absorb_small_system():
+    # a walk on 1, 2 absorbed at "lo" or "hi", plus a unit cost per step:
+    # x1 = 1 + x2/2 + lo/2, x2 = 1 + x1/3 + 2 hi/3
+    rows = {
+        1: {2: F(1, 2), "lo": F(1, 2), "cost": F(1)},
+        2: {1: F(1, 3), "hi": F(2, 3), "cost": F(1)},
+    }
+    assert absorb(rows) == {
+        1: {"lo": F(3, 5), "hi": F(2, 5), "cost": F(9, 5)},
+        2: {"lo": F(1, 5), "hi": F(4, 5), "cost": F(8, 5)},
+    }
+    assert rows[1] == {2: F(1, 2), "lo": F(1, 2), "cost": F(1)}  # input kept
+    # 1 and 2 feed each other forever: never absorbed
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        absorb({1: {2: F(1)}, 2: {1: F(1, 2), 2: F(1, 2)}})
 
 
 def test_crosscheck_agrees_within_noise():

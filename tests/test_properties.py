@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import helpers
 from pgclkit import (
     Expectation,
-    WpConfig,
     constant,
     from_expr,
     indicator,
@@ -20,7 +19,6 @@ from pgclkit import (
 from pgclkit.exprs import Bracket
 
 F = Fraction
-TOL = F(1, 2**40)
 
 
 def random_expectation(space, rng, bound=4):
@@ -46,17 +44,15 @@ def test_monotonicity_exhaustive_loop_free():
 
 
 def test_monotonicity_on_loops_up_to_residual():
+    # loops are solved exactly, so monotonicity holds with no slack
     rng = random.Random(43)
     for p, space in helpers.loop_corpus():
         for _ in range(3):
             f = random_expectation(space, rng)
             g = f.plus(random_expectation(space, rng, bound=2))
             rf, rg = wp(p, f, space), wp(p, g, space)
-            slack = rf.loop_residual + rg.loop_residual
-            assert all(
-                a <= b + slack
-                for a, b in zip(rf.pre.values, rg.pre.values)
-            )
+            assert rf.loop_residual == rg.loop_residual == 0
+            assert rf.pre.le(rg.pre)
 
 
 def test_feasibility_bound():
@@ -65,8 +61,8 @@ def test_feasibility_bound():
         for _ in range(4):
             f = random_expectation(space, rng)
             r = wp(p, f, space)
-            top = f.max_value() + r.loop_residual
-            assert all(0 <= v <= top for v in r.pre.values)
+            assert r.loop_residual == 0
+            assert all(0 <= v <= f.max_value() for v in r.pre.values)
 
 
 def test_scaling_loop_free():
@@ -127,10 +123,11 @@ def test_boolean_embedding_matches_classical_wp():
 
 
 def test_loop_corpus_converges_within_tolerance():
+    # exactly: every loop in the corpus ends almost surely, so wp(1) = 1
     for p, space in helpers.loop_corpus():
         r = wp(p, constant(space, 1), space)
-        assert r.loop_residual <= TOL
-        assert all(0 <= v <= 1 for v in r.pre.values)
+        assert r.loop_residual == 0
+        assert set(r.pre.values) == {F(1)}
 
 
 def test_seq_composes():

@@ -181,6 +181,11 @@ def test_trials_sharding_is_reproducible():
     # seed * 1_000_003 + shard: (0, 1_000_003) would replay (1, 0)
     with pytest.raises(DistError):
         run_trials(d, 2_000_000, 0, shards=1_000_004)
+    # random.Random seeds with |seed|, so seed -1 would replay seed 1
+    with pytest.raises(DistError, match="non-negative"):
+        run_trials(WeightedDist((1, 2, 3)), 200, -1)
+    with pytest.raises(DistError, match="non-negative"):
+        RandomBitSource(-1)
 
 
 def test_fair_coin_statistics_are_sane():
