@@ -32,11 +32,13 @@ from .machine import (
     Machine,
     MachineAnalysis,
     MachineNode,
+    TrialsResult,
     analyze,
     build_machine,
     crosscheck,
     load_machine,
     machine_to_text,
+    run_trials,
     to_dot,
 )
 from .parser import parse_expression, parse_program, parse_rational, parse_source
@@ -50,10 +52,8 @@ from .resolutions import (
 from .sampler import (
     CumulativeDist,
     SampleTrace,
-    TrialsResult,
     WeightedDist,
     read_trials_file,
-    run_trials,
     sample_binary,
     sample_discrete,
 )

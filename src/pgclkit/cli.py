@@ -30,13 +30,14 @@ from .machine import (
     build_machine,
     load_machine,
     machine_to_text,
+    run_trials,
     to_dot,
 )
 from .bits import RandomBitSource, ScriptedBitSource
 from .parser import parse_expression, parse_rational, parse_source
 from .programs import VariantSpec, While
 from .expectations import from_expr
-from .sampler import WeightedDist, read_trials_file, run_trials, sample_discrete
+from .sampler import WeightedDist, read_trials_file, sample_discrete
 from .states import StateSpace
 from .wp import WpConfig, wp
 

@@ -18,6 +18,15 @@ with the sparse elimination of linear.absorb, the solver the loop fixpoints
 of wp.py use too; each row has at most two successors, which keeps the
 elimination sparse.  A vanishing pivot means some interior node is never
 absorbed; the machine is rejected loudly.
+
+Bulk trials sample through the built machine: run_trials flattens it into
+one successor table and each draw walks it, one table lookup per flip.
+Fed the same bit stream, the walk visits exactly the configurations that
+sampler.sample_discrete derives flip by flip, so it returns the same
+outcomes and flip counts; the window invariant was checked at every
+reachable configuration when the machine was built.  A machine with more
+nodes than draws costs more to build than the walk saves, so above that
+size run_trials draws with sample_discrete instead.
 """
 
 from __future__ import annotations
@@ -29,15 +38,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import MachineAnalysisError, MachineFormatError
+from .bits import RandomBitSource
+from .errors import DistError, MachineAnalysisError, MachineFormatError
 from .linear import absorb
-from .sampler import CumulativeDist, TrialsResult, WeightedDist, run_trials
+from .sampler import CumulativeDist, WeightedDist, sample_discrete
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 DEFAULT_MAX_NODES = 100_000
+
+# more shards than this would make _shard_seed collide across seeds
+MAX_SHARDS = 1_000_003
 
 
 @dataclass(frozen=True)
@@ -284,6 +297,136 @@ def to_dot(m: Machine) -> str:
 
 
 @dataclass(frozen=True)
+class TrialsResult:
+    """Aggregated tallies of repeated sampling."""
+
+    weights: tuple[int, ...]
+    runs: int
+    seed: int
+    tallies: tuple[int, ...]  # tallies[i] counts outcome i+1
+    total_flips: int
+    total_flips_sq: int  # sum of squared per-run flip counts
+
+    @property
+    def avg_flips(self) -> Fraction:
+        return Fraction(self.total_flips, self.runs)
+
+    @property
+    def rel_freq(self) -> tuple[Fraction, ...]:
+        """Per outcome: tally/runs normalised by w_i/total, so near 1."""
+        total = sum(self.weights)
+        return tuple(
+            Fraction(t * total, self.runs * w)
+            for t, w in zip(self.tallies, self.weights)
+        )
+
+    def flip_variance(self) -> Fraction:
+        mean = self.avg_flips
+        return Fraction(self.total_flips_sq, self.runs) - mean * mean
+
+    def format_table(self) -> str:
+        lines = ["Relative frequencies of the sampled outcomes:"]
+        for i, f in enumerate(self.rel_freq, start=1):
+            lines.append(f"  outcome {i}: {float(f):.6f} (tally {self.tallies[i - 1]})")
+        lines.append(
+            f"realised over {self.runs} runs, using {float(self.avg_flips):.6f} "
+            "flips on average."
+        )
+        return "\n".join(lines)
+
+
+def run_trials(d: WeightedDist, runs: int, seed: int, shards: int = 1) -> TrialsResult:
+    """Sample `runs` times and tally outcomes and flip counts.
+
+    Work is split into shards with bit streams derived from (seed, shard),
+    so the aggregate is independent of evaluation order and a given
+    (seed, shards) pair is fully reproducible.  Draws walk the built
+    machine, or use sample_discrete when the machine has more nodes than
+    there are runs; both consume the same bits and give the same result.
+    """
+    _check_trials(runs, shards)
+    try:
+        m = build_machine(d, max_nodes=min(DEFAULT_MAX_NODES, runs))
+    except MachineFormatError:  # over the node cap
+        m = None
+    return _trials(d, m, runs, seed, shards)
+
+
+def _check_trials(runs: int, shards: int):
+    if runs < 1:
+        raise DistError("need at least one run")
+    if shards < 1 or shards > runs:
+        raise DistError("shards must be between 1 and the run count")
+    if shards > MAX_SHARDS:
+        raise DistError(f"at most {MAX_SHARDS} shards keep shard seeds distinct")
+
+
+def _trials(d: WeightedDist, m: Optional[Machine], runs: int, seed: int,
+            shards: int) -> TrialsResult:
+    """Draw through machine `m` built from `d`, or with sample_discrete
+    when `m` is None."""
+    if m is not None:
+        succ, start = _successors(m)
+    tallies = [0] * d.size
+    total_flips = 0
+    total_flips_sq = 0
+    per_shard = [runs // shards] * shards
+    for k in range(runs % shards):
+        per_shard[k] += 1
+    for shard, count in enumerate(per_shard):
+        source = RandomBitSource(_shard_seed(seed, shard))
+        if m is None:
+            for _ in range(count):
+                trace = sample_discrete(d, source)
+                tallies[trace.outcome - 1] += 1
+                total_flips += trace.flips
+                total_flips_sq += trace.flips * trace.flips
+            continue
+        next_bit = source.next_bit
+        for _ in range(count):
+            node = start
+            flips = 0
+            while node >= 0:
+                node = succ[node + next_bit()]
+                flips += 1
+            tallies[-node - 1] += 1
+            total_flips += flips
+            total_flips_sq += flips * flips
+    return TrialsResult(d.weights, runs, seed, tuple(tallies),
+                        total_flips, total_flips_sq)
+
+
+def _successors(m: Machine) -> tuple[list[int], int]:
+    """The machine as one flat table, plus where a walk starts.
+
+    An interior node at position i owns succ[2*i] (heads) and
+    succ[2*i + 1] (tails).  An entry holds its successor's position 2*j,
+    ready for the next lookup, or -outcome when the successor is a leaf.
+    The start is the root's entry in the same form.
+    """
+    position = {}
+    for node in m.nodes:
+        if node.kind == "interior":
+            position[node.id] = 2 * len(position)
+
+    def entry(node_id: int) -> int:
+        node = m.node(node_id)
+        return position[node_id] if node.kind == "interior" else -node.outcome
+
+    succ = []
+    for node in m.nodes:
+        if node.kind == "interior":
+            succ += (entry(node.heads), entry(node.tails))
+    return succ, entry(m.root)
+
+
+def _shard_seed(seed: int, shard: int) -> int:
+    # fixed affine mix, one-to-one for non-negative seeds while
+    # shard < MAX_SHARDS; random.Random seeds must not collide
+    return seed * MAX_SHARDS + shard
+
+
+@dataclass(frozen=True)
 class CrosscheckReport:
     """Exact analysis against an empirical run, with z-scores."""
 
@@ -298,9 +441,12 @@ class CrosscheckReport:
 
 def crosscheck(d: WeightedDist, runs: int, seed: int,
                shards: int = 1) -> CrosscheckReport:
-    """Run trials and score them against the exact machine analysis."""
-    analysis = analyze(build_machine(d))
-    trials = run_trials(d, runs, seed, shards=shards)
+    """Run trials and score them against the exact machine analysis;
+    both read the one machine built from `d`."""
+    _check_trials(runs, shards)
+    m = build_machine(d)
+    analysis = analyze(m)
+    trials = _trials(d, m, runs, seed, shards)
     zs = []
     for i in range(d.size):
         p = float(analysis.outcome_prob[i])

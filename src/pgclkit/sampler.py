@@ -15,6 +15,13 @@ exactly at an outcome boundary and the window needs no further trimming on
 that side.  The window narrows by at least one entry on at least one side
 of every flip, and sampling ends when low == high with outcome low
 (reported 1-based).  No arithmetic ever leaves the integers.
+
+sample_discrete derives each configuration as it flips and re-checks the
+window invariant after every flip; it serves single traced draws, scripted
+bit streams and `pgcl sample`.  Bulk trials (machine.run_trials) walk the
+machine that machine.build_machine derives and checks once instead, and
+consume the same bits.  sample_binary keeps its bias as a pair of
+integers too.
 """
 
 from __future__ import annotations
@@ -22,15 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import RandomBitSource
 from .errors import DistError, WindowInvariantError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
-
-# more shards than this would make _shard_seed collide across seeds
-MAX_SHARDS = 1_000_003
 
 
 @dataclass(frozen=True)
@@ -184,99 +183,25 @@ def sample_discrete(d: WeightedDist, bits) -> SampleTrace:
 def sample_binary(p: Fraction, bits) -> SampleTrace:
     """Bernoulli(p) from fair flips: outcome 1 with probability exactly p.
 
-    Keeps a current bias x, initially p.  While 0 < x < 1 the bias is split
-    into a pair (q, r) averaging to x with q = 0 or r = 1, and one flip
-    selects which half to keep: heads (bit 0) keeps q, tails keeps r.
-    Endpoint biases never flip at all.
+    Keeps a current bias x = a/b, initially p, as two integers.  While
+    0 < x < 1 the bias is split into a pair (q, r) averaging to x with
+    q = 0 or r = 1, and one flip selects which half to keep: heads (bit 0)
+    keeps q, tails keeps r.  Endpoint biases never flip at all.
     """
     x = Fraction(p)
-    if not 0 <= x <= 1:
+    a, b = x.numerator, x.denominator  # b > 0
+    if not 0 <= a <= b:
         raise DistError(f"bias {p} outside [0, 1]")
     consumed: list[int] = []
-    while 0 < x < 1:
-        if x <= HALF:
-            q, r = ZERO, 2 * x
+    while 0 < a < b:
+        if 2 * a <= b:
+            q, r = 0, 2 * a
         else:
-            q, r = 2 * x - 1, ONE
-        b = bits.next_bit()
-        consumed.append(b)
-        x = q if b == 0 else r
-    return SampleTrace(int(x), len(consumed), tuple(consumed))
-
-
-@dataclass(frozen=True)
-class TrialsResult:
-    """Aggregated tallies of repeated sampling."""
-
-    weights: tuple[int, ...]
-    runs: int
-    seed: int
-    tallies: tuple[int, ...]  # tallies[i] counts outcome i+1
-    total_flips: int
-    total_flips_sq: int  # sum of squared per-run flip counts
-
-    @property
-    def avg_flips(self) -> Fraction:
-        return Fraction(self.total_flips, self.runs)
-
-    @property
-    def rel_freq(self) -> tuple[Fraction, ...]:
-        """Per outcome: tally/runs normalised by w_i/total, so near 1."""
-        total = sum(self.weights)
-        return tuple(
-            Fraction(t * total, self.runs * w)
-            for t, w in zip(self.tallies, self.weights)
-        )
-
-    def flip_variance(self) -> Fraction:
-        mean = self.avg_flips
-        return Fraction(self.total_flips_sq, self.runs) - mean * mean
-
-    def format_table(self) -> str:
-        lines = ["Relative frequencies of the sampled outcomes:"]
-        for i, f in enumerate(self.rel_freq, start=1):
-            lines.append(f"  outcome {i}: {float(f):.6f} (tally {self.tallies[i - 1]})")
-        lines.append(
-            f"realised over {self.runs} runs, using {float(self.avg_flips):.6f} "
-            "flips on average."
-        )
-        return "\n".join(lines)
-
-
-def run_trials(d: WeightedDist, runs: int, seed: int, shards: int = 1) -> TrialsResult:
-    """Sample `runs` times and tally outcomes and flip counts.
-
-    Work is split into shards with bit streams derived from (seed, shard),
-    so the aggregate is independent of evaluation order and a given
-    (seed, shards) pair is fully reproducible.
-    """
-    if runs < 1:
-        raise DistError("need at least one run")
-    if shards < 1 or shards > runs:
-        raise DistError("shards must be between 1 and the run count")
-    if shards > MAX_SHARDS:
-        raise DistError(f"at most {MAX_SHARDS} shards keep shard seeds distinct")
-    tallies = [0] * d.size
-    total_flips = 0
-    total_flips_sq = 0
-    per_shard = [runs // shards] * shards
-    for k in range(runs % shards):
-        per_shard[k] += 1
-    for shard, count in enumerate(per_shard):
-        source = RandomBitSource(_shard_seed(seed, shard))
-        for _ in range(count):
-            trace = sample_discrete(d, source)
-            tallies[trace.outcome - 1] += 1
-            total_flips += trace.flips
-            total_flips_sq += trace.flips * trace.flips
-    return TrialsResult(d.weights, runs, seed, tuple(tallies),
-                        total_flips, total_flips_sq)
-
-
-def _shard_seed(seed: int, shard: int) -> int:
-    # fixed affine mix, one-to-one for non-negative seeds while
-    # shard < MAX_SHARDS; random.Random seeds must not collide
-    return seed * MAX_SHARDS + shard
+            q, r = 2 * a - b, b
+        bit = bits.next_bit()
+        consumed.append(bit)
+        a = q if bit == 0 else r
+    return SampleTrace(a // b, len(consumed), tuple(consumed))
 
 
 def read_trials_file(text: str) -> tuple[int, WeightedDist]:

@@ -15,6 +15,7 @@ from pgclkit import (
     crosscheck,
     load_machine,
     machine_to_text,
+    run_trials,
     to_dot,
 )
 from pgclkit.linear import absorb
@@ -234,11 +235,24 @@ def test_absorb_small_system():
         absorb({1: {2: F(1)}, 2: {1: F(1, 2), 2: F(1, 2)}})
 
 
-def test_crosscheck_agrees_within_noise():
-    report = crosscheck(WeightedDist((1, 2, 3)), runs=4000, seed=11)
+def test_crosscheck_agrees_within_noise(monkeypatch):
+    import pgclkit.machine
+
+    builds = []
+    real = pgclkit.machine.build_machine
+
+    def counting(d, max_nodes=pgclkit.machine.DEFAULT_MAX_NODES):
+        builds.append(d)
+        return real(d, max_nodes)
+
+    monkeypatch.setattr(pgclkit.machine, "build_machine", counting)
+    d = WeightedDist((1, 2, 3))
+    report = crosscheck(d, runs=4000, seed=11, shards=3)
+    assert len(builds) == 1  # the analysis and the trials share one machine
     assert report.analysis.outcome_prob == (F(1, 6), F(2, 6), F(3, 6))
     assert report.max_outcome_z() < 4.0
     assert abs(report.flips_z) < 4.0
+    assert report.trials == run_trials(d, 4000, 11, shards=3)
 
 
 def test_crosscheck_fair_coin_edge_case():

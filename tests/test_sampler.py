@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from pgclkit import (
     BitsExhaustedError,
     CumulativeDist,
+    TrialsResult,
     DistError,
     RandomBitSource,
     ScriptedBitSource,
@@ -17,6 +19,7 @@ from pgclkit import (
     sample_binary,
     sample_discrete,
 )
+from pgclkit.machine import build_machine
 
 F = Fraction
 
@@ -188,6 +191,55 @@ def test_trials_sharding_is_reproducible():
         RandomBitSource(-1)
 
 
+def _reference_trials(d, runs, seed, shards=1):
+    # one sample_discrete call per draw, on the shard streams run_trials uses
+    tallies = [0] * d.size
+    total_flips = total_flips_sq = 0
+    for shard in range(shards):
+        source = RandomBitSource(seed * 1_000_003 + shard)
+        for _ in range(runs // shards + (shard < runs % shards)):
+            trace = sample_discrete(d, source)
+            tallies[trace.outcome - 1] += 1
+            total_flips += trace.flips
+            total_flips_sq += trace.flips * trace.flips
+    return TrialsResult(d.weights, runs, seed, tuple(tallies),
+                        total_flips, total_flips_sq)
+
+
+@pytest.mark.parametrize("weights", [
+    (1,), (7,), (1, 1), (1, 2), (2, 1, 3, 4), (5, 1, 1, 1), (1,) * 6,
+    tuple(range(1, 17)), (54, 25, 64), (50, 98, 54, 6, 34, 66, 63, 52),
+])
+def test_trials_walk_matches_per_flip_sampling_bit_for_bit(weights):
+    d = WeightedDist(weights)
+    for runs in (1, 7, 3000):
+        for seed in (0, 1, 2**31 - 1):
+            for shards in (1, 3):
+                if shards <= runs:
+                    assert run_trials(d, runs, seed, shards) == \
+                        _reference_trials(d, runs, seed, shards)
+
+
+def test_trials_with_fewer_runs_than_nodes_match_per_flip_sampling():
+    # the machine would cost more to build than the runs; they are drawn
+    # without it, from the same bits
+    d = WeightedDist((50, 98, 54, 6, 34, 66, 63, 52))
+    assert 200 < build_machine(d).size
+    for runs, shards in ((1, 1), (200, 1), (200, 7)):
+        assert run_trials(d, runs, 5, shards) == _reference_trials(d, runs, 5, shards)
+    # beyond the node cap of build_machine
+    d = WeightedDist((1, 999999936))
+    for runs in (1, 2, 5):
+        assert run_trials(d, runs, 3) == _reference_trials(d, runs, 3)
+
+
+def test_random_bits_are_getrandbits_1():
+    for seed in (0, 7, 2**40 + 1):
+        src, rng = RandomBitSource(seed), random.Random(seed)
+        assert [src.next_bit() for _ in range(10_000)] == \
+            [rng.getrandbits(1) for _ in range(10_000)]
+
+
 def test_fair_coin_statistics_are_sane():
     r = run_trials(WeightedDist((1, 1)), 2000, seed=1)
     assert r.total_flips == 2000  # one flip per run, always
@@ -226,6 +278,20 @@ def test_window_invariant_holds_for_random_weights_and_bits(ws, rng):
     d = WeightedDist(tuple(ws))
     trace = sample_discrete(d, _Rng())
     assert 1 <= trace.outcome <= d.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**12).flatmap(
+    lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+    st.randoms(use_true_random=False))
+def test_binary_sampler_is_the_two_outcome_discrete_sampler(ab, rng):
+    # outcome 1 of sample_binary(a/b) is the upper interval of mass a/b
+    a, b = ab
+    bits = [rng.randrange(2) for _ in range(200)]
+    binary = sample_binary(F(a, b), ScriptedBitSource(bits))
+    discrete = sample_discrete(WeightedDist((b - a, a)), ScriptedBitSource(bits))
+    assert binary.bits == discrete.bits
+    assert binary.outcome + 1 == discrete.outcome
 
 
 @settings(max_examples=100, deadline=None)
