@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import UndefinedStateError, VariantError
+from .errors import DistError, UndefinedStateError, VariantError
 from .expectations import Expectation, from_expr, indicator
-from .exprs import Bracket, Expr, eval_expr, static_kind
+from .exprs import Bracket, Cmp, Expr, Lit, eval_expr, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
 from .states import State, StateSpace
 from .wp import WpConfig, compile_program
@@ -158,6 +158,8 @@ def _random_probes(space: StateSpace, seed: int, count: int, seen: set):
 
 def dyadic_grid(denominator: int = 8) -> tuple[Fraction, ...]:
     """The grid {0, 1/d, 2/d, ..., 1} used to instantiate parameters."""
+    if denominator < 1:
+        raise DistError(f"grid denominator must be at least 1, got {denominator}")
     return tuple(Fraction(k, denominator) for k in range(denominator + 1))
 
 
@@ -271,6 +273,4 @@ def check_variant(loop: Program, spec: VariantSpec,
 
 
 def _lt(variant: Expr, cut: Fraction) -> Expr:
-    from .exprs import Cmp, Lit
-
     return Cmp("<", variant, Lit(cut))

@@ -23,7 +23,7 @@ from .checks import (
     check_variant,
     dyadic_grid,
 )
-from .errors import PgclError, PgclSyntaxError
+from .errors import DistError, PgclError, PgclSyntaxError
 from .machine import (
     DEFAULT_MAX_NODES,
     analyze,
@@ -34,7 +34,7 @@ from .machine import (
     to_dot,
 )
 from .bits import RandomBitSource, ScriptedBitSource
-from .parser import parse_expression, parse_rational, parse_source
+from .parser import parse_expression, parse_program, parse_rational, parse_source
 from .programs import VariantSpec, While
 from .expectations import from_expr
 from .sampler import WeightedDist, read_trials_file, sample_discrete
@@ -83,8 +83,6 @@ def _load_program(path: str, params, space: Optional[StateSpace] = None):
         return got_space, prog
     if space is None:
         raise PgclSyntaxError(f"{path} has no `var` declarations", 1, 1)
-    from .parser import parse_program
-
     return space, parse_program(text, space, params)
 
 
@@ -221,7 +219,10 @@ def _cmd_check_variant(args) -> int:
 def _cmd_sample(args) -> int:
     _, dist = _load_dist(args.dist)
     if args.bits is not None:
-        bits = ScriptedBitSource(int(b) for b in args.bits.replace(",", ""))
+        text = args.bits.replace(",", "")
+        if not set(text) <= {"0", "1"}:
+            raise DistError(f"bits must be 0 or 1, got {args.bits!r}")
+        bits = ScriptedBitSource(int(b) for b in text)
     else:
         bits = RandomBitSource(args.seed)
     trace = sample_discrete(dist, bits)

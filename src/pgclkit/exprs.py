@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import EvalError
-from .states import Scalar, State, StateSpace, scalar_str
+from .states import State, StateSpace
 
 Value = Union[Fraction, str, bool]
 
@@ -40,9 +40,6 @@ class Lit(Expr):
             raise EvalError("float literals are not allowed")
         object.__setattr__(self, "value", Fraction(self.value))
 
-    def __str__(self):
-        return pretty_expr(self)
-
 
 @dataclass(frozen=True)
 class TokenLit(Expr):
@@ -50,32 +47,20 @@ class TokenLit(Expr):
 
     name: str
 
-    def __str__(self):
-        return pretty_expr(self)
-
 
 @dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
-
-    def __str__(self):
-        return pretty_expr(self)
 
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
 
-    def __str__(self):
-        return pretty_expr(self)
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
-
-    def __str__(self):
-        return pretty_expr(self)
 
 
 @dataclass(frozen=True)
@@ -84,9 +69,6 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def __str__(self):
-        return pretty_expr(self)
-
 
 @dataclass(frozen=True)
 class Cmp(Expr):
@@ -94,16 +76,10 @@ class Cmp(Expr):
     left: Expr
     right: Expr
 
-    def __str__(self):
-        return pretty_expr(self)
-
 
 @dataclass(frozen=True)
 class Not(Expr):
     operand: Expr
-
-    def __str__(self):
-        return pretty_expr(self)
 
 
 @dataclass(frozen=True)
@@ -111,17 +87,11 @@ class And(Expr):
     left: Expr
     right: Expr
 
-    def __str__(self):
-        return pretty_expr(self)
-
 
 @dataclass(frozen=True)
 class Or(Expr):
     left: Expr
     right: Expr
-
-    def __str__(self):
-        return pretty_expr(self)
 
 
 @dataclass(frozen=True)
@@ -129,9 +99,6 @@ class Bracket(Expr):
     """Iverson bracket: [b] is 1 when b holds and 0 otherwise."""
 
     operand: Expr
-
-    def __str__(self):
-        return pretty_expr(self)
 
 
 # --- evaluation ----------------------------------------------------------
@@ -336,19 +303,3 @@ def pretty_expr(e: Expr) -> str:
         return f"[{pretty_expr(e.operand)}]"
     raise EvalError(f"unknown expression node {type(e).__name__}")
 
-
-def scalar_expr(value: Scalar) -> Expr:
-    """Lift a domain value to a literal expression."""
-    return TokenLit(value) if isinstance(value, str) else Lit(value)
-
-
-def state_predicate(state: State) -> Expr:
-    """Conjunction pinning every variable to its value in the given state."""
-    terms = [
-        Cmp("=", Var(n), scalar_expr(v))
-        for n, v in zip(state.space.names, state.values)
-    ]
-    out = terms[0]
-    for t in terms[1:]:
-        out = And(out, t)
-    return out

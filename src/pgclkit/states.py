@@ -161,11 +161,6 @@ class StateSpace:
         old = (index // stride) % size
         return index + (pos - old) * stride
 
-    def value_at(self, index: int, var_pos: int) -> Scalar:
-        stride = self._strides[var_pos]
-        size = self.domains[var_pos].size
-        return self.domains[var_pos].values[(index // stride) % size]
-
     def states(self) -> Iterator["State"]:
         for combo in itertools.product(*(d.values for d in self.domains)):
             yield State(self, combo)

@@ -1,9 +1,13 @@
 """Exact pre-expectation transformer over finite state spaces.
 
 wp(P, post) maps a post-expectation to the greatest guaranteed expected
-value of `post` after running P, as a function of the initial state:
-probabilistic choice averages, demonic choice takes the pointwise minimum,
+value of `post` after running P, as a function of the initial state.  As
+in McIver & Morgan (2005), a statement maps each state to a demonic set of
+distributions over outcomes, and wp takes the least expected value over
+that set: a coin averages, a demonic choice takes the pointwise minimum,
 assertion failure and a guarded IF with no enabled branch contribute 0.
+A program compiles to three node kinds: _CPick for every statement but
+`;` and WHILE (see the compiled-form notes), _CSeq and _CWhile.
 
 Loops are least fixpoints, solved exactly with the compiled body as the
 only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10):
@@ -19,10 +23,10 @@ only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10):
 
 States whose live execution paths are undefined (division by zero, an
 assignment leaving the variable's domain, a probability outside [0, 1])
-are tracked with an explicit marker.  Multiplying a marker by a weight of
-exactly 0 discards it, so errors on unreachable branches are harmless, as
-they should be.  Surviving markers raise by default; cfg.undefined="mask"
-reports them in WpResult.undefined_states instead.
+are tracked with an explicit marker.  A side of weight exactly 0 is
+dropped when the program is compiled, so errors on unreachable branches
+are harmless, as they should be.  Surviving markers raise by default;
+cfg.undefined="mask" reports them in WpResult.undefined_states instead.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .programs import (
     Skip,
     SuchThat,
     While,
+    children,
 )
 from .states import State, StateSpace
 
@@ -96,35 +101,11 @@ class _Undef:
 _Val = Union[Fraction, _Undef]
 
 
-def _add(a: _Val, b: _Val) -> _Val:
-    if isinstance(a, _Undef):
-        return a
-    if isinstance(b, _Undef):
-        return b
-    return a + b
-
-
-def _scale(c: Fraction, v: _Val) -> _Val:
-    if c == 0:
-        return ZERO  # weight 0 kills undefinedness: the path is never taken
-    if isinstance(v, _Undef):
-        return v
-    return c * v
-
-
-def _vmin(a: _Val, b: _Val) -> _Val:
-    if isinstance(a, _Undef):
-        return a
-    if isinstance(b, _Undef):
-        return b
-    return a if a <= b else b
-
-
 class _Lin:
     """An exact value plus the linear form that produced it, over a loop's
     states (keys i >= 0) and its exits (keys ~i).  Running a loop body on
     these gives each state's value at the current point together with the
-    policy that attains it, since _vmin keeps the form of the option it
+    policy that attains it, since _pick keeps the form of the option it
     picks.  Constants (always 0 in a body) carry no form."""
 
     __slots__ = ("value", "form")
@@ -162,27 +143,68 @@ def _value(v):
 # --- compiled form ---------------------------------------------------------
 #
 # Compilation resolves every expression against the concrete state space
-# once: assignment targets become state indices, guards become masks,
-# probabilities become per-state Fractions.  Evaluation errors become
-# _Undef markers here and flow through the combinators above.
+# once, and every statement but `;` and WHILE becomes one _CPick: per
+# state, the _Undef marker of an evaluation error, or the demon's options,
+# each a distribution over positions in the vector the node reads.
+# Primitive statements read the post, so a position is a successor state;
+# IF, <p>, |^| and guarded IF read their branches' outputs stacked, so
+# position j*n + i is branch j at state i.  Every state of every node
+# stores one entry, so the common cases stay bare:
+#
+#   entry:  an _Undef marker, a position (the one option of going there),
+#           or a tuple of options;
+#   option: a position, or a pair (weights, positions) of tuples, the
+#           weights positive and summing to 1 and shared between states;
+#           ((), ()) is ABORT, worth 0.
+#
+# Sides of weight 0 are dropped here, so their markers never surface, and
+# 1 - p is computed here, once per value of p.  `x :in a <p> b` and
+# `x :in a |^| b` compile as choices between two assignments, so a marker
+# the post holds at a's target still wins over b's undefined target, as
+# in `x := a <p> x := b`.
+
+_ABORT = (((), ()),)
 
 
-class _CSkip:
+def _pick(states, vec) -> list:
+    """Run a pick: per state its marker, or the least over its options of
+    the expected value of vec; the first marker met, in order, wins."""
+    return [vec[s] if s.__class__ is int else _least(s, vec) for s in states]
+
+
+def _least(options, vec) -> _Val:
+    if isinstance(options, _Undef):
+        return options
+    best = None
+    for opt in options:
+        if opt.__class__ is int:
+            v = vec[opt]
+        else:
+            v = ZERO
+            for w, t in zip(*opt):
+                x = vec[t]
+                if isinstance(x, _Undef):
+                    return x
+                v = v + w * x
+        if isinstance(v, _Undef):
+            return v
+        if best is None or not best <= v:
+            best = v
+    return best
+
+
+class _CPick:
+    def __init__(self, states, branches=()):
+        self.states = states  # per state: an entry, as above
+        self.branches = branches  # compiled branches; none: reads the post
+
     def run(self, f):
-        return list(f)
-
-
-class _CAbort:
-    def run(self, f):
-        return [ZERO] * len(f)
-
-
-class _CAssign:
-    def __init__(self, targets):
-        self.targets = targets  # per state: index, or _Undef
-
-    def run(self, f):
-        return [t if isinstance(t, _Undef) else f[t] for t in self.targets]
+        if self.branches:
+            vec: list = []
+            for branch in self.branches:
+                vec += branch.run(f)
+            f = vec
+        return _pick(self.states, f)
 
 
 class _CSeq:
@@ -194,131 +216,16 @@ class _CSeq:
         return self.first.run(self.second.run(f))
 
 
-def _select(mask, a, b) -> list:
-    """Per state: a where mask holds, b where it fails, the marker where undefined."""
-    return [m if isinstance(m, _Undef) else (x if m else y)
-            for m, x, y in zip(mask, a, b)]
-
-
-def _mix(probs, a, b) -> list:
-    """Per state: p*a + (1-p)*b, or the marker where p is undefined."""
-    return [p if isinstance(p, _Undef) else _add(_scale(p, x), _scale(ONE - p, y))
-            for p, x, y in zip(probs, a, b)]
-
-
-class _CIf:
-    def __init__(self, mask, then, orelse):
-        self.mask = mask  # per state: bool, or _Undef
-        self.then = then
-        self.orelse = orelse
-
-    def run(self, f):
-        return _select(self.mask, self.then.run(f), self.orelse.run(f))
-
-
-class _CProb:
-    def __init__(self, probs, left, right):
-        self.probs = probs  # per state: Fraction in [0,1], or _Undef
-        self.left = left
-        self.right = right
-
-    def run(self, f):
-        return _mix(self.probs, self.left.run(f), self.right.run(f))
-
-
-class _CDemon:
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def run(self, f):
-        va = self.left.run(f)
-        vb = self.right.run(f)
-        return [_vmin(a, b) for a, b in zip(va, vb)]
-
-
-class _CChooseMin:
-    """Demonic choice over per-state target index lists (sets, suchthat)."""
-
-    def __init__(self, options):
-        self.options = options  # per state: list of indices, or _Undef
-
-    def run(self, f):
-        out = []
-        for opts in self.options:
-            if isinstance(opts, _Undef):
-                out.append(opts)
-                continue
-            best: _Val = f[opts[0]]
-            for t in opts[1:]:
-                best = _vmin(best, f[t])
-            out.append(best)
-        return out
-
-
-class _CDist:
-    def __init__(self, probs, options):
-        self.probs = probs  # per item: Fraction > 0
-        self.options = options  # per state: list of indices, one per item, or _Undef
-
-    def run(self, f):
-        out = []
-        for opts in self.options:
-            if isinstance(opts, _Undef):
-                out.append(opts)
-                continue
-            acc: _Val = ZERO
-            for p, t in zip(self.probs, opts):
-                acc = _add(acc, _scale(p, f[t]))
-            out.append(acc)
-        return out
-
-
-class _CGuarded:
-    def __init__(self, branches):
-        self.branches = branches  # list of (mask, compiled body)
-
-    def run(self, f):
-        vecs = [(mask, body.run(f)) for mask, body in self.branches]
-        out = []
-        for i in range(len(f)):
-            acc: Optional[_Val] = None
-            undef = None
-            for mask, vec in vecs:
-                m = mask[i]
-                if isinstance(m, _Undef):
-                    undef = m
-                    break
-                if m:
-                    acc = vec[i] if acc is None else _vmin(acc, vec[i])
-            if undef is not None:
-                out.append(undef)
-            elif acc is None:
-                out.append(ZERO)  # no branch enabled: behaves as ABORT
-            else:
-                out.append(acc)
-        return out
-
-
-class _CAssert:
-    def __init__(self, mask):
-        self.mask = mask
-
-    def run(self, f):
-        return _select(self.mask, f, [ZERO] * len(f))
-
-
 class _CWhile:
     """A loop, solved exactly on every run; see the module notes."""
 
-    def __init__(self, probabilistic, gate, body):
-        self.gate = gate  # mask when boolean, per-state probs when probabilistic
+    def __init__(self, gate, body):
+        self.gate = gate  # pick entries over the body's output, then the exits
         self.body = body
-        self.combine = _mix if probabilistic else _select
         self.stuck = self._stuck_states(len(gate))
 
     def _step(self, x, exits):
-        return self.combine(self.gate, self.body.run(x), exits)
+        return _pick(self.gate, self.body.run(x) + exits)
 
     def _stuck_states(self, n):
         """States where the demon can keep the loop going forever: the
@@ -378,16 +285,14 @@ class _CWhile:
         result: list[_Val] = [ZERO] * n
         for i, marker in undef.items():
             result[i] = marker
-        for s in live:
-            acc: _Val = ZERO
-            for k, c in rows[s].items():
-                acc = _add(acc, _scale(c, f[~k]))
-            result[s] = acc
+        for s in live:  # the last check ran on these rows: no marker is met
+            result[s] = sum((c * f[~k] for k, c in rows[s].items()), ZERO)
         return result
 
 
 def _eval_guarded(space: StateSpace, expr, want: str):
-    """Per-state evaluation with errors downgraded to _Undef markers."""
+    """Per-state evaluation of a guard (want "bool") or a probability
+    (want "prob"), with errors downgraded to _Undef markers."""
     out = []
     for state in space.states():
         try:
@@ -400,13 +305,10 @@ def _eval_guarded(space: StateSpace, expr, want: str):
                 out.append(v)
             else:
                 out.append(_Undef(f"guard {expr} is not boolean at {state}"))
-        elif want == "prob":
-            if isinstance(v, Fraction) and 0 <= v <= 1:
-                out.append(v)
-            else:
-                out.append(_Undef(f"probability {expr} = {v} outside [0, 1] at {state}"))
-        else:
+        elif isinstance(v, Fraction) and 0 <= v <= 1:
             out.append(v)
+        else:
+            out.append(_Undef(f"probability {expr} = {v} outside [0, 1] at {state}"))
     return out
 
 
@@ -432,74 +334,87 @@ def _assign_targets(space: StateSpace, var: str, expr) -> list:
     return targets
 
 
-def _per_state(columns: list[list]) -> list:
-    """Per-item target lists (one column per item) into per-state lists of
-    targets, in item order; the first _Undef in a state's row wins."""
-    rows = []
-    for row in zip(*columns):
-        undef = next((t for t in row if isinstance(t, _Undef)), None)
-        rows.append(undef if undef is not None else list(row))
-    return rows
+def _either(gate: list) -> list:
+    """Entries of a two-way choice: per state i, position i (the first way)
+    with weight g and n + i (the second) with 1 - g, where g is a guard's
+    bool or a probability; a side of weight 0 is dropped."""
+    n, weights, entries = len(gate), {}, []
+    for i, g in enumerate(gate):
+        if isinstance(g, _Undef):
+            entries.append(g)
+        elif g == 1 or g == 0:
+            entries.append(i if g else n + i)
+        else:
+            w = weights.get(g)
+            if w is None:
+                w = weights[g] = (g, ONE - g)
+            entries.append(((w, (i, n + i)),))
+    return entries
+
+
+def _first_undef(row):
+    return next((x for x in row if isinstance(x, _Undef)), None)
 
 
 def _compile(prog: Program, space: StateSpace):
     """Resolve a program against a space; see the compiled-form notes above."""
-    if isinstance(prog, Skip):
-        return _CSkip()
-    if isinstance(prog, Abort):
-        return _CAbort()
-    if isinstance(prog, Assign):
-        return _CAssign(_assign_targets(space, prog.var, prog.expr))
+    n = space.size
     if isinstance(prog, Seq):
         return _CSeq(_compile(prog.first, space), _compile(prog.second, space))
-    if isinstance(prog, IfBool):
-        return _CIf(_eval_guarded(space, prog.guard, "bool"),
-                    _compile(prog.then, space),
-                    _compile(prog.orelse, space))
-    if isinstance(prog, IfProb):
-        return _CProb(_eval_guarded(space, prog.prob, "prob"),
-                      _compile(prog.then, space),
-                      _compile(prog.orelse, space))
-    if isinstance(prog, ProbChoice):
-        return _CProb(_eval_guarded(space, prog.prob, "prob"),
-                      _compile(prog.left, space),
-                      _compile(prog.right, space))
-    if isinstance(prog, DemonChoice):
-        return _CDemon(_compile(prog.left, space), _compile(prog.right, space))
-    if isinstance(prog, ProbAssign):
-        return _CProb(_eval_guarded(space, prog.prob, "prob"),
-                      _CAssign(_assign_targets(space, prog.var, prog.left)),
-                      _CAssign(_assign_targets(space, prog.var, prog.right)))
-    if isinstance(prog, DemonAssign):
-        return _CDemon(_CAssign(_assign_targets(space, prog.var, prog.left)),
-                       _CAssign(_assign_targets(space, prog.var, prog.right)))
-    if isinstance(prog, ChooseFromSet):
-        return _CChooseMin(_per_state(
-            [_assign_targets(space, prog.var, e) for e in prog.choices]
-        ))
-    if isinstance(prog, SuchThat):
-        return _CChooseMin(_suchthat_options(space, prog))
-    if isinstance(prog, ChooseFromDist):
-        items = [(p, e) for e, p in prog.dist.items if p > 0]
-        return _CDist([p for p, _ in items], _per_state(
-            [_assign_targets(space, prog.var, e) for _, e in items]
-        ))
-    if isinstance(prog, GuardedIf):
-        return _CGuarded([
-            (_eval_guarded(space, g, "bool"), _compile(b, space))
-            for g, b in prog.branches
-        ])
-    if isinstance(prog, Assert):
-        return _CAssert(_eval_guarded(space, prog.pred, "bool"))
     if isinstance(prog, While):
         kind = static_kind(prog.guard, space)
-        if kind == "bool":
-            gate = _eval_guarded(space, prog.guard, "bool")
-        elif kind == "num":
-            gate = _eval_guarded(space, prog.guard, "prob")
-        else:
+        if kind not in ("bool", "num"):
             raise WpError("loop condition must be boolean or numeric")
-        return _CWhile(kind == "num", gate, _compile(prog.body, space))
+        gate = _eval_guarded(space, prog.guard, "bool" if kind == "bool" else "prob")
+        return _CWhile(_either(gate), _compile(prog.body, space))
+    # primitive statements: positions are successor states
+    if isinstance(prog, Skip):
+        return _CPick(list(range(n)))
+    if isinstance(prog, Abort):
+        return _CPick([_ABORT] * n)
+    if isinstance(prog, Assign):
+        return _CPick(_assign_targets(space, prog.var, prog.expr))
+    if isinstance(prog, Assert):
+        mask = _eval_guarded(space, prog.pred, "bool")
+        return _CPick([m if isinstance(m, _Undef) else i if m else _ABORT
+                       for i, m in enumerate(mask)])
+    if isinstance(prog, SuchThat):
+        return _CPick(_suchthat_options(space, prog))
+    if isinstance(prog, (ChooseFromSet, ChooseFromDist)):
+        # an undefined target makes the state undefined, whatever the post
+        if isinstance(prog, ChooseFromSet):
+            exprs, weights = prog.choices, None
+        else:
+            weights, exprs = zip(*[(p, e) for e, p in prog.dist.items if p > 0])
+        columns = [_assign_targets(space, prog.var, e) for e in exprs]
+        states = []
+        for row in zip(*columns):
+            undef = _first_undef(row)
+            states.append(undef if undef is not None else
+                          row if weights is None else ((weights, row),))
+        return _CPick(states)
+    # the rest read their branches' outputs, stacked
+    if isinstance(prog, ProbAssign):
+        prog = ProbChoice(Assign(prog.var, prog.left), prog.prob,
+                          Assign(prog.var, prog.right))
+    elif isinstance(prog, DemonAssign):
+        prog = DemonChoice(Assign(prog.var, prog.left),
+                           Assign(prog.var, prog.right))
+    branches = [_compile(c, space) for c in children(prog)]
+    if isinstance(prog, IfBool):
+        return _CPick(_either(_eval_guarded(space, prog.guard, "bool")), branches)
+    if isinstance(prog, (IfProb, ProbChoice)):
+        return _CPick(_either(_eval_guarded(space, prog.prob, "prob")), branches)
+    if isinstance(prog, DemonChoice):
+        return _CPick([(i, n + i) for i in range(n)], branches)
+    if isinstance(prog, GuardedIf):
+        states = []
+        for i, row in enumerate(zip(*[_eval_guarded(space, g, "bool")
+                                      for g, _ in prog.branches])):
+            undef = _first_undef(row)
+            enabled = tuple(j * n + i for j, m in enumerate(row) if m is True)
+            states.append(undef if undef is not None else enabled or _ABORT)
+        return _CPick(states, branches)
     raise WpError(f"unknown program node {type(prog).__name__}")
 
 
@@ -535,7 +450,7 @@ def _suchthat_options(space: StateSpace, prog: SuchThat):
                 f"{prog.pred} at {space.state_at(i)}"
             ))
         else:
-            options.append(opts)
+            options.append(tuple(opts))
     return options
 
 

@@ -273,7 +273,7 @@ def test_criterion_8_property_suites():
                 return [x * F(1, 2) + F(1, 2) for x in f]
 
         try:
-            _CWhile(False, [True], _Affine()).run([F(1)])
+            _CWhile([0], _Affine()).run([F(1)])
         except WpError:
             pass
         else:

@@ -140,6 +140,21 @@ def test_check_equal_grid_holds(tmp_path, capsys):
     assert out.strip().endswith("overall: holds")
 
 
+@pytest.mark.parametrize("denominator", ["0", "-2"])
+def test_check_equal_grid_denominator_below_1_exits_1(tmp_path, capsys,
+                                                      denominator):
+    left = write(tmp_path, "spec.pgcl", DYADIC_HEADER + "x :in 1 <p> 0\n")
+    right = write(tmp_path, "impl.pgcl", SPLIT_THEN_COIN)
+    rc = main([
+        "check-equal", "--left", left, "--right", right,
+        "--grid", "p", "--grid-denominator", denominator,
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: grid denominator must be at least 1")
+    assert "Traceback" not in err
+
+
 def test_check_equal_fails_with_counterexample_json(tmp_path, capsys):
     left = write(tmp_path, "a.pgcl", "var x in {0, 1}\nx :in 1 <1/4> 0\n")
     right = write(tmp_path, "b.pgcl", "x :in 1 <1/2> 0\n")
@@ -228,6 +243,15 @@ def test_sample_exhausted_bits_exit_1(capsys):
     rc = main(["sample", "--dist", "1 1 1 1 1 1", "--bits", "0"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", ["2", "0,x", "0 1"])
+def test_sample_bad_bits_exit_1(bits, capsys):
+    rc = main(["sample", "--dist", "1 1", "--bits", bits])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: bits must be 0 or 1")
+    assert "Traceback" not in err
 
 
 def test_trials_inline_dist(capsys):

@@ -185,6 +185,40 @@ def test_probability_outside_unit_interval_is_undefined():
     assert [st["x"] for st in r.undefined_states] == [F(2)]
 
 
+# How undefined states flow: a side of weight 0 drops its marker, a live
+# marker survives, and the first marker met names the reason.
+# (program, masked pre at x = 0, 1, undefined x values, error message)
+MARKER_RULES = [
+    ("x := 5 <0> x := 0", (1, 1), [], None),
+    ("x :in 5 <x> 0", (1, 0), [1], "x := 5 leaves the domain of x at {x=1}"),
+    ("x :dist [5: 0, 1: 1]", (2, 2), [], None),
+    ("WHILE 0 DO x := x + 5 OD", (1, 2), [], None),
+    ("(x := 1/x) <x> SKIP", (1, 2), [], None),
+    ("IF x = 0 -> x := 1/x [] x = 1 -> SKIP FI", (0, 2), [0],
+     "division by zero at {x=0}"),
+    ("{x = 1/x}", (0, 2), [0], "division by zero at {x=0}"),
+    ("x :in {1, 1/x}", (0, 2), [0], "division by zero at {x=0}"),
+    ("(x := 1/x) <1/2> x := 5", (0, 0), [0, 1], "division by zero at {x=0}"),
+]
+
+
+@pytest.mark.parametrize("text, pre, undefined, reason", MARKER_RULES)
+def test_marker_rules(text, pre, undefined, reason):
+    s = space_of(("x", (0, 1)))
+    p = helpers.prog(text, s)
+    f = from_expr(s, helpers.expr("x + 1", s))
+    r = wp(p, f, cfg=WpConfig(undefined="mask"))
+    assert r.pre.values == tuple(F(v) for v in pre)
+    assert [st["x"] for st in r.undefined_states] == [F(x) for x in undefined]
+    if reason is None:
+        assert wp(p, f).pre == r.pre
+    else:
+        with pytest.raises(UndefinedStateError) as ei:
+            wp(p, f)
+        state = f"{{x={undefined[0]}}}"
+        assert str(ei.value) == f"wp is undefined at {state}: {reason}"
+
+
 def test_unsatisfiable_suchthat_is_undefined():
     s = space_of(("x", (0, 1)))
     p = helpers.prog("x :suchthat x = 5 - 4", s)
@@ -217,7 +251,7 @@ def test_loop_solve_that_is_no_fixpoint_is_reported_as_engine_bug():
             return [x * F(1, 2) + F(1, 2) for x in f]
 
     with pytest.raises(WpError, match="fixpoint check"):
-        _CWhile(False, [True], _Affine()).run([F(1)])
+        _CWhile([0], _Affine()).run([F(1)])
 
 
 def test_bias_spec_hits_p_exactly():
