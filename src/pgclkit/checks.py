@@ -11,6 +11,7 @@ confirms.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,13 +82,16 @@ class ProbeFamily:
     @staticmethod
     def default(space: StateSpace, programs: Iterable[Program] = (),
                 seed: int = 0, extra: int = PROBE_COUNT) -> "ProbeFamily":
-        """Indicators of every state, brackets of every guard or assertion
-        appearing in the given programs, and `extra` seeded random
-        expectations with values in [0, PROBE_BOUND]."""
+        """Indicators of every state, brackets of every boolean guard or
+        assertion appearing in the given programs (a loop guard may be a
+        probability instead), and `extra` seeded random expectations with
+        values in [0, PROBE_BOUND]."""
         probes = [indicator(space, i) for i in range(space.size)]
         seen = {p.values for p in probes}
         for prog in programs:
             for pred in collect_predicates(prog):
+                if static_kind(pred, space) != "bool":
+                    continue
                 exp = from_expr(space, Bracket(pred))
                 if exp.values not in seen:
                     seen.add(exp.values)
@@ -165,9 +169,9 @@ def dyadic_grid(denominator: int = 8) -> tuple[Fraction, ...]:
 
 def _compare(left: Program, right: Program, probes: ProbeFamily,
              space: Optional[StateSpace], cfg: Optional[WpConfig],
-             excess) -> Verdict:
-    """Run both programs on every probe.  excess(lhs - rhs) is the amount
-    by which a state violates the relation; any positive amount refutes."""
+             violates) -> Verdict:
+    """Run both programs on every probe; a state where violates(lhs, rhs)
+    refutes the relation."""
     if not len(probes):
         raise VariantError("empty probe family")
     space = space or probes.probes[0].space
@@ -175,7 +179,7 @@ def _compare(left: Program, right: Program, probes: ProbeFamily,
     for probe in probes:
         lhs, rhs = left_c.wp(probe, cfg), right_c.wp(probe, cfg)
         for i, (a, b) in enumerate(zip(lhs.pre.values, rhs.pre.values)):
-            if excess(a - b) > 0:
+            if violates(a, b):
                 return Verdict(
                     "fails",
                     counterexample=Counterexample(probe, space.state_at(i), a, b),
@@ -188,7 +192,7 @@ def check_equal(left: Program, right: Program, probes: ProbeFamily,
                 cfg: Optional[WpConfig] = None) -> Verdict:
     """Probe-based equivalence: holds exactly when every probe agrees
     exactly; a disagreement is a counterexample."""
-    return _compare(left, right, probes, space, cfg, abs)
+    return _compare(left, right, probes, space, cfg, operator.ne)
 
 
 def check_refines(spec: Program, impl: Program, probes: ProbeFamily,
@@ -200,7 +204,7 @@ def check_refines(spec: Program, impl: Program, probes: ProbeFamily,
     the spec's guarantee exceeds the implementation's refutes the
     refinement.
     """
-    return _compare(spec, impl, probes, space, cfg, lambda gap: gap)
+    return _compare(spec, impl, probes, space, cfg, operator.gt)
 
 
 def check_variant(loop: Program, spec: VariantSpec,

@@ -28,7 +28,8 @@ class Expectation:
                 f"expectation has {len(self.values)} entries for a space of "
                 f"{self.space.size} states"
             )
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
+                     for v in self.values)
         if any(v < 0 for v in vals):
             raise EvalError("expectations must be non-negative everywhere")
         object.__setattr__(self, "values", vals)

@@ -7,7 +7,11 @@ distributions over outcomes, and wp takes the least expected value over
 that set: a coin averages, a demonic choice takes the pointwise minimum,
 assertion failure and a guarded IF with no enabled branch contribute 0.
 A program compiles to three node kinds: _CPick for every statement but
-`;` and WHILE (see the compiled-form notes), _CSeq and _CWhile.
+`;` and WHILE (see the compiled-form notes), _CSeq and _CWhile.  A part
+of the program with no demonic choice left means one fixed
+sub-distribution per state, whatever the post, so it is composed at
+compile time into one flat _CPick (weights may sum to less than 1: the
+rest is mass lost to ABORT or to a loop that runs forever).
 
 Loops are least fixpoints, solved exactly with the compiled body as the
 only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10):
@@ -15,11 +19,15 @@ only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10):
 - undefined states: the least marker set the step maps to itself;
 - stuck states, where the demon can keep the loop going forever: the
   greatest set Z with step([not Z]) = 0 on Z; their value is 0;
-- the rest by policy iteration over memoryless demon choices.  A body run
-  on _Lin values gives the step at the current values and the policy that
-  attains it; linear.absorb solves that policy's chain, and the loop ends
-  when the step maps the solved values to themselves exactly.  Outside
-  the stuck states every policy is absorbing, so that fixpoint is unique.
+- a demon-free loop, whose composed step has one option per state, is
+  summarised once at compile time: linear.absorb gives each live state
+  its sub-distribution over the exits, checked against the step exactly;
+- a loop with a demonic choice is solved on every run by policy
+  iteration over memoryless demon choices.  A body run on _Lin values
+  gives the step at the current values and the policy that attains it;
+  linear.absorb solves that policy's chain, and the loop ends when the
+  step maps the solved values to themselves exactly.  Outside the stuck
+  states every policy is absorbing, so that fixpoint is unique.
 
 States whose live execution paths are undefined (division by zero, an
 assignment leaving the variable's domain, a probability outside [0, 1])
@@ -145,23 +153,51 @@ def _value(v):
 # Compilation resolves every expression against the concrete state space
 # once, and every statement but `;` and WHILE becomes one _CPick: per
 # state, the _Undef marker of an evaluation error, or the demon's options,
-# each a distribution over positions in the vector the node reads.
+# each a sub-distribution over positions in the vector the node reads.
 # Primitive statements read the post, so a position is a successor state;
 # IF, <p>, |^| and guarded IF read their branches' outputs stacked, so
-# position j*n + i is branch j at state i.  Every state of every node
-# stores one entry, so the common cases stay bare:
+# position j*n + i is branch j at state i.  Positions past the end of that
+# vector read the node's consts: markers met at a fixed place inside an
+# option.  Every state of every node stores one entry, so the common cases
+# stay bare:
 #
 #   entry:  an _Undef marker, a position (the one option of going there),
 #           or a tuple of options;
-#   option: a position, or a pair (weights, positions) of tuples, the
-#           weights positive and summing to 1 and shared between states;
+#   option: a position, or a pair (weights, positions) of tuples with
+#           positive weights.  They sum to 1, or to less where the rest of
+#           the mass is lost to ABORT or to a loop that runs forever;
 #           ((), ()) is ABORT, worth 0.
 #
-# Sides of weight 0 are dropped here, so their markers never surface, and
-# 1 - p is computed here, once per value of p.  `x :in a <p> b` and
-# `x :in a |^| b` compile as choices between two assignments, so a marker
-# the post holds at a's target still wins over b's undefined target, as
-# in `x := a <p> x := b`.
+# The first marker met in evaluation order (options in order, positions in
+# order) wins, so `x :in {a, b}` and `x :dist [...]` report the post's
+# marker at a's target before b's undefined target, as `x :in a |^| b` and
+# `x :in a <p> b` do.  Sides of weight 0 are dropped here, so their markers
+# never surface, and 1 - p is computed here, once per value of p.
+#
+# Summaries.  A part of the program with one option per state has a
+# meaning that does not depend on the post, so it is composed here, bottom
+# up.  A pick over flat branches (picks that read the post) and `a; b` with
+# both flat become one flat pick whenever each option either is a single
+# position, which takes the options it reads as they are (scaled by its
+# weight), or reads single-option entries only, which it mixes into one.
+# Any other case would enumerate the demon's choices and is left as it is.
+# Options equal as distributions are merged, so the halving body's guarded
+# IF, whose two branches agree where they overlap, has one option there.
+# Composition keeps the evaluation order, markers included, so a composed
+# pick meets the first marker the nodes it replaces would meet.  A WHILE
+# whose composed step has one option per state is solved once, here, into
+# a flat pick over its exits (see _summarise); a loop with a demonic choice
+# left stays a _CWhile and is solved by policy iteration on every run.  A
+# sequence is compiled from its last statement back, so a summarised loop
+# finds its undefined states, and their reasons, with the markers of what
+# follows it at its exits, as _CWhile would; only where what follows
+# stays unfused does it meet the markers it reads in the order of its
+# exit states instead.
+#
+# While composing, entries are open: as above, but with markers in place
+# of positions (an option may be a bare marker), never after a marker in
+# an option, and never an option after one that meets a marker.  _pack
+# moves them to the consts.
 
 _ABORT = (((), ()),)
 
@@ -194,9 +230,10 @@ def _least(options, vec) -> _Val:
 
 
 class _CPick:
-    def __init__(self, states, branches=()):
+    def __init__(self, states, branches=(), consts=()):
         self.states = states  # per state: an entry, as above
         self.branches = branches  # compiled branches; none: reads the post
+        self.consts = consts  # markers, read past the end of the vector
 
     def run(self, f):
         if self.branches:
@@ -204,7 +241,7 @@ class _CPick:
             for branch in self.branches:
                 vec += branch.run(f)
             f = vec
-        return _pick(self.states, f)
+        return _pick(self.states, f + self.consts if self.consts else f)
 
 
 class _CSeq:
@@ -217,7 +254,8 @@ class _CSeq:
 
 
 class _CWhile:
-    """A loop, solved exactly on every run; see the module notes."""
+    """A loop with a demonic choice, solved exactly on every run; see the
+    module notes."""
 
     def __init__(self, gate, body):
         self.gate = gate  # pick entries over the body's output, then the exits
@@ -271,8 +309,7 @@ class _CWhile:
                 # values lie below the step that chose it; a fixpoint ends it
                 if any(out[s] > v[s] or (ceiling and v[s] > ceiling[s])
                        for s in live):
-                    raise WpError("exact loop solve failed its fixpoint check; "
-                                  "this is a bug in the engine")
+                    raise WpError(_FIXPOINT_BUG)
                 if all(out[s] == v[s] for s in live):
                     break
                 ceiling = out
@@ -288,6 +325,285 @@ class _CWhile:
         for s in live:  # the last check ran on these rows: no marker is met
             result[s] = sum((c * f[~k] for k, c in rows[s].items()), ZERO)
         return result
+
+
+_FIXPOINT_BUG = ("exact loop solve failed its fixpoint check; "
+                 "this is a bug in the engine")
+
+
+def _flat(node) -> bool:
+    return isinstance(node, _CPick) and not node.branches
+
+
+def _meets(opt) -> bool:
+    """Whether an open option meets a marker; only its last atom can."""
+    return (opt.__class__ is _Undef
+            or (opt.__class__ is tuple and bool(opt[1])
+                and opt[1][-1].__class__ is _Undef))
+
+
+def _option(mixed: dict):
+    """An option from {atom: weight} in insertion order."""
+    if len(mixed) == 1:
+        (a, w), = mixed.items()
+        if a.__class__ is _Undef or w == 1:
+            return a
+    return tuple(mixed.values()), tuple(mixed)
+
+
+def _mix(weights, atoms, inner, mixed: dict) -> bool:
+    """Add to mixed the mixture, by weights, of the single-option entries
+    of inner at atoms, up to the first marker met; False if an entry has
+    several options."""
+    for w, p in zip(weights, atoms):
+        sub = p if p.__class__ is _Undef else inner[p]
+        if sub.__class__ is tuple:
+            if len(sub) != 1:
+                return False
+            sub = sub[0]
+        if sub.__class__ is int:
+            mixed[sub] = mixed[sub] + w if sub in mixed else w
+            continue
+        if sub.__class__ is _Undef:
+            mixed[sub] = w
+            return True
+        for v, q in zip(*sub):
+            v = v if w is ONE else w if v is ONE else w * v
+            mixed[q] = mixed[q] + v if q in mixed else v
+        if _meets(sub):
+            return True
+    return True
+
+
+def _scaled(w, sub) -> list:
+    """The options of an open entry, each scaled by w."""
+    out = []
+    for o in ((sub,) if sub.__class__ is not tuple else sub):
+        if o.__class__ is int:
+            o = ((w,), (o,))
+        elif o.__class__ is tuple:
+            o = tuple(w * v for v in o[0]), o[1]
+        out.append(o)
+    return out
+
+
+def _entry(options: list):
+    """Normal form of an open entry: an option equal to an earlier one as a
+    distribution is dropped, and a marker met first is the entry."""
+    if len(options) > 1:
+        kept, seen = [], set()
+        for o in options:
+            key = o if o.__class__ is not tuple else frozenset(zip(*o))
+            if key not in seen:
+                seen.add(key)
+                kept.append(o)
+            if _meets(o):
+                break
+        options = kept
+    first = options[0]
+    if first.__class__ is tuple and first[1] and first[1][0].__class__ is _Undef:
+        return first[1][0]
+    if len(options) == 1 and first.__class__ is not tuple:
+        return first
+    return tuple(options)
+
+
+def _compose(outer: list, inner: list):
+    """Open entries whose positions read the open entries `inner`, as open
+    entries over what `inner` reads; None where an option would mix an
+    entry that has several options."""
+    out = []
+    for entry in outer:
+        if entry.__class__ is int:
+            out.append(inner[entry])
+            continue
+        if entry.__class__ is _Undef:
+            out.append(entry)
+            continue
+        options: list = []
+        for opt in entry:
+            if opt.__class__ is int:
+                sub = inner[opt]
+                options += sub if sub.__class__ is tuple else (sub,)
+            elif opt.__class__ is _Undef:
+                options.append(opt)
+            elif len(opt[1]) == 1:
+                (w,), (p,) = opt
+                options += (p,) if p.__class__ is _Undef else _scaled(w, inner[p])
+            else:
+                mixed: dict = {}
+                if not _mix(*opt, inner, mixed):
+                    return None
+                options.append(_option(mixed))
+            if _meets(options[-1]):
+                break
+        out.append(_entry(options))
+    return out
+
+
+def _open(node: _CPick, n: int) -> list:
+    """A flat pick's entries in open form."""
+    if not node.consts:
+        return node.states
+    consts = node.consts
+
+    def atom(p):
+        return p if p < n else consts[p - n]
+
+    return [e if e.__class__ is _Undef
+            else atom(e) if e.__class__ is int
+            else tuple(atom(o) if o.__class__ is int
+                       else (o[0], tuple(map(atom, o[1]))) for o in e)
+            for e in node.states]
+
+
+def _pack(entries: list, width: int) -> _CPick:
+    """A _CPick from open entries over a vector of `width` positions."""
+    consts: list = []
+    slot: dict = {}
+
+    def position(a):
+        if a.__class__ is not _Undef:
+            return a
+        if a not in slot:
+            slot[a] = width + len(consts)
+            consts.append(a)
+        return slot[a]
+
+    states = []
+    for e in entries:
+        if e.__class__ is tuple and any(_meets(o) for o in e):
+            e = tuple(position(o) if o.__class__ is _Undef
+                      else (o[0], tuple(map(position, o[1]))) if o.__class__ is tuple
+                      else o for o in e)
+        states.append(e)
+    return _CPick(states, consts=consts)
+
+
+def _seq(first, second, n: int):
+    if _flat(first) and _flat(second):
+        entries = _compose(_open(first, n), _open(second, n))
+        if entries is not None:
+            return _pack(entries, n)
+    return _CSeq(first, second)
+
+
+def _choice(entries: list, branches: list, n: int) -> _CPick:
+    """A pick over its branches' stacked outputs, composed when it can be."""
+    if all(_flat(b) for b in branches):
+        composed = _compose(entries, [e for b in branches for e in _open(b, n)])
+        if composed is not None:
+            return _pack(composed, n)
+    return _CPick(entries, branches)
+
+
+def _loop(prog: While, space: StateSpace, then=None):
+    """A WHILE, followed by the compiled `then` if given.  The loop is
+    summarised when its composed step (open entries over the loop's states,
+    then its exits at n + i) has one option per state; the markers a flat
+    `then` meets at the exits count then, as they would when run."""
+    n = space.size
+    kind = static_kind(prog.guard, space)
+    if kind not in ("bool", "num"):
+        raise WpError("loop condition must be boolean or numeric")
+    gate = _either(_eval_guarded(space, prog.guard, "bool" if kind == "bool" else "prob"))
+    body = _compile(prog.body, space)
+    loop = None
+    if _flat(body):
+        step = _compose(gate, _open(body, n) + list(range(n, 2 * n)))
+        if step is not None and all(e.__class__ is not tuple or len(e) == 1
+                                    for e in step):
+            exits = {}
+            if then is not None and _flat(then):
+                for e, entry in enumerate(_open(then, n)):
+                    m = _first_marker(entry, {})
+                    if m is not None:
+                        exits[n + e] = m
+            loop = _pack(_summarise(step, n, exits), n)
+    if loop is None:
+        loop = _CWhile(gate, body)
+    return loop if then is None else _seq(loop, then, n)
+
+
+def _atoms(entry) -> tuple:
+    """(atoms, weights) of a step entry with one option."""
+    if entry.__class__ is int:
+        return (entry,), (ONE,)
+    opt = entry[0]
+    return ((opt,), (ONE,)) if opt.__class__ is int else (opt[1], opt[0])
+
+
+def _summarise(step: list, n: int, exits: dict) -> list:
+    """Open entries over the exits of a loop whose step has one option per
+    state, solved once with linear.absorb.
+
+    Undefined states and their reasons are those of the least marker set
+    the step maps to itself, grown from none, as _CWhile finds them; the
+    exits at n + e in `exits` hold markers, the others none.  A
+    state that can reach no exit runs forever and becomes ABORT.  The rest
+    get their exit sub-distribution, checked to satisfy the step exactly.
+    """
+    undef: dict = {}
+    while True:
+        grown = {}
+        known = {**exits, **undef}
+        for i, e in enumerate(step):
+            m = _first_marker(e, known)
+            if m is not None:
+                grown[i] = m
+        if grown.keys() == undef.keys():
+            break
+        undef = grown
+    # the states that can reach an exit, by reachability over the step
+    preds: list = [[] for _ in range(n)]
+    live = set()
+    for i, e in enumerate(step):
+        if i not in undef:
+            for a in _atoms(e)[0]:
+                if a >= n:
+                    live.add(i)
+                else:
+                    preds[a].append(i)
+    todo = list(live)
+    while todo:
+        for i in preds[todo.pop()]:
+            if i not in live and i not in undef:
+                live.add(i)
+                todo.append(i)
+    rows = absorb({s: {a: w for a, w in zip(*_atoms(step[s])) if a >= n or a in live}
+                   for s in sorted(live)})
+    for s in live:  # the fixpoint check: row s is its step applied to the rows
+        want: dict = {}
+        for a, w in zip(*_atoms(step[s])):
+            for k, c in ({a: ONE} if a >= n else rows.get(a, {})).items():
+                want[k] = want.get(k, ZERO) + w * c
+        if ({k: c for k, c in want.items() if c}
+                != {k: c for k, c in rows[s].items() if c}):
+            raise WpError(_FIXPOINT_BUG)
+    out = []
+    for i in range(n):
+        if i in undef:
+            out.append(undef[i])
+        elif i in live:
+            opt = _option(dict(sorted((k - n, c) for k, c in rows[i].items() if c)))
+            out.append(opt if opt.__class__ is int else (opt,))
+        else:
+            out.append(_ABORT)
+    return out
+
+
+def _first_marker(entry, undef: dict):
+    """The marker an open entry meets first when the positions in undef
+    hold markers and the others values."""
+    if entry.__class__ is _Undef:
+        return entry
+    for opt in ((entry,) if entry.__class__ is int else entry):
+        for a in ((opt,) if opt.__class__ is not tuple else opt[1]):
+            if a.__class__ is _Undef:
+                return a
+            if a in undef:
+                return undef[a]
+    return None
 
 
 def _eval_guarded(space: StateSpace, expr, want: str):
@@ -352,21 +668,20 @@ def _either(gate: list) -> list:
     return entries
 
 
-def _first_undef(row):
-    return next((x for x in row if isinstance(x, _Undef)), None)
-
-
 def _compile(prog: Program, space: StateSpace):
     """Resolve a program against a space; see the compiled-form notes above."""
     n = space.size
     if isinstance(prog, Seq):
-        return _CSeq(_compile(prog.first, space), _compile(prog.second, space))
+        # from the last statement back, so a loop sees what follows it
+        parts = _chain(prog)
+        node = _compile(parts.pop(), space)
+        while parts:
+            part = parts.pop()
+            node = (_loop(part, space, node) if isinstance(part, While)
+                    else _seq(_compile(part, space), node, n))
+        return node
     if isinstance(prog, While):
-        kind = static_kind(prog.guard, space)
-        if kind not in ("bool", "num"):
-            raise WpError("loop condition must be boolean or numeric")
-        gate = _eval_guarded(space, prog.guard, "bool" if kind == "bool" else "prob")
-        return _CWhile(_either(gate), _compile(prog.body, space))
+        return _loop(prog, space)
     # primitive statements: positions are successor states
     if isinstance(prog, Skip):
         return _CPick(list(range(n)))
@@ -380,19 +695,18 @@ def _compile(prog: Program, space: StateSpace):
                        for i, m in enumerate(mask)])
     if isinstance(prog, SuchThat):
         return _CPick(_suchthat_options(space, prog))
-    if isinstance(prog, (ChooseFromSet, ChooseFromDist)):
-        # an undefined target makes the state undefined, whatever the post
-        if isinstance(prog, ChooseFromSet):
-            exprs, weights = prog.choices, None
-        else:
-            weights, exprs = zip(*[(p, e) for e, p in prog.dist.items if p > 0])
+    if isinstance(prog, ChooseFromSet):
+        columns = [_assign_targets(space, prog.var, e) for e in prog.choices]
+        return _pack([_entry(list(row)) for row in zip(*columns)], n)
+    if isinstance(prog, ChooseFromDist):
+        weights, exprs = zip(*[(p, e) for e, p in prog.dist.items if p > 0])
         columns = [_assign_targets(space, prog.var, e) for e in exprs]
-        states = []
+        entries, sides = [], range(len(exprs))
         for row in zip(*columns):
-            undef = _first_undef(row)
-            states.append(undef if undef is not None else
-                          row if weights is None else ((weights, row),))
-        return _CPick(states)
+            mixed: dict = {}
+            _mix(weights, sides, row, mixed)
+            entries.append(_entry([_option(mixed)]))
+        return _pack(entries, n)
     # the rest read their branches' outputs, stacked
     if isinstance(prog, ProbAssign):
         prog = ProbChoice(Assign(prog.var, prog.left), prog.prob,
@@ -402,20 +716,28 @@ def _compile(prog: Program, space: StateSpace):
                            Assign(prog.var, prog.right))
     branches = [_compile(c, space) for c in children(prog)]
     if isinstance(prog, IfBool):
-        return _CPick(_either(_eval_guarded(space, prog.guard, "bool")), branches)
-    if isinstance(prog, (IfProb, ProbChoice)):
-        return _CPick(_either(_eval_guarded(space, prog.prob, "prob")), branches)
-    if isinstance(prog, DemonChoice):
-        return _CPick([(i, n + i) for i in range(n)], branches)
-    if isinstance(prog, GuardedIf):
-        states = []
+        entries = _either(_eval_guarded(space, prog.guard, "bool"))
+    elif isinstance(prog, (IfProb, ProbChoice)):
+        entries = _either(_eval_guarded(space, prog.prob, "prob"))
+    elif isinstance(prog, DemonChoice):
+        entries = [(i, n + i) for i in range(n)]
+    elif isinstance(prog, GuardedIf):
+        entries = []
         for i, row in enumerate(zip(*[_eval_guarded(space, g, "bool")
                                       for g, _ in prog.branches])):
-            undef = _first_undef(row)
+            undef = next((m for m in row if isinstance(m, _Undef)), None)
             enabled = tuple(j * n + i for j, m in enumerate(row) if m is True)
-            states.append(undef if undef is not None else enabled or _ABORT)
-        return _CPick(states, branches)
-    raise WpError(f"unknown program node {type(prog).__name__}")
+            entries.append(undef if undef is not None else enabled or _ABORT)
+    else:
+        raise WpError(f"unknown program node {type(prog).__name__}")
+    return _choice(entries, branches, n)
+
+
+def _chain(prog: Program) -> list:
+    """The statements of a sequence, in order."""
+    if isinstance(prog, Seq):
+        return _chain(prog.first) + _chain(prog.second)
+    return [prog]
 
 
 def _suchthat_options(space: StateSpace, prog: SuchThat):
@@ -424,6 +746,7 @@ def _suchthat_options(space: StateSpace, prog: SuchThat):
     combos = [()]
     for dom in domains:
         combos = [c + (v,) for c in combos for v in dom]
+    verdicts: dict = {}  # the predicate at each candidate state, once
     options = []
     for i in range(space.size):
         opts = []
@@ -432,10 +755,15 @@ def _suchthat_options(space: StateSpace, prog: SuchThat):
             t = i
             for pos, v in zip(positions, combo):
                 t = space.reindex(t, pos, v)
-            try:
-                ok = eval_expr(prog.pred, space.state_at(t))
-            except EvalError as exc:
-                undef = _Undef(f"{exc} at {space.state_at(i)}")
+            ok = verdicts.get(t)
+            if ok is None:
+                try:
+                    ok = eval_expr(prog.pred, space.state_at(t))
+                except EvalError as exc:
+                    ok = exc
+                verdicts[t] = ok
+            if isinstance(ok, EvalError):
+                undef = _Undef(f"{ok} at {space.state_at(i)}")
                 break
             if not isinstance(ok, bool):
                 undef = _Undef(f"suchthat predicate is not boolean at {space.state_at(t)}")

@@ -1,6 +1,8 @@
-"""Shared fixtures: state spaces, program corpus, a classical-wp oracle and
-a floating-point value-iteration oracle for loops."""
+"""Shared fixtures: state spaces, program corpus, a seeded random program
+generator, a classical-wp oracle and a floating-point value-iteration
+oracle for loops."""
 
+import itertools
 from fractions import Fraction
 
 from pgclkit import parse_expression, parse_program, space_of
@@ -10,6 +12,7 @@ from pgclkit.programs import (
     Abort,
     Assert,
     Assign,
+    ChooseFromDist,
     ChooseFromSet,
     DemonAssign,
     DemonChoice,
@@ -115,6 +118,72 @@ def loop_corpus():
     ]
 
 
+# --- seeded random programs ---------------------------------------------------
+#
+# Small programs over random_space() that mix every statement form, loops with
+# boolean and numeric guards, and expressions that divide by zero, leave a
+# domain or give a probability outside [0, 1] on some states, so undefined
+# states and their reasons are exercised too.
+
+RANDOM_VARS = (("x", (0, 1, 2)), ("y", (0, 1)))
+
+_ARITH = ("0", "1", "2", "x", "y", "x + 1", "x - 1", "1 - y", "2 * y",
+          "x + y", "1/x", "x/2")
+_PROBS = ("1/2", "1/3", "2/3", "0", "1", "x/2", "y", "y/2", "1/x",
+          "1/(x + 1)", "x")
+_GUARDS = ("x = 0", "x < 2", "y = 1", "x = y", "x > y", "1/x = 1",
+           "true", "false")
+
+
+def random_space():
+    return space_of(*RANDOM_VARS)
+
+
+def random_program(rng, depth=3, loops=2):
+    """Text of a random program over random_space(); `loops` bounds the
+    nesting depth of WHILE."""
+    def a():
+        return rng.choice(_ARITH)
+
+    def p():
+        return rng.choice(_PROBS)
+
+    def g():
+        return rng.choice(_GUARDS)
+
+    v = rng.choice("xy")
+    leaves = [
+        lambda: "SKIP", lambda: "ABORT", lambda: f"{v} := {a()}",
+        lambda: f"{v} :in {a()} <{p()}> {a()}",
+        lambda: f"{v} :in {a()} |^| {a()}",
+        lambda: f"{v} :in {{{a()}, {a()}}}",
+        lambda: f"{v} :dist [{a()}: 1/3, {a()}: 2/3]",
+        lambda: f"{v} :dist [{a()}: 0, {a()}: 1]",
+        lambda: f"{v} :suchthat {g()}", lambda: f"{{{g()}}}",
+    ]
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+
+    def sub():
+        return random_program(rng, depth - 1, loops)
+
+    forms = [
+        lambda: f"{sub()}; {sub()}",
+        lambda: f"({sub()}) <{p()}> ({sub()})",
+        lambda: f"({sub()}) |^| ({sub()})",
+        lambda: f"IF {g()} THEN ({sub()}) ELSE ({sub()})",
+        lambda: f"IF {p()} THEN ({sub()}) ELSE ({sub()})",
+        lambda: f"IF {g()} -> {sub()} [] {g()} -> {sub()} FI",
+    ]
+    if loops > 0:
+        forms += [
+            lambda: f"WHILE {g()} DO {random_program(rng, depth - 1, loops - 1)} OD",
+            lambda: f"WHILE {rng.choice(('1/2', '1/3', 'y/2'))} DO "
+                    f"{random_program(rng, depth - 1, loops - 1)} OD",
+        ]
+    return f"({rng.choice(forms)()})"
+
+
 # --- classical (non-probabilistic) weakest precondition oracle --------------
 #
 # Covers the demonic, probability-free fragment only.  Predicates are plain
@@ -156,8 +225,6 @@ def classical_wp(p, space, post: frozenset) -> frozenset:
             out &= set(classical_wp(Assign(p.var, e), space, post))
         return frozenset(out)
     if isinstance(p, SuchThat):
-        import itertools
-
         positions = [space.var_pos(v) for v in p.vars]
         out = set()
         for i in range(space.size):
@@ -248,6 +315,22 @@ def value_iteration(p, space, post: list) -> list:
             out.append(None if t < 0 else f[t])
         return out
 
+    def such_that(p, i, f):
+        # the least post over the satisfying states; undefined when none
+        # satisfies or the predicate fails at a candidate
+        positions = [space.var_pos(v) for v in p.vars]
+        vals = []
+        for combo in itertools.product(*(space.domains[q].values for q in positions)):
+            t = i
+            for pos, v in zip(positions, combo):
+                t = space.reindex(t, pos, v)
+            ok = at(p.pred, t)
+            if not isinstance(ok, bool):
+                return None
+            if ok:
+                vals.append(f[t])
+        return None if not vals or None in vals else min(vals)
+
     def run(p, f):
         if isinstance(p, Skip):
             return f
@@ -268,8 +351,31 @@ def value_iteration(p, space, post: list) -> list:
             return demon(run(p.left, f), run(p.right, f))
         if isinstance(p, DemonAssign):
             return demon(assign(p.var, p.left, f), assign(p.var, p.right, f))
+        if isinstance(p, ChooseFromSet):
+            out = assign(p.var, p.choices[0], f)
+            for e in p.choices[1:]:
+                out = demon(out, assign(p.var, e, f))
+            return out
+        if isinstance(p, ChooseFromDist):
+            parts = [(float(w), assign(p.var, e, f)) for e, w in p.dist.items if w > 0]
+            return [None if any(v[i] is None for _, v in parts)
+                    else sum(w * v[i] for w, v in parts) for i in range(n)]
+        if isinstance(p, SuchThat):
+            return [such_that(p, i, f) for i in range(n)]
+        if isinstance(p, GuardedIf):
+            runs = [run(b, f) for _, b in p.branches]
+            out = []
+            for i in range(n):
+                gs = [at(g, i) for g, _ in p.branches]
+                if any(not isinstance(q, bool) for q in gs):
+                    out.append(None)
+                    continue
+                vals = [r[i] for q, r in zip(gs, runs) if q]
+                out.append(None if None in vals else min(vals, default=0.0))
+            return out
         if isinstance(p, Assert):
-            return [f[i] if at(p.pred, i) else 0.0 for i in range(n)]
+            return [None if not isinstance(at(p.pred, i), bool)
+                    else f[i] if at(p.pred, i) else 0.0 for i in range(n)]
         if isinstance(p, While):
             x = [0.0] * n
             for _ in range(100_000):

@@ -183,6 +183,17 @@ def test_check_equal_holds_on_thirds(tmp_path, capsys):
     assert out.strip() == "holds"
 
 
+def test_check_equal_over_a_numeric_loop_guard(tmp_path, capsys):
+    # the default probes bracket boolean predicates only: the guard 1/2 is
+    # a probability, not a predicate
+    left = write(tmp_path, "loop.pgcl", "var c in {H, T}\nWHILE 1/2 DO c := T OD\n")
+    right = write(tmp_path, "once.pgcl", "var c in {H, T}\nc := T <1/2> SKIP\n")
+    rc = main(["check-equal", "--left", left, "--right", right])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.out.strip() == "holds"
+
+
 def test_check_refines_directions(tmp_path, capsys):
     spec = write(tmp_path, "spec.pgcl", "var x in {0, 1}\nx :in {0, 1}\n")
     impl = write(tmp_path, "impl.pgcl", "var x in {0, 1}\nx := 0\n")

@@ -199,6 +199,20 @@ MARKER_RULES = [
     ("{x = 1/x}", (0, 2), [0], "division by zero at {x=0}"),
     ("x :in {1, 1/x}", (0, 2), [0], "division by zero at {x=0}"),
     ("(x := 1/x) <1/2> x := 5", (0, 0), [0, 1], "division by zero at {x=0}"),
+    # the first marker met in evaluation order wins, whatever the form: the
+    # post's marker at a's target comes before b's undefined target
+    ("x :in {0, 5}; x := 1/x", (0, 0), [0, 1], "division by zero at {x=0}"),
+    ("x :dist [0: 1/2, 5: 1/2]; x := 1/x", (0, 0), [0, 1],
+     "division by zero at {x=0}"),
+    ("x :in 0 |^| 5; x := 1/x", (0, 0), [0, 1], "division by zero at {x=0}"),
+    ("x :in 0 <1/2> 5; x := 1/x", (0, 0), [0, 1], "division by zero at {x=0}"),
+    ("x :in {0, 5}", (0, 0), [0, 1], "x := 5 leaves the domain of x at {x=0}"),
+    # a summarised loop meets markers in the order the loop iteration
+    # finds them, those after its exits included
+    ("WHILE x = 0 DO x := 1 <1/2> x := 5 OD", (0, 2), [0],
+     "x := 5 leaves the domain of x at {x=0}"),
+    ("(WHILE 1/2 DO x := x + 1 OD); x := 5", (0, 0), [0, 1],
+     "x := 5 leaves the domain of x at {x=0}"),
 ]
 
 
