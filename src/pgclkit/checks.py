@@ -116,32 +116,27 @@ class ProbeFamily:
         combos: list[tuple] = [()]
         for p in positions:
             combos = [c + (v,) for c in combos for v in space.domains[p].values]
+        # per state its combination, by stride arithmetic; a probe is a
+        # column over the combinations, and two probes are equal exactly
+        # when their columns agree on the combinations some state has
+        index, firsts = space.projection(positions)
+        present = [c for c, first in enumerate(firsts) if first >= 0]
 
-        def add(fn, label):
-            values = tuple(fn(s) for s in space.states())
-            if values not in seen:
-                seen.add(values)
-                probes.append(Expectation(space, values, label=label))
+        def add(column, label):
+            key = tuple(column[c] for c in present)
+            if key not in seen:
+                seen.add(key)
+                probes.append(Expectation.proven(
+                    space, tuple(map(column.__getitem__, index)), label=label))
 
-        for combo in combos:
-            add(
-                lambda s, c=combo: ONE
-                if tuple(s.values[p] for p in positions) == c
-                else ZERO,
-                label=f"[{', '.join(f'{n}={v}' for n, v in zip(names, combo))}]",
-            )
+        for k, combo in enumerate(combos):
+            column = [ZERO] * len(combos)
+            column[k] = ONE
+            add(column, f"[{', '.join(f'{n}={v}' for n, v in zip(names, combo))}]")
         for k in range(extra):
-            table = {
-                c: Fraction(
-                    rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
-                    PROBE_DENOMINATOR,
-                )
-                for c in combos
-            }
-            add(
-                lambda s, t=table: t[tuple(s.values[p] for p in positions)],
-                label=f"random probe {k} over {', '.join(names)}",
-            )
+            column = [Fraction(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
+                               PROBE_DENOMINATOR) for _ in combos]
+            add(column, f"random probe {k} over {', '.join(names)}")
         return ProbeFamily(tuple(probes), seed=seed)
 
 

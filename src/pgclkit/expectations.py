@@ -34,6 +34,16 @@ class Expectation:
             raise EvalError("expectations must be non-negative everywhere")
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def proven(cls, space: StateSpace, values: tuple, label: str = "") -> "Expectation":
+        """An expectation from a tuple of Fractions that the caller has
+        proved non-negative, of the right length: nothing is checked."""
+        exp = object.__new__(cls)
+        object.__setattr__(exp, "space", space)
+        object.__setattr__(exp, "values", values)
+        object.__setattr__(exp, "label", label)
+        return exp
+
     def __getitem__(self, state) -> Fraction:
         if isinstance(state, State):
             return self.values[state.index]
@@ -41,27 +51,6 @@ class Expectation:
 
     def max_value(self) -> Fraction:
         return max(self.values)
-
-    def scaled(self, c: Fraction) -> "Expectation":
-        c = Fraction(c)
-        if c < 0:
-            raise EvalError("scale factor must be non-negative")
-        return Expectation(self.space, tuple(c * v for v in self.values),
-                           label=f"{c} * {self.label}" if self.label else "")
-
-    def plus(self, other: "Expectation") -> "Expectation":
-        self._check_space(other)
-        return Expectation(
-            self.space, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def le(self, other: "Expectation") -> bool:
-        self._check_space(other)
-        return all(a <= b for a, b in zip(self.values, other.values))
-
-    def _check_space(self, other: "Expectation"):
-        if self.space != other.space:
-            raise EvalError("expectations live on different state spaces")
 
     def __str__(self):
         if self.label:

@@ -8,13 +8,16 @@ the same shape, one row per transient node,
 where a key k with no row of its own is absorbing and stays a free
 variable.  The answer gives every x_s as a combination of absorbing keys
 only, so one solve serves every assignment of values to them.
+
+The elimination is fraction-free: each row is held as ints over one
+common denominator of its own, brought back to lowest terms after every
+substitution, and Fractions are built once, for the answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-ONE = Fraction(1)
+from math import gcd, lcm
 
 
 def absorb(rows: dict) -> dict:
@@ -26,32 +29,47 @@ def absorb(rows: dict) -> dict:
     pivot means some node is never absorbed: that raises
     ZeroDivisionError.
     """
-    rows = {s: dict(r) for s, r in rows.items()}
-    users: dict = {s: set() for s in rows}  # uneliminated key -> rows mentioning it
+    work = {}  # key -> [den, {key: numerator}]
     for s, r in rows.items():
+        den = lcm(*(c.denominator for c in r.values()))
+        work[s] = [den, {k: c.numerator * (den // c.denominator) for k, c in r.items()}]
+    users: dict = {s: set() for s in work}  # uneliminated key -> rows mentioning it
+    for s, (_, r) in work.items():
         for k in r:
             if k in users and k != s:
                 users[k].add(s)
-    for s, r in rows.items():
-        pivot = ONE - r.pop(s, 0)
-        if pivot == 0:
+    for s, row in work.items():
+        # x_s * den = sum_k r_k x_k, so x_s = sum_{k != s} r_k x_k / (den - r_s)
+        row[0] -= row[1].pop(s, 0)
+        if row[0] == 0:
             raise ZeroDivisionError("singular system: absorption is not almost sure")
-        if pivot != 1:
-            for k in r:
-                r[k] /= pivot
         for u in users.pop(s):
             if u not in users:  # eliminated already: back-substitution covers it
                 continue
-            ru = rows[u]
-            c = ru.pop(s)
-            for k, w in r.items():
-                ru[k] = ru.get(k, 0) + c * w
+            _substitute(work[u], s, row)
+            for k in row[1]:
                 if k in users:
                     users[k].add(u)
-    for s in reversed(list(rows)):
-        r = rows[s]
-        for k in [k for k in r if k in rows]:
-            c = r.pop(k)
-            for a, w in rows[k].items():
-                r[a] = r.get(a, 0) + c * w
-    return rows
+    for s in reversed(list(work)):
+        row = work[s]
+        for k in [k for k in row[1] if k in work]:
+            _substitute(row, k, work[k])
+    return {s: {k: Fraction(c, den) for k, c in r.items()} for s, (den, r) in work.items()}
+
+
+def _substitute(target: list, key, source: list):
+    """Replace x_key in the row `target` by the row `source`, in place."""
+    den, r = target
+    c = r.pop(key)
+    if source[0] != 1:
+        for k in r:
+            r[k] *= source[0]
+    for k, w in source[1].items():
+        r[k] = r.get(k, 0) + c * w
+    den *= source[0]
+    g = gcd(den, *r.values())
+    if g != 1:
+        den //= g
+        for k in r:
+            r[k] //= g
+    target[0] = den

@@ -2,8 +2,9 @@
 
 A domain value is either an exact rational (integers included) or a
 symbolic token such as H or T, stored as a plain string.  Floats are
-rejected everywhere; all numeric work in this package is done with
-fractions.Fraction.
+rejected everywhere.  Values, probabilities and expectations are exact:
+fractions.Fraction at the API, while the wp engine carries its vectors as
+Python ints over one common denominator.
 """
 
 from __future__ import annotations
@@ -160,6 +161,26 @@ class StateSpace:
         size = self.domains[var_pos].size
         old = (index // stride) % size
         return index + (pos - old) * stride
+
+    def projection(self, positions) -> tuple[list[int], list[int]]:
+        """Per state, the index of its values at `positions` (repeats
+        allowed) among the row-major combinations of those variables'
+        values; and per combination, the first state that has it, or -1
+        when none does (a repeated variable with two different values).
+        """
+        weights = [0] * len(self.domains)
+        step = 1
+        for p in reversed(positions):
+            weights[p] += step
+            step *= self.domains[p].size
+        index = [0]
+        for d, w in zip(self.domains, weights):
+            index = [a + k * w for a in index for k in range(d.size)]
+        firsts = [-1] * step
+        for i, c in enumerate(index):
+            if firsts[c] < 0:
+                firsts[c] = i
+        return index, firsts
 
     def states(self) -> Iterator["State"]:
         for combo in itertools.product(*(d.values for d in self.domains)):

@@ -13,6 +13,13 @@ sub-distribution per state, whatever the post, so it is composed at
 compile time into one flat _CPick (weights may sum to less than 1: the
 rest is mass lost to ABORT or to a loop that runs forever).
 
+Arithmetic is exact and integer: Fractions appear only at the API.
+Compiled.wp scales the post to ints over D, the lcm of its denominators;
+each pick holds its weights as ints over W, the lcm of theirs, so its
+output is over D * W, and the result becomes Fractions once, at the end.
+Scaling by a positive W keeps the order of values, so every demonic
+minimum picks the option it would pick over Fractions.
+
 Loops are least fixpoints, solved exactly with the compiled body as the
 only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10):
 
@@ -41,11 +48,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import cached_property
+from math import lcm
+from operator import mul
+from typing import Optional
 
 from .errors import EvalError, UndefinedStateError, WpError
 from .expectations import Expectation
-from .exprs import eval_expr, static_kind
+from .exprs import eval_expr, free_vars, static_kind
 from .linear import absorb
 from .programs import (
     Abort,
@@ -95,18 +105,45 @@ class WpResult:
 
 
 class _Undef:
-    """Marks a state whose value is undefined, with the first reason seen."""
+    """Marks a state whose value is undefined, with the first reason seen:
+    `what` at a state, formatted only when the reason is read.  A marker
+    absorbs arithmetic, so a sum holds the first marker it meets."""
 
-    __slots__ = ("reason",)
+    __slots__ = ("what", "space", "index")
 
-    def __init__(self, reason: str):
-        self.reason = reason
+    def __init__(self, what: str, space: StateSpace, index: int):
+        self.what = what
+        self.space = space
+        self.index = index
+
+    @property
+    def reason(self) -> str:
+        return f"{self.what} at {self.space.state_at(self.index)}"
+
+    def _absorb(self, other):
+        return self
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _absorb
 
     def __repr__(self):
         return f"<undefined: {self.reason}>"
 
 
-_Val = Union[Fraction, _Undef]
+class _Vec(list):
+    """A vector the engine runs on: per position an int over the common
+    denominator `den`, a marker, or in a loop body a _Lin."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, values, den: int):
+        super().__init__(values)
+        self.den = den
+
+
+def _den(vec) -> int:
+    """The common denominator of a vector; a plain list holds its values
+    as they are, so it is over 1."""
+    return vec.den if vec.__class__ is _Vec else 1
 
 
 class _Lin:
@@ -118,21 +155,23 @@ class _Lin:
 
     __slots__ = ("value", "form")
 
-    def __init__(self, value: Fraction, form: dict):
+    def __init__(self, value, form: dict):
         self.value = value
         self.form = form
 
     def __add__(self, other):
-        if not isinstance(other, _Lin):
+        if other.__class__ is not _Lin:
+            if other.__class__ is _Undef:
+                return other
             return _Lin(self.value + other, self.form)
         form = dict(self.form)
         for k, c in other.form.items():
-            form[k] = form.get(k, ZERO) + c
+            form[k] = form.get(k, 0) + c
         return _Lin(self.value + other.value, form)
 
     __radd__ = __add__
 
-    def __mul__(self, c: Fraction):
+    def __mul__(self, c):
         return _Lin(c * self.value, {k: c * w for k, w in self.form.items()})
 
     __rmul__ = __mul__
@@ -151,7 +190,10 @@ def _value(v):
 # --- compiled form ---------------------------------------------------------
 #
 # Compilation resolves every expression against the concrete state space
-# once, and every statement but `;` and WHILE becomes one _CPick: per
+# once: each guard, probability, assigned expression and :suchthat
+# predicate is evaluated once per value of its free variables, targets are
+# found by stride arithmetic, and a marker formats its reason only when it
+# is read.  Every statement but `;` and WHILE becomes one _CPick: per
 # state, the _Undef marker of an evaluation error, or the demon's options,
 # each a sub-distribution over positions in the vector the node reads.
 # Primitive statements read the post, so a position is a successor state;
@@ -198,31 +240,55 @@ def _value(v):
 # of positions (an option may be a bare marker), never after a marker in
 # an option, and never an option after one that meets a marker.  _pack
 # moves them to the consts.
+#
+# Running.  Entries hold Fraction weights for composition; a pick that
+# runs turns them, once, into ints over its W (_ints), and a bare
+# position, worth weight 1, reads its value times W.  A vector (_Vec)
+# carries its common denominator; branch outputs are brought to the lcm
+# of theirs before a pick reads them stacked.  A _CWhile runs its body on
+# _Lin values through the same _pick, and its output is over the input's
+# denominator times the lcm of its solved rows' denominators.
 
 _ABORT = (((), ()),)
 
 
-def _pick(states, vec) -> list:
-    """Run a pick: per state its marker, or the least over its options of
-    the expected value of vec; the first marker met, in order, wins."""
-    return [vec[s] if s.__class__ is int else _least(s, vec) for s in states]
+def _ints(entries: list) -> tuple:
+    """(w, entries) with every weight an int over w, the lcm of the
+    weights' denominators; positions and markers stay as they are."""
+    w = lcm(*{x.denominator for e in entries if e.__class__ is tuple
+              for o in e if o.__class__ is tuple for x in o[0]})
+    scaled: dict = {}  # id of a weight tuple -> its ints; tuples are shared
+
+    def option(o):
+        if o.__class__ is not tuple:
+            return o
+        ints = scaled.get(id(o[0]))
+        if ints is None:
+            ints = scaled[id(o[0])] = tuple(x.numerator * (w // x.denominator)
+                                            for x in o[0])
+        return ints, o[1]
+
+    return w, [e if e.__class__ is not tuple else tuple(map(option, e))
+               for e in entries]
 
 
-def _least(options, vec) -> _Val:
-    if isinstance(options, _Undef):
+def _pick(entries, w, vec) -> list:
+    """Run a pick whose weights are ints over w: per state its marker, or
+    the least over its options of the expected value of vec, over w times
+    vec's denominator; the first marker met, in order, wins."""
+    return [vec[s] * w if s.__class__ is int else _least(s, vec, w) for s in entries]
+
+
+def _least(options, vec, w):
+    if options.__class__ is _Undef:
         return options
     best = None
     for opt in options:
         if opt.__class__ is int:
-            v = vec[opt]
+            v = vec[opt] * w
         else:
-            v = ZERO
-            for w, t in zip(*opt):
-                x = vec[t]
-                if isinstance(x, _Undef):
-                    return x
-                v = v + w * x
-        if isinstance(v, _Undef):
+            v = sum(map(mul, opt[0], map(vec.__getitem__, opt[1])))
+        if v.__class__ is _Undef:
             return v
         if best is None or not best <= v:
             best = v
@@ -235,13 +301,34 @@ class _CPick:
         self.branches = branches  # compiled branches; none: reads the post
         self.consts = consts  # markers, read past the end of the vector
 
+    @cached_property
+    def ints(self) -> tuple:
+        """(w, entries) as run: weights as ints over w.  Built on the first
+        run, so the picks that composition replaces never build it."""
+        return _ints(self.states)
+
     def run(self, f):
         if self.branches:
-            vec: list = []
-            for branch in self.branches:
-                vec += branch.run(f)
-            f = vec
-        return _pick(self.states, f + self.consts if self.consts else f)
+            f = _stacked([branch.run(f) for branch in self.branches])
+        w, entries = self.ints
+        return _Vec(_pick(entries, w, f + self.consts if self.consts else f), f.den * w)
+
+
+def _stacked(outs: list) -> _Vec:
+    """Branch outputs one after another, over their least common
+    denominator."""
+    den = lcm(*(out.den for out in outs))
+    vec = _Vec((), den)
+    for out in outs:
+        vec += out if out.den == den else [x * (den // out.den) for x in out]
+    return vec
+
+
+def _common(rows: dict) -> tuple:
+    """(d, rows) with every coefficient of the rows an int over d."""
+    d = lcm(*(c.denominator for r in rows.values() for c in r.values()))
+    return d, {s: {k: c.numerator * (d // c.denominator) for k, c in r.items()}
+               for s, r in rows.items()}
 
 
 class _CSeq:
@@ -258,22 +345,26 @@ class _CWhile:
     module notes."""
 
     def __init__(self, gate, body):
-        self.gate = gate  # pick entries over the body's output, then the exits
+        self.w, self.gate = _ints(gate)  # entries over the body's output, then the exits
         self.body = body
         self.stuck = self._stuck_states(len(gate))
 
-    def _step(self, x, exits):
-        return _pick(self.gate, self.body.run(x) + exits)
+    def _step(self, x: list, exits: list, den: int) -> _Vec:
+        """The gate over the body's output at x and the exits, both over den."""
+        out = self.body.run(_Vec(x, den))
+        scale = _den(out) // den
+        if scale != 1:
+            exits = [e * scale for e in exits]
+        return _Vec(_pick(self.gate, self.w, out + exits), _den(out) * self.w)
 
     def _stuck_states(self, n):
         """States where the demon can keep the loop going forever: the
         greatest Z with step([not Z]) = 0 on Z, exits scored 1."""
         stuck = set(range(n))
         while stuck:
-            out = self._step([ZERO if i in stuck else ONE for i in range(n)],
-                             [ONE] * n)
+            out = self._step([0 if i in stuck else 1 for i in range(n)], [1] * n, 1)
             kept = {i for i in stuck
-                    if not isinstance(out[i], _Undef) and out[i] == 0}
+                    if out[i].__class__ is not _Undef and out[i] == 0}
             if kept == stuck:
                 break
             stuck = kept
@@ -282,49 +373,54 @@ class _CWhile:
     def _undefined(self, f):
         """The states that turn undefined on the way up from 0: the least
         marker set the step maps to itself.  Markers ignore values."""
-        exits = [x if isinstance(x, _Undef) else ZERO for x in f]
+        exits = [x if x.__class__ is _Undef else 0 for x in f]
         undef: dict[int, _Undef] = {}
         while True:
-            out = self._step([undef.get(i, ZERO) for i in range(len(f))], exits)
-            grown = {i: v for i, v in enumerate(out) if isinstance(v, _Undef)}
+            out = self._step([undef.get(i, 0) for i in range(len(f))], exits, 1)
+            grown = {i: v for i, v in enumerate(out) if v.__class__ is _Undef}
             if grown.keys() == undef.keys():
                 return undef
             undef = grown
 
     def run(self, f):
-        n, stuck = len(f), self.stuck
+        n, stuck, den = len(f), self.stuck, _den(f)
         undef, rows = self._undefined(f), None
         live = [i for i in range(n) if i not in undef and i not in stuck]
-        fv = [x if isinstance(x, _Undef) else _value(x) for x in f]
-        exits = [x if isinstance(x, _Undef) else _Lin(x, {~i: ONE})
-                 for i, x in enumerate(fv)]
+        fv = [x if x.__class__ is _Undef else _value(x) for x in f]
         ceiling = None
         while True:
-            v = [ZERO] * n
+            # v: the values of the current policy, over den * d
+            d, v = 1, [0] * n
             if rows is not None:
+                d, ints = _common(rows)
                 for s in live:
-                    v[s] = sum((c * fv[~k] for k, c in rows[s].items()), ZERO)
-                out = self._step([undef.get(i) or v[i] for i in range(n)], fv)
+                    v[s] = sum(c * fv[~k] for k, c in ints[s].items())
+                out = self._step([undef.get(i) or v[i] for i in range(n)],
+                                 [x * d for x in fv], den * d)
+                scale = out.den // (den * d)
                 # policy iteration descends: step(v) <= v, and each policy's
                 # values lie below the step that chose it; a fixpoint ends it
-                if any(out[s] > v[s] or (ceiling and v[s] > ceiling[s])
-                       for s in live):
+                if any(out[s] > v[s] * scale or (ceiling is not None and
+                       v[s] * ceiling.den > ceiling[s] * den * d) for s in live):
                     raise WpError(_FIXPOINT_BUG)
-                if all(out[s] == v[s] for s in live):
+                if all(out[s] == v[s] * scale for s in live):
                     break
                 ceiling = out
             # the same step on _Lin values: its forms are the improved policy
-            x = [undef.get(i) or (ZERO if i in stuck else _Lin(v[i], {i: ONE}))
+            x = [undef.get(i) or (0 if i in stuck else _Lin(v[i], {i: 1}))
                  for i in range(n)]
-            out = self._step(x, exits)
-            rows = absorb({s: out[s].form if isinstance(out[s], _Lin) else {}
-                           for s in live})
-        result: list[_Val] = [ZERO] * n
+            exits = [x if x.__class__ is _Undef else _Lin(x * d, {~i: 1})
+                     for i, x in enumerate(fv)]
+            out = self._step(x, exits, den * d)
+            scale = out.den // (den * d)
+            rows = absorb({s: {k: Fraction(c, scale) for k, c in out[s].form.items()}
+                           if isinstance(out[s], _Lin) else {} for s in live})
+        result: list = [0] * n
         for i, marker in undef.items():
             result[i] = marker
         for s in live:  # the last check ran on these rows: no marker is met
-            result[s] = sum((c * f[~k] for k, c in rows[s].items()), ZERO)
-        return result
+            result[s] = sum(c * f[~k] for k, c in ints[s].items())
+        return _Vec(result, den * d)
 
 
 _FIXPOINT_BUG = ("exact loop solve failed its fixpoint check; "
@@ -525,12 +621,13 @@ def _loop(prog: While, space: StateSpace, then=None):
     return loop if then is None else _seq(loop, then, n)
 
 
-def _atoms(entry) -> tuple:
-    """(atoms, weights) of a step entry with one option."""
+def _atoms(entry, one=ONE) -> tuple:
+    """(atoms, weights) of a step entry with one option; a bare position
+    weighs `one`."""
     if entry.__class__ is int:
-        return (entry,), (ONE,)
+        return (entry,), (one,)
     opt = entry[0]
-    return ((opt,), (ONE,)) if opt.__class__ is int else (opt[1], opt[0])
+    return ((opt,), (one,)) if opt.__class__ is int else (opt[1], opt[0])
 
 
 def _summarise(step: list, n: int, exits: dict) -> list:
@@ -572,13 +669,17 @@ def _summarise(step: list, n: int, exits: dict) -> list:
                 todo.append(i)
     rows = absorb({s: {a: w for a, w in zip(*_atoms(step[s])) if a >= n or a in live}
                    for s in sorted(live)})
-    for s in live:  # the fixpoint check: row s is its step applied to the rows
+    # the fixpoint check: row s is its step applied to the rows, in ints
+    # over d times the step's w
+    d, solved = _common(rows)
+    w, entries = _ints(step)
+    for s in live:
         want: dict = {}
-        for a, w in zip(*_atoms(step[s])):
-            for k, c in ({a: ONE} if a >= n else rows.get(a, {})).items():
-                want[k] = want.get(k, ZERO) + w * c
-        if ({k: c for k, c in want.items() if c}
-                != {k: c for k, c in rows[s].items() if c}):
+        for a, c in zip(*_atoms(entries[s], w)):
+            for k, x in ({a: d} if a >= n else solved.get(a, {})).items():
+                want[k] = want.get(k, 0) + c * x
+        if ({k: x for k, x in want.items() if x}
+                != {k: x * w for k, x in solved[s].items() if x}):
             raise WpError(_FIXPOINT_BUG)
     out = []
     for i in range(n):
@@ -606,48 +707,61 @@ def _first_marker(entry, undef: dict):
     return None
 
 
+def _evaluate(space: StateSpace, expr) -> tuple:
+    """expr evaluated once per value of its free variables: per state the
+    index of that value, and per index the result or the EvalError."""
+    index, firsts = space.projection(sorted(space.var_pos(v) for v in free_vars(expr)))
+    results = []
+    for i in firsts:
+        try:
+            results.append(eval_expr(expr, space.state_at(i)))
+        except EvalError as exc:
+            results.append(exc)
+    return index, results
+
+
+def _per_state(space: StateSpace, index: list, results: list, reasons: list) -> list:
+    """Per state, the result at its index, or a marker where that index
+    has a reason."""
+    return [results[c] if reasons[c] is None else _Undef(reasons[c], space, i)
+            for i, c in enumerate(index)]
+
+
 def _eval_guarded(space: StateSpace, expr, want: str):
     """Per-state evaluation of a guard (want "bool") or a probability
     (want "prob"), with errors downgraded to _Undef markers."""
-    out = []
-    for state in space.states():
-        try:
-            v = eval_expr(expr, state)
-        except EvalError as exc:
-            out.append(_Undef(f"{exc} at {state}"))
-            continue
-        if want == "bool":
-            if isinstance(v, bool):
-                out.append(v)
-            else:
-                out.append(_Undef(f"guard {expr} is not boolean at {state}"))
+    index, results = _evaluate(space, expr)
+    reasons = []
+    for v in results:
+        if isinstance(v, EvalError):
+            reasons.append(str(v))
+        elif want == "bool":
+            reasons.append(None if isinstance(v, bool) else f"guard {expr} is not boolean")
         elif isinstance(v, Fraction) and 0 <= v <= 1:
-            out.append(v)
+            reasons.append(None)
         else:
-            out.append(_Undef(f"probability {expr} = {v} outside [0, 1] at {state}"))
-    return out
+            reasons.append(f"probability {expr} = {v} outside [0, 1]")
+    return _per_state(space, index, results, reasons)
 
 
 def _assign_targets(space: StateSpace, var: str, expr) -> list:
     pos = space.var_pos(var)
-    targets = []
-    for i, state in enumerate(space.states()):
-        try:
-            v = eval_expr(expr, state)
-        except EvalError as exc:
-            targets.append(_Undef(f"{exc} at {state}"))
-            continue
-        if isinstance(v, bool):
-            targets.append(_Undef(f"cannot assign a boolean to {var} at {state}"))
-            continue
-        t = space.reindex(i, pos, v)
-        if t < 0:
-            targets.append(
-                _Undef(f"{var} := {v} leaves the domain of {var} at {state}")
-            )
+    index, results = _evaluate(space, expr)
+    digits, offsets = space.projection([pos])  # offsets[k]: var at its k-th value
+    moves, reasons = [], []
+    for v in results:
+        k = -1
+        if isinstance(v, EvalError):
+            reasons.append(str(v))
+        elif isinstance(v, bool):
+            reasons.append(f"cannot assign a boolean to {var}")
         else:
-            targets.append(t)
-    return targets
+            k = space.domains[pos].index_of(v)
+            reasons.append(None if k >= 0 else f"{var} := {v} leaves the domain of {var}")
+        moves.append(offsets[k] if k >= 0 else None)
+    return [i - offsets[d] + moves[c] if reasons[c] is None
+            else _Undef(reasons[c], space, i)
+            for i, (c, d) in enumerate(zip(index, digits))]
 
 
 def _either(gate: list) -> list:
@@ -742,44 +856,44 @@ def _chain(prog: Program) -> list:
 
 def _suchthat_options(space: StateSpace, prog: SuchThat):
     positions = [space.var_pos(v) for v in prog.vars]
-    domains = [space.domains[p].values for p in positions]
-    combos = [()]
-    for dom in domains:
-        combos = [c + (v,) for c in combos for v in dom]
-    verdicts: dict = {}  # the predicate at each candidate state, once
+    index, verdicts = _evaluate(space, prog.pred)
+    # the candidates' offsets from a state with the variables at their
+    # first values; states equal but for the variables share candidates
+    offsets = [0]
+    for p in positions:
+        offsets = [space.reindex(o, p, v) for o in offsets for v in space.domains[p].values]
+    own, firsts = space.projection(sorted(set(positions)))
+    unsatisfied = f"no values of {', '.join(prog.vars)} satisfy {prog.pred}"
+    found: dict = {}  # base state -> _candidates there
     options = []
-    for i in range(space.size):
-        opts = []
-        undef = None
-        for combo in combos:
-            t = i
-            for pos, v in zip(positions, combo):
-                t = space.reindex(t, pos, v)
-            ok = verdicts.get(t)
-            if ok is None:
-                try:
-                    ok = eval_expr(prog.pred, space.state_at(t))
-                except EvalError as exc:
-                    ok = exc
-                verdicts[t] = ok
-            if isinstance(ok, EvalError):
-                undef = _Undef(f"{ok} at {space.state_at(i)}")
-                break
-            if not isinstance(ok, bool):
-                undef = _Undef(f"suchthat predicate is not boolean at {space.state_at(t)}")
-                break
-            if ok:
-                opts.append(t)
-        if undef is not None:
-            options.append(undef)
-        elif not opts:
-            options.append(_Undef(
-                f"no values of {', '.join(prog.vars)} satisfy "
-                f"{prog.pred} at {space.state_at(i)}"
-            ))
+    for i, c in enumerate(own):
+        base = i - firsts[c]
+        got = found.get(base)
+        if got is None:
+            got = found[base] = _candidates(base, offsets, index, verdicts)
+        targets, what, at = got
+        if what is not None:
+            options.append(_Undef(what, space, i if at is None else at))
         else:
-            options.append(tuple(opts))
+            options.append(targets or _Undef(unsatisfied, space, i))
     return options
+
+
+def _candidates(base: int, offsets: list, index: list, verdicts: list) -> tuple:
+    """(the candidates that satisfy the predicate, in order, None, None),
+    or ((), reason, state) at the first candidate where it is undefined;
+    state None stands for the state the choice is made at."""
+    ok = []
+    for o in offsets:
+        t = base + o
+        v = verdicts[index[t]]
+        if isinstance(v, EvalError):
+            return (), str(v), None
+        if not isinstance(v, bool):
+            return (), "suchthat predicate is not boolean", t
+        if v:
+            ok.append(t)
+    return tuple(ok), None, None
 
 
 class Compiled:
@@ -795,13 +909,16 @@ class Compiled:
         if post.space != space:
             raise WpError("post-expectation lives on a different state space")
         cfg = cfg or WpConfig()
-        vec = self._root.run(list(post.values))
-
-        bound = post.max_value()
+        # the post as ints over den; the result comes back over vec.den
+        den = lcm(*{v.denominator for v in post.values})
+        scaled = [v.numerator * (den // v.denominator) for v in post.values]
+        vec = self._root.run(_Vec(scaled, den))
+        top = max(scaled) * vec.den  # v / vec.den <= max post iff v * den <= top
         undefined: list[State] = []
         values = []
+        exact: dict = {}  # each distinct value becomes one Fraction
         for i, v in enumerate(vec):
-            if isinstance(v, _Undef):
+            if v.__class__ is _Undef:
                 undefined.append(space.state_at(i))
                 if cfg.undefined == "raise":
                     raise UndefinedStateError(
@@ -810,14 +927,17 @@ class Compiled:
                     )
                 values.append(ZERO)
                 continue
-            if v < 0 or v > bound:
-                raise WpError(
-                    f"feasibility violated at {space.state_at(i)}: {v} "
-                    f"outside [0, {bound}]"
-                )
-            values.append(v)
+            q = exact.get(v)
+            if q is None:
+                if v < 0 or v * den > top:
+                    raise WpError(
+                        f"feasibility violated at {space.state_at(i)}: "
+                        f"{Fraction(v, vec.den)} outside [0, {post.max_value()}]"
+                    )
+                q = exact[v] = Fraction(v, vec.den)
+            values.append(q)
         return WpResult(
-            pre=Expectation(space, tuple(values)),
+            pre=Expectation.proven(space, tuple(values)),
             undefined_states=tuple(undefined),
         )
 

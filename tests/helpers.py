@@ -3,9 +3,10 @@ generator, a classical-wp oracle and a floating-point value-iteration
 oracle for loops."""
 
 import itertools
+import random
 from fractions import Fraction
 
-from pgclkit import parse_expression, parse_program, space_of
+from pgclkit import Expectation, parse_expression, parse_program, space_of
 from pgclkit.errors import EvalError
 from pgclkit.exprs import Bracket, eval_expr
 from pgclkit.programs import (
@@ -401,3 +402,65 @@ def bracket_post(space, text):
     from pgclkit import from_expr
 
     return from_expr(space, Bracket(parse_expression(text, space)))
+
+
+# --- pointwise arithmetic on expectations, for the algebraic laws -----------
+
+
+def scaled(f: Expectation, c) -> Expectation:
+    """c * f, for c >= 0."""
+    c = Fraction(c)
+    if c < 0:
+        raise EvalError("scale factor must be non-negative")
+    return Expectation(f.space, tuple(c * v for v in f.values),
+                       label=f"{c} * {f.label}" if f.label else "")
+
+
+def plus(f: Expectation, g: Expectation) -> Expectation:
+    """f + g, pointwise."""
+    _same_space(f, g)
+    return Expectation(f.space, tuple(a + b for a, b in zip(f.values, g.values)))
+
+
+def le(f: Expectation, g: Expectation) -> bool:
+    """f <= g everywhere."""
+    _same_space(f, g)
+    return all(a <= b for a, b in zip(f.values, g.values))
+
+
+def _same_space(f: Expectation, g: Expectation):
+    if f.space != g.space:
+        raise EvalError("expectations live on different state spaces")
+
+
+# --- probes over some variables, built state by state -------------------------
+
+
+def over_vars_by_state(space, names, seed=0, extra=16):
+    """ProbeFamily.over_vars as it was built before it went by index: each
+    probe calls a function on every State.  Returns (label, values) pairs."""
+    from pgclkit.checks import PROBE_BOUND, PROBE_DENOMINATOR
+
+    names = tuple(names)
+    positions = [space.var_pos(n) for n in names]
+    rng = random.Random(seed)
+    probes, seen = [], set()
+    combos = [()]
+    for p in positions:
+        combos = [c + (v,) for c in combos for v in space.domains[p].values]
+
+    def add(fn, label):
+        values = tuple(fn(s) for s in space.states())
+        if values not in seen:
+            seen.add(values)
+            probes.append((label, values))
+
+    for combo in combos:
+        add(lambda s, c=combo: F(int(tuple(s.values[p] for p in positions) == c)),
+            f"[{', '.join(f'{n}={v}' for n, v in zip(names, combo))}]")
+    for k in range(extra):
+        table = {c: F(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
+                      PROBE_DENOMINATOR) for c in combos}
+        add(lambda s, t=table: t[tuple(s.values[p] for p in positions)],
+            f"random probe {k} over {', '.join(names)}")
+    return probes

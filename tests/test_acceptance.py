@@ -251,10 +251,10 @@ def test_criterion_8_property_suites():
             assert all(0 <= v <= 1 for v in base.pre.values)
             # monotonicity against a pointwise-smaller expectation
             smaller = constant(space, 0)
-            assert wp(p, smaller, space).pre.le(base.pre)
+            assert helpers.le(wp(p, smaller, space).pre, base.pre)
             # scaling
-            doubled = wp(p, f.scaled(2), space).pre
-            assert doubled.values == base.pre.scaled(2).values
+            doubled = wp(p, helpers.scaled(f, 2), space).pre
+            assert doubled.values == helpers.scaled(base.pre, 2).values
             # wp equals the demonic minimum over enumerated resolutions
             by_state = resolutions_by_state(p, space)
             probes = [indicator(space, rng.randrange(space.size))

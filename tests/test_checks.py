@@ -46,6 +46,19 @@ def test_over_vars_probes_ignore_scratch_variables():
             assert probe[st] == probe[twin]
 
 
+@pytest.mark.parametrize("names", [("x",), ("q", "r"), ("x", "x")])
+def test_over_vars_matches_the_family_built_state_by_state(names):
+    # same probes, labels, order and seeded draws; with x twice, the
+    # combinations x=0, x=1 and x=1, x=0 meet no state and their
+    # indicator is the zero probe, kept once
+    space = helpers.pqr_space(helpers.THIRDS)
+    for seed, extra in ((0, 16), (7, 4)):
+        fam = ProbeFamily.over_vars(space, names, seed=seed, extra=extra)
+        assert fam.seed == seed
+        assert ([(p.label, p.values) for p in fam]
+                == helpers.over_vars_by_state(space, names, seed, extra))
+
+
 def test_equal_is_reflexive_on_corpus():
     for p, space in helpers.corpus():
         fam = ProbeFamily.over_vars(space, space.names[:1], extra=2)

@@ -1,18 +1,27 @@
 from fractions import Fraction
 
+import importlib
+import itertools
+
 import pytest
 
 import helpers
 from pgclkit import (
+    Expectation,
     UndefinedStateError,
     WpConfig,
     WpError,
     constant,
     from_expr,
+    min_expected,
+    resolutions_by_state,
     space_of,
     wp,
 )
-from pgclkit.wp import _CWhile
+from pgclkit.wp import _CWhile, compile_program
+
+# the module, not the function pgclkit.wp that the package exports
+wp_module = importlib.import_module("pgclkit.wp")
 
 F = Fraction
 
@@ -300,3 +309,108 @@ def test_split_step_assertion_never_fails():
     p = helpers.prog(helpers.SPLIT_STEP, s)
     r = wp(p, constant(s, 1))
     assert r.pre.values == (F(1),) * s.size
+
+
+# --- the integer engine ---------------------------------------------------------
+#
+# The engine carries ints over a common denominator: the post's over the lcm
+# of its denominators, each pick's weights over the lcm of theirs.  Posts
+# with coprime denominators and picks that mix weights over 3 and over 9,
+# next to bare positions, check that every value is brought to the same
+# denominator before it is added or compared.
+
+COPRIME = (F(1, 3), F(1, 7), F(5, 8), F(0), F(2, 9), F(1))
+
+
+def coprime_post(space, shift=0):
+    return Expectation(space, tuple(COPRIME[(i + shift) % len(COPRIME)]
+                                    for i in range(space.size)))
+
+
+def assert_matches_resolutions(prog, space, f):
+    got = wp(prog, f, space)
+    for state, outs in resolutions_by_state(prog, space).items():
+        assert got.pre[state] == min_expected(outs, f), (prog, state)
+
+
+def test_coprime_posts_match_resolutions_exactly():
+    for p, space in helpers.corpus():
+        for shift in range(3):
+            assert_matches_resolutions(p, space, coprime_post(space, shift))
+
+
+@pytest.mark.parametrize("text", [
+    "x :dist [0: 1/3, 1: 2/9, 2: 4/9]",
+    "(x := 0 <1/3> x := 1) |^| (x := 1 <2/9> x := 2)",
+    # bare positions next to weighted options, in one entry and across states
+    "x := 2 |^| (x := 0 <2/9> x := 1)",
+    "IF x = 0 THEN x := 1 ELSE (x := 0 <1/3> (x := 2 <2/9> x := 1))",
+    "(x := 1 |^| (x := 0 <1/3> x := 2)); (SKIP <2/9> x := 2 - x)",
+])
+def test_picks_mixing_thirds_and_ninths_match_resolutions_exactly(text):
+    space = space_of(("x", (0, 1, 2)), ("y", (0, 1)))
+    p = helpers.prog(text, space)
+    for shift in range(len(COPRIME)):
+        assert_matches_resolutions(p, space, coprime_post(space, shift))
+
+
+def _policy_values(n, ups, f):
+    """Exact values of the walk on 0..n that steps up with probability
+    ups[i] at each 0 < i < n, absorbed at 0 and n with value f there."""
+    # x_i - up x_{i+1} - (1 - up) x_{i-1} = 0 inside, x_0 = f_0, x_n = f_n
+    rows = []
+    for i in range(n + 1):
+        row = [F(0)] * (n + 2)
+        row[i] = F(1)
+        if 0 < i < n:
+            row[i + 1] -= ups[i - 1]
+            row[i - 1] -= 1 - ups[i - 1]
+        else:
+            row[n + 1] = f[i]
+        rows.append(row)
+    for i in range(n + 1):  # Gauss-Jordan; the system is diagonally dominant
+        pivot = rows[i][i]
+        rows[i] = [v / pivot for v in rows[i]]
+        for j in range(n + 1):
+            if j != i and rows[j][i]:
+                c = rows[j][i]
+                rows[j] = [a - c * b for a, b in zip(rows[j], rows[i])]
+    return [row[n + 1] for row in rows]
+
+
+def test_demonic_ruin_on_coprime_posts_matches_every_policy_exactly():
+    n = 5
+    space = space_of(("i", tuple(range(n + 1))))
+    p = helpers.prog(f"WHILE 0 < i & i < {n} DO (i := i + 1 <1/2> i := i - 1) "
+                     f"|^| (i := i + 1 <1/3> i := i - 1) OD", space)
+    assert isinstance(compile_program(p, space)._root, _CWhile)
+    for shift in range(len(COPRIME)):
+        f = coprime_post(space, shift)
+        # the demon's best memoryless policy is best at every state at once
+        want = [min(vals) for vals in zip(*(
+            _policy_values(n, ups, f.values)
+            for ups in itertools.product((F(1, 2), F(1, 3)), repeat=n - 1)))]
+        got = wp(p, f)
+        assert list(got.pre.values) == want
+        floats = helpers.value_iteration(p, space, [float(v) for v in f.values])
+        assert all(abs(float(a) - b) < 1e-9 for a, b in zip(want, floats))
+
+
+def test_a_bad_weight_fails_the_feasibility_check(monkeypatch):
+    ints = wp_module._ints
+
+    def heavier(entries):
+        # the first option of the first state weighs 2/w more
+        w, out = ints(entries)
+        (weights, positions), = out[0]
+        out[0] = ((weights[0] + 2,) + weights[1:], positions),
+        return w, out
+
+    monkeypatch.setattr(wp_module, "_ints", heavier)
+    space = space_of(("x", (0, 1)))
+    p = helpers.prog("x :in 0 <1/3> 1", space)
+    f = Expectation(space, (F(1, 3), F(1, 7)))
+    # at x = 0: (1/3 + 2/3) * 1/3 + 2/3 * 1/7 = 3/7, above max f = 1/3
+    with pytest.raises(WpError, match=r"^feasibility violated at \{x=0\}: "
+                                      r"3/7 outside \[0, 1/3\]$"):
+        wp(p, f)
