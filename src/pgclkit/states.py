@@ -4,7 +4,8 @@ A domain value is either an exact rational (integers included) or a
 symbolic token such as H or T, stored as a plain string.  Floats are
 rejected everywhere.  Values, probabilities and expectations are exact:
 fractions.Fraction at the API, while the wp engine carries its vectors as
-Python ints over one common denominator.
+Python ints over one common denominator, and its compiler evaluates each
+expression once per value of its free variables (see projection).
 """
 
 from __future__ import annotations

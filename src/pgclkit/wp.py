@@ -720,13 +720,6 @@ def _evaluate(space: StateSpace, expr) -> tuple:
     return index, results
 
 
-def _per_state(space: StateSpace, index: list, results: list, reasons: list) -> list:
-    """Per state, the result at its index, or a marker where that index
-    has a reason."""
-    return [results[c] if reasons[c] is None else _Undef(reasons[c], space, i)
-            for i, c in enumerate(index)]
-
-
 def _eval_guarded(space: StateSpace, expr, want: str):
     """Per-state evaluation of a guard (want "bool") or a probability
     (want "prob"), with errors downgraded to _Undef markers."""
@@ -741,7 +734,8 @@ def _eval_guarded(space: StateSpace, expr, want: str):
             reasons.append(None)
         else:
             reasons.append(f"probability {expr} = {v} outside [0, 1]")
-    return _per_state(space, index, results, reasons)
+    return [results[c] if reasons[c] is None else _Undef(reasons[c], space, i)
+            for i, c in enumerate(index)]
 
 
 def _assign_targets(space: StateSpace, var: str, expr) -> list:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -96,3 +97,15 @@ def test_tokens_collects_token_values():
 def test_states_iterator_matches_state_at():
     s = space_of(("a", (0, 1)), ("b", (0, 1)))
     assert [st.index for st in s.states()] == list(range(s.size))
+
+
+@pytest.mark.parametrize("names", [(), ("b",), ("c", "a"), ("a", "c", "a")])
+def test_projection_indexes_the_combinations_of_values(names):
+    s = space_of(("a", (0, 1, 2)), ("b", ("H", "T")), ("c", (5, 7)))
+    combos = list(itertools.product(*(s.domain(n).values for n in names)))
+    index, firsts = s.projection([s.var_pos(n) for n in names])
+    states = list(s.states())
+    assert [combos[c] for c in index] == [tuple(st[n] for n in names) for st in states]
+    for c, combo in enumerate(combos):
+        having = [st.index for st in states if tuple(st[n] for n in names) == combo]
+        assert firsts[c] == (having[0] if having else -1)
