@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DistError, UndefinedStateError, VariantError
-from .expectations import Expectation, from_expr, indicator
-from .exprs import Bracket, Cmp, Expr, Lit, eval_expr, static_kind
+from .errors import DistError, EvalError, UndefinedStateError, VariantError
+from .expectations import Expectation, evaluate, from_expr, indicator
+from .exprs import Bracket, Cmp, Expr, Lit, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
 from .states import State, StateSpace
 from .wp import WpConfig, compile_program
@@ -84,15 +84,19 @@ class ProbeFamily:
                 seed: int = 0, extra: int = PROBE_COUNT) -> "ProbeFamily":
         """Indicators of every state, brackets of every boolean guard or
         assertion appearing in the given programs (a loop guard may be a
-        probability instead), and `extra` seeded random expectations with
-        values in [0, PROBE_BOUND]."""
+        probability instead, and a bracket undefined at some state is
+        skipped), and `extra` seeded random expectations with values in
+        [0, PROBE_BOUND]."""
         probes = [indicator(space, i) for i in range(space.size)]
         seen = {p.values for p in probes}
         for prog in programs:
             for pred in collect_predicates(prog):
                 if static_kind(pred, space) != "bool":
                     continue
-                exp = from_expr(space, Bracket(pred))
+                try:
+                    exp = from_expr(space, Bracket(pred))
+                except EvalError:
+                    continue
                 if exp.values not in seen:
                     seen.add(exp.values)
                     probes.append(exp)
@@ -217,20 +221,30 @@ def check_variant(loop: Program, spec: VariantSpec,
     if static_kind(loop.guard, space) != "bool":
         raise VariantError("variant checking expects a boolean loop guard")
 
+    # each evaluated once per value of its free variables; an error is
+    # raised at the first state that reads it, as in a state-by-state walk
+    guard_index, guards = evaluate(space, loop.guard)
+    variant_index, variants = evaluate(space, spec.variant)
     guard_states: list[tuple[int, Fraction]] = []
-    for i, state in enumerate(space.states()):
-        if not eval_expr(loop.guard, state):
+    for i in range(space.size):
+        g = guards[guard_index[i]]
+        if isinstance(g, EvalError):
+            raise g
+        if not g:
             continue
-        v = eval_expr(spec.variant, state)
+        v = variants[variant_index[i]]
+        if isinstance(v, EvalError):
+            raise v
         if not isinstance(v, Fraction) or v.denominator != 1 or v < 0:
             raise VariantError(
-                f"variant {spec.variant} = {v!r} at {state} is not a natural number"
+                f"variant {spec.variant} = {v!r} at {space.state_at(i)} "
+                "is not a natural number"
             )
         if v > spec.upper_bound:
             return Verdict(
                 "fails",
                 counterexample=Counterexample(
-                    from_expr(space, spec.variant), state, v,
+                    from_expr(space, spec.variant), space.state_at(i), v,
                     Fraction(spec.upper_bound),
                 ),
                 detail="variant exceeds its bound",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvalError
-from .exprs import Bracket, Expr, eval_expr, static_kind
+from .exprs import Bracket, Expr, eval_expr, free_vars, static_kind
 from .states import State, StateSpace
 
 ZERO = Fraction(0)
@@ -65,13 +65,29 @@ def from_expr(space: StateSpace, expr: Expr, label: str = "") -> Expectation:
         expr = Bracket(expr)
     values = []
     for state in space.states():
-        v = eval_expr(expr, state)
+        try:
+            v = eval_expr(expr, state)
+        except EvalError as exc:
+            raise EvalError(f"expectation {expr} is undefined at {state}: {exc}") from exc
         if not isinstance(v, Fraction):
             raise EvalError(f"expectation is non-numeric at {state}")
         if v < 0:
             raise EvalError(f"expectation is negative at {state}")
         values.append(v)
     return Expectation(space, tuple(values), label=label or str(expr))
+
+
+def evaluate(space: StateSpace, expr) -> tuple:
+    """expr evaluated once per value of its free variables: per state the
+    index of that value, and per index the result or the EvalError."""
+    index, firsts = space.projection(sorted(space.var_pos(v) for v in free_vars(expr)))
+    results = []
+    for i in firsts:
+        try:
+            results.append(eval_expr(expr, space.state_at(i)))
+        except EvalError as exc:
+            results.append(exc)
+    return index, results
 
 
 def constant(space: StateSpace, value) -> Expectation:

@@ -21,11 +21,16 @@ Scaling by a positive W keeps the order of values, so every demonic
 minimum picks the option it would pick over Fractions.
 
 Loops are least fixpoints, solved exactly with the compiled body as the
-only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10):
+only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10).  Every
+loop is a _CWhile, which finds two sets by running its step, one way for
+both kinds of loop below:
 
 - undefined states: the least marker set the step maps to itself;
 - stuck states, where the demon can keep the loop going forever: the
   greatest set Z with step([not Z]) = 0 on Z; their value is 0;
+
+The other states are solved by one of two rules:
+
 - a demon-free loop, whose composed step has one option per state, is
   summarised once at compile time: linear.absorb gives each live state
   its sub-distribution over the exits, checked against the step exactly;
@@ -54,8 +59,8 @@ from operator import mul
 from typing import Optional
 
 from .errors import EvalError, UndefinedStateError, WpError
-from .expectations import Expectation
-from .exprs import eval_expr, free_vars, static_kind
+from .expectations import Expectation, evaluate
+from .exprs import static_kind
 from .linear import absorb
 from .programs import (
     Abort,
@@ -226,15 +231,16 @@ def _value(v):
 # Options equal as distributions are merged, so the halving body's guarded
 # IF, whose two branches agree where they overlap, has one option there.
 # Composition keeps the evaluation order, markers included, so a composed
-# pick meets the first marker the nodes it replaces would meet.  A WHILE
-# whose composed step has one option per state is solved once, here, into
-# a flat pick over its exits (see _summarise); a loop with a demonic choice
-# left stays a _CWhile and is solved by policy iteration on every run.  A
-# sequence is compiled from its last statement back, so a summarised loop
-# finds its undefined states, and their reasons, with the markers of what
-# follows it at its exits, as _CWhile would; only where what follows
-# stays unfused does it meet the markers it reads in the order of its
-# exit states instead.
+# pick meets the first marker the nodes it replaces would meet.  Every
+# WHILE compiles to a _CWhile; when its composed step has one option per
+# state, the _CWhile is solved once, here, into a flat pick over its exits
+# (_CWhile.summary), and a loop with a demonic choice left is solved by
+# policy iteration on every run.  A sequence is compiled from its last
+# statement back, so a summarised loop finds its undefined states, and
+# their reasons, with the markers that a flat `then` after it meets at its
+# exits (one run of `then` on 0); only where what follows stays unfused
+# does it meet the markers it reads in the order of its exit states
+# instead.
 #
 # While composing, entries are open: as above, but with markers in place
 # of positions (an option may be a bare marker), never after a marker in
@@ -341,8 +347,8 @@ class _CSeq:
 
 
 class _CWhile:
-    """A loop with a demonic choice, solved exactly on every run; see the
-    module notes."""
+    """A loop, solved exactly on every run, or once at compile time by
+    summary() when it is demon-free; see the module notes."""
 
     def __init__(self, gate, body):
         self.w, self.gate = _ints(gate)  # entries over the body's output, then the exits
@@ -381,6 +387,43 @@ class _CWhile:
             if grown.keys() == undef.keys():
                 return undef
             undef = grown
+
+    def summary(self, step: list, exits: list) -> list:
+        """Open entries over the exits, for a loop whose composed step
+        (open entries over its states, then its exits at n + i) has one
+        option per state, solved once with linear.absorb.
+
+        The undefined states, given the markers in `exits`, and the stuck
+        states, which become ABORT, are the ones run() sets aside.  The
+        rest get their exit sub-distribution, checked to satisfy the step
+        exactly.
+        """
+        n, undef, stuck = len(step), self._undefined(exits), self.stuck
+        live = [i for i in range(n) if i not in undef and i not in stuck]
+        rows = absorb({s: {a: w for a, w in zip(*_atoms(step[s])) if a not in stuck}
+                       for s in live})
+        # the fixpoint check: row s is its step applied to the rows, in ints
+        # over d times the step's w
+        d, solved = _common(rows)
+        w, entries = _ints(step)
+        for s in live:
+            want: dict = {}
+            for a, c in zip(*_atoms(entries[s], w)):
+                for k, x in ({a: d} if a >= n else solved.get(a, {})).items():
+                    want[k] = want.get(k, 0) + c * x
+            if ({k: x for k, x in want.items() if x}
+                    != {k: x * w for k, x in solved[s].items() if x}):
+                raise WpError(_FIXPOINT_BUG)
+        out = []
+        for i in range(n):
+            if i in undef:
+                out.append(undef[i])
+            elif i in stuck:
+                out.append(_ABORT)
+            else:
+                opt = _option(dict(sorted((k - n, c) for k, c in rows[i].items() if c)))
+                out.append(opt if opt.__class__ is int else (opt,))
+        return out
 
     def run(self, f):
         n, stuck, den = len(f), self.stuck, _den(f)
@@ -604,21 +647,20 @@ def _loop(prog: While, space: StateSpace, then=None):
         raise WpError("loop condition must be boolean or numeric")
     gate = _either(_eval_guarded(space, prog.guard, "bool" if kind == "bool" else "prob"))
     body = _compile(prog.body, space)
-    loop = None
+    loop = _CWhile(gate, body)
     if _flat(body):
         step = _compose(gate, _open(body, n) + list(range(n, 2 * n)))
-        if step is not None and all(e.__class__ is not tuple or len(e) == 1
-                                    for e in step):
-            exits = {}
-            if then is not None and _flat(then):
-                for e, entry in enumerate(_open(then, n)):
-                    m = _first_marker(entry, {})
-                    if m is not None:
-                        exits[n + e] = m
-            loop = _pack(_summarise(step, n, exits), n)
-    if loop is None:
-        loop = _CWhile(gate, body)
+        if _one_option(step):
+            flat_then = then is not None and _flat(then)
+            exits = then.run(_Vec([0] * n, 1)) if flat_then else [0] * n
+            loop = _pack(loop.summary(step, exits), n)
     return loop if then is None else _seq(loop, then, n)
+
+
+def _one_option(step) -> bool:
+    """Whether a composed step exists and has one option per state."""
+    return step is not None and all(e.__class__ is not tuple or len(e) == 1
+                                    for e in step)
 
 
 def _atoms(entry, one=ONE) -> tuple:
@@ -630,100 +672,10 @@ def _atoms(entry, one=ONE) -> tuple:
     return ((opt,), (one,)) if opt.__class__ is int else (opt[1], opt[0])
 
 
-def _summarise(step: list, n: int, exits: dict) -> list:
-    """Open entries over the exits of a loop whose step has one option per
-    state, solved once with linear.absorb.
-
-    Undefined states and their reasons are those of the least marker set
-    the step maps to itself, grown from none, as _CWhile finds them; the
-    exits at n + e in `exits` hold markers, the others none.  A
-    state that can reach no exit runs forever and becomes ABORT.  The rest
-    get their exit sub-distribution, checked to satisfy the step exactly.
-    """
-    undef: dict = {}
-    while True:
-        grown = {}
-        known = {**exits, **undef}
-        for i, e in enumerate(step):
-            m = _first_marker(e, known)
-            if m is not None:
-                grown[i] = m
-        if grown.keys() == undef.keys():
-            break
-        undef = grown
-    # the states that can reach an exit, by reachability over the step
-    preds: list = [[] for _ in range(n)]
-    live = set()
-    for i, e in enumerate(step):
-        if i not in undef:
-            for a in _atoms(e)[0]:
-                if a >= n:
-                    live.add(i)
-                else:
-                    preds[a].append(i)
-    todo = list(live)
-    while todo:
-        for i in preds[todo.pop()]:
-            if i not in live and i not in undef:
-                live.add(i)
-                todo.append(i)
-    rows = absorb({s: {a: w for a, w in zip(*_atoms(step[s])) if a >= n or a in live}
-                   for s in sorted(live)})
-    # the fixpoint check: row s is its step applied to the rows, in ints
-    # over d times the step's w
-    d, solved = _common(rows)
-    w, entries = _ints(step)
-    for s in live:
-        want: dict = {}
-        for a, c in zip(*_atoms(entries[s], w)):
-            for k, x in ({a: d} if a >= n else solved.get(a, {})).items():
-                want[k] = want.get(k, 0) + c * x
-        if ({k: x for k, x in want.items() if x}
-                != {k: x * w for k, x in solved[s].items() if x}):
-            raise WpError(_FIXPOINT_BUG)
-    out = []
-    for i in range(n):
-        if i in undef:
-            out.append(undef[i])
-        elif i in live:
-            opt = _option(dict(sorted((k - n, c) for k, c in rows[i].items() if c)))
-            out.append(opt if opt.__class__ is int else (opt,))
-        else:
-            out.append(_ABORT)
-    return out
-
-
-def _first_marker(entry, undef: dict):
-    """The marker an open entry meets first when the positions in undef
-    hold markers and the others values."""
-    if entry.__class__ is _Undef:
-        return entry
-    for opt in ((entry,) if entry.__class__ is int else entry):
-        for a in ((opt,) if opt.__class__ is not tuple else opt[1]):
-            if a.__class__ is _Undef:
-                return a
-            if a in undef:
-                return undef[a]
-    return None
-
-
-def _evaluate(space: StateSpace, expr) -> tuple:
-    """expr evaluated once per value of its free variables: per state the
-    index of that value, and per index the result or the EvalError."""
-    index, firsts = space.projection(sorted(space.var_pos(v) for v in free_vars(expr)))
-    results = []
-    for i in firsts:
-        try:
-            results.append(eval_expr(expr, space.state_at(i)))
-        except EvalError as exc:
-            results.append(exc)
-    return index, results
-
-
 def _eval_guarded(space: StateSpace, expr, want: str):
     """Per-state evaluation of a guard (want "bool") or a probability
     (want "prob"), with errors downgraded to _Undef markers."""
-    index, results = _evaluate(space, expr)
+    index, results = evaluate(space, expr)
     reasons = []
     for v in results:
         if isinstance(v, EvalError):
@@ -740,7 +692,7 @@ def _eval_guarded(space: StateSpace, expr, want: str):
 
 def _assign_targets(space: StateSpace, var: str, expr) -> list:
     pos = space.var_pos(var)
-    index, results = _evaluate(space, expr)
+    index, results = evaluate(space, expr)
     digits, offsets = space.projection([pos])  # offsets[k]: var at its k-th value
     moves, reasons = [], []
     for v in results:
@@ -850,7 +802,7 @@ def _chain(prog: Program) -> list:
 
 def _suchthat_options(space: StateSpace, prog: SuchThat):
     positions = [space.var_pos(v) for v in prog.vars]
-    index, verdicts = _evaluate(space, prog.pred)
+    index, verdicts = evaluate(space, prog.pred)
     # the candidates' offsets from a state with the variables at their
     # first values; states equal but for the variables share candidates
     offsets = [0]

@@ -5,8 +5,10 @@ import pytest
 import helpers
 from pgclkit import (
     ProbeFamily,
+    UndefinedStateError,
     VariantError,
     VariantSpec,
+    WpConfig,
     check_equal,
     check_refines,
     check_variant,
@@ -35,6 +37,22 @@ def test_default_probes_cover_states_and_guards():
     guard = tuple(F(int(st["c1"] == "H")) for st in s.states())
     assert guard in values
     assert len(fam) > s.size + 1
+
+
+def test_default_probes_skip_an_undefined_guard():
+    # the guard's bracket is undefined at x = 0, so it is no probe; the
+    # indicators still meet the undefined state, and under mask the check
+    # gives a verdict
+    s = space_of(("x", (0, 1, 2)))
+    left = helpers.prog("IF 1/x = 1 THEN x := 1 ELSE x := 0", s)
+    right = helpers.prog("IF x = 1 THEN x := 1 ELSE x := 0", s)
+    fam = ProbeFamily.default(s, (left, right))
+    with pytest.raises(UndefinedStateError,
+                       match=r"wp is undefined at \{x=0\}: division by zero at \{x=0\}"):
+        check_equal(left, right, fam, s)
+    v = check_equal(left, right, fam, s, WpConfig(undefined="mask"))
+    assert v.status == "fails"
+    assert v.counterexample.state == s.state(x=0)
 
 
 def test_over_vars_probes_ignore_scratch_variables():

@@ -109,6 +109,14 @@ def test_wp_undefined_state_raise_and_mask(tmp_path, capsys):
     assert "undefined at {x=1}" in captured.err
 
 
+def test_wp_post_undefined_names_the_state(tmp_path, capsys):
+    prog = write(tmp_path, "p.pgcl", "var x in {0, 1}\nSKIP\n")
+    rc = main(["wp", "--program", prog, "--post", "1/x"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: expectation 1 / x is undefined at {x=0}: division by zero")
+
+
 def test_wp_slow_coin_loop_is_exactly_1(tmp_path, capsys):
     # Kleene iteration needed about 21k sweeps here, with denominators past
     # the 4300-digit limit on int-to-string conversion
@@ -194,6 +202,19 @@ def test_check_equal_over_a_numeric_loop_guard(tmp_path, capsys):
     assert captured.out.strip() == "holds"
 
 
+def test_check_equal_with_an_undefined_guard_names_the_state(tmp_path, capsys):
+    # the default probes skip the bracket of 1/x = 1, which is undefined at
+    # x = 0, so the check reaches wp, as it does with --probe-vars x
+    header = "var x in {0, 1, 2}\n"
+    left = write(tmp_path, "l.pgcl", header + "IF 1/x = 1 THEN x := 1 ELSE x := 0\n")
+    right = write(tmp_path, "r.pgcl", header + "IF x = 1 THEN x := 1 ELSE x := 0\n")
+    want = "error: wp is undefined at {x=0}: division by zero at {x=0}"
+    for extra in ([], ["--probe-vars", "x"]):
+        rc = main(["check-equal", "--left", left, "--right", right] + extra)
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == want
+
+
 def test_check_refines_directions(tmp_path, capsys):
     spec = write(tmp_path, "spec.pgcl", "var x in {0, 1}\nx :in {0, 1}\n")
     impl = write(tmp_path, "impl.pgcl", "var x in {0, 1}\nx := 0\n")
@@ -220,6 +241,18 @@ def test_check_variant_fails_on_spin(tmp_path, capsys):
                "--bound", "1", "--epsilon", "1/2", "--json"])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["status"] == "fails"
+
+
+def test_check_variant_cut_undefined_names_the_state(tmp_path, capsys):
+    # the variant is natural on the guard states, but its cut bracket is
+    # undefined at the exit state x = 0
+    prog = write(tmp_path, "loop.pgcl",
+                 "var x in {0, 1}\nWHILE x > 0 DO x := x - 1 OD\n")
+    rc = main(["check-variant", "--program", prog, "--variant", "2/x",
+               "--bound", "2", "--epsilon", "1/2"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: expectation [2 / x < 2] is undefined at {x=0}: division by zero")
 
 
 def test_check_variant_rejects_non_loop(tmp_path, capsys):

@@ -21,8 +21,8 @@ from pgclkit import (
 )
 from pgclkit.errors import EvalError
 from pgclkit.expectations import Expectation
-from pgclkit.programs import loop_free
-from pgclkit.wp import _CPick, _CWhile, compile_program
+from pgclkit.programs import Seq, While, children, loop_free
+from pgclkit.wp import _CPick, _CWhile, _flat, _Undef, _Vec, compile_program
 
 F = Fraction
 
@@ -152,3 +152,91 @@ def test_random_programs_match_the_oracles():
                 pass
     # most random programs compose into one pick; the rest keep a demon
     assert summarised > RANDOM_PROGRAMS // 2
+
+
+# --- a summarised loop against the same loop run as a _CWhile ------------------
+
+
+def _loop_parts(prog) -> list:
+    """Each WHILE in prog, alone and followed by the rest of its sequence."""
+    parts = {}
+
+    def walk(p):
+        if isinstance(p, While):
+            parts[p] = None
+        elif isinstance(p, Seq):
+            chain = wp_module._chain(p)
+            for j in range(len(chain) - 1):
+                if isinstance(chain[j], While):
+                    rest = chain[-1]
+                    for part in reversed(chain[j + 1:-1]):
+                        rest = Seq(part, rest)
+                    parts[Seq(chain[j], rest)] = rest
+        for c in children(p):
+            walk(c)
+
+    walk(prog)
+    return list(parts.items())
+
+
+def _outputs(prog, space, posts) -> list:
+    """Per post, each state's value, or the reason of its marker."""
+    root = compile_program(prog, space)._root
+    outs = []
+    for post in posts:
+        vec = root.run(_Vec(post, 1))
+        outs.append([v.reason if v.__class__ is _Undef else F(v, vec.den) for v in vec])
+    return outs
+
+
+def _head_loop_agrees(prog, rest, space, posts, monkeypatch) -> bool:
+    """Whether prog, a loop followed by `rest` (or None), gives the same
+    values, undefined states and reasons with its loop summarised and with
+    that loop left a _CWhile; False when the loop is not summarised."""
+    loop = prog.first if rest is not None else prog
+    if not _flat(compile_program(loop.body, space)._root):
+        return False
+    if rest is not None and not _flat(compile_program(rest, space)._root):
+        # what follows stays unfused: the summary reads the markers it
+        # meets at the exits in the order of the exit states
+        return False
+    one_option, calls = wp_module._one_option, []
+
+    def recording(step):
+        calls.append(one_option(step))
+        return calls[-1]
+
+    monkeypatch.setattr(wp_module, "_one_option", recording)
+    summarised = _outputs(prog, space, posts)
+    # the loop's own test comes last, after its body's and rest's
+    if not calls[-1]:
+        return False
+    head = len(calls)
+
+    def all_but_head(step):
+        calls.append(None)
+        return len(calls) != head and one_option(step)
+
+    calls.clear()
+    monkeypatch.setattr(wp_module, "_one_option", all_but_head)
+    assert _outputs(prog, space, posts) == summarised
+    monkeypatch.setattr(wp_module, "_one_option", one_option)
+    return True
+
+
+def test_summarised_loops_agree_with_cwhile(monkeypatch):
+    rng = random.Random(13)
+    programs = list(helpers.loop_corpus())
+    gen, space = random.Random(20261018), helpers.random_space()
+    programs += [(helpers.prog(helpers.random_program(gen), space), space)
+                 for _ in range(RANDOM_PROGRAMS)]
+    compared = 0
+    for prog, space in programs:
+        posts = [[1] * space.size] + [[rng.randrange(0, 9) for _ in range(space.size)]
+                                      for _ in range(2)]
+        for part, rest in _loop_parts(prog):
+            try:
+                compared += _head_loop_agrees(part, rest, space, posts, monkeypatch)
+            except AssertionError as exc:
+                raise AssertionError(f"{part}: {exc}") from exc
+    assert compared > 100
