@@ -27,7 +27,7 @@ from .errors import (
     WpError,
 )
 from .expectations import Expectation, constant, from_expr, indicator
-from .exprs import Expr, eval_expr, free_vars, pretty_expr, substitute
+from .exprs import Expr, eval_expr, free_vars, pretty_expr
 from .machine import (
     Machine,
     MachineAnalysis,

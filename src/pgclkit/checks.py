@@ -215,6 +215,11 @@ def check_variant(loop: Program, spec: VariantSpec,
     iteration must make it strictly decrease with probability at least
     spec.epsilon.  The demonic minimum of that probability is computed as
     the pre-expectation of the bracket [variant < current value].
+
+    A variant above its bound at a guard state fails with a counterexample
+    whose probe, labelled with the variant, is the variant where it is a
+    non-negative number and 0 elsewhere, so a variant that is negative or
+    undefined outside the guard still gets that verdict.
     """
     if not isinstance(loop, While):
         raise VariantError("variant checking expects a loop")
@@ -241,12 +246,14 @@ def check_variant(loop: Program, spec: VariantSpec,
                 "is not a natural number"
             )
         if v > spec.upper_bound:
+            column = [x if isinstance(x, Fraction) and x >= 0 else ZERO
+                      for x in variants]
+            probe = Expectation.proven(space, tuple(map(column.__getitem__, variant_index)),
+                                       label=str(spec.variant))
             return Verdict(
                 "fails",
                 counterexample=Counterexample(
-                    from_expr(space, spec.variant), space.state_at(i), v,
-                    Fraction(spec.upper_bound),
-                ),
+                    probe, space.state_at(i), v, Fraction(spec.upper_bound)),
                 detail="variant exceeds its bound",
             )
         guard_states.append((i, v))

@@ -190,29 +190,6 @@ def eval_expr(e: Expr, state: State) -> Value:
     raise EvalError(f"unknown expression node {type(e).__name__}")
 
 
-def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Capture-free syntactic substitution e[name \\ replacement]."""
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    if isinstance(e, (Lit, TokenLit, BoolLit)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.operand, name, replacement))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Cmp):
-        return Cmp(e.op, substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Not):
-        return Not(substitute(e.operand, name, replacement))
-    if isinstance(e, And):
-        return And(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Or):
-        return Or(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Bracket):
-        return Bracket(substitute(e.operand, name, replacement))
-    raise EvalError(f"unknown expression node {type(e).__name__}")
-
-
 def free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, Var):
         return frozenset((e.name,))

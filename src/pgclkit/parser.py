@@ -132,9 +132,7 @@ def tokenize(source: str) -> list[Token]:
                 j += 1
                 while j < n and source[j].isdigit():
                     j += 1
-                tokens.append(Token("NUMBER", source[i:j], line, col))
-            else:
-                tokens.append(Token("NUMBER", source[i:j], line, col))
+            tokens.append(Token("NUMBER", source[i:j], line, col))
             col += j - i
             i = j
             continue

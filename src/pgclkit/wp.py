@@ -35,8 +35,9 @@ The other states are solved by one of two rules:
   summarised once at compile time: linear.absorb gives each live state
   its sub-distribution over the exits, checked against the step exactly;
 - a loop with a demonic choice is solved on every run by policy
-  iteration over memoryless demon choices.  A body run on _Lin values
-  gives the step at the current values and the policy that attains it;
+  iteration over memoryless demon choices.  Each round runs the body
+  once, on _Lin values: that gives the step at the current values, which
+  the descent and fixpoint checks read, and the policy that attains it.
   linear.absorb solves that policy's chain, and the loop ends when the
   step maps the solved values to themselves exactly.  Outside the stuck
   states every policy is absorbing, so that fixpoint is unique.
@@ -203,17 +204,21 @@ def _value(v):
 # each a sub-distribution over positions in the vector the node reads.
 # Primitive statements read the post, so a position is a successor state;
 # IF, <p>, |^| and guarded IF read their branches' outputs stacked, so
-# position j*n + i is branch j at state i.  Positions past the end of that
-# vector read the node's consts: markers met at a fixed place inside an
-# option.  Every state of every node stores one entry, so the common cases
-# stay bare:
+# position j*n + i is branch j at state i.  Every state of every node
+# stores one entry, so the common cases stay bare:
 #
 #   entry:  an _Undef marker, a position (the one option of going there),
 #           or a tuple of options;
-#   option: a position, or a pair (weights, positions) of tuples with
-#           positive weights.  They sum to 1, or to less where the rest of
-#           the mass is lost to ABORT or to a loop that runs forever;
-#           ((), ()) is ABORT, worth 0.
+#   option: a position, a marker, or a pair (weights, atoms) of tuples
+#           with positive Fraction weights, where an atom is a position,
+#           or last a marker met there.  The weights sum to 1, or to less
+#           where the rest of the mass is lost to ABORT or to a loop that
+#           runs forever; ((), ()) is ABORT, worth 0.  No option follows
+#           one that meets a marker.
+#
+# This one form is the per-state demonic set of distributions of McIver &
+# Morgan, with the markers in place: composition reads and writes it, and
+# a pick runs a form derived from it (see Running).
 #
 # The first marker met in evaluation order (options in order, positions in
 # order) wins, so `x :in {a, b}` and `x :dist [...]` report the post's
@@ -242,40 +247,50 @@ def _value(v):
 # does it meet the markers it reads in the order of its exit states
 # instead.
 #
-# While composing, entries are open: as above, but with markers in place
-# of positions (an option may be a bare marker), never after a marker in
-# an option, and never an option after one that meets a marker.  _pack
-# moves them to the consts.
-#
-# Running.  Entries hold Fraction weights for composition; a pick that
-# runs turns them, once, into ints over its W (_ints), and a bare
+# Running.  A pick derives its run form on its first run and keeps it
+# (_CPick.ints, built by _ints): every weight becomes an int over its W,
+# and every marker inside an option moves to a position past the end of
+# the vector the pick reads, where the pick's consts hold it.  A bare
 # position, worth weight 1, reads its value times W.  A vector (_Vec)
 # carries its common denominator; branch outputs are brought to the lcm
 # of theirs before a pick reads them stacked.  A _CWhile runs its body on
-# _Lin values through the same _pick, and its output is over the input's
-# denominator times the lcm of its solved rows' denominators.
+# _Lin values through the same _pick, once per policy-iteration round,
+# and its output is over the input's denominator times the lcm of its
+# solved rows' denominators.
 
 _ABORT = (((), ()),)
 
 
-def _ints(entries: list) -> tuple:
-    """(w, entries) with every weight an int over w, the lcm of the
-    weights' denominators; positions and markers stay as they are."""
+def _ints(entries: list, width: int) -> tuple:
+    """(w, entries, consts), the run form of entries over a vector of
+    `width` positions: every weight an int over w, the lcm of the weights'
+    denominators, and every marker inside an option moved to a position
+    past `width`, where consts holds it.  An entry that is a marker stays."""
     w = lcm(*{x.denominator for e in entries if e.__class__ is tuple
               for o in e if o.__class__ is tuple for x in o[0]})
     scaled: dict = {}  # id of a weight tuple -> its ints; tuples are shared
+    consts: list = []
+    slot: dict = {}  # marker -> its position
+
+    def position(a):
+        if a.__class__ is not _Undef:
+            return a
+        if a not in slot:
+            slot[a] = width + len(consts)
+            consts.append(a)
+        return slot[a]
 
     def option(o):
         if o.__class__ is not tuple:
-            return o
+            return position(o)
         ints = scaled.get(id(o[0]))
         if ints is None:
             ints = scaled[id(o[0])] = tuple(x.numerator * (w // x.denominator)
                                             for x in o[0])
-        return ints, o[1]
+        return ints, tuple(map(position, o[1])) if _meets(o) else o[1]
 
     return w, [e if e.__class__ is not tuple else tuple(map(option, e))
-               for e in entries]
+               for e in entries], consts
 
 
 def _pick(entries, w, vec) -> list:
@@ -302,22 +317,26 @@ def _least(options, vec, w):
 
 
 class _CPick:
-    def __init__(self, states, branches=(), consts=()):
+    """A per-state demonic choice of distributions: states holds an entry
+    per state, the form that composition reads and writes, and ints the
+    run form derived from it."""
+
+    def __init__(self, states, branches=()):
         self.states = states  # per state: an entry, as above
         self.branches = branches  # compiled branches; none: reads the post
-        self.consts = consts  # markers, read past the end of the vector
 
     @cached_property
     def ints(self) -> tuple:
-        """(w, entries) as run: weights as ints over w.  Built on the first
-        run, so the picks that composition replaces never build it."""
-        return _ints(self.states)
+        """(w, entries, consts): the states with int weights and marker
+        positions (_ints), built on the first run and kept, so the picks
+        that composition replaces never build it."""
+        return _ints(self.states, len(self.states) * (len(self.branches) or 1))
 
     def run(self, f):
         if self.branches:
             f = _stacked([branch.run(f) for branch in self.branches])
-        w, entries = self.ints
-        return _Vec(_pick(entries, w, f + self.consts if self.consts else f), f.den * w)
+        w, entries, consts = self.ints
+        return _Vec(_pick(entries, w, f + consts if consts else f), f.den * w)
 
 
 def _stacked(outs: list) -> _Vec:
@@ -351,7 +370,9 @@ class _CWhile:
     summary() when it is demon-free; see the module notes."""
 
     def __init__(self, gate, body):
-        self.w, self.gate = _ints(gate)  # entries over the body's output, then the exits
+        # over the body's output, then the exits; a gate meets a marker
+        # only as a whole entry, so it has no consts
+        self.w, self.gate, _ = _ints(gate, 2 * len(gate))
         self.body = body
         self.stuck = self._stuck_states(len(gate))
 
@@ -389,8 +410,8 @@ class _CWhile:
             undef = grown
 
     def summary(self, step: list, exits: list) -> list:
-        """Open entries over the exits, for a loop whose composed step
-        (open entries over its states, then its exits at n + i) has one
+        """Entries over the exits, for a loop whose composed step
+        (entries over its states, then its exits at n + i) has one
         option per state, solved once with linear.absorb.
 
         The undefined states, given the markers in `exits`, and the stuck
@@ -405,7 +426,7 @@ class _CWhile:
         # the fixpoint check: row s is its step applied to the rows, in ints
         # over d times the step's w
         d, solved = _common(rows)
-        w, entries = _ints(step)
+        w, entries, _ = _ints(step, 2 * n)  # a live state meets no marker
         for s in live:
             want: dict = {}
             for a, c in zip(*_atoms(entries[s], w)):
@@ -427,37 +448,35 @@ class _CWhile:
 
     def run(self, f):
         n, stuck, den = len(f), self.stuck, _den(f)
-        undef, rows = self._undefined(f), None
+        undef, rows, ceiling = self._undefined(f), None, None
         live = [i for i in range(n) if i not in undef and i not in stuck]
         fv = [x if x.__class__ is _Undef else _value(x) for x in f]
-        ceiling = None
+        d, v = 1, [0] * n  # the values of the current policy, over den * d
         while True:
-            # v: the values of the current policy, over den * d
-            d, v = 1, [0] * n
-            if rows is not None:
-                d, ints = _common(rows)
-                for s in live:
-                    v[s] = sum(c * fv[~k] for k, c in ints[s].items())
-                out = self._step([undef.get(i) or v[i] for i in range(n)],
-                                 [x * d for x in fv], den * d)
-                scale = out.den // (den * d)
-                # policy iteration descends: step(v) <= v, and each policy's
-                # values lie below the step that chose it; a fixpoint ends it
-                if any(out[s] > v[s] * scale or (ceiling is not None and
-                       v[s] * ceiling.den > ceiling[s] * den * d) for s in live):
-                    raise WpError(_FIXPOINT_BUG)
-                if all(out[s] == v[s] * scale for s in live):
-                    break
-                ceiling = out
-            # the same step on _Lin values: its forms are the improved policy
+            # the step at v, run on _Lin values: its values, and its forms,
+            # which are the improved policy
             x = [undef.get(i) or (0 if i in stuck else _Lin(v[i], {i: 1}))
                  for i in range(n)]
             exits = [x if x.__class__ is _Undef else _Lin(x * d, {~i: 1})
                      for i, x in enumerate(fv)]
             out = self._step(x, exits, den * d)
             scale = out.den // (den * d)
+            step = [_value(y) for y in out]
+            if rows is not None:
+                # policy iteration descends: step(v) <= v, and each policy's
+                # values lie below the step that chose it; a fixpoint ends it
+                if any(step[s] > v[s] * scale or (ceiling is not None and
+                       v[s] * ceiling.den > ceiling[s] * den * d) for s in live):
+                    raise WpError(_FIXPOINT_BUG)
+                if all(step[s] == v[s] * scale for s in live):
+                    break
+                ceiling = _Vec(step, out.den)
             rows = absorb({s: {k: Fraction(c, scale) for k, c in out[s].form.items()}
                            if isinstance(out[s], _Lin) else {} for s in live})
+            d, ints = _common(rows)
+            v = [0] * n
+            for s in live:
+                v[s] = sum(c * fv[~k] for k, c in ints[s].items())
         result: list = [0] * n
         for i, marker in undef.items():
             result[i] = marker
@@ -475,7 +494,7 @@ def _flat(node) -> bool:
 
 
 def _meets(opt) -> bool:
-    """Whether an open option meets a marker; only its last atom can."""
+    """Whether an option meets a marker; only its last atom can."""
     return (opt.__class__ is _Undef
             or (opt.__class__ is tuple and bool(opt[1])
                 and opt[1][-1].__class__ is _Undef))
@@ -515,7 +534,7 @@ def _mix(weights, atoms, inner, mixed: dict) -> bool:
 
 
 def _scaled(w, sub) -> list:
-    """The options of an open entry, each scaled by w."""
+    """The options of an entry, each scaled by w."""
     out = []
     for o in ((sub,) if sub.__class__ is not tuple else sub):
         if o.__class__ is int:
@@ -527,7 +546,7 @@ def _scaled(w, sub) -> list:
 
 
 def _entry(options: list):
-    """Normal form of an open entry: an option equal to an earlier one as a
+    """Normal form of an entry: an option equal to an earlier one as a
     distribution is dropped, and a marker met first is the entry."""
     if len(options) > 1:
         kept, seen = [], set()
@@ -548,9 +567,9 @@ def _entry(options: list):
 
 
 def _compose(outer: list, inner: list):
-    """Open entries whose positions read the open entries `inner`, as open
-    entries over what `inner` reads; None where an option would mix an
-    entry that has several options."""
+    """Entries whose positions read the entries `inner`, as entries over
+    what `inner` reads; None where an option would mix an entry that has
+    several options."""
     out = []
     for entry in outer:
         if entry.__class__ is int:
@@ -580,65 +599,26 @@ def _compose(outer: list, inner: list):
     return out
 
 
-def _open(node: _CPick, n: int) -> list:
-    """A flat pick's entries in open form."""
-    if not node.consts:
-        return node.states
-    consts = node.consts
-
-    def atom(p):
-        return p if p < n else consts[p - n]
-
-    return [e if e.__class__ is _Undef
-            else atom(e) if e.__class__ is int
-            else tuple(atom(o) if o.__class__ is int
-                       else (o[0], tuple(map(atom, o[1]))) for o in e)
-            for e in node.states]
-
-
-def _pack(entries: list, width: int) -> _CPick:
-    """A _CPick from open entries over a vector of `width` positions."""
-    consts: list = []
-    slot: dict = {}
-
-    def position(a):
-        if a.__class__ is not _Undef:
-            return a
-        if a not in slot:
-            slot[a] = width + len(consts)
-            consts.append(a)
-        return slot[a]
-
-    states = []
-    for e in entries:
-        if e.__class__ is tuple and any(_meets(o) for o in e):
-            e = tuple(position(o) if o.__class__ is _Undef
-                      else (o[0], tuple(map(position, o[1]))) if o.__class__ is tuple
-                      else o for o in e)
-        states.append(e)
-    return _CPick(states, consts=consts)
-
-
-def _seq(first, second, n: int):
+def _seq(first, second):
     if _flat(first) and _flat(second):
-        entries = _compose(_open(first, n), _open(second, n))
+        entries = _compose(first.states, second.states)
         if entries is not None:
-            return _pack(entries, n)
+            return _CPick(entries)
     return _CSeq(first, second)
 
 
-def _choice(entries: list, branches: list, n: int) -> _CPick:
+def _choice(entries: list, branches: list) -> _CPick:
     """A pick over its branches' stacked outputs, composed when it can be."""
     if all(_flat(b) for b in branches):
-        composed = _compose(entries, [e for b in branches for e in _open(b, n)])
+        composed = _compose(entries, [e for b in branches for e in b.states])
         if composed is not None:
-            return _pack(composed, n)
+            return _CPick(composed)
     return _CPick(entries, branches)
 
 
 def _loop(prog: While, space: StateSpace, then=None):
     """A WHILE, followed by the compiled `then` if given.  The loop is
-    summarised when its composed step (open entries over the loop's states,
+    summarised when its composed step (entries over the loop's states,
     then its exits at n + i) has one option per state; the markers a flat
     `then` meets at the exits count then, as they would when run."""
     n = space.size
@@ -649,12 +629,12 @@ def _loop(prog: While, space: StateSpace, then=None):
     body = _compile(prog.body, space)
     loop = _CWhile(gate, body)
     if _flat(body):
-        step = _compose(gate, _open(body, n) + list(range(n, 2 * n)))
+        step = _compose(gate, body.states + list(range(n, 2 * n)))
         if _one_option(step):
             flat_then = then is not None and _flat(then)
             exits = then.run(_Vec([0] * n, 1)) if flat_then else [0] * n
-            loop = _pack(loop.summary(step, exits), n)
-    return loop if then is None else _seq(loop, then, n)
+            loop = _CPick(loop.summary(step, exits))
+    return loop if then is None else _seq(loop, then)
 
 
 def _one_option(step) -> bool:
@@ -738,7 +718,7 @@ def _compile(prog: Program, space: StateSpace):
         while parts:
             part = parts.pop()
             node = (_loop(part, space, node) if isinstance(part, While)
-                    else _seq(_compile(part, space), node, n))
+                    else _seq(_compile(part, space), node))
         return node
     if isinstance(prog, While):
         return _loop(prog, space)
@@ -757,7 +737,7 @@ def _compile(prog: Program, space: StateSpace):
         return _CPick(_suchthat_options(space, prog))
     if isinstance(prog, ChooseFromSet):
         columns = [_assign_targets(space, prog.var, e) for e in prog.choices]
-        return _pack([_entry(list(row)) for row in zip(*columns)], n)
+        return _CPick([_entry(list(row)) for row in zip(*columns)])
     if isinstance(prog, ChooseFromDist):
         weights, exprs = zip(*[(p, e) for e, p in prog.dist.items if p > 0])
         columns = [_assign_targets(space, prog.var, e) for e in exprs]
@@ -766,7 +746,7 @@ def _compile(prog: Program, space: StateSpace):
             mixed: dict = {}
             _mix(weights, sides, row, mixed)
             entries.append(_entry([_option(mixed)]))
-        return _pack(entries, n)
+        return _CPick(entries)
     # the rest read their branches' outputs, stacked
     if isinstance(prog, ProbAssign):
         prog = ProbChoice(Assign(prog.var, prog.left), prog.prob,
@@ -790,7 +770,7 @@ def _compile(prog: Program, space: StateSpace):
             entries.append(undef if undef is not None else enabled or _ABORT)
     else:
         raise WpError(f"unknown program node {type(prog).__name__}")
-    return _choice(entries, branches, n)
+    return _choice(entries, branches)
 
 
 def _chain(prog: Program) -> list:

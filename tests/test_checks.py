@@ -207,6 +207,20 @@ def test_variant_must_be_natural_and_bounded():
     assert check_variant(loop, variant(s, "x", 3, "1/2"), s).holds
 
 
+def test_variant_above_its_bound_is_a_verdict_where_it_is_undefined():
+    s = space_of(("x", (0, 1, 2)))
+    loop = helpers.prog("WHILE x > 0 DO x := x - 1 OD", s)
+    for text, at, lhs, values in (("2*x - 1", 2, 3, (0, 1, 3)),
+                                  ("2/x", 1, 2, (0, 2, 1))):
+        v = check_variant(loop, variant(s, text, 1, "1/2"), s)
+        assert v.status == "fails" and v.detail == "variant exceeds its bound"
+        cx = v.counterexample
+        assert (cx.state, cx.lhs, cx.rhs) == (s.state(x=at), lhs, 1)
+        # the variant where it is a non-negative number, 0 elsewhere
+        assert cx.probe.values == tuple(map(F, values))
+        assert str(cx.probe) == str(parse_expression(text, s))
+
+
 def test_variant_requires_boolean_loop():
     s = space_of(("c", ("H", "T")), ("p", (0, F(1, 2), 1)))
     with pytest.raises(VariantError):

@@ -255,6 +255,20 @@ def test_check_variant_cut_undefined_names_the_state(tmp_path, capsys):
         "error: expectation [2 / x < 2] is undefined at {x=0}: division by zero")
 
 
+def test_check_variant_above_its_bound_fails_where_it_is_undefined(tmp_path, capsys):
+    # each variant exceeds the bound 1 at a guard state, and is negative or
+    # undefined at the exit state x = 0, where the probe reads 0
+    prog = write(tmp_path, "loop.pgcl",
+                 "var x in {0, 1, 2}\nWHILE x > 0 DO x := x - 1 OD\n")
+    for text, want in (("2*x - 1", "probe 2 * x - 1: at {x=2} lhs = 3, rhs = 1"),
+                       ("2/x", "probe 2 / x: at {x=1} lhs = 2, rhs = 1")):
+        rc = main(["check-variant", "--program", prog, "--variant", text,
+                   "--bound", "1", "--epsilon", "1/2"])
+        assert rc == 1
+        out = capsys.readouterr().out.strip()
+        assert out == f"fails (variant exceeds its bound) [{want}]"
+
+
 def test_check_variant_rejects_non_loop(tmp_path, capsys):
     prog = write(tmp_path, "skip.pgcl", "var c in {H, T}\nSKIP\n")
     rc = main(["check-variant", "--program", prog, "--variant", "1",

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgclkit import EvalError, eval_expr, free_vars, parse_expression, pretty_expr, space_of
-from pgclkit.exprs import Bracket, Lit, Var, substitute
+from pgclkit.exprs import Bracket, Lit, Var
 
 F = Fraction
 
@@ -77,27 +77,6 @@ def test_free_vars():
     s = s2()
     e = parse_expression("[x = 3] + y * y", s)
     assert free_vars(e) == frozenset({"x", "y"})
-
-
-def test_substitute_is_capture_free_textually():
-    s = s2()
-    e = parse_expression("x + y", s)
-    e2 = substitute(e, "x", parse_expression("y * 2", s))
-    assert eval_expr(e2, s.state(x=0, y=1)) == F(3)
-
-
-@given(st.integers(0, 3), st.integers(0, 1))
-def test_substitution_lemma_exhaustive(xv, yv):
-    # eval(E[x\e], s) == eval(E, s[x := eval(e, s)]) on every state
-    s = s2()
-    exprs = ["x + y", "x * x - y", "[x = 2] + y", "(x + 1) / 2"]
-    repl = parse_expression("3 - x", s)
-    st0 = s.state(x=xv, y=yv)
-    for text in exprs:
-        e = parse_expression(text, s)
-        lhs = eval_expr(substitute(e, "x", repl), st0)
-        rhs = eval_expr(e, st0.assign("x", eval_expr(repl, st0)))
-        assert lhs == rhs
 
 
 def test_pretty_round_trip_preserves_tree():

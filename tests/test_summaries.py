@@ -11,6 +11,7 @@ import pytest
 import helpers
 from pgclkit import (
     ResolutionLimitError,
+    UndefinedStateError,
     WpConfig,
     WpError,
     constant,
@@ -58,6 +59,61 @@ def test_demonic_loop_stays_a_while():
     node = root("WHILE 0 < i & i < 12 DO (i := i + 1 <1/2> i := i - 1) "
                 "|^| (i := i + 1 <1/3> i := i - 1) OD", space)
     assert isinstance(node, _CWhile)
+
+
+def test_a_flat_pick_holds_its_markers_inline():
+    space = space_of(("x", (0, 1)))
+    compiled = compile_program(helpers.prog("x :in {0, 5}; x := 1/x", space), space)
+    node = compiled._root
+    assert isinstance(node, _CPick) and not node.branches
+    assert not hasattr(node, "consts")
+    assert all(isinstance(e, _Undef) for e in node.states)
+    assert node.states[0].reason == "division by zero at {x=0}"
+    with pytest.raises(UndefinedStateError, match=r"^wp is undefined at \{x=0\}: "
+                                                  r"division by zero at \{x=0\}$"):
+        compiled.wp(Expectation(space, (F(1), F(2))))  # x + 1
+    # a marker inside an option stays there; the run form, built on the
+    # first run, moves it past the end of the post, to the consts
+    node = root("x :in {1, 0}; x := 1/x", space)
+    marker = node.states[0][1]
+    assert isinstance(marker, _Undef) and node.states == [(1, marker)] * 2
+    assert node.ints == (1, [(1, 2)] * 2, [marker])
+
+
+def test_policy_iteration_runs_the_body_once_per_round(monkeypatch):
+    # the demonic ruin loop of the benchmark: one body run per policy solved
+    # plus one for the check that ends the iteration, besides the runs that
+    # find the undefined states
+    space = space_of(("i", tuple(range(13))))
+    compiled = compile_program(helpers.prog(
+        "WHILE 0 < i & i < 12 DO (i := i + 1 <1/2> i := i - 1) "
+        "|^| (i := i + 1 <1/3> i := i - 1) OD", space), space)
+    loop = compiled._root
+    assert isinstance(loop, _CWhile)
+    runs, solves, finding = [], [], []
+    body_run, undefined, solve = loop.body.run, loop._undefined, wp_module.absorb
+
+    def run(f):
+        runs.append(bool(finding))
+        return body_run(f)
+
+    def find(f):
+        finding.append(True)
+        try:
+            return undefined(f)
+        finally:
+            finding.pop()
+
+    def absorb(rows):
+        solves.append(rows)
+        return solve(rows)
+
+    monkeypatch.setattr(loop.body, "run", run)
+    monkeypatch.setattr(loop, "_undefined", find)
+    monkeypatch.setattr(wp_module, "absorb", absorb)
+    pre = compiled.wp(helpers.bracket_post(space, "i = 12")).pre
+    assert pre.values[12] == 1 and len(solves) > 1 and True in runs
+    assert runs.count(False) == len(solves) + 1
 
 
 def test_summarised_loop_solves_once_at_compile_time(monkeypatch):

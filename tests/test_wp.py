@@ -399,12 +399,12 @@ def test_demonic_ruin_on_coprime_posts_matches_every_policy_exactly():
 def test_a_bad_weight_fails_the_feasibility_check(monkeypatch):
     ints = wp_module._ints
 
-    def heavier(entries):
+    def heavier(entries, width):
         # the first option of the first state weighs 2/w more
-        w, out = ints(entries)
+        w, out, consts = ints(entries, width)
         (weights, positions), = out[0]
         out[0] = ((weights[0] + 2,) + weights[1:], positions),
-        return w, out
+        return w, out, consts
 
     monkeypatch.setattr(wp_module, "_ints", heavier)
     space = space_of(("x", (0, 1)))
