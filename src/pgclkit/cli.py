@@ -4,6 +4,10 @@ Exit codes: 0 success or verdict holds, 1 failure (counterexample on
 stdout), 2 usage or parse error.  Every loop is solved exactly, so there
 is no inconclusive outcome.  Diagnostics go to stderr, results to stdout.
 Every subcommand takes --json; rationals are rendered as "num/den" strings.
+
+A program file opens with its `var` declarations, but a --right or --impl
+file may leave them out and is then read over the other file's space; if
+it has them, they must declare that same space.
 """
 
 from __future__ import annotations
@@ -66,23 +70,11 @@ def _parse_params(pairs) -> dict[str, Fraction]:
 
 
 def _load_program(path: str, params, space: Optional[StateSpace] = None):
-    """Parse a program file; it must carry its own `var` declarations
-    unless a space from a sibling file is supplied."""
+    """Parse a program file; it may leave out its `var` declarations when
+    a space from a sibling file is supplied, and must match it if not."""
     text = _read_text(path)
-    has_header = any(
-        line.lstrip().startswith("var ")
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    )
-    if has_header:
-        got_space, prog = parse_source(text, params)
-        if space is not None and got_space != space:
-            raise PgclSyntaxError(
-                f"{path} declares different variables than its sibling", 1, 1
-            )
-        return got_space, prog
     if space is None:
-        raise PgclSyntaxError(f"{path} has no `var` declarations", 1, 1)
+        return parse_source(text, params)
     return space, parse_program(text, space, params)
 
 

@@ -1,13 +1,20 @@
 """Tokeniser and recursive-descent parser for program text.
 
-Source files may open with domain declarations, one per line:
+Program text may open with a header of domain declarations:
 
     var c1 in {H, T}
     var p in {0, 1/8, 1/4, 3/8, 1/2, 5/8, 3/4, 7/8, 1}
 
-followed by the program itself.  Newlines and semicolons both sequence
-statements.  Rational literals may be written a/b or as exact decimals
-(0.25 means 1/4, converted without rounding).  `#` starts a comment.
+followed by the program itself.  A domain value is a token, or an integer
+or decimal with an optional `/den` and an optional leading `-`; spaces
+and tabs may separate any two parts, and newlines too inside the braces.
+parse_source requires the header and builds the state space from it;
+parse_program reads against a given space and accepts a header only if
+it declares exactly that space.
+
+Newlines and semicolons both sequence statements.  Rational literals may
+be written a/b or as exact decimals (0.25 means 1/4, converted without
+rounding).  `#` starts a comment.
 
 Named parameters can be substituted at parse time: occurrences of the
 parameter name become rational literals before any semantic analysis.
@@ -63,8 +70,16 @@ KEYWORDS = {
     "var", "in", "true", "false",
 }
 
-_TWO_CHAR = (":=", "[]", "->", "<=", ">=", "!=", "|^|")
-_ONE_CHAR = ";,(){}[]<>=!&|+-*/:"
+# longest first, so `:=` is not read as `:` then `=`; `:in` also needs no
+# letter or digit after it, or `:index` would read as `:in` then `dex`
+_OPERATORS = (
+    ":suchthat", ":dist", ":in", "|^|", ":=", "[]", "->", "<=", ">=", "!=",
+    *";,(){}[]<>=!&|+-*/:",
+)
+# the operators a character can start, so a scan reads only those; each
+# group ends with the character itself, so the scan always finds one
+_OPERATORS_AT = {op[0]: tuple(o for o in _OPERATORS if o[0] == op[0])
+                 for op in _OPERATORS}
 
 
 class Token:
@@ -103,27 +118,6 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if source.startswith(":suchthat", i):
-            tokens.append(Token(":suchthat", ":suchthat", line, col))
-            i += 9
-            col += 9
-            continue
-        if source.startswith(":dist", i):
-            tokens.append(Token(":dist", ":dist", line, col))
-            i += 5
-            col += 5
-            continue
-        if source.startswith(":in", i) and not source[i + 3 : i + 4].isalnum():
-            tokens.append(Token(":in", ":in", line, col))
-            i += 3
-            col += 3
-            continue
-        two = source[i : i + 3] if source.startswith("|^|", i) else source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(two, two, line, col))
-            i += len(two)
-            col += len(two)
-            continue
         if ch.isdigit():
             j = i
             while j < n and source[j].isdigit():
@@ -146,14 +140,19 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch in _ONE_CHAR:
-            if ch in "([{":
+        if ch in _OPERATORS_AT:
+            for op in _OPERATORS_AT[ch]:
+                if source.startswith(op, i) and not (
+                    op == ":in" and source[i + 3 : i + 4].isalnum()
+                ):
+                    break
+            if op in ("(", "[", "{"):
                 depth += 1
-            elif ch in ")]}":
+            elif op in (")", "]", "}"):
                 depth = max(0, depth - 1)
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
+            tokens.append(Token(op, op, line, col))
+            i += len(op)
+            col += len(op)
             continue
         raise PgclSyntaxError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("EOF", "", line, col))
@@ -164,18 +163,17 @@ _STMT_START = {"SKIP", "ABORT", "IF", "WHILE", "IDENT", "{", "("}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], space: StateSpace,
+    def __init__(self, tokens: list[Token], space: Optional[StateSpace],
                  params: Optional[dict[str, Fraction]] = None):
         self.tokens = tokens
         self.pos = 0
-        self.space = space
+        self.space = space  # None until parse_file reads it from the header
         self.params = dict(params or {})
-        self.tokens_known = space.tokens()
 
     # --- token plumbing ---------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # next() never moves past the EOF
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -205,20 +203,65 @@ class _Parser:
         while self.peek().kind in (";", "NEWLINE"):
             self.next()
 
+    # --- declarations and files ---------------------------------------------
+
+    def parse_file(self) -> tuple[StateSpace, Program]:
+        """A `var` header, then the program up to the end of input.  With
+        no space yet the header declares it; with one, the header may be
+        left out, and if present must declare exactly that space."""
+        start = self.peek()
+        domains = self.parse_declarations()
+        if self.space is None:
+            if not domains:
+                raise self.fail("expected `var` declarations")
+            self.space = StateSpace(domains)
+        elif domains and StateSpace(domains) != self.space:
+            raise PgclSyntaxError(
+                "the `var` header declares a different state space than the "
+                "one given", start.line, start.col,
+            )
+        prog = self.parse_seq()
+        self.expect("EOF", "end of input")
+        return self.space, prog
+
+    def parse_declarations(self) -> list[VarDomain]:
+        """`var NAME in {v, ...}` lines, as many as there are (maybe none)."""
+        domains = []
+        while self.accept("var"):
+            name = self.expect("IDENT", "a variable name after 'var'").text
+            self.expect("in")
+            self.expect("{")
+            values = [self.parse_domain_value()]
+            while self.accept(","):
+                values.append(self.parse_domain_value())
+            self.expect("}", "',' or '}'")
+            domains.append(VarDomain(name, tuple(values)))
+            self.accept("NEWLINE")
+        return domains
+
+    def parse_domain_value(self):
+        """A token, or a number with an optional `/den` and leading `-`."""
+        negate = self.accept("-")
+        tok = self.next()
+        if tok.kind == "IDENT" and not negate:
+            return tok.text
+        if tok.kind != "NUMBER":
+            raise PgclSyntaxError(f"bad domain value {tok.text!r}", tok.line, tok.col)
+        value = Fraction(tok.text)
+        if self.accept("/"):
+            den = self.expect("NUMBER", "a denominator")
+            if Fraction(den.text) == 0:
+                raise PgclSyntaxError("zero denominator", den.line, den.col)
+            value /= Fraction(den.text)
+        return -value if negate else value
+
     # --- programs -----------------------------------------------------
 
-    def parse_program(self) -> Program:
-        self.skip_separators()
-        prog = self.parse_seq()
-        self.skip_separators()
-        return prog
-
     def parse_seq(self) -> Program:
+        """Statements and the separators around them, leading and trailing."""
         self.skip_separators()
         prog = self.parse_choice()
-        while True:
-            if self.peek().kind not in (";", "NEWLINE"):
-                break
+        while self.peek().kind in (";", "NEWLINE"):
             self.skip_separators()
             if self.peek().kind not in _STMT_START:
                 break
@@ -230,8 +273,7 @@ class _Parser:
         while True:
             if self.accept("|^|"):
                 prog = DemonChoice(prog, self.parse_unit())
-            elif self.peek().kind == "<":
-                self.next()
+            elif self.accept("<"):
                 prob = self.parse_arith()
                 self.expect(">", "'>' closing the probability")
                 prog = ProbChoice(prog, prob, self.parse_unit())
@@ -437,11 +479,11 @@ class _Parser:
         e = self.parse_factor()
         while self.peek().kind in ("*", "/"):
             op = self.next().kind
+            at = self.peek()
             right = self.parse_factor()
             if op == "/" and isinstance(e, Lit) and isinstance(right, Lit):
                 if right.value == 0:
-                    tok = self.peek()
-                    raise PgclSyntaxError("division by zero in literal", tok.line, tok.col)
+                    raise PgclSyntaxError("division by zero in literal", at.line, at.col)
                 e = Lit(e.value / right.value)  # fold so 1/2 is one literal
             else:
                 e = BinOp(op, e, right)
@@ -483,7 +525,7 @@ class _Parser:
                 return Lit(self.params[name])
             if self.space.has_var(name):
                 return Var(name)
-            if name in self.tokens_known:
+            if name in self.space.tokens():
                 return TokenLit(name)
             raise PgclSyntaxError(f"undeclared variable {name}", tok.line, tok.col)
         raise self.fail(f"expected an expression, found {tok.text!r}")
@@ -502,11 +544,9 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_program(text: str, space: StateSpace,
                   params: Optional[dict[str, Fraction]] = None) -> Program:
-    """Parse program text against a previously built state space."""
-    parser = _Parser(tokenize(text), space, params)
-    prog = parser.parse_program()
-    parser.expect("EOF", "end of input")
-    return prog
+    """Parse program text against a previously built state space.  The
+    text may open with a `var` header only if it declares that space."""
+    return _Parser(tokenize(text), space, params).parse_file()[1]
 
 
 def parse_expression(text: str, space: StateSpace,
@@ -525,70 +565,4 @@ def parse_source(text: str,
                  params: Optional[dict[str, Fraction]] = None
                  ) -> tuple[StateSpace, Program]:
     """Parse a full source file: `var` declarations, then the program."""
-    tokens = tokenize(text)
-    pos = 0
-    domains: list[VarDomain] = []
-
-    def bump():
-        nonlocal pos
-        tok = tokens[pos]
-        if tok.kind != "EOF":
-            pos += 1
-        return tok
-
-    while True:
-        while tokens[pos].kind == "NEWLINE":
-            pos += 1
-        if tokens[pos].kind != "var":
-            break
-        bump()
-        name_tok = tokens[pos]
-        if name_tok.kind != "IDENT":
-            raise PgclSyntaxError("expected a variable name after 'var'",
-                                  name_tok.line, name_tok.col)
-        bump()
-        in_tok = bump()
-        if in_tok.kind != "in":
-            raise PgclSyntaxError("expected 'in'", in_tok.line, in_tok.col)
-        brace = bump()
-        if brace.kind != "{":
-            raise PgclSyntaxError("expected '{'", brace.line, brace.col)
-        values = []
-        while True:
-            tok = bump()
-            negate = False
-            if tok.kind == "-":
-                negate = True
-                tok = bump()
-            if tok.kind == "NUMBER":
-                value = Fraction(tok.text)
-                if tokens[pos].kind == "/":
-                    bump()
-                    den_tok = bump()
-                    if den_tok.kind != "NUMBER":
-                        raise PgclSyntaxError("expected a denominator",
-                                              den_tok.line, den_tok.col)
-                    den = Fraction(den_tok.text)
-                    if den == 0:
-                        raise PgclSyntaxError("zero denominator", den_tok.line, den_tok.col)
-                    value = value / den
-                values.append(-value if negate else value)
-            elif tok.kind == "IDENT" and not negate:
-                values.append(tok.text)
-            else:
-                raise PgclSyntaxError(f"bad domain value {tok.text!r}",
-                                      tok.line, tok.col)
-            sep = bump()
-            if sep.kind == ",":
-                continue
-            if sep.kind == "}":
-                break
-            raise PgclSyntaxError("expected ',' or '}'", sep.line, sep.col)
-        domains.append(VarDomain(name_tok.text, tuple(values)))
-
-    space = StateSpace(domains)
-    parser = _Parser(tokens, space, params)
-    parser.pos = pos
-    prog = parser.parse_program()
-    parser.expect("EOF", "end of input")
-    return space, prog
+    return _Parser(tokenize(text), None, params).parse_file()

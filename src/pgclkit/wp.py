@@ -242,10 +242,11 @@ def _value(v):
 # (_CWhile.summary), and a loop with a demonic choice left is solved by
 # policy iteration on every run.  A sequence is compiled from its last
 # statement back, so a summarised loop finds its undefined states, and
-# their reasons, with the markers that a flat `then` after it meets at its
-# exits (one run of `then` on 0); only where what follows stays unfused
-# does it meet the markers it reads in the order of its exit states
-# instead.
+# their reasons, with the markers that the `then` after it meets at its
+# exits (one run of `then` on 0), whether that `then` is flat or not.  A
+# loop compiled with no `then`, as in a branch of a choice that more
+# statements follow, still has what follows read its markers in the order
+# of its exit states, where a _CWhile meets them in evaluation order.
 #
 # Running.  A pick derives its run form on its first run and keeps it
 # (_CPick.ints, built by _ints): every weight becomes an int over its W,
@@ -619,7 +620,7 @@ def _choice(entries: list, branches: list) -> _CPick:
 def _loop(prog: While, space: StateSpace, then=None):
     """A WHILE, followed by the compiled `then` if given.  The loop is
     summarised when its composed step (entries over the loop's states,
-    then its exits at n + i) has one option per state; the markers a flat
+    then its exits at n + i) has one option per state; the markers that
     `then` meets at the exits count then, as they would when run."""
     n = space.size
     kind = static_kind(prog.guard, space)
@@ -631,8 +632,7 @@ def _loop(prog: While, space: StateSpace, then=None):
     if _flat(body):
         step = _compose(gate, body.states + list(range(n, 2 * n)))
         if _one_option(step):
-            flat_then = then is not None and _flat(then)
-            exits = then.run(_Vec([0] * n, 1)) if flat_then else [0] * n
+            exits = then.run(_Vec([0] * n, 1)) if then is not None else [0] * n
             loop = _CPick(loop.summary(step, exits))
     return loop if then is None else _seq(loop, then)
 

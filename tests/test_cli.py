@@ -98,6 +98,36 @@ def test_wp_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_wp_reads_a_header_separated_by_a_tab(tmp_path, capsys):
+    prog = write(tmp_path, "tab.pgcl", "var\tx in {0, 1}\nx := 1\n")
+    rc = main(["wp", "--program", prog, "--post", "[x = 1]"])
+    assert rc == 0
+    assert capsys.readouterr().out == "{x=0}  1/1\n{x=1}  1/1\n"
+
+
+def test_wp_without_declarations_exits_2(tmp_path, capsys):
+    prog = write(tmp_path, "bare.pgcl", "# no header\nx := 1\n")
+    rc = main(["wp", "--program", prog])
+    assert rc == 2
+    assert "expected `var` declarations" in capsys.readouterr().err
+
+
+def test_check_equal_right_file_reuses_the_left_space(tmp_path, capsys):
+    left = write(tmp_path, "a.pgcl", "var x in {0, 1, 2}\nx :in {1, 2}\n")
+    right = write(tmp_path, "b.pgcl", "x := 2 |^| x := 1\n")
+    rc = main(["check-equal", "--left", left, "--right", right])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("holds")
+
+
+def test_check_equal_sibling_with_other_declarations_exits_2(tmp_path, capsys):
+    left = write(tmp_path, "a.pgcl", "var x in {0, 1}\nx := 1\n")
+    right = write(tmp_path, "b.pgcl", "var x in {0, 1, 2}\nx := 1\n")
+    rc = main(["check-equal", "--left", left, "--right", right])
+    assert rc == 2
+    assert "different state space" in capsys.readouterr().err
+
+
 def test_wp_undefined_state_raise_and_mask(tmp_path, capsys):
     prog = write(tmp_path, "inc.pgcl", "var x in {0, 1}\nx := x + 1\n")
     rc = main(["wp", "--program", prog])

@@ -181,6 +181,47 @@ def test_parse_source_reads_var_headers():
     assert isinstance(prog, ProbAssign)
 
 
+@pytest.mark.parametrize("header, at", [
+    ("var x in {0, 1/0}", (1, 16)),
+    ("var x in {0, -H}", (1, 15)),
+    ("var x {0}", (1, 7)),
+    ("var x in {0,}", (1, 13)),
+    ("var in {0}", (1, 5)),
+])
+def test_malformed_header_errors_with_position(header, at):
+    with pytest.raises(PgclSyntaxError) as ei:
+        parse_source(header + "\nSKIP\n")
+    assert (ei.value.line, ei.value.column) == at
+
+
+def test_header_reads_through_any_whitespace():
+    space, prog = parse_source("var\tx  in\t{ - 1 / 2 ,0.5,\n H }\r\nSKIP")
+    assert space.domain("x").values == (F(-1, 2), F(1, 2), "H")
+    assert prog == Skip()
+
+
+def test_parse_source_requires_a_header():
+    with pytest.raises(PgclSyntaxError) as ei:
+        parse_source("# no header\nx := 1\n")
+    assert (ei.value.line, ei.value.column) == (2, 1)
+
+
+def test_parse_program_accepts_only_the_header_of_its_space():
+    s = space_of(("x", (0, 1)))
+    assert parse_program("var x in {0, 1}\nx := 1", s) == parse_program("x := 1", s)
+    with pytest.raises(PgclSyntaxError) as ei:
+        parse_program("\nvar x in {0, 2}\nx := 0", s)
+    assert (ei.value.line, ei.value.column) == (2, 1)
+
+
+def test_literal_division_by_zero_points_at_the_divisor():
+    s = space_of(("x", (0, 1)))
+    for text, col in (("x := 1/0", 8), ("x := 1/0 + 1", 8), ("x := 1 / (0)", 10)):
+        with pytest.raises(PgclSyntaxError, match="division by zero") as ei:
+            parse_program(text, s)
+        assert (ei.value.line, ei.value.column) == (1, col)
+
+
 def test_params_substitute_as_literals():
     s = space_of(("x", (0, 1)))
     p = parse_program("x :in 1 <p> 0", s, {"p": F(3, 8)})
