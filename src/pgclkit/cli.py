@@ -71,11 +71,18 @@ def _parse_params(pairs) -> dict[str, Fraction]:
 
 def _load_program(path: str, params, space: Optional[StateSpace] = None):
     """Parse a program file; it may leave out its `var` declarations when
-    a space from a sibling file is supplied, and must match it if not."""
+    a space from a sibling file is supplied, and must match it if not.
+    An error in the file names it, and keeps its class (so its exit code)."""
     text = _read_text(path)
-    if space is None:
-        return parse_source(text, params)
-    return space, parse_program(text, space, params)
+    try:
+        if space is None:
+            return parse_source(text, params)
+        return space, parse_program(text, space, params)
+    except PgclError as exc:
+        name = "<stdin>" if path == "-" else path
+        sep = ":" if isinstance(exc, PgclSyntaxError) else ": "  # path:line:col
+        exc.args = (f"{name}{sep}{exc}",)
+        raise
 
 
 def _load_dist(value: str) -> tuple[Optional[int], WeightedDist]:

@@ -136,12 +136,13 @@ def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machin
     start = CumulativeDist.initial(d)
     ids: dict[tuple, int] = {start.key(): 0}
     todo: deque[CumulativeDist] = deque([start])
-    entries: dict[int, dict] = {}
+    nodes: list[MachineNode] = []
     while todo:
+        # ids are given in discovery order and todo is FIFO, so the
+        # configuration popped now has id len(nodes)
         c = todo.popleft()
-        node_id = ids[c.key()]
         if c.is_terminal:
-            entries[node_id] = {"kind": "leaf", "outcome": c.outcome}
+            nodes.append(MachineNode(len(nodes), "leaf", outcome=c.outcome))
             continue
         succ_ids = []
         for succ in (c.split_left(), c.split_right()):
@@ -156,20 +157,9 @@ def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machin
                 todo.append(succ)
             succ_ids.append(ids[key])
         window = " ".join(str(v) for v in c.window())
-        entries[node_id] = {
-            "kind": "interior",
-            "heads": succ_ids[0],
-            "tails": succ_ids[1],
-            "label": f"{c.low} | {window} | {c.high}",
-        }
-    nodes = []
-    for node_id in range(len(ids)):
-        e = entries[node_id]
-        if e["kind"] == "leaf":
-            nodes.append(MachineNode(node_id, "leaf", outcome=e["outcome"]))
-        else:
-            nodes.append(MachineNode(node_id, "interior", heads=e["heads"],
-                                     tails=e["tails"], label=e["label"]))
+        nodes.append(MachineNode(len(nodes), "interior", heads=succ_ids[0],
+                                 tails=succ_ids[1],
+                                 label=f"{c.low} | {window} | {c.high}"))
     return Machine(tuple(nodes), root=0, outcomes=d.size)
 
 

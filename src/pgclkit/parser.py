@@ -12,6 +12,10 @@ parse_source requires the header and builds the state space from it;
 parse_program reads against a given space and accepts a header only if
 it declares exactly that space.
 
+The parser builds core statements only: `:in`, a numeric IF and `{pred}`
+become the choices and conditionals they stand for (see programs), as
+`x, y := e1, e2` becomes a sequence of assignments.
+
 Newlines and semicolons both sequence statements.  Rational literals may
 be written a/b or as exact decimals (0.25 means 1/4, converted without
 rounding).  `#` starts a comment.
@@ -45,17 +49,12 @@ from .exprs import (
 )
 from .programs import (
     Abort,
-    Assert,
     Assign,
     ChooseFromDist,
-    ChooseFromSet,
-    DemonAssign,
     DemonChoice,
     DistExpr,
     GuardedIf,
     IfBool,
-    IfProb,
-    ProbAssign,
     ProbChoice,
     Program,
     Seq,
@@ -297,7 +296,7 @@ class _Parser:
             self.next()
             pred = self.parse_expr()
             self.expect("}")
-            return Assert(self._as_bool(pred, tok))
+            return IfBool(self._as_bool(pred, tok), Skip(), Abort())
         if tok.kind == "WHILE":
             self.next()
             guard = self.parse_expr()
@@ -334,7 +333,7 @@ class _Parser:
         if kind == "bool":
             return IfBool(cond, then, orelse)
         if kind == "num":
-            return IfProb(cond, then, orelse)
+            return ProbChoice(then, cond, orelse)
         raise PgclSyntaxError(
             "IF condition must be boolean or numeric", opening.line, opening.col
         )
@@ -379,19 +378,18 @@ class _Parser:
         if op.kind == ":in":
             self.next()
             if self.accept("{"):
-                choices = [self.parse_arith()]
+                prog = Assign(name, self.parse_arith())
                 while self.accept(","):
-                    choices.append(self.parse_arith())
+                    prog = DemonChoice(prog, Assign(name, self.parse_arith()))
                 self.expect("}")
-                return ChooseFromSet(name, tuple(choices))
-            left = self.parse_arith()
+                return prog
+            left = Assign(name, self.parse_arith())
             if self.accept("|^|"):
-                return DemonAssign(name, left, self.parse_arith())
+                return DemonChoice(left, Assign(name, self.parse_arith()))
             self.expect("<", "'<p>' or '|^|' in the choice assignment")
             prob = self.parse_arith()
             self.expect(">")
-            right = self.parse_arith()
-            return ProbAssign(name, left, prob, right)
+            return ProbChoice(left, prob, Assign(name, self.parse_arith()))
         if op.kind == ":dist":
             self.next()
             self.expect("[")

@@ -1,23 +1,27 @@
 """Program syntax for a guarded-command language with probabilistic and
 demonic choice.
 
-The statement forms:
+The statement forms, one node class each:
 
     SKIP, ABORT
     x := e
     P; Q
     IF b THEN P ELSE Q            boolean conditional
-    IF p THEN P ELSE Q            probabilistic conditional, p numeric
     IF g1 -> P1 [] g2 -> P2 FI    guarded alternation, demonic on overlap
     WHILE b DO P OD               loop (probabilistic when b is numeric)
     P <p> Q                       run P with probability p, else Q
     P |^| Q                       demonic choice
-    x :in e1 <p> e2               probabilistic assignment
-    x :in e1 |^| e2               demonic assignment
-    x :in {e1, ..., ek}           demonic choice from a set
     xs :suchthat pred             demonic choice of any satisfying values
     x :dist [e1: p1, ..., ek: pk] draw from a finite distribution
-    { pred }                      assertion; failing states behave as ABORT
+
+The parser lowers the other surface forms to these, as pGCL defines them
+(McIver & Morgan 2005), so they have no node of their own:
+
+    x :in e1 <p> e2               x := e1 <p> x := e2
+    x :in e1 |^| e2               x := e1 |^| x := e2
+    x :in {e1, ..., ek}           (x := e1 |^| ...) |^| x := ek
+    IF p THEN P ELSE Q            P <p> Q, when p is numeric
+    { pred }                      IF pred THEN SKIP ELSE ABORT
 
 Probabilities may be state-dependent expressions; they are checked to lie
 in [0, 1] when evaluated.
@@ -71,13 +75,6 @@ class IfBool(Program):
 
 
 @dataclass(frozen=True)
-class IfProb(Program):
-    prob: Expr
-    then: Program
-    orelse: Program
-
-
-@dataclass(frozen=True)
 class While(Program):
     guard: Expr  # boolean, or numeric for a probabilistic loop
     body: Program
@@ -94,32 +91,6 @@ class ProbChoice(Program):
 class DemonChoice(Program):
     left: Program
     right: Program
-
-
-@dataclass(frozen=True)
-class ProbAssign(Program):
-    var: str
-    left: Expr
-    prob: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class DemonAssign(Program):
-    var: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class ChooseFromSet(Program):
-    var: str
-    choices: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if not self.choices:
-            raise DistError("choice set must be non-empty")
-        object.__setattr__(self, "choices", tuple(self.choices))
 
 
 @dataclass(frozen=True)
@@ -174,11 +145,6 @@ class GuardedIf(Program):
 
 
 @dataclass(frozen=True)
-class Assert(Program):
-    pred: Expr
-
-
-@dataclass(frozen=True)
 class VariantSpec:
     """Progress certificate for a loop: a natural-valued variant bounded by
     upper_bound that decreases with probability at least epsilon on every
@@ -202,7 +168,7 @@ class VariantSpec:
 def children(p: Program) -> tuple[Program, ...]:
     if isinstance(p, Seq):
         return (p.first, p.second)
-    if isinstance(p, (IfBool, IfProb)):
+    if isinstance(p, IfBool):
         return (p.then, p.orelse)
     if isinstance(p, While):
         return (p.body,)
@@ -220,7 +186,7 @@ def loop_free(p: Program) -> bool:
 
 
 def collect_predicates(p: Program) -> tuple[Expr, ...]:
-    """All guards and assertion predicates, in syntactic order."""
+    """All guards and suchthat predicates, in syntactic order."""
     out: list[Expr] = []
 
     def walk(node: Program):
@@ -230,7 +196,7 @@ def collect_predicates(p: Program) -> tuple[Expr, ...]:
             out.append(node.guard)
         elif isinstance(node, GuardedIf):
             out.extend(g for g, _ in node.branches)
-        elif isinstance(node, (Assert, SuchThat)):
+        elif isinstance(node, SuchThat):
             out.append(node.pred)
         for c in children(node):
             walk(c)
@@ -243,9 +209,10 @@ def collect_predicates(p: Program) -> tuple[Expr, ...]:
 
 
 def _operand(p: Program) -> str:
-    """Render p for use inside a choice chain or a THEN/ELSE slot."""
+    """Render p for use inside a choice chain or a THEN/ELSE slot; a
+    :suchthat predicate would read a following `<p>` as a comparison."""
     text = pretty_print(p)
-    if isinstance(p, (Seq, IfBool, IfProb, ProbChoice, DemonChoice)):
+    if isinstance(p, (Seq, IfBool, ProbChoice, DemonChoice, SuchThat)):
         return f"({text})"
     return text
 
@@ -288,19 +255,10 @@ def pretty_print(p: Program) -> str:
         return "; ".join(rendered)
     if isinstance(p, IfBool):
         return f"IF {pretty_expr(p.guard)} THEN {_operand(p.then)} ELSE {_operand(p.orelse)}"
-    if isinstance(p, IfProb):
-        return f"IF {pretty_expr(p.prob)} THEN {_operand(p.then)} ELSE {_operand(p.orelse)}"
     if isinstance(p, While):
         return f"WHILE {pretty_expr(p.guard)} DO {pretty_print(p.body)} OD"
     if isinstance(p, (ProbChoice, DemonChoice)):
         return _chain(p)
-    if isinstance(p, ProbAssign):
-        return f"{p.var} :in {pretty_expr(p.left)} <{pretty_expr(p.prob)}> {pretty_expr(p.right)}"
-    if isinstance(p, DemonAssign):
-        return f"{p.var} :in {pretty_expr(p.left)} |^| {pretty_expr(p.right)}"
-    if isinstance(p, ChooseFromSet):
-        inner = ", ".join(pretty_expr(e) for e in p.choices)
-        return f"{p.var} :in {{{inner}}}"
     if isinstance(p, SuchThat):
         return f"{', '.join(p.vars)} :suchthat {pretty_expr(p.pred)}"
     if isinstance(p, ChooseFromDist):
@@ -313,6 +271,4 @@ def pretty_print(p: Program) -> str:
             f"{pretty_expr(g)} -> {pretty_print(b)}" for g, b in p.branches
         )
         return f"IF {inner} FI"
-    if isinstance(p, Assert):
-        return f"{{{pretty_expr(p.pred)}}}"
     raise TypeError(f"unknown program node {type(p).__name__}")

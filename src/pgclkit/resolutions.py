@@ -1,10 +1,11 @@
 """Forward semantics of loop-free programs as sets of output distributions.
 
 A demon resolves every demonic choice point (binary choice, guarded IF
-overlap, choice-from-set, suchthat) and may decide differently at every
-intermediate state.  Enumerating all such policies yields, per initial
-state, the finite set of achievable output subdistributions; the minimum
-expected value over them coincides with wp, which the test-suite checks.
+overlap, suchthat) and may decide differently at every intermediate
+state; the parser has already made `x :in {a, b, c}` two binary choices.
+Enumerating all such policies yields, per initial state, the finite set
+of achievable output subdistributions; the minimum expected value over
+them coincides with wp, which the test-suite checks.
 
 Distinct policies are kept apart even when they induce the same output
 distribution (two branches of a guarded IF may coincide at the boundary
@@ -24,16 +25,11 @@ from .expectations import Expectation
 from .exprs import eval_expr
 from .programs import (
     Abort,
-    Assert,
     Assign,
     ChooseFromDist,
-    ChooseFromSet,
-    DemonAssign,
     DemonChoice,
     GuardedIf,
     IfBool,
-    IfProb,
-    ProbAssign,
     ProbChoice,
     Program,
     Seq,
@@ -135,20 +131,16 @@ def _resolve(prog: Program, index: int, space: StateSpace,
     if isinstance(prog, IfBool):
         g = _check(eval_expr(prog.guard, state), "guard", state)
         return _resolve(prog.then if g else prog.orelse, index, space, budget)
-    if isinstance(prog, (IfProb, ProbChoice)):
-        if isinstance(prog, IfProb):
-            p, left, right = prog.prob, prog.then, prog.orelse
-        else:
-            p, left, right = prog.prob, prog.left, prog.right
-        pv = eval_expr(p, state)
+    if isinstance(prog, ProbChoice):
+        pv = eval_expr(prog.prob, state)
         if not isinstance(pv, Fraction) or not 0 <= pv <= 1:
-            raise EvalError(f"probability {p} = {pv} outside [0, 1] at {state}")
+            raise EvalError(f"probability {prog.prob} = {pv} outside [0, 1] at {state}")
         if pv == 1:
-            return _resolve(left, index, space, budget)
+            return _resolve(prog.left, index, space, budget)
         if pv == 0:
-            return _resolve(right, index, space, budget)
-        lefts = _resolve(left, index, space, budget)
-        rights = _resolve(right, index, space, budget)
+            return _resolve(prog.right, index, space, budget)
+        lefts = _resolve(prog.left, index, space, budget)
+        rights = _resolve(prog.right, index, space, budget)
         budget.charge(len(lefts) * len(rights))
         return [_mix(pv, a, b) for a in lefts for b in rights]
     if isinstance(prog, DemonChoice):
@@ -156,26 +148,6 @@ def _resolve(prog: Program, index: int, space: StateSpace,
         out += _resolve(prog.right, index, space, budget)
         budget.charge(len(out))
         return out
-    if isinstance(prog, ProbAssign):
-        pv = eval_expr(prog.prob, state)
-        if not isinstance(pv, Fraction) or not 0 <= pv <= 1:
-            raise EvalError(f"probability {prog.prob} = {pv} outside [0, 1] at {state}")
-        lt = _target(space, index, prog.var, prog.left) if pv > 0 else None
-        rt = _target(space, index, prog.var, prog.right) if pv < 1 else None
-        if rt is None:
-            return [Dist.point(lt)]
-        if lt is None:
-            return [Dist.point(rt)]
-        return [_mix(pv, Dist.point(lt), Dist.point(rt))]
-    if isinstance(prog, DemonAssign):
-        return [
-            Dist.point(_target(space, index, prog.var, prog.left)),
-            Dist.point(_target(space, index, prog.var, prog.right)),
-        ]
-    if isinstance(prog, ChooseFromSet):
-        return [
-            Dist.point(_target(space, index, prog.var, e)) for e in prog.choices
-        ]
     if isinstance(prog, SuchThat):
         positions = [space.var_pos(v) for v in prog.vars]
         out = []
@@ -209,9 +181,6 @@ def _resolve(prog: Program, index: int, space: StateSpace,
                 out += _resolve(body, index, space, budget)
         budget.charge(max(1, len(out)))
         return out if out else [Dist.zero()]
-    if isinstance(prog, Assert):
-        ok = _check(eval_expr(prog.pred, state), "assertion", state)
-        return [Dist.point(index)] if ok else [Dist.zero()]
     if isinstance(prog, While):
         raise ResolutionLimitError("policy enumeration handles loop-free programs only")
     raise EvalError(f"unknown program node {type(prog).__name__}")

@@ -65,16 +65,11 @@ from .exprs import static_kind
 from .linear import absorb
 from .programs import (
     Abort,
-    Assert,
     Assign,
     ChooseFromDist,
-    ChooseFromSet,
-    DemonAssign,
     DemonChoice,
     GuardedIf,
     IfBool,
-    IfProb,
-    ProbAssign,
     ProbChoice,
     Program,
     Seq,
@@ -221,9 +216,10 @@ def _value(v):
 # a pick runs a form derived from it (see Running).
 #
 # The first marker met in evaluation order (options in order, positions in
-# order) wins, so `x :in {a, b}` and `x :dist [...]` report the post's
-# marker at a's target before b's undefined target, as `x :in a |^| b` and
-# `x :in a <p> b` do.  Sides of weight 0 are dropped here, so their markers
+# order) wins, so `x :dist [a: p, b: 1 - p]` reports the post's marker at
+# a's target before b's undefined target, as `x := a <p> x := b` does, and
+# so does `x := a |^| x := b`, which is what the parser makes of
+# `x :in {a, b}`.  Sides of weight 0 are dropped here, so their markers
 # never surface, and 1 - p is computed here, once per value of p.
 #
 # Summaries.  A part of the program with one option per state has a
@@ -729,15 +725,8 @@ def _compile(prog: Program, space: StateSpace):
         return _CPick([_ABORT] * n)
     if isinstance(prog, Assign):
         return _CPick(_assign_targets(space, prog.var, prog.expr))
-    if isinstance(prog, Assert):
-        mask = _eval_guarded(space, prog.pred, "bool")
-        return _CPick([m if isinstance(m, _Undef) else i if m else _ABORT
-                       for i, m in enumerate(mask)])
     if isinstance(prog, SuchThat):
         return _CPick(_suchthat_options(space, prog))
-    if isinstance(prog, ChooseFromSet):
-        columns = [_assign_targets(space, prog.var, e) for e in prog.choices]
-        return _CPick([_entry(list(row)) for row in zip(*columns)])
     if isinstance(prog, ChooseFromDist):
         weights, exprs = zip(*[(p, e) for e, p in prog.dist.items if p > 0])
         columns = [_assign_targets(space, prog.var, e) for e in exprs]
@@ -748,16 +737,10 @@ def _compile(prog: Program, space: StateSpace):
             entries.append(_entry([_option(mixed)]))
         return _CPick(entries)
     # the rest read their branches' outputs, stacked
-    if isinstance(prog, ProbAssign):
-        prog = ProbChoice(Assign(prog.var, prog.left), prog.prob,
-                          Assign(prog.var, prog.right))
-    elif isinstance(prog, DemonAssign):
-        prog = DemonChoice(Assign(prog.var, prog.left),
-                           Assign(prog.var, prog.right))
     branches = [_compile(c, space) for c in children(prog)]
     if isinstance(prog, IfBool):
         entries = _either(_eval_guarded(space, prog.guard, "bool"))
-    elif isinstance(prog, (IfProb, ProbChoice)):
+    elif isinstance(prog, ProbChoice):
         entries = _either(_eval_guarded(space, prog.prob, "prob"))
     elif isinstance(prog, DemonChoice):
         entries = [(i, n + i) for i in range(n)]

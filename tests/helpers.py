@@ -11,16 +11,11 @@ from pgclkit.errors import EvalError
 from pgclkit.exprs import Bracket, eval_expr
 from pgclkit.programs import (
     Abort,
-    Assert,
     Assign,
     ChooseFromDist,
-    ChooseFromSet,
-    DemonAssign,
     DemonChoice,
     GuardedIf,
     IfBool,
-    IfProb,
-    ProbAssign,
     ProbChoice,
     Seq,
     Skip,
@@ -220,11 +215,6 @@ def classical_wp(p, space, post: frozenset) -> frozenset:
         return frozenset(out)
     if isinstance(p, DemonChoice):
         return classical_wp(p.left, space, post) & classical_wp(p.right, space, post)
-    if isinstance(p, ChooseFromSet):
-        out = set(range(space.size))
-        for e in p.choices:
-            out &= set(classical_wp(Assign(p.var, e), space, post))
-        return frozenset(out)
     if isinstance(p, SuchThat):
         positions = [space.var_pos(v) for v in p.vars]
         out = set()
@@ -254,10 +244,6 @@ def classical_wp(p, space, post: frozenset) -> frozenset:
             ):
                 out.add(i)
         return frozenset(out)
-    if isinstance(p, Assert):
-        return frozenset(
-            i for i in post if eval_expr(p.pred, space.state_at(i))
-        )
     raise AssertionError(f"oracle does not cover {type(p).__name__}")
 
 
@@ -341,22 +327,12 @@ def value_iteration(p, space, post: list) -> list:
             return assign(p.var, p.expr, f)
         if isinstance(p, Seq):
             return run(p.first, run(p.second, f))
-        if isinstance(p, (IfBool, IfProb)):
-            cond = p.guard if isinstance(p, IfBool) else p.prob
-            return mix(cond, run(p.then, f), run(p.orelse, f))
+        if isinstance(p, IfBool):
+            return mix(p.guard, run(p.then, f), run(p.orelse, f))
         if isinstance(p, ProbChoice):
             return mix(p.prob, run(p.left, f), run(p.right, f))
-        if isinstance(p, ProbAssign):
-            return mix(p.prob, assign(p.var, p.left, f), assign(p.var, p.right, f))
         if isinstance(p, DemonChoice):
             return demon(run(p.left, f), run(p.right, f))
-        if isinstance(p, DemonAssign):
-            return demon(assign(p.var, p.left, f), assign(p.var, p.right, f))
-        if isinstance(p, ChooseFromSet):
-            out = assign(p.var, p.choices[0], f)
-            for e in p.choices[1:]:
-                out = demon(out, assign(p.var, e, f))
-            return out
         if isinstance(p, ChooseFromDist):
             parts = [(float(w), assign(p.var, e, f)) for e, w in p.dist.items if w > 0]
             return [None if any(v[i] is None for _, v in parts)
@@ -374,9 +350,6 @@ def value_iteration(p, space, post: list) -> list:
                 vals = [r[i] for q, r in zip(gs, runs) if q]
                 out.append(None if None in vals else min(vals, default=0.0))
             return out
-        if isinstance(p, Assert):
-            return [None if not isinstance(at(p.pred, i), bool)
-                    else f[i] if at(p.pred, i) else 0.0 for i in range(n)]
         if isinstance(p, While):
             x = [0.0] * n
             for _ in range(100_000):

@@ -112,6 +112,37 @@ def test_wp_without_declarations_exits_2(tmp_path, capsys):
     assert "expected `var` declarations" in capsys.readouterr().err
 
 
+def test_parse_error_names_the_file(tmp_path, capsys):
+    left = write(tmp_path, "ok.pgcl", "var x in {0, 1}\nx := 1\n")
+    right = write(tmp_path, "late.pgcl", "x := 1\nvar x in {0, 1}\n")
+    rc = main(["check-equal", "--left", left, "--right", right])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {right}:2:1: expected end of input, found 'var'\n")
+
+
+def test_parse_error_in_stdin_names_it(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("var x in {0, 1}\nx := := 1\n"))
+    assert main(["wp", "--program", "-"]) == 2
+    assert capsys.readouterr().err == "error: <stdin>:2:6: expected an expression, found ':='\n"
+
+
+def test_header_error_names_the_file_and_keeps_its_exit_code(tmp_path, capsys):
+    prog = write(tmp_path, "dup.pgcl", "var x in {0, 1}\nvar x in {0, 1}\nx := 1\n")
+    rc = main(["wp", "--program", prog])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {prog}: duplicate variable names\n"
+
+
+def test_expression_and_read_errors_name_no_file(tmp_path, capsys):
+    prog = write(tmp_path, "ok.pgcl", "var x in {0, 1}\nx := 1\n")
+    assert main(["wp", "--program", prog, "--post", "[y = 1]"]) == 2
+    assert capsys.readouterr().err == "error: 1:2: undeclared variable y\n"
+    missing = str(tmp_path / "missing.pgcl")
+    assert main(["wp", "--program", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"error: 1:1: cannot read {missing}: ")
+
+
 def test_check_equal_right_file_reuses_the_left_space(tmp_path, capsys):
     left = write(tmp_path, "a.pgcl", "var x in {0, 1, 2}\nx :in {1, 2}\n")
     right = write(tmp_path, "b.pgcl", "x := 2 |^| x := 1\n")

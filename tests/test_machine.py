@@ -65,6 +65,34 @@ def test_die_machine_reproduces_published_shape():
     assert a.node_count == 17
 
 
+DIE_MACHINE_TEXT = """\
+outcomes 6
+root 0
+node 0 interior 1 2 0 | 1 2 3 4 5 | 5
+node 1 interior 3 4 0 | 2 4 | 2
+node 2 interior 5 6 3 | 2 4 | 5
+node 3 interior 7 8 0 | 4 | 1
+node 4 interior 9 10 1 | 2 | 2
+node 5 interior 11 12 3 | 4 | 4
+node 6 interior 13 14 4 | 2 | 5
+node 7 leaf 1
+node 8 interior 3 15 0 | 2 | 1
+node 9 interior 15 4 1 | 4 | 2
+node 10 leaf 3
+node 11 leaf 4
+node 12 interior 5 16 3 | 2 | 4
+node 13 interior 16 6 4 | 4 | 5
+node 14 leaf 6
+node 15 leaf 2
+node 16 leaf 5
+"""
+
+
+def test_die_machine_text_pins_numbering_and_labels():
+    # ids in discovery order, leaves shared per outcome, window labels
+    assert machine_to_text(build_machine(WeightedDist((1,) * 6))) == DIE_MACHINE_TEXT
+
+
 def test_die_machine_has_back_edges():
     m = build_machine(WeightedDist((1, 1, 1, 1, 1, 1)))
     interior_ids = {n.id for n in m.nodes if n.kind == "interior"}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,18 +14,14 @@ from pgclkit import (
     pretty_print,
     space_of,
 )
+from pgclkit.exprs import Lit, Var
 from pgclkit.programs import (
     Abort,
-    Assert,
     Assign,
     ChooseFromDist,
-    ChooseFromSet,
-    DemonAssign,
     DemonChoice,
     GuardedIf,
     IfBool,
-    IfProb,
-    ProbAssign,
     ProbChoice,
     Seq,
     Skip,
@@ -46,18 +43,43 @@ def test_prob_choice_of_assignments():
     assert p.prob.value == F(1, 2)
 
 
+def _heads_or_tails(space):
+    return Assign("x", parse_expression("H", space)), Assign("x", parse_expression("T", space))
+
+
 def test_prob_assign_form():
-    p = parse_program("x :in H <0.5> T", coin())
-    assert isinstance(p, ProbAssign)
-    assert p.var == "x"
-    assert p.prob.value == F(1, 2)
+    heads, tails = _heads_or_tails(coin())
+    assert parse_program("x :in H <0.5> T", coin()) == ProbChoice(heads, Lit(F(1, 2)), tails)
 
 
 def test_demon_forms():
     s = coin()
-    assert isinstance(parse_program("x := H |^| x := T", s), DemonChoice)
-    assert isinstance(parse_program("x :in H |^| T", s), DemonAssign)
-    assert isinstance(parse_program("x :in {H, T}", s), ChooseFromSet)
+    heads, tails = _heads_or_tails(s)
+    assert parse_program("x := H |^| x := T", s) == DemonChoice(heads, tails)
+    assert parse_program("x :in H |^| T", s) == DemonChoice(heads, tails)
+    assert parse_program("x :in {H, T}", s) == DemonChoice(heads, tails)
+
+
+@pytest.mark.parametrize("surface, core", [
+    ("x :in 1 <1/3> 0", "x := 1 <1/3> x := 0"),
+    ("x :in 1 |^| 0", "x := 1 |^| x := 0"),
+    ("x :in {2}", "x := 2"),
+    ("x :in {0, 1, 2}", "(x := 0 |^| x := 1) |^| x := 2"),
+    ("IF 1/3 THEN x := 0 ELSE SKIP", "x := 0 <1/3> SKIP"),
+    ("IF x/2 THEN x := 0 ELSE x :in {1, 2}", "x := 0 <x/2> (x := 1 |^| x := 2)"),
+    ("{x < 2}", "IF x < 2 THEN SKIP ELSE ABORT"),
+])
+def test_parser_lowers_surface_forms_to_core_trees(surface, core):
+    s = space_of(("x", (0, 1, 2)))
+    lowered = parse_program(surface, s)
+    assert lowered == parse_program(core, s)
+    assert parse_program(str(lowered), s) == lowered
+
+
+def test_str_prints_core_forms():
+    s = space_of(("x", (0, 1)))
+    assert str(parse_program("x :in 1 <1/3> 0", s)) == "x := 1 <1/3> x := 0"
+    assert str(parse_program("{x = 1}", s)) == "IF x = 1 THEN SKIP ELSE ABORT"
 
 
 def test_decimals_are_exact():
@@ -73,7 +95,7 @@ def test_if_then_else_dispatches_on_condition_kind():
     b = parse_program("IF x = 0 THEN SKIP ELSE ABORT", s)
     assert isinstance(b, IfBool)
     q = parse_program("IF p THEN x := 0 ELSE x := 1", s)
-    assert isinstance(q, IfProb)
+    assert q == ProbChoice(Assign("x", Lit(F(0))), Var("p"), Assign("x", Lit(F(1))))
 
 
 def test_guarded_if_with_multi_assign():
@@ -114,7 +136,7 @@ def test_while_and_sequencing_by_newline_or_semicolon():
 def test_assert_statement():
     s = helpers.pqr_space()
     p = parse_program("{p = (q+r)/2}", s)
-    assert isinstance(p, Assert)
+    assert p == IfBool(parse_expression("p = (q+r)/2", s), Skip(), Abort())
 
 
 def test_suchthat_statement():
@@ -178,7 +200,7 @@ def test_parse_source_reads_var_headers():
     space, prog = parse_source(text)
     assert space.names == ("x", "p")
     assert space.domain("p").values == (F(0), F(1, 8), F(1, 4), F(-1, 2))
-    assert isinstance(prog, ProbAssign)
+    assert prog == ProbChoice(Assign("x", Lit(F(1))), Lit(F(1, 2)), Assign("x", Lit(F(0))))
 
 
 @pytest.mark.parametrize("header, at", [
@@ -238,6 +260,14 @@ def test_skip_abort_literals():
 
 def test_round_trip_over_corpus():
     for p, space in helpers.corpus() + helpers.loop_corpus():
+        assert parse_program(pretty_print(p), space) == p
+
+
+def test_round_trip_over_random_programs():
+    rng = random.Random(12)
+    space = helpers.random_space()
+    for _ in range(500):
+        p = parse_program(helpers.random_program(rng), space)
         assert parse_program(pretty_print(p), space) == p
 
 
