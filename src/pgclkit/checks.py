@@ -1,23 +1,39 @@
 """Equivalence, refinement and loop-progress checks.
 
-Two programs are compared through a finite family of probe expectations:
-per-state indicators separate any two distinct pre-expectation maps on the
-space, guard brackets cover the predicates the programs actually branch
-on, and a few seeded pseudo-random expectations guard against functionals
-that happen to agree on indicators.  Every pre-expectation is exact, loops
-included, so any probe disagreement refutes and agreement on every probe
-confirms.
+Two programs are compared over the posts that are functions of the
+family's observed variables.  When each program compiles to one flat pick
+with no marker, the check is decided from the compiled rows (method
+"rows"): per state the demonic set of sub-distributions, pushed forward
+onto the observed variables.  Equal sets agree on every post.  Otherwise
+the rows decide when each side has one option there (equality needs
+equal weights, refinement the spec's weight at most the
+implementation's on every combination), or when every option is a single
+point or ABORT (refinement needs each implementation target to be a spec
+target, or the spec to have ABORT; McIver & Morgan 2005).  A `holds` from
+the rows is a proof over all such posts.
+
+Any other case, a family with no observed variables, and every program
+that meets a marker are checked through the family's probe expectations
+(method "probes"): per-state indicators separate any two distinct
+pre-expectation maps on the space, guard brackets cover the predicates the
+programs actually branch on, and a few seeded pseudo-random expectations
+guard against functionals that happen to agree on indicators.  Every
+pre-expectation is exact, loops included, so any probe disagreement
+refutes and agreement on every probe confirms, on those probes.  A
+`fails` from the rows runs the probes too, for the same first
+counterexample; where no probe witnesses it, the counterexample's probe is
+the rows' witness.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DistError, EvalError, UndefinedStateError, VariantError
+from .errors import DistError, EvalError, UndefinedStateError, VariantError, WpError
 from .expectations import Expectation, evaluate, from_expr, indicator
 from .exprs import Bracket, Cmp, Expr, Lit, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
@@ -50,10 +66,15 @@ class Verdict:
     counterexample: Optional[Counterexample] = None
     residual: Fraction = ZERO  # always 0: every loop is solved exactly
     detail: str = ""
+    # how it was decided, "probes" or "rows" (from the compiled rows); two
+    # verdicts that say the same compare equal however they were reached
+    method: str = field(default="probes", compare=False)
 
     def __post_init__(self):
         if self.status not in ("holds", "fails"):
             raise ValueError(f"bad verdict status {self.status!r}")
+        if self.method not in ("rows", "probes"):
+            raise ValueError(f"bad verdict method {self.method!r}")
 
     @property
     def holds(self) -> bool:
@@ -68,10 +89,15 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ProbeFamily:
-    """Finite witness family of expectations used by the checkers."""
+    """Finite witness family of expectations used by the checkers.
+
+    `observed` names the variables every probe is a function of, so that
+    a check may decide from the compiled rows over them; a family with
+    none always runs its probes."""
 
     probes: tuple[Expectation, ...]
     seed: Optional[int] = None
+    observed: Optional[tuple[str, ...]] = None
 
     def __iter__(self):
         return iter(self.probes)
@@ -101,7 +127,7 @@ class ProbeFamily:
                     seen.add(exp.values)
                     probes.append(exp)
         probes.extend(_random_probes(space, seed, extra, seen))
-        return ProbeFamily(tuple(probes), seed=seed)
+        return ProbeFamily(tuple(probes), seed=seed, observed=space.names)
 
     @staticmethod
     def over_vars(space: StateSpace, names: Iterable[str], seed: int = 0,
@@ -141,7 +167,7 @@ class ProbeFamily:
             column = [Fraction(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
                                PROBE_DENOMINATOR) for _ in combos]
             add(column, f"random probe {k} over {', '.join(names)}")
-        return ProbeFamily(tuple(probes), seed=seed)
+        return ProbeFamily(tuple(probes), seed=seed, observed=names)
 
 
 def _random_probes(space: StateSpace, seed: int, count: int, seen: set):
@@ -168,13 +194,40 @@ def dyadic_grid(denominator: int = 8) -> tuple[Fraction, ...]:
 
 def _compare(left: Program, right: Program, probes: ProbeFamily,
              space: Optional[StateSpace], cfg: Optional[WpConfig],
-             violates) -> Verdict:
-    """Run both programs on every probe; a state where violates(lhs, rhs)
-    refutes the relation."""
+             refines: bool) -> Verdict:
+    """Decide `left` = `right`, or `left` refined by `right`, from the
+    compiled rows where they can; else run both programs on every probe."""
     if not len(probes):
         raise VariantError("empty probe family")
     space = space or probes.probes[0].space
     left_c, right_c = compile_program(left, space), compile_program(right, space)
+    violates = operator.gt if refines else operator.ne
+    decided = None
+    if probes.observed is not None and probes.probes[0].space == space:
+        positions = [space.var_pos(n) for n in probes.observed]
+        decided = _by_rows(left_c.rows(positions), right_c.rows(positions), refines)
+    if decided is None:
+        return _by_probes(left_c, right_c, probes, space, cfg, violates)
+    if decided is _HOLDS:
+        return Verdict("holds", method="rows")
+    verdict = _by_probes(left_c, right_c, probes, space, cfg, violates)
+    if verdict.status == "fails":
+        return replace(verdict, method="rows")
+    # no probe witnesses the failure: the rows' witness does, run as a probe
+    i, probe = decided[0], _witness(space, positions, probes.observed, *decided[1:])
+    lhs = left_c.wp(probe, cfg).pre.values[i]
+    rhs = right_c.wp(probe, cfg).pre.values[i]
+    if not violates(lhs, rhs):
+        raise WpError(f"the rows' witness {probe} does not refute at "
+                      f"{space.state_at(i)}; this is a bug in the checker")
+    return Verdict("fails", Counterexample(probe, space.state_at(i), lhs, rhs),
+                   method="rows")
+
+
+def _by_probes(left_c, right_c, probes: ProbeFamily, space: StateSpace,
+               cfg: Optional[WpConfig], violates) -> Verdict:
+    """Run both compiled programs on every probe; the first state where
+    violates(lhs, rhs) refutes the relation."""
     for probe in probes:
         lhs, rhs = left_c.wp(probe, cfg), right_c.wp(probe, cfg)
         for i, (a, b) in enumerate(zip(lhs.pre.values, rhs.pre.values)):
@@ -186,24 +239,99 @@ def _compare(left: Program, right: Program, probes: ProbeFamily,
     return Verdict("holds")
 
 
+_HOLDS = object()
+_UNDECIDED = object()
+
+
+def _by_rows(left: Optional[list], right: Optional[list], refines: bool):
+    """The relation decided from both sides' rows: _HOLDS, or (i, c, flip)
+    at the first state i where it fails, with the witness post
+    [combination c] (1 - [c] if flip, and 1 where c is -1); None when a
+    side has no rows, or when no state fails and some state cannot be
+    decided."""
+    if left is None or right is None:
+        return None
+    undecided = False
+    for i, (a, b) in enumerate(zip(left, right)):
+        if a == b:
+            continue
+        gap = _row_gap(a, b, refines)
+        if gap is _UNDECIDED:
+            undecided = True
+        elif gap is not None:
+            return (i,) + gap
+    return None if undecided else _HOLDS
+
+
+def _row_gap(spec: frozenset, impl: frozenset, refines: bool):
+    """At one state with unequal option sets: None where the relation
+    holds, a witness (c, flip) where it fails, _UNDECIDED otherwise."""
+    if len(spec) == 1 and len(impl) == 1:
+        (a,), (b,) = spec, impl
+        a, b = dict(a), dict(b)
+        for c in sorted(a.keys() | b.keys()):
+            x, y = a.get(c, ZERO), b.get(c, ZERO)
+            if x > y or (x < y and not refines):
+                return c, False
+        return None
+    if all(len(o) == 0 or (len(o) == 1 and next(iter(o))[1] == 1)
+           for o in spec | impl):
+        gap = _point_gap(spec, impl)
+        return gap if gap is not None or refines else _point_gap(impl, spec)
+    return _UNDECIDED
+
+
+def _point_gap(spec: frozenset, impl: frozenset):
+    """Refinement where every option is a point or ABORT: the witness of
+    an implementation target that is no spec target, unless the spec may
+    ABORT; None where it holds."""
+    if frozenset() in spec:
+        return None
+    if frozenset() in impl:
+        return -1, True
+    targets = {c for o in spec for c, _ in o}
+    missing = sorted(c for o in impl for c, _ in o if c not in targets)
+    return (missing[0], True) if missing else None
+
+
+def _witness(space: StateSpace, positions: list, names, c: int,
+             flip: bool) -> Expectation:
+    """The post [c] over the observed combinations, or 1 - [c] if flip."""
+    index, firsts = space.projection(positions)
+    if c < 0:
+        label = "1"
+    else:
+        at = space.state_at(firsts[c])
+        label = f"[{', '.join(f'{n}={at[n]}' for n in names)}]"
+        label = f"1 - {label}" if flip else label
+    values = tuple(ONE if (k == c) != flip else ZERO for k in index)
+    return Expectation.proven(space, values, label=label)
+
+
 def check_equal(left: Program, right: Program, probes: ProbeFamily,
                 space: Optional[StateSpace] = None,
                 cfg: Optional[WpConfig] = None) -> Verdict:
-    """Probe-based equivalence: holds exactly when every probe agrees
-    exactly; a disagreement is a counterexample."""
-    return _compare(left, right, probes, space, cfg, operator.ne)
+    """Equivalence over the posts on the family's observed variables.
+
+    Decided from the compiled rows where they can (method "rows": a
+    `holds` is then a proof over every such post), else by running both
+    programs on every probe (method "probes": `holds` means exact
+    agreement on every probe).  A `fails` comes with a counterexample."""
+    return _compare(left, right, probes, space, cfg, refines=False)
 
 
 def check_refines(spec: Program, impl: Program, probes: ProbeFamily,
                   space: Optional[StateSpace] = None,
                   cfg: Optional[WpConfig] = None) -> Verdict:
-    """Refinement: every probe must satisfy wp(spec) <= wp(impl) pointwise.
+    """Refinement: wp(spec) <= wp(impl) pointwise, for every post on the
+    family's observed variables.
 
     The implementation may only improve the guaranteed value; a state where
     the spec's guarantee exceeds the implementation's refutes the
-    refinement.
+    refinement.  Decided from the compiled rows where they can (method
+    "rows"), else on every probe (method "probes"), as check_equal.
     """
-    return _compare(spec, impl, probes, space, cfg, operator.gt)
+    return _compare(spec, impl, probes, space, cfg, refines=True)
 
 
 def check_variant(loop: Program, spec: VariantSpec,

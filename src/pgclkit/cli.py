@@ -318,7 +318,7 @@ def _add_check_flags(p: argparse.ArgumentParser):
     p.add_argument("--param", action="append", metavar="NAME=RAT",
                    help="substitute a rational for a parameter name")
     p.add_argument("--probe-vars", metavar="X,Y",
-                   help="restrict probes to functions of these variables")
+                   help="compare only on functions of these variables")
     p.add_argument("--seed", type=int, default=0, help="probe seed")
     p.add_argument("--extra-probes", type=int, default=16)
     p.add_argument("--grid", metavar="NAME",
@@ -344,13 +344,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_wp)
 
-    p = sub.add_parser("check-equal", help="probe-based program equivalence")
+    p = sub.add_parser("check-equal", help="program equivalence, over the posts on the probe variables")
     p.add_argument("--left", dest="lhs", required=True, metavar="FILE")
     p.add_argument("--right", dest="rhs", required=True, metavar="FILE")
     _add_check_flags(p)
     p.set_defaults(fn=lambda a: _run_check(a, "equal"))
 
-    p = sub.add_parser("check-refines", help="probe-based refinement")
+    p = sub.add_parser("check-refines", help="refinement, over the posts on the probe variables")
     p.add_argument("--spec", dest="lhs", required=True, metavar="FILE")
     p.add_argument("--impl", dest="rhs", required=True, metavar="FILE")
     _add_check_flags(p)

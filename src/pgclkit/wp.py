@@ -237,12 +237,12 @@ def _value(v):
 # state, the _CWhile is solved once, here, into a flat pick over its exits
 # (_CWhile.summary), and a loop with a demonic choice left is solved by
 # policy iteration on every run.  A sequence is compiled from its last
-# statement back, so a summarised loop finds its undefined states, and
-# their reasons, with the markers that the `then` after it meets at its
-# exits (one run of `then` on 0), whether that `then` is flat or not.  A
-# loop compiled with no `then`, as in a branch of a choice that more
-# statements follow, still has what follows read its markers in the order
-# of its exit states, where a _CWhile meets them in evaluation order.
+# statement back, and every statement is compiled knowing the compiled
+# statements that follow it, so a summarised loop finds its undefined
+# states, and their reasons, with the markers that what follows it meets
+# at its exits (one run of it on 0), flat or not, whether the loop is
+# followed directly or sits in a branch of a choice that more statements
+# follow: it meets them in the order a _CWhile does.
 #
 # Running.  A pick derives its run form on its first run and keeps it
 # (_CPick.ints, built by _ints): every weight becomes an int over its W,
@@ -613,11 +613,12 @@ def _choice(entries: list, branches: list) -> _CPick:
     return _CPick(entries, branches)
 
 
-def _loop(prog: While, space: StateSpace, then=None):
+def _loop(prog: While, space: StateSpace, after: tuple, then=None):
     """A WHILE, followed by the compiled `then` if given.  The loop is
     summarised when its composed step (entries over the loop's states,
     then its exits at n + i) has one option per state; the markers that
-    `then` meets at the exits count then, as they would when run."""
+    the statements `after` it meet at the exits count then, as they would
+    when run."""
     n = space.size
     kind = static_kind(prog.guard, space)
     if kind not in ("bool", "num"):
@@ -628,9 +629,17 @@ def _loop(prog: While, space: StateSpace, then=None):
     if _flat(body):
         step = _compose(gate, body.states + list(range(n, 2 * n)))
         if _one_option(step):
-            exits = then.run(_Vec([0] * n, 1)) if then is not None else [0] * n
-            loop = _CPick(loop.summary(step, exits))
+            loop = _CPick(loop.summary(step, _exits(after, n)))
     return loop if then is None else _seq(loop, then)
+
+
+def _exits(after: tuple, n: int) -> _Vec:
+    """What the compiled statements `after` a loop, nearest first, give on
+    the post 0: per state the first marker they meet from there, else 0."""
+    vec = _Vec([0] * n, 1)
+    for node in reversed(after):
+        vec = node.run(vec)
+    return vec
 
 
 def _one_option(step) -> bool:
@@ -694,7 +703,7 @@ def _either(gate: list) -> list:
     for i, g in enumerate(gate):
         if isinstance(g, _Undef):
             entries.append(g)
-        elif g == 1 or g == 0:
+        elif g.denominator == 1:  # a bool, or the probability 0 or 1
             entries.append(i if g else n + i)
         else:
             w = weights.get(g)
@@ -704,20 +713,22 @@ def _either(gate: list) -> list:
     return entries
 
 
-def _compile(prog: Program, space: StateSpace):
-    """Resolve a program against a space; see the compiled-form notes above."""
+def _compile(prog: Program, space: StateSpace, after: tuple = ()):
+    """Resolve a program against a space; see the compiled-form notes above.
+    `after` holds the compiled statements that follow prog, nearest first,
+    which a loop inside it reads for their markers."""
     n = space.size
     if isinstance(prog, Seq):
         # from the last statement back, so a loop sees what follows it
         parts = _chain(prog)
-        node = _compile(parts.pop(), space)
+        node = _compile(parts.pop(), space, after)
         while parts:
-            part = parts.pop()
-            node = (_loop(part, space, node) if isinstance(part, While)
-                    else _seq(_compile(part, space), node))
+            part, rest = parts.pop(), (node,) + after
+            node = (_loop(part, space, rest, node) if isinstance(part, While)
+                    else _seq(_compile(part, space, rest), node))
         return node
     if isinstance(prog, While):
-        return _loop(prog, space)
+        return _loop(prog, space, after)
     # primitive statements: positions are successor states
     if isinstance(prog, Skip):
         return _CPick(list(range(n)))
@@ -737,7 +748,7 @@ def _compile(prog: Program, space: StateSpace):
             entries.append(_entry([_option(mixed)]))
         return _CPick(entries)
     # the rest read their branches' outputs, stacked
-    branches = [_compile(c, space) for c in children(prog)]
+    branches = [_compile(c, space, after) for c in children(prog)]
     if isinstance(prog, IfBool):
         entries = _either(_eval_guarded(space, prog.guard, "bool"))
     elif isinstance(prog, ProbChoice):
@@ -849,6 +860,46 @@ class Compiled:
             pre=Expectation.proven(space, tuple(values)),
             undefined_states=tuple(undefined),
         )
+
+    def rows(self, positions) -> Optional[list]:
+        """Per state, the set of its options, each pushed forward onto the
+        variables at `positions`: a frozenset of (combination, weight)
+        pairs, combinations numbered as in StateSpace.projection, and
+        ABORT the empty one.  wp is the least expected value over them.
+        None when the root is not one flat pick, or meets a marker."""
+        root = self._root
+        if not _flat(root):
+            return None
+        index, _ = self.space.projection(positions)
+        points: dict = {}  # combination -> the entry of going there
+        seen: dict = {}  # id of an entry -> its set; entries are shared
+        out = []
+        for e in root.states:
+            if e.__class__ is int:
+                c = index[e]
+                got = points.get(c)
+                if got is None:
+                    got = points[c] = frozenset((frozenset(((c, ONE),)),))
+            elif e.__class__ is _Undef:
+                return None
+            else:
+                got = seen.get(id(e))
+                if got is None:
+                    options = []
+                    for o in e:
+                        if _meets(o):
+                            return None
+                        if o.__class__ is int:
+                            options.append(frozenset(((index[o], ONE),)))
+                            continue
+                        mass: dict = {}
+                        for w, a in zip(*o):
+                            c = index[a]
+                            mass[c] = mass[c] + w if c in mass else w
+                        options.append(frozenset(mass.items()))
+                    got = seen[id(e)] = frozenset(options)
+            out.append(got)
+        return out
 
 
 def compile_program(prog: Program, space: StateSpace) -> Compiled:

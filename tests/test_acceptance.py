@@ -106,6 +106,7 @@ def test_criterion_2_derivation_step_suite():
             step = helpers.prog(helpers.SPLIT_THEN_COIN, step_space, p=pv)
             v = check_equal(spec, step, fam, step_space)
             assert v.holds and v.residual == 0, (pv, str(v))
+            assert v.method == "rows", pv  # every side is one flat pick
 
         # the full loop: exact on dyadic biases
         dyadic = helpers.pqr_space()
@@ -115,7 +116,7 @@ def test_criterion_2_derivation_step_suite():
             helpers.prog(helpers.HALVING_LOOP, dyadic),
             fam, dyadic,
         )
-        assert v.holds and v.residual == 0, str(v)
+        assert v.holds and v.residual == 0 and v.method == "rows", str(v)
 
         # and on the non-dyadic biases 1/3 and 2/3, whose fixpoint is a limit
         thirds = helpers.pqr_space(grid=helpers.THIRDS)
@@ -125,7 +126,7 @@ def test_criterion_2_derivation_step_suite():
             helpers.prog(helpers.HALVING_LOOP, thirds),
             fam, thirds,
         )
-        assert v.holds and v.residual == 0, str(v)
+        assert v.holds and v.residual == 0 and v.method == "rows", str(v)
 
         # constraining the split to an extreme endpoint refines the free split
         split_space = space_of(
@@ -136,7 +137,8 @@ def test_criterion_2_derivation_step_suite():
             "q,r :suchthat (q+r)/2 = p & (q = 0 | r = 1)", split_space
         )
         fam = ProbeFamily.over_vars(split_space, ("q", "r"), extra=4)
-        assert check_refines(free, extreme, fam, split_space).holds
+        v = check_refines(free, extreme, fam, split_space)
+        assert v.holds and v.method == "rows", str(v)
 
         # progress certificates
         coin = space_of(("c", ("H", "T")))

@@ -1,3 +1,6 @@
+import importlib
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from pgclkit import (
     check_equal,
     check_refines,
     check_variant,
+    compile_program,
     dyadic_grid,
     parse_expression,
     space_of,
@@ -19,6 +23,8 @@ from pgclkit import (
 )
 
 F = Fraction
+
+checks = importlib.import_module("pgclkit.checks")
 
 
 def test_dyadic_grid_contents():
@@ -168,6 +174,102 @@ def test_refinement_of_choice_to_branch():
     assert check_refines(spec, impl, ProbeFamily.default(s), s).holds
     v = check_refines(impl, helpers.prog("x := 1", s), ProbeFamily.default(s), s)
     assert v.status == "fails"
+
+
+def test_rows_refute_a_refinement_that_the_probes_pass():
+    # with f = 1 - [x = 1] the spec guarantees 1 and the implementation 0,
+    # yet no indicator or probe of the family tells them apart
+    s = space_of(("x", (0, 1, 2)))
+    fam = ProbeFamily.over_vars(s, ("x",), extra=0)
+    demon, one = helpers.prog("x := 0 |^| x := 2", s), helpers.prog("x := 1", s)
+    left, right = compile_program(demon, s), compile_program(one, s)
+    assert checks._by_probes(left, right, fam, s, None, operator.gt).holds
+    v = check_refines(demon, one, fam, s)
+    assert (v.status, v.method) == ("fails", "rows")
+    cx = v.counterexample
+    assert str(cx.probe) == "1 - [x=1]"
+    assert cx.lhs == left.wp(cx.probe).pre[cx.state] == 1
+    assert cx.rhs == right.wp(cx.probe).pre[cx.state] == 0
+    assert check_refines(one, demon, fam, s).status == "fails"
+    v = check_equal(demon, helpers.prog("x := 2 |^| x := 0", s), fam, s)
+    assert (v.status, v.method) == ("holds", "rows")
+
+
+def test_a_family_of_bare_probes_runs_them():
+    s = helpers.bit_space()
+    left, right = helpers.prog("x :in 1 <1/4> 0", s), helpers.prog("x :in 1 <1/2> 0", s)
+    fam = ProbeFamily(ProbeFamily.default(s).probes)
+    assert fam.observed is None
+    v = check_equal(left, right, fam, s)
+    assert (v.status, v.method) == ("fails", "probes")
+    assert v == check_equal(left, right, ProbeFamily.default(s), s)
+
+
+_DEFINED = ("SKIP", "ABORT", "x := 0", "x := 2", "x := y", "y := 1 - y",
+            "x :in {0, 2}", "y :in 0 <1/3> 1", "x :suchthat x > y")
+
+
+def _defined_program(gen, depth=2) -> str:
+    """A random program over helpers.random_space() that is defined
+    everywhere, so that the rows can decide it."""
+    if depth == 0 or gen.random() < 0.3:
+        return gen.choice(_DEFINED)
+    a, b = (_defined_program(gen, depth - 1) for _ in range(2))
+    return gen.choice((f"{a}; {b}", f"({a}) |^| ({b})", f"({a}) <1/2> ({b})",
+                       f"IF x = y THEN ({a}) ELSE ({b})"))
+
+
+def _pairs():
+    """Program pairs on one space: the corpora's neighbours and each
+    program with itself; and over helpers.random_space(), 300 seeded
+    random pairs: 75 random ones and 75 defined everywhere, and the
+    demonic choice of each pair against its first."""
+    programs = helpers.corpus() + helpers.loop_corpus()
+    for (a, s), (b, t) in zip(programs, programs[1:]):
+        yield a, a, s
+        if s == t:
+            yield a, b, s
+    gen, space = random.Random(20261020), helpers.random_space()
+    for k in range(150):
+        make = helpers.random_program if k % 2 else _defined_program
+        a, b = (make(gen, depth=2) for _ in range(2))
+        yield helpers.prog(a, space), helpers.prog(b, space), space
+        yield helpers.prog(f"({a}) |^| ({b})", space), helpers.prog(a, space), space
+
+
+def test_rows_agree_with_the_probes_wherever_they_decide():
+    # soundness: a probe that refutes refutes the rows too, with the same
+    # counterexample, and a rows refutation the probes miss is a witness
+    decided, stronger = {"holds": 0, "fails": 0}, 0
+    for a, b, s in _pairs():
+        left, right = compile_program(a, s), compile_program(b, s)
+        # indicators alone miss a demon that avoids one outcome; a family
+        # over every variable holds an indicator per state, so not on the
+        # halving loop's 1458 states
+        families = [ProbeFamily.over_vars(s, s.names[:1])]
+        if s.size <= 64:
+            families += [ProbeFamily.default(s, (a, b)),
+                         ProbeFamily.over_vars(s, s.names, extra=0)]
+        for fam in families:
+            for check, violates in ((check_equal, operator.ne), (check_refines, operator.gt)):
+                try:
+                    v = check(a, b, fam, s)
+                except UndefinedStateError:
+                    continue  # a marker: decided by the probes, which raise
+                if v.method != "rows":
+                    continue
+                decided[v.status] += 1
+                probes = checks._by_probes(left, right, fam, s, None, violates)
+                if probes.status == "fails":
+                    assert v.status == "fails", (str(a), str(b))
+                    assert v.counterexample == probes.counterexample
+                elif v.status == "fails":
+                    stronger += 1
+                    cx = v.counterexample
+                    assert cx.lhs == left.wp(cx.probe).pre[cx.state]
+                    assert cx.rhs == right.wp(cx.probe).pre[cx.state]
+                    assert violates(cx.lhs, cx.rhs)
+    assert decided["holds"] > 200 and decided["fails"] > 200 and stronger > 5
 
 
 def variant(space, text, bound, eps):

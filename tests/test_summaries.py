@@ -214,25 +214,33 @@ def test_random_programs_match_the_oracles():
 
 
 def _loop_parts(prog) -> list:
-    """Each WHILE in prog, alone and followed by the rest of its sequence."""
+    """(part, loop) for each WHILE in prog: the loop alone; a loop followed
+    by the rest of its sequence; and a loop inside a branch of a choice
+    (through choices and sequences, not loop bodies) that more statements
+    follow, as that choice followed by the rest."""
     parts = {}
+
+    def in_branches(p) -> list:
+        if isinstance(p, While):
+            return [p]
+        return [w for c in children(p) for w in in_branches(c)]
 
     def walk(p):
         if isinstance(p, While):
-            parts[p] = None
+            parts[p, p] = None
         elif isinstance(p, Seq):
             chain = wp_module._chain(p)
             for j in range(len(chain) - 1):
-                if isinstance(chain[j], While):
-                    rest = chain[-1]
-                    for part in reversed(chain[j + 1:-1]):
-                        rest = Seq(part, rest)
-                    parts[Seq(chain[j], rest)] = rest
+                rest = chain[-1]
+                for part in reversed(chain[j + 1:-1]):
+                    rest = Seq(part, rest)
+                for loop in in_branches(chain[j]):
+                    parts[Seq(chain[j], rest), loop] = None
         for c in children(p):
             walk(c)
 
     walk(prog)
-    return list(parts.items())
+    return list(parts)
 
 
 def _outputs(prog, space, posts) -> list:
@@ -245,34 +253,39 @@ def _outputs(prog, space, posts) -> list:
     return outs
 
 
-def _head_loop_agrees(prog, rest, space, posts, monkeypatch) -> bool:
-    """Whether prog, a loop followed by `rest` (or None), gives the same
-    values, undefined states and reasons with its loop summarised and with
-    that loop left a _CWhile; False when the loop is not summarised."""
-    loop = prog.first if rest is not None else prog
+def _loop_agrees(prog, loop, space, posts, monkeypatch) -> bool:
+    """Whether prog gives the same values, undefined states and reasons with
+    `loop`, a WHILE in it, summarised and with that loop left a _CWhile;
+    False when the loop is not summarised."""
     if not _flat(compile_program(loop.body, space)._root):
         return False
-    one_option, calls = wp_module._one_option, []
+    one_option, compile_loop, calls, own = wp_module._one_option, wp_module._loop, [], []
 
     def recording(step):
         calls.append(one_option(step))
         return calls[-1]
 
-    monkeypatch.setattr(wp_module, "_one_option", recording)
-    summarised = _outputs(prog, space, posts)
-    # the loop's own test comes last, after its body's and rest's
-    if not calls[-1]:
-        return False
-    head = len(calls)
+    def tracking(prog, *args):
+        node = compile_loop(prog, *args)
+        if prog is loop:  # its own test is the last one made compiling it
+            own.append(len(calls))
+        return node
 
-    def all_but_head(step):
+    monkeypatch.setattr(wp_module, "_one_option", recording)
+    monkeypatch.setattr(wp_module, "_loop", tracking)
+    summarised = _outputs(prog, space, posts)
+    if not calls[own[0] - 1]:
+        return False
+
+    def all_but_own(step):
         calls.append(None)
-        return len(calls) != head and one_option(step)
+        return len(calls) != own[0] and one_option(step)
 
     calls.clear()
-    monkeypatch.setattr(wp_module, "_one_option", all_but_head)
+    monkeypatch.setattr(wp_module, "_one_option", all_but_own)
     assert _outputs(prog, space, posts) == summarised
     monkeypatch.setattr(wp_module, "_one_option", one_option)
+    monkeypatch.setattr(wp_module, "_loop", compile_loop)
     return True
 
 
@@ -285,20 +298,46 @@ UNFUSED_REST = (
 )
 
 
+# a summarised loop in a branch of a choice that more statements follow:
+# the loop must read their markers as the _CWhile does, not in the order of
+# its exit states
+BRANCH_LOOP = (
+    "((WHILE 1/2 DO y := 0 OD) |^| (IF x THEN SKIP ELSE {x > y})); "
+    "(IF 1/2 THEN y := 2 * y ELSE (y :suchthat x < 2; y :in {1/x, x/2}))"
+)
+
+
+def test_a_loop_in_a_branch_reads_the_markers_after_the_choice():
+    space = helpers.random_space()
+    reasons = _outputs(helpers.prog(BRANCH_LOOP, space), space, [[1] * space.size])[0]
+    at = space.state(x=0, y=1).index
+    assert reasons[at] == "y := 2 leaves the domain of y at {x=0, y=1}"
+
+
 def test_summarised_loops_agree_with_cwhile(monkeypatch):
     rng = random.Random(13)
     programs = list(helpers.loop_corpus())
     gen, space = random.Random(20261018), helpers.random_space()
-    programs.append((helpers.prog(UNFUSED_REST, space), space))
+    programs += [(helpers.prog(text, space), space) for text in (UNFUSED_REST, BRANCH_LOOP)]
     programs += [(helpers.prog(helpers.random_program(gen), space), space)
                  for _ in range(RANDOM_PROGRAMS)]
-    compared = 0
+    # and loops with a flat body, in a branch of a choice that more
+    # statements follow
+    for _ in range(RANDOM_PROGRAMS // 6):
+        loop = (f"WHILE {gen.choice(('1/2', '1/3', 'x < 2', 'y = 1'))} DO "
+                f"{helpers.random_program(gen, depth=1, loops=0)} OD")
+        text = (f"(({loop}) {gen.choice(('|^|', '<1/2>'))} "
+                f"({helpers.random_program(gen, depth=1)})); {helpers.random_program(gen)}")
+        programs.append((helpers.prog(text, space), space))
+    compared = in_branch = 0
     for prog, space in programs:
         posts = [[1] * space.size] + [[rng.randrange(0, 9) for _ in range(space.size)]
                                       for _ in range(2)]
-        for part, rest in _loop_parts(prog):
+        for part, loop in _loop_parts(prog):
             try:
-                compared += _head_loop_agrees(part, rest, space, posts, monkeypatch)
+                agrees = _loop_agrees(part, loop, space, posts, monkeypatch)
             except AssertionError as exc:
                 raise AssertionError(f"{part}: {exc}") from exc
-    assert compared > 100
+            compared += agrees
+            in_branch += agrees and part is not loop and part.first is not loop
+    assert compared > 100 and in_branch > 25
