@@ -92,12 +92,17 @@ class ProbeFamily:
     """Finite witness family of expectations used by the checkers.
 
     `observed` names the variables every probe is a function of, so that
-    a check may decide from the compiled rows over them; a family with
-    none always runs its probes."""
+    a check may decide from the compiled rows over them.  Only `default`
+    and `over_vars`, which build the probes, set it; a family built from
+    a tuple of probes has none and always runs its probes."""
 
     probes: tuple[Expectation, ...]
     seed: Optional[int] = None
-    observed: Optional[tuple[str, ...]] = None
+    observed: Optional[tuple[str, ...]] = field(default=None, init=False)
+
+    def _observing(self, names: tuple[str, ...]) -> "ProbeFamily":
+        object.__setattr__(self, "observed", names)
+        return self
 
     def __iter__(self):
         return iter(self.probes)
@@ -127,7 +132,7 @@ class ProbeFamily:
                     seen.add(exp.values)
                     probes.append(exp)
         probes.extend(_random_probes(space, seed, extra, seen))
-        return ProbeFamily(tuple(probes), seed=seed, observed=space.names)
+        return ProbeFamily(tuple(probes), seed=seed)._observing(space.names)
 
     @staticmethod
     def over_vars(space: StateSpace, names: Iterable[str], seed: int = 0,
@@ -167,7 +172,7 @@ class ProbeFamily:
             column = [Fraction(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
                                PROBE_DENOMINATOR) for _ in combos]
             add(column, f"random probe {k} over {', '.join(names)}")
-        return ProbeFamily(tuple(probes), seed=seed, observed=names)
+        return ProbeFamily(tuple(probes), seed=seed)._observing(names)
 
 
 def _random_probes(space: StateSpace, seed: int, count: int, seen: set):

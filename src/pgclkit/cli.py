@@ -344,13 +344,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_wp)
 
-    p = sub.add_parser("check-equal", help="program equivalence, over the posts on the probe variables")
+    p = sub.add_parser("check-equal", help="program equivalence, decided exactly "
+                       "from the compiled programs where possible, else on the probe family")
     p.add_argument("--left", dest="lhs", required=True, metavar="FILE")
     p.add_argument("--right", dest="rhs", required=True, metavar="FILE")
     _add_check_flags(p)
     p.set_defaults(fn=lambda a: _run_check(a, "equal"))
 
-    p = sub.add_parser("check-refines", help="refinement, over the posts on the probe variables")
+    p = sub.add_parser("check-refines", help="refinement, decided exactly from the "
+                       "compiled programs where possible, else on the probe family")
     p.add_argument("--spec", dest="lhs", required=True, metavar="FILE")
     p.add_argument("--impl", dest="rhs", required=True, metavar="FILE")
     _add_check_flags(p)

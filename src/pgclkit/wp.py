@@ -613,12 +613,11 @@ def _choice(entries: list, branches: list) -> _CPick:
     return _CPick(entries, branches)
 
 
-def _loop(prog: While, space: StateSpace, after: tuple, then=None):
-    """A WHILE, followed by the compiled `then` if given.  The loop is
-    summarised when its composed step (entries over the loop's states,
-    then its exits at n + i) has one option per state; the markers that
-    the statements `after` it meet at the exits count then, as they would
-    when run."""
+def _loop(prog: While, space: StateSpace, after: tuple):
+    """A WHILE, summarised when its composed step (entries over the loop's
+    states, then its exits at n + i) has one option per state; the markers
+    that the statements `after` it meet at the exits count then, as they
+    would when run."""
     n = space.size
     kind = static_kind(prog.guard, space)
     if kind not in ("bool", "num"):
@@ -630,7 +629,7 @@ def _loop(prog: While, space: StateSpace, after: tuple, then=None):
         step = _compose(gate, body.states + list(range(n, 2 * n)))
         if _one_option(step):
             loop = _CPick(loop.summary(step, _exits(after, n)))
-    return loop if then is None else _seq(loop, then)
+    return loop
 
 
 def _exits(after: tuple, n: int) -> _Vec:
@@ -723,9 +722,7 @@ def _compile(prog: Program, space: StateSpace, after: tuple = ()):
         parts = _chain(prog)
         node = _compile(parts.pop(), space, after)
         while parts:
-            part, rest = parts.pop(), (node,) + after
-            node = (_loop(part, space, rest, node) if isinstance(part, While)
-                    else _seq(_compile(part, space, rest), node))
+            node = _seq(_compile(parts.pop(), space, (node,) + after), node)
         return node
     if isinstance(prog, While):
         return _loop(prog, space, after)

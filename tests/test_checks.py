@@ -200,6 +200,8 @@ def test_a_family_of_bare_probes_runs_them():
     left, right = helpers.prog("x :in 1 <1/4> 0", s), helpers.prog("x :in 1 <1/2> 0", s)
     fam = ProbeFamily(ProbeFamily.default(s).probes)
     assert fam.observed is None
+    with pytest.raises(TypeError):  # only the factories know what probes read
+        ProbeFamily(fam.probes, observed=("x",))
     v = check_equal(left, right, fam, s)
     assert (v.status, v.method) == ("fails", "probes")
     assert v == check_equal(left, right, ProbeFamily.default(s), s)
