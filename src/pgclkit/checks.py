@@ -20,9 +20,8 @@ programs actually branch on, and a few seeded pseudo-random expectations
 guard against functionals that happen to agree on indicators.  Every
 pre-expectation is exact, loops included, so any probe disagreement
 refutes and agreement on every probe confirms, on those probes.  A
-`fails` from the rows runs the probes too, for the same first
-counterexample; where no probe witnesses it, the counterexample's probe is
-the rows' witness.
+`fails` from the rows runs the probes too, with the rows' witness as the
+last probe, so its counterexample is the first probe that refutes.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Iterable, Optional
 
 from .errors import DistError, EvalError, UndefinedStateError, VariantError, WpError
 from .expectations import Expectation, evaluate, from_expr, indicator
-from .exprs import Bracket, Cmp, Expr, Lit, static_kind
+from .exprs import Bracket, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
 from .states import State, StateSpace
 from .wp import WpConfig, compile_program
@@ -215,21 +214,16 @@ def _compare(left: Program, right: Program, probes: ProbeFamily,
         return _by_probes(left_c, right_c, probes, space, cfg, violates)
     if decided is _HOLDS:
         return Verdict("holds", method="rows")
-    verdict = _by_probes(left_c, right_c, probes, space, cfg, violates)
-    if verdict.status == "fails":
-        return replace(verdict, method="rows")
-    # no probe witnesses the failure: the rows' witness does, run as a probe
-    i, probe = decided[0], _witness(space, positions, probes.observed, *decided[1:])
-    lhs = left_c.wp(probe, cfg).pre.values[i]
-    rhs = right_c.wp(probe, cfg).pre.values[i]
-    if not violates(lhs, rhs):
-        raise WpError(f"the rows' witness {probe} does not refute at "
+    # the first probe that refutes, with the rows' witness as the last one
+    i, witness = decided[0], _witness(space, positions, probes.observed, *decided[1:])
+    verdict = _by_probes(left_c, right_c, (*probes, witness), space, cfg, violates)
+    if verdict.holds:
+        raise WpError(f"the rows' witness {witness} does not refute at "
                       f"{space.state_at(i)}; this is a bug in the checker")
-    return Verdict("fails", Counterexample(probe, space.state_at(i), lhs, rhs),
-                   method="rows")
+    return replace(verdict, method="rows")
 
 
-def _by_probes(left_c, right_c, probes: ProbeFamily, space: StateSpace,
+def _by_probes(left_c, right_c, probes: Iterable[Expectation], space: StateSpace,
                cfg: Optional[WpConfig], violates) -> Verdict:
     """Run both compiled programs on every probe; the first state where
     violates(lhs, rhs) refutes the relation."""
@@ -367,12 +361,14 @@ def check_variant(loop: Program, spec: VariantSpec,
     for i in range(space.size):
         g = guards[guard_index[i]]
         if isinstance(g, EvalError):
-            raise g
+            raise EvalError(f"loop guard {loop.guard} is undefined at "
+                            f"{space.state_at(i)}: {g}") from g
         if not g:
             continue
         v = variants[variant_index[i]]
         if isinstance(v, EvalError):
-            raise v
+            raise EvalError(f"variant {spec.variant} is undefined at "
+                            f"{space.state_at(i)}: {v}") from v
         if not isinstance(v, Fraction) or v.denominator != 1 or v < 0:
             raise VariantError(
                 f"variant {spec.variant} = {v!r} at {space.state_at(i)} "
@@ -398,11 +394,12 @@ def check_variant(loop: Program, spec: VariantSpec,
     # undefinedness only where the loop actually iterates
     body = compile_program(loop.body, space)
     for cut in sorted({v for _, v in guard_states}):
-        decrease = from_expr(
-            space,
-            Bracket(_lt(spec.variant, cut)),
-            label=f"[{spec.variant} < {cut}]",
-        )
+        # [variant < cut]: 0 where the variant is undefined or not a
+        # number, which counts as no decrease and so never over-claims
+        column = [ONE if isinstance(x, Fraction) and x < cut else ZERO
+                  for x in variants]
+        decrease = Expectation.proven(space, tuple(map(column.__getitem__, variant_index)),
+                                      label=f"[{spec.variant} < {cut}]")
         result = body.wp(decrease, WpConfig(undefined="mask"))
         masked = {st.index for st in result.undefined_states}
         for i, v in guard_states:
@@ -423,7 +420,3 @@ def check_variant(loop: Program, spec: VariantSpec,
                     detail="variant may fail to decrease often enough",
                 )
     return Verdict("holds")
-
-
-def _lt(variant: Expr, cut: Fraction) -> Expr:
-    return Cmp("<", variant, Lit(cut))

@@ -244,7 +244,7 @@ def _cmd_trials(args) -> int:
         print("run count missing: pass --runs or use a trials file",
               file=sys.stderr)
         return 2
-    result = run_trials(dist, runs, args.seed, shards=args.shards)
+    result = run_trials(dist, runs, args.seed)
     if args.json:
         print(json.dumps({
             "weights": list(result.weights),
@@ -379,7 +379,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True)
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_trials)
 

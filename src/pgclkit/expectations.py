@@ -59,22 +59,24 @@ class Expectation:
 
 
 def from_expr(space: StateSpace, expr: Expr, label: str = "") -> Expectation:
-    """Evaluate an expression statewise.  Boolean expressions are wrapped
-    in an Iverson bracket, so guards can be used as expectations directly."""
+    """Evaluate an expression statewise, once per value of its free
+    variables.  Boolean expressions are wrapped in an Iverson bracket, so
+    guards can be used as expectations directly."""
     if static_kind(expr, space) == "bool":
         expr = Bracket(expr)
-    values = []
-    for state in space.states():
-        try:
-            v = eval_expr(expr, state)
-        except EvalError as exc:
-            raise EvalError(f"expectation {expr} is undefined at {state}: {exc}") from exc
+    index, results = evaluate(space, expr)
+    ok = [isinstance(v, Fraction) and v >= 0 for v in results]
+    if not all(ok):
+        # the first state that reads a bad value, as a state-by-state walk
+        i = next(i for i, c in enumerate(index) if not ok[c])
+        v, state = results[index[i]], space.state_at(i)
+        if isinstance(v, EvalError):
+            raise EvalError(f"expectation {expr} is undefined at {state}: {v}") from v
         if not isinstance(v, Fraction):
             raise EvalError(f"expectation is non-numeric at {state}")
-        if v < 0:
-            raise EvalError(f"expectation is negative at {state}")
-        values.append(v)
-    return Expectation(space, tuple(values), label=label or str(expr))
+        raise EvalError(f"expectation is negative at {state}")
+    return Expectation.proven(space, tuple(map(results.__getitem__, index)),
+                              label=label or str(expr))
 
 
 def evaluate(space: StateSpace, expr) -> tuple:

@@ -21,7 +21,8 @@ absorbed; the machine is rejected loudly.
 
 Bulk trials sample through the built machine: run_trials flattens it into
 one successor table and each draw walks it, one table lookup per flip.
-Fed the same bit stream, the walk visits exactly the configurations that
+Every draw of a run reads one seeded stream, RandomBitSource(seed).  Fed
+the same bit stream, the walk visits exactly the configurations that
 sampler.sample_discrete derives flip by flip, so it returns the same
 outcomes and flip counts; the window invariant was checked at every
 reachable configuration when the machine was built.  A machine with more
@@ -48,9 +49,6 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 DEFAULT_MAX_NODES = 100_000
-
-# more shards than this would make _shard_seed collide across seeds
-MAX_SHARDS = 1_000_003
 
 
 @dataclass(frozen=True)
@@ -325,55 +323,46 @@ class TrialsResult:
         return "\n".join(lines)
 
 
-def run_trials(d: WeightedDist, runs: int, seed: int, shards: int = 1) -> TrialsResult:
+def run_trials(d: WeightedDist, runs: int, seed: int) -> TrialsResult:
     """Sample `runs` times and tally outcomes and flip counts.
 
-    Work is split into shards with bit streams derived from (seed, shard),
-    so the aggregate is independent of evaluation order and a given
-    (seed, shards) pair is fully reproducible.  Draws walk the built
-    machine, or use sample_discrete when the machine has more nodes than
-    there are runs; both consume the same bits and give the same result.
+    Every draw reads the one bit stream RandomBitSource(seed), so the
+    result equals `runs` successive sample_discrete(d, source) draws and a
+    given seed is fully reproducible.  Draws walk the built machine, or use
+    sample_discrete when the machine has more nodes than there are runs;
+    both consume the same bits and give the same result.
     """
-    _check_trials(runs, shards)
+    _check_trials(runs)
     try:
         m = build_machine(d, max_nodes=min(DEFAULT_MAX_NODES, runs))
     except MachineFormatError:  # over the node cap
         m = None
-    return _trials(d, m, runs, seed, shards)
+    return _trials(d, m, runs, seed)
 
 
-def _check_trials(runs: int, shards: int):
+def _check_trials(runs: int):
     if runs < 1:
         raise DistError("need at least one run")
-    if shards < 1 or shards > runs:
-        raise DistError("shards must be between 1 and the run count")
-    if shards > MAX_SHARDS:
-        raise DistError(f"at most {MAX_SHARDS} shards keep shard seeds distinct")
 
 
-def _trials(d: WeightedDist, m: Optional[Machine], runs: int, seed: int,
-            shards: int) -> TrialsResult:
+def _trials(d: WeightedDist, m: Optional[Machine], runs: int,
+            seed: int) -> TrialsResult:
     """Draw through machine `m` built from `d`, or with sample_discrete
     when `m` is None."""
-    if m is not None:
-        succ, start = _successors(m)
+    source = RandomBitSource(seed)
     tallies = [0] * d.size
     total_flips = 0
     total_flips_sq = 0
-    per_shard = [runs // shards] * shards
-    for k in range(runs % shards):
-        per_shard[k] += 1
-    for shard, count in enumerate(per_shard):
-        source = RandomBitSource(_shard_seed(seed, shard))
-        if m is None:
-            for _ in range(count):
-                trace = sample_discrete(d, source)
-                tallies[trace.outcome - 1] += 1
-                total_flips += trace.flips
-                total_flips_sq += trace.flips * trace.flips
-            continue
+    if m is None:
+        for _ in range(runs):
+            trace = sample_discrete(d, source)
+            tallies[trace.outcome - 1] += 1
+            total_flips += trace.flips
+            total_flips_sq += trace.flips * trace.flips
+    else:
+        succ, start = _successors(m)
         next_bit = source.next_bit
-        for _ in range(count):
+        for _ in range(runs):
             node = start
             flips = 0
             while node >= 0:
@@ -410,12 +399,6 @@ def _successors(m: Machine) -> tuple[list[int], int]:
     return succ, entry(m.root)
 
 
-def _shard_seed(seed: int, shard: int) -> int:
-    # fixed affine mix, one-to-one for non-negative seeds while
-    # shard < MAX_SHARDS; random.Random seeds must not collide
-    return seed * MAX_SHARDS + shard
-
-
 @dataclass(frozen=True)
 class CrosscheckReport:
     """Exact analysis against an empirical run, with z-scores."""
@@ -429,14 +412,13 @@ class CrosscheckReport:
         return max(abs(z) for z in self.outcome_z)
 
 
-def crosscheck(d: WeightedDist, runs: int, seed: int,
-               shards: int = 1) -> CrosscheckReport:
+def crosscheck(d: WeightedDist, runs: int, seed: int) -> CrosscheckReport:
     """Run trials and score them against the exact machine analysis;
     both read the one machine built from `d`."""
-    _check_trials(runs, shards)
+    _check_trials(runs)
     m = build_machine(d)
     analysis = analyze(m)
-    trials = _trials(d, m, runs, seed, shards)
+    trials = _trials(d, m, runs, seed)
     zs = []
     for i in range(d.size):
         p = float(analysis.outcome_prob[i])

@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from pgclkit import (
+    EvalError,
     ProbeFamily,
     UndefinedStateError,
     VariantError,
@@ -323,6 +324,32 @@ def test_variant_above_its_bound_is_a_verdict_where_it_is_undefined():
         # the variant where it is a non-negative number, 0 elsewhere
         assert cx.probe.values == tuple(map(F, values))
         assert str(cx.probe) == str(parse_expression(text, s))
+
+
+def test_variant_cut_reads_no_decrease_where_the_variant_is_undefined():
+    s = space_of(("x", (0, 1, 2)))
+    # 2/x is undefined at x = 0, where the body goes from x = 1: no decrease
+    loop = helpers.prog("WHILE x > 0 DO x := x - 1 OD", s)
+    v = check_variant(loop, variant(s, "2/x", 2, "1/2"), s)
+    assert v.status == "fails" and "decrease" in v.detail
+    cx = v.counterexample
+    assert (str(cx.probe), cx.state, cx.lhs) == ("[2 / x < 1]", s.state(x=2), 0)
+    assert cx.probe.values == (0, 0, 0)
+    # 2 - 2/x is undefined at x = 0 too, but the body never goes there
+    loop = helpers.prog("WHILE x = 2 DO x := 1 OD", s)
+    assert check_variant(loop, variant(s, "2 - 2/x", 1, "1"), s).holds
+
+
+def test_variant_errors_name_the_state():
+    s = space_of(("x", (0, 1, 2)))
+    loop = helpers.prog("WHILE 1/x = 1 DO x := 0 OD", s)
+    with pytest.raises(EvalError) as ei:
+        check_variant(loop, variant(s, "x", 2, "1/2"), s)
+    assert str(ei.value) == "loop guard 1 / x = 1 is undefined at {x=0}: division by zero"
+    loop = helpers.prog("WHILE x > 0 DO x := x - 1 OD", s)
+    with pytest.raises(EvalError) as ei:
+        check_variant(loop, variant(s, "1/(x - 1)", 2, "1/2"), s)
+    assert str(ei.value) == "variant 1 / (x - 1) is undefined at {x=1}: division by zero"
 
 
 def test_variant_requires_boolean_loop():

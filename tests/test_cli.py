@@ -304,16 +304,17 @@ def test_check_variant_fails_on_spin(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "fails"
 
 
-def test_check_variant_cut_undefined_names_the_state(tmp_path, capsys):
-    # the variant is natural on the guard states, but its cut bracket is
-    # undefined at the exit state x = 0
+def test_check_variant_undefined_cut_is_no_decrease(tmp_path, capsys):
+    # the variant is natural on the guard states, but undefined at the exit
+    # state x = 0, where its cut bracket reads 0: no decrease
     prog = write(tmp_path, "loop.pgcl",
-                 "var x in {0, 1}\nWHILE x > 0 DO x := x - 1 OD\n")
+                 "var x in {0, 1, 2}\nWHILE x > 0 DO x := x - 1 OD\n")
     rc = main(["check-variant", "--program", prog, "--variant", "2/x",
                "--bound", "2", "--epsilon", "1/2"])
     assert rc == 1
-    assert capsys.readouterr().err.strip() == (
-        "error: expectation [2 / x < 2] is undefined at {x=0}: division by zero")
+    assert capsys.readouterr().out.strip() == (
+        "fails (variant may fail to decrease often enough) "
+        "[probe [2 / x < 1]: at {x=2} lhs = 0, rhs = 1/2]")
 
 
 def test_check_variant_above_its_bound_fails_where_it_is_undefined(tmp_path, capsys):
@@ -379,6 +380,17 @@ def test_trials_inline_dist(capsys):
     out = capsys.readouterr().out
     assert "outcome 1" in out and "outcome 2" in out
     assert "200 runs" in out
+
+
+def test_one_trial_tallies_the_sampled_outcome(capsys):
+    # a trials run draws from the one stream of its seed, as sample does
+    for seed in ("1", "4", "11"):
+        assert main(["sample", "--dist", "1 2 3", "--seed", seed, "--json"]) == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert main(["trials", "--dist", "1 2 3", "--runs", "1", "--seed", seed,
+                     "--json"]) == 0
+        tallies = json.loads(capsys.readouterr().out)["tallies"]
+        assert tallies == [int(k == outcome) for k in (1, 2, 3)]
 
 
 def test_trials_file_carries_run_count(tmp_path, capsys):

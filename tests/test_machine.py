@@ -275,12 +275,12 @@ def test_crosscheck_agrees_within_noise(monkeypatch):
 
     monkeypatch.setattr(pgclkit.machine, "build_machine", counting)
     d = WeightedDist((1, 2, 3))
-    report = crosscheck(d, runs=4000, seed=11, shards=3)
+    report = crosscheck(d, runs=4000, seed=11)
     assert len(builds) == 1  # the analysis and the trials share one machine
     assert report.analysis.outcome_prob == (F(1, 6), F(2, 6), F(3, 6))
     assert report.max_outcome_z() < 4.0
     assert abs(report.flips_z) < 4.0
-    assert report.trials == run_trials(d, 4000, 11, shards=3)
+    assert report.trials == run_trials(d, 4000, 11)
 
 
 def test_crosscheck_fair_coin_edge_case():

@@ -175,15 +175,10 @@ def test_trials_are_reproducible_and_exhaustive():
 
 def test_trials_sharding_is_reproducible():
     d = WeightedDist((2, 1, 3, 4))
-    a = run_trials(d, 1000, seed=3, shards=4)
-    b = run_trials(d, 1000, seed=3, shards=4)
+    a = run_trials(d, 1000, seed=3)
+    b = run_trials(d, 1000, seed=3)
     assert a == b
     assert sum(a.tallies) == 1000
-    with pytest.raises(DistError):
-        run_trials(d, 10, seed=0, shards=11)
-    # seed * 1_000_003 + shard: (0, 1_000_003) would replay (1, 0)
-    with pytest.raises(DistError):
-        run_trials(d, 2_000_000, 0, shards=1_000_004)
     # random.Random seeds with |seed|, so seed -1 would replay seed 1
     with pytest.raises(DistError, match="non-negative"):
         run_trials(WeightedDist((1, 2, 3)), 200, -1)
@@ -191,17 +186,16 @@ def test_trials_sharding_is_reproducible():
         RandomBitSource(-1)
 
 
-def _reference_trials(d, runs, seed, shards=1):
-    # one sample_discrete call per draw, on the shard streams run_trials uses
+def _reference_trials(d, runs, seed):
+    # one sample_discrete call per draw, all on the one stream of the seed
     tallies = [0] * d.size
     total_flips = total_flips_sq = 0
-    for shard in range(shards):
-        source = RandomBitSource(seed * 1_000_003 + shard)
-        for _ in range(runs // shards + (shard < runs % shards)):
-            trace = sample_discrete(d, source)
-            tallies[trace.outcome - 1] += 1
-            total_flips += trace.flips
-            total_flips_sq += trace.flips * trace.flips
+    source = RandomBitSource(seed)
+    for _ in range(runs):
+        trace = sample_discrete(d, source)
+        tallies[trace.outcome - 1] += 1
+        total_flips += trace.flips
+        total_flips_sq += trace.flips * trace.flips
     return TrialsResult(d.weights, runs, seed, tuple(tallies),
                         total_flips, total_flips_sq)
 
@@ -214,10 +208,7 @@ def test_trials_walk_matches_per_flip_sampling_bit_for_bit(weights):
     d = WeightedDist(weights)
     for runs in (1, 7, 3000):
         for seed in (0, 1, 2**31 - 1):
-            for shards in (1, 3):
-                if shards <= runs:
-                    assert run_trials(d, runs, seed, shards) == \
-                        _reference_trials(d, runs, seed, shards)
+            assert run_trials(d, runs, seed) == _reference_trials(d, runs, seed)
 
 
 def test_trials_with_fewer_runs_than_nodes_match_per_flip_sampling():
@@ -225,12 +216,14 @@ def test_trials_with_fewer_runs_than_nodes_match_per_flip_sampling():
     # without it, from the same bits
     d = WeightedDist((50, 98, 54, 6, 34, 66, 63, 52))
     assert 200 < build_machine(d).size
-    for runs, shards in ((1, 1), (200, 1), (200, 7)):
-        assert run_trials(d, runs, 5, shards) == _reference_trials(d, runs, 5, shards)
+    for runs in (1, 7, 200):
+        for seed in (0, 1, 2**31 - 1):
+            assert run_trials(d, runs, seed) == _reference_trials(d, runs, seed)
     # beyond the node cap of build_machine
     d = WeightedDist((1, 999999936))
     for runs in (1, 2, 5):
-        assert run_trials(d, runs, 3) == _reference_trials(d, runs, 3)
+        for seed in (0, 1, 2**31 - 1):
+            assert run_trials(d, runs, seed) == _reference_trials(d, runs, seed)
 
 
 def test_random_bits_are_getrandbits_1():
