@@ -19,15 +19,14 @@ of wp.py use too; each row has at most two successors, which keeps the
 elimination sparse.  A vanishing pivot means some interior node is never
 absorbed; the machine is rejected loudly.
 
-Bulk trials sample through the built machine: run_trials flattens it into
-one successor table and each draw walks it, one table lookup per flip.
-Every draw of a run reads one seeded stream, RandomBitSource(seed).  Fed
-the same bit stream, the walk visits exactly the configurations that
-sampler.sample_discrete derives flip by flip, so it returns the same
-outcomes and flip counts; the window invariant was checked at every
-reachable configuration when the machine was built.  A machine with more
-nodes than draws costs more to build than the walk saves, so above that
-size run_trials draws with sample_discrete instead.
+Bulk trials do not build a machine: run_trials walks the successor table
+of the WeightedDist (see sampler), one table lookup per flip, which holds
+only the configurations that draws reach; sampler.sample_discrete walks
+the same table.  Every draw of a run reads one seeded stream,
+RandomBitSource(seed), so a run returns the same outcomes and flip counts
+as that many sample_discrete draws from the stream.  Its interior
+configurations are the machine's, keyed the same way, and each was
+checked when first derived, as build_machine checks every reachable one.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Optional
 from .bits import RandomBitSource
 from .errors import DistError, MachineAnalysisError, MachineFormatError
 from .linear import absorb
-from .sampler import CumulativeDist, WeightedDist, sample_discrete
+from .sampler import CumulativeDist, WeightedDist
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -328,75 +327,32 @@ def run_trials(d: WeightedDist, runs: int, seed: int) -> TrialsResult:
 
     Every draw reads the one bit stream RandomBitSource(seed), so the
     result equals `runs` successive sample_discrete(d, source) draws and a
-    given seed is fully reproducible.  Draws walk the built machine, or use
-    sample_discrete when the machine has more nodes than there are runs;
-    both consume the same bits and give the same result.
+    given seed is fully reproducible.  Draws walk the successor table of
+    `d`, as sample_discrete does, but count flips instead of recording them.
     """
-    _check_trials(runs)
-    try:
-        m = build_machine(d, max_nodes=min(DEFAULT_MAX_NODES, runs))
-    except MachineFormatError:  # over the node cap
-        m = None
-    return _trials(d, m, runs, seed)
-
-
-def _check_trials(runs: int):
     if runs < 1:
         raise DistError("need at least one run")
-
-
-def _trials(d: WeightedDist, m: Optional[Machine], runs: int,
-            seed: int) -> TrialsResult:
-    """Draw through machine `m` built from `d`, or with sample_discrete
-    when `m` is None."""
-    source = RandomBitSource(seed)
+    table = d._successor_table()
+    succ, underived, start = table.succ, table.underived, table.start
+    next_bit = RandomBitSource(seed).next_bit
     tallies = [0] * d.size
     total_flips = 0
     total_flips_sq = 0
-    if m is None:
-        for _ in range(runs):
-            trace = sample_discrete(d, source)
-            tallies[trace.outcome - 1] += 1
-            total_flips += trace.flips
-            total_flips_sq += trace.flips * trace.flips
-    else:
-        succ, start = _successors(m)
-        next_bit = source.next_bit
-        for _ in range(runs):
-            node = start
-            flips = 0
+    for _ in range(runs):
+        node = start
+        flips = 0
+        while True:
             while node >= 0:
                 node = succ[node + next_bit()]
                 flips += 1
-            tallies[-node - 1] += 1
-            total_flips += flips
-            total_flips_sq += flips * flips
+            if node > underived:  # a leaf, -outcome
+                break
+            node = table.derive(node)
+        tallies[-node - 1] += 1
+        total_flips += flips
+        total_flips_sq += flips * flips
     return TrialsResult(d.weights, runs, seed, tuple(tallies),
                         total_flips, total_flips_sq)
-
-
-def _successors(m: Machine) -> tuple[list[int], int]:
-    """The machine as one flat table, plus where a walk starts.
-
-    An interior node at position i owns succ[2*i] (heads) and
-    succ[2*i + 1] (tails).  An entry holds its successor's position 2*j,
-    ready for the next lookup, or -outcome when the successor is a leaf.
-    The start is the root's entry in the same form.
-    """
-    position = {}
-    for node in m.nodes:
-        if node.kind == "interior":
-            position[node.id] = 2 * len(position)
-
-    def entry(node_id: int) -> int:
-        node = m.node(node_id)
-        return position[node_id] if node.kind == "interior" else -node.outcome
-
-    succ = []
-    for node in m.nodes:
-        if node.kind == "interior":
-            succ += (entry(node.heads), entry(node.tails))
-    return succ, entry(m.root)
 
 
 @dataclass(frozen=True)
@@ -413,12 +369,10 @@ class CrosscheckReport:
 
 
 def crosscheck(d: WeightedDist, runs: int, seed: int) -> CrosscheckReport:
-    """Run trials and score them against the exact machine analysis;
-    both read the one machine built from `d`."""
-    _check_trials(runs)
-    m = build_machine(d)
-    analysis = analyze(m)
-    trials = _trials(d, m, runs, seed)
+    """Run trials and score them against the exact analysis of the
+    machine built from `d`."""
+    trials = run_trials(d, runs, seed)
+    analysis = analyze(build_machine(d))
     zs = []
     for i in range(d.size):
         p = float(analysis.outcome_prob[i])

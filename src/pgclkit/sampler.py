@@ -16,12 +16,18 @@ that side.  The window narrows by at least one entry on at least one side
 of every flip, and sampling ends when low == high with outcome low
 (reported 1-based).  No arithmetic ever leaves the integers.
 
-sample_discrete derives each configuration as it flips and re-checks the
-window invariant after every flip; it serves single traced draws, scripted
-bit streams and `pgcl sample`.  Bulk trials (machine.run_trials) walk the
-machine that machine.build_machine derives and checks once instead, and
-consume the same bits.  sample_binary keeps its bias as a pair of
-integers too.
+Each WeightedDist derives its sampler configurations once.  Its successor
+table is a flat list: entry 2*i + bit holds where flipping `bit` at
+interior configuration i leads, as 2*j for interior configuration j, as
+-outcome for a leaf, or as a code below -N for a successor not yet
+derived.  A draw walks the table one lookup per flip and derives a
+successor only when it steps onto such a code: it splits the parent,
+checks the window invariant of the result, and stores the entry only once
+the check has passed, so no configuration is used unchecked and the table
+holds only the configurations that draws reach.  sample_discrete walks it
+for single traced draws, scripted bit streams and `pgcl sample`;
+machine.run_trials walks the same table for bulk trials.  sample_binary
+keeps its bias as a pair of integers too.
 """
 
 from __future__ import annotations
@@ -58,6 +64,17 @@ class WeightedDist:
     def probability(self, outcome: int) -> Fraction:
         """Exact probability of a 1-based outcome."""
         return Fraction(self.weights[outcome - 1], self.total)
+
+    def _successor_table(self) -> "_SuccessorTable":
+        """The successor table that sample_discrete and machine.run_trials
+        walk: made on first use, then grown by the draws."""
+        try:
+            return self._table
+        except AttributeError:
+            table = _SuccessorTable(self)
+            # not a field, so it stays out of __eq__, __hash__ and __repr__
+            object.__setattr__(self, "_table", table)
+            return table
 
     @staticmethod
     def parse(text: str) -> "WeightedDist":
@@ -150,6 +167,52 @@ class CumulativeDist:
         return CumulativeDist(tuple(dL), self.total, n + 1, self.high)
 
 
+class _SuccessorTable:
+    """The successor table of one WeightedDist; see the module docstring.
+
+    `succ` is the table and `start` the root's entry in the same form.
+    Entry e, while not yet derived, holds underived - e, where underived is
+    -N - 1; any code at or below underived names the one entry it stands
+    for.
+    """
+
+    def __init__(self, d: WeightedDist):
+        self.underived = -d.size - 1
+        self.succ: list[int] = []
+        self._configs: list[CumulativeDist] = []  # interior configuration i
+        self._positions: dict[tuple, int] = {}  # key() -> 2*i
+        root = CumulativeDist.initial(d)
+        root.check_invariant()
+        self.start = self._entry(root)
+
+    def __len__(self) -> int:
+        """Interior configurations derived so far."""
+        return len(self._configs)
+
+    def derive(self, code: int) -> int:
+        """Derive, check and store the entry that `code` stands for, and
+        return it.  Nothing is stored when the check fails."""
+        e = self.underived - code
+        parent = self._configs[e >> 1]
+        c = parent.split_right() if e & 1 else parent.split_left()
+        c.check_invariant()
+        self.succ[e] = entry = self._entry(c)
+        return entry
+
+    def _entry(self, c: CumulativeDist) -> int:
+        """The entry that leads to checked configuration `c`; a new
+        interior configuration gets two underived entries."""
+        if c.is_terminal:
+            return -c.outcome
+        key = c.key()
+        position = self._positions.get(key)
+        if position is None:
+            position = self._positions[key] = len(self.succ)
+            self._configs.append(c)
+            self.succ += (self.underived - position, self.underived - position - 1)
+        return position
+
+
 @dataclass(frozen=True)
 class SampleTrace:
     """One completed sample: 1-based outcome plus the bits that drove it."""
@@ -166,18 +229,23 @@ class SampleTrace:
 def sample_discrete(d: WeightedDist, bits) -> SampleTrace:
     """Draw one outcome from a weighted distribution.
 
-    `bits` is anything with a next_bit() method.  The window invariant is
-    re-checked after every flip; a violation is a bug, not bad input.
+    `bits` is anything with a next_bit() method that returns 0 or 1.  The
+    draw walks the successor table of `d`; a configuration it reaches for
+    the first time is derived and its window invariant checked, and a
+    violation is a bug, not bad input.
     """
-    c = CumulativeDist.initial(d)
-    c.check_invariant()
+    table = d._successor_table()
+    succ, underived, next_bit = table.succ, table.underived, bits.next_bit
     consumed: list[int] = []
-    while not c.is_terminal:
-        b = bits.next_bit()
-        consumed.append(b)
-        c = c.split_left() if b == 0 else c.split_right()
-        c.check_invariant()
-    return SampleTrace(c.outcome, len(consumed), tuple(consumed))
+    node = table.start
+    while True:
+        while node >= 0:
+            b = next_bit()
+            consumed.append(b)
+            node = succ[node + b]
+        if node > underived:  # a leaf, -outcome
+            return SampleTrace(-node, len(consumed), tuple(consumed))
+        node = table.derive(node)
 
 
 def sample_binary(p: Fraction, bits) -> SampleTrace:
@@ -188,17 +256,18 @@ def sample_binary(p: Fraction, bits) -> SampleTrace:
     q = 0 or r = 1, and one flip selects which half to keep: heads (bit 0)
     keeps q, tails keeps r.  Endpoint biases never flip at all.
     """
-    x = Fraction(p)
+    x = p if isinstance(p, Fraction) else Fraction(p)
     a, b = x.numerator, x.denominator  # b > 0
     if not 0 <= a <= b:
         raise DistError(f"bias {p} outside [0, 1]")
+    next_bit = bits.next_bit
     consumed: list[int] = []
     while 0 < a < b:
         if 2 * a <= b:
             q, r = 0, 2 * a
         else:
             q, r = 2 * a - b, b
-        bit = bits.next_bit()
+        bit = next_bit()
         consumed.append(bit)
         a = q if bit == 0 else r
     return SampleTrace(a // b, len(consumed), tuple(consumed))

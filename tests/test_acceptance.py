@@ -281,7 +281,8 @@ def test_criterion_8_property_suites():
         else:
             raise AssertionError("a non-fixpoint loop solve went unnoticed")
 
-        # the window invariant is re-checked after every flip of every draw
+        # the window invariant is checked at every configuration a draw
+        # reaches, when that configuration is first derived
         for ws in ((1,), (1, 1), (1, 2), (2, 1, 3, 4), (1, 1, 1, 1, 1, 1)):
             d = WeightedDist(ws)
             src = RandomBitSource(7)

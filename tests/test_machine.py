@@ -276,7 +276,7 @@ def test_crosscheck_agrees_within_noise(monkeypatch):
     monkeypatch.setattr(pgclkit.machine, "build_machine", counting)
     d = WeightedDist((1, 2, 3))
     report = crosscheck(d, runs=4000, seed=11)
-    assert len(builds) == 1  # the analysis and the trials share one machine
+    assert len(builds) == 1  # only the exact side builds a machine
     assert report.analysis.outcome_prob == (F(1, 6), F(2, 6), F(3, 6))
     assert report.max_outcome_z() < 4.0
     assert abs(report.flips_z) < 4.0

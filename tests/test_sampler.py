@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from pgclkit import (
     TrialsResult,
     DistError,
     RandomBitSource,
+    SampleTrace,
     ScriptedBitSource,
     WeightedDist,
     WindowInvariantError,
@@ -173,7 +175,7 @@ def test_trials_are_reproducible_and_exhaustive():
     assert c != a
 
 
-def test_trials_sharding_is_reproducible():
+def test_trials_repeat_per_seed_and_reject_negative_seeds():
     d = WeightedDist((2, 1, 3, 4))
     a = run_trials(d, 1000, seed=3)
     b = run_trials(d, 1000, seed=3)
@@ -186,13 +188,27 @@ def test_trials_sharding_is_reproducible():
         RandomBitSource(-1)
 
 
+def _per_flip_sample(d, bits):
+    # the independent oracle: derive every configuration afresh on every
+    # flip and check the window invariant after each one
+    c = CumulativeDist.initial(d)
+    c.check_invariant()
+    consumed = []
+    while not c.is_terminal:
+        b = bits.next_bit()
+        consumed.append(b)
+        c = c.split_left() if b == 0 else c.split_right()
+        c.check_invariant()
+    return SampleTrace(c.outcome, len(consumed), tuple(consumed))
+
+
 def _reference_trials(d, runs, seed):
-    # one sample_discrete call per draw, all on the one stream of the seed
+    # one per-flip draw per run, all on the one stream of the seed
     tallies = [0] * d.size
     total_flips = total_flips_sq = 0
     source = RandomBitSource(seed)
     for _ in range(runs):
-        trace = sample_discrete(d, source)
+        trace = _per_flip_sample(d, source)
         tallies[trace.outcome - 1] += 1
         total_flips += trace.flips
         total_flips_sq += trace.flips * trace.flips
@@ -200,10 +216,14 @@ def _reference_trials(d, runs, seed):
                         total_flips, total_flips_sq)
 
 
-@pytest.mark.parametrize("weights", [
+WEIGHTS = [
     (1,), (7,), (1, 1), (1, 2), (2, 1, 3, 4), (5, 1, 1, 1), (1,) * 6,
     tuple(range(1, 17)), (54, 25, 64), (50, 98, 54, 6, 34, 66, 63, 52),
-])
+    (1, 999999936),
+]
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
 def test_trials_walk_matches_per_flip_sampling_bit_for_bit(weights):
     d = WeightedDist(weights)
     for runs in (1, 7, 3000):
@@ -211,9 +231,88 @@ def test_trials_walk_matches_per_flip_sampling_bit_for_bit(weights):
             assert run_trials(d, runs, seed) == _reference_trials(d, runs, seed)
 
 
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_sample_discrete_matches_per_flip_sampling_bit_for_bit(weights):
+    for seed in (0, 1, 2**31 - 1):
+        # a cold table: a fresh dist object for every draw
+        source, reference = RandomBitSource(seed), RandomBitSource(seed)
+        for _ in range(30):
+            assert sample_discrete(WeightedDist(weights), source) == \
+                _per_flip_sample(WeightedDist(weights), reference)
+        # a warm table, grown by earlier trials on the same object
+        d = WeightedDist(weights)
+        run_trials(d, 2000, seed + 1)
+        source, reference = RandomBitSource(seed), RandomBitSource(seed)
+        for _ in range(300):
+            assert sample_discrete(d, source) == _per_flip_sample(d, reference)
+        # trials and single draws interleaved on one object
+        d = WeightedDist(weights)
+        source, reference = RandomBitSource(seed), RandomBitSource(seed)
+        for runs in (1, 2, 5, 40):
+            for _ in range(runs):
+                assert sample_discrete(d, source) == _per_flip_sample(d, reference)
+            assert run_trials(d, runs, seed + runs) == \
+                _reference_trials(d, runs, seed + runs)
+
+
+def test_exhausted_scripted_bits_leave_the_table_usable():
+    for weights in ((1,) * 6, (54, 25, 64), (1, 999999936)):
+        rng = random.Random(sum(weights))
+        d = WeightedDist(weights)
+        for _ in range(40):
+            bits = [rng.randrange(2) for _ in range(40)]
+            full = _per_flip_sample(d, ScriptedBitSource(bits))
+            if full.flips:
+                # run out one bit short, part way into the draw
+                with pytest.raises(BitsExhaustedError):
+                    sample_discrete(d, ScriptedBitSource(bits[: full.flips - 1]))
+            assert sample_discrete(d, ScriptedBitSource(bits)) == full
+
+
+def test_every_derived_configuration_is_checked_before_use(monkeypatch):
+    real = CumulativeDist.check_invariant
+
+    def check(c):
+        if c.key() == (0, (4,), 1):  # the die after heads, heads
+            raise WindowInvariantError("planted")
+        real(c)
+
+    monkeypatch.setattr(CumulativeDist, "check_invariant", check)
+    d = WeightedDist((1,) * 6)
+    with pytest.raises(WindowInvariantError, match="planted"):
+        sample_discrete(d, ScriptedBitSource((0, 0, 0)))
+    derived = len(d._successor_table())
+    # a failed derivation is never stored, so the retry checks and fails again
+    with pytest.raises(WindowInvariantError, match="planted"):
+        sample_discrete(d, ScriptedBitSource((0, 0, 0)))
+    assert len(d._successor_table()) == derived
+    with pytest.raises(WindowInvariantError, match="planted"):
+        run_trials(d, 1, _seed_starting_with(0, 0))
+    # draws whose bits avoid it succeed
+    assert sample_discrete(d, ScriptedBitSource((0, 1, 1))).outcome == 3
+    assert sample_discrete(d, ScriptedBitSource((1, 1, 1))).outcome == 6
+
+
+def _seed_starting_with(*bits):
+    for seed in range(1000):
+        source = RandomBitSource(seed)
+        if [source.next_bit() for _ in bits] == list(bits):
+            return seed
+
+
+@pytest.mark.parametrize("weights", [tuple(range(1, 17)), (1, 999999936)])
+def test_table_holds_only_the_configurations_draws_reach(weights):
+    # at depth k at most N - 1 unresolved dyadic intervals remain, so
+    # `draws` draws reach about (N - 1) * log2(draws) configurations
+    d = WeightedDist(weights)
+    draws = 100_000
+    run_trials(d, draws, seed=5)
+    assert len(d._successor_table()) <= (d.size - 1) * (math.log2(draws) + 8)
+
+
 def test_trials_with_fewer_runs_than_nodes_match_per_flip_sampling():
-    # the machine would cost more to build than the runs; they are drawn
-    # without it, from the same bits
+    # fewer runs than the built machine has nodes, so the walk reaches only
+    # part of it; the draws still read the same bits as the per-flip oracle
     d = WeightedDist((50, 98, 54, 6, 34, 66, 63, 52))
     assert 200 < build_machine(d).size
     for runs in (1, 7, 200):
@@ -263,7 +362,8 @@ def test_read_trials_file():
     st.randoms(use_true_random=False),
 )
 def test_window_invariant_holds_for_random_weights_and_bits(ws, rng):
-    # the invariant re-check inside sample_discrete raises on any violation
+    # sample_discrete checks the invariant at every configuration it
+    # derives, here all of them on a fresh dist, and raises on any violation
     class _Rng:
         def next_bit(self):
             return rng.randrange(2)
