@@ -103,6 +103,11 @@ class StateSpace:
         return f"StateSpace({inner})"
 
     @property
+    def strides(self) -> tuple[int, ...]:
+        """Per variable, the number of states one step of its value spans."""
+        return tuple(self._strides)
+
+    @property
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.domains)
 

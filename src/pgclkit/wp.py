@@ -21,9 +21,8 @@ Scaling by a positive W keeps the order of values, so every demonic
 minimum picks the option it would pick over Fractions.
 
 Loops are least fixpoints, solved exactly with the compiled body as the
-only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10).  Every
-loop is a _CWhile, which finds two sets by running its step, one way for
-both kinds of loop below:
+only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10).  A loop
+first finds two sets, one way for both kinds of loop below:
 
 - undefined states: the least marker set the step maps to itself;
 - stuck states, where the demon can keep the loop going forever: the
@@ -31,16 +30,19 @@ both kinds of loop below:
 
 The other states are solved by one of two rules:
 
-- a demon-free loop, whose composed step has one option per state, is
-  summarised once at compile time: linear.absorb gives each live state
-  its sub-distribution over the exits, checked against the step exactly;
-- a loop with a demonic choice is solved on every run by policy
-  iteration over memoryless demon choices.  Each round runs the body
-  once, on _Lin values: that gives the step at the current values, which
-  the descent and fixpoint checks read, and the policy that attains it.
-  linear.absorb solves that policy's chain, and the loop ends when the
-  step maps the solved values to themselves exactly.  Outside the stuck
-  states every policy is absorbing, so that fixpoint is unique.
+- a demon-free loop, whose composed step has one option per class, is
+  summarised once at compile time (_summary): it finds both sets over the
+  classes of its key, and linear.absorb gives each class where the loop
+  runs its sub-distribution over the exits, checked against the step
+  exactly;
+- a loop with a demonic choice (_CWhile) finds both sets over the states
+  and is solved on every run by policy iteration over memoryless demon
+  choices.  Each round runs the body once, on _Lin values: that gives the
+  step at the current values, which the descent and fixpoint checks read,
+  and the policy that attains it.  linear.absorb solves that policy's
+  chain, and the loop ends when the step maps the solved values to
+  themselves exactly.  Outside the stuck states every policy is
+  absorbing, so that fixpoint is unique.
 
 States whose live execution paths are undefined (division by zero, an
 assignment leaving the variable's domain, a probability outside [0, 1])
@@ -52,16 +54,17 @@ cfg.undefined="mask" reports them in WpResult.undefined_states instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add
 from typing import Optional
 
 from .errors import EvalError, UndefinedStateError, WpError
-from .expectations import Expectation, evaluate
-from .exprs import static_kind
+from .expectations import Expectation
+from .exprs import eval_expr, free_vars, static_kind
 from .linear import absorb
 from .programs import (
     Abort,
@@ -105,21 +108,253 @@ class WpResult:
     undefined_states: tuple[State, ...] = ()
 
 
+# --- compiled form ---------------------------------------------------------
+#
+# States that agree on what a statement reads behave alike, up to the
+# variables it leaves unchanged, so the compiler works on classes, not
+# states.  Every node that composition reads (a flat _CPick) has a key: the
+# variables it reads before it writes them, in declaration order.  For a
+# primitive statement that is the free variables of its expressions; for
+# `a; b` it is key(a) plus the variables of key(b) that a does not write
+# on every path (ABORT and a marker count as writing every variable); for
+# a choice the union of its own and its branches' keys; a loop's key is
+# below.  The node holds one entry per class of its key, a combination of
+# the key's values numbered row-major (_Frame.classes), and an atom is a
+# partial assignment: the values written on that path (_Frame).  Read at
+# state i, an atom reaches i with its written digits replaced, by the
+# strides of StateSpace.  A written value that the class already gives
+# its variable is dropped, so two atoms are equal exactly when they reach
+# the same state from every state of the class.
+#
+# Every statement but `;` and WHILE becomes one _CPick: per class, the
+# marker of an evaluation error, or the demon's options, each a
+# sub-distribution over atoms.  Primitive statements read the post, so an
+# atom is in slot 0; IF, <p>, |^| and guarded IF read their branches'
+# outputs stacked, so atom j * slots (nothing written) reads branch j:
+#
+#   entry:  an _Undef marker, an atom (the one option of going there), or
+#           a tuple of options;
+#   option: an atom, a marker, or a pair (weights, atoms) of tuples with
+#           positive Fraction weights, where an atom is an int, or last a
+#           marker met there.  The weights sum to 1, or to less where the
+#           rest of the mass is lost to ABORT or to a loop that runs
+#           forever; ((), ()) is ABORT, worth 0.  No option follows one
+#           that meets a marker.
+#
+# This one form is the per-state demonic set of distributions of McIver &
+# Morgan, with the markers in place: composition reads and writes it, and
+# a pick runs a form derived from it (see Running).  A marker holds its
+# reason and the atom that reaches the state it was met at, and renders
+# that state only when it is reported (_Undef.placed, _Undef.reason).
+#
+# The first marker met in evaluation order (options in order, atoms in
+# order) wins, so `x :dist [a: p, b: 1 - p]` reports the post's marker at
+# a's target before b's undefined target, as `x := a <p> x := b` does, and
+# so does `x := a |^| x := b`, which is what the parser makes of
+# `x :in {a, b}`.  Sides of weight 0 are dropped here, so their markers
+# never surface, and 1 - p is computed here, once per value of p.
+#
+# Summaries.  A part of the program with one option per class has a
+# meaning that does not depend on the post, so it is composed here, bottom
+# up (_compose reads, per class of the result, the entry each atom reaches
+# and brings it back to that class).  A pick over flat branches (picks that
+# read the post) and `a; b` with both flat become one flat pick whenever
+# each option either is a single atom, which takes the options it reads as
+# they are (scaled by its weight), or reads single-option entries only,
+# which it mixes into one.  Any other case would enumerate the demon's
+# choices and is left as it is.  Options equal as distributions are
+# merged, so the halving body's guarded IF, whose two branches agree where
+# they overlap, has one option there.  Composition keeps the evaluation
+# order, markers included, so a composed pick meets the first marker the
+# nodes it replaces would meet.
+#
+# Loops.  A WHILE whose composed step (the guard over the body, whose
+# atoms go round again in slot 0, and the exit, in slot 1) has one option
+# per class is solved once, here, into a flat pick over its exits
+# (_summary).  Its key K is the step's key plus the variables the body may
+# write but need not, so one absorbing chain runs over the classes of K,
+# and an exit is a partial assignment: K's values where the loop stops,
+# and the last round's values of the variables every round writes.  (A
+# loop that may stop in the middle of a round, under a numeric guard, adds
+# those variables to K too.)  The classes where the guard is false exit at
+# once and stay out of the chain: HALVING_LOOP's chain is its 7 interior
+# values of p on eighths.  A loop with a demonic choice left stays a
+# _CWhile, a gate over the full chain of states, solved by policy
+# iteration on every run.  A sequence is compiled from its last statement
+# back, and every statement is compiled knowing the compiled statements
+# that follow it, so a summarised loop finds its undefined classes, and
+# their reasons, with the markers that what follows it meets at its exits
+# (one run of it on 0), flat or not, whether the loop is followed directly
+# or sits in a branch of a choice that more statements follow: it meets
+# them in the order a _CWhile does.  Those markers may read any variable,
+# so a loop followed by one keys on every variable.
+#
+# Compile cost follows the number of classes, not the number of states:
+# HALVING_LOOP compiles 9 classes of p on eighths, where the space has
+# 1 458 states.
+#
+# Running.  A pick derives its run form on its first run and keeps it
+# (_CPick.ints, built by _ints): every weight becomes an int over its W,
+# each class lists its states, and each atom of a class becomes the column
+# of positions it reaches from them; a marker becomes the column of its
+# placed markers.  The pick then runs class by class, a column at a time.
+# A bare atom, worth weight 1, reads its value times W.  A vector (_Vec)
+# carries its common denominator; branch outputs are brought to the lcm
+# of theirs before a pick reads them stacked.  A _CWhile runs its body on
+# _Lin values through the same columns, once per policy-iteration round,
+# and its output is over the input's denominator times the lcm of its
+# solved rows' denominators.
+
+_ABORT = (((), ()),)
+
+
+class _Frame:
+    """A space's variables as the digits of atoms.
+
+    Digit v of an atom is 0 where it keeps variable v and 1 + k where it
+    writes v's k-th value; the atom is slot * slots + sum digit_v * radix_v.
+    Read at state i, it reaches slot * n + i with its written digits
+    replaced.  A variable with one value is never written."""
+
+    def __init__(self, space: StateSpace):
+        self.space = space
+        self.n = space.size
+        self.sizes = tuple(d.size for d in space.domains)
+        self.strides = space.strides
+        radix, r = [], 1
+        for size in reversed(self.sizes):
+            radix.append(r)
+            r *= size + 1
+        self.radix = tuple(reversed(radix))
+        self.slots = r
+        self._digits: dict = {}  # atom -> (slot, per variable digit)
+        self._classes: dict = {}  # key -> per class {variable: value index}
+        self._radices: dict = {}  # key -> per variable of key, its radix
+        self._members: dict = {}  # key -> per class its states
+        self._bases: dict = {}  # written variables -> per state, i without them
+
+    def digits(self, atom: int) -> tuple:
+        got = self._digits.get(atom)
+        if got is None:
+            slot, rest = divmod(atom, self.slots)
+            ds = []
+            for r in self.radix:
+                d, rest = divmod(rest, r)
+                ds.append(d)
+            got = self._digits[atom] = (slot, tuple(ds))
+        return got
+
+    def atom(self, slot: int, digits, at: dict) -> int:
+        """The atom writing `digits` in `slot`, read from the class `at`:
+        a value the class already gives its variable is not written."""
+        code = slot * self.slots
+        for v, d in enumerate(digits):
+            if d and self.sizes[v] > 1 and at.get(v) != d - 1:
+                code += d * self.radix[v]
+        return code
+
+    def then(self, a: int, b: int, at: dict) -> int:
+        """b read at the state that a reaches from the class `at`."""
+        first = self.digits(a)[1]
+        slot, second = self.digits(b)
+        return self.atom(slot, [y or x for x, y in zip(first, second)], at)
+
+    def written(self, a: int) -> frozenset:
+        return frozenset(v for v, d in enumerate(self.digits(a)[1]) if d)
+
+    def classes(self, key: tuple) -> list:
+        """Per class of key, row-major, its values as {variable: index}."""
+        got = self._classes.get(key)
+        if got is None:
+            got = self._classes[key] = [
+                dict(zip(key, ds))
+                for ds in itertools.product(*(range(self.sizes[v]) for v in key))]
+        return got
+
+    def index(self, key: tuple, at: dict) -> int:
+        """The class of key that `at` (values of key's variables) is."""
+        radices = self._radices.get(key)
+        if radices is None:
+            radices, r = [], 1
+            for v in reversed(key):
+                radices.append(r)
+                r *= self.sizes[v]
+            radices = self._radices[key] = tuple(reversed(radices))
+        return sum(at[v] * r for v, r in zip(key, radices))
+
+    def reach(self, key: tuple, a: int, at: dict) -> int:
+        """The class of key of the state atom a reaches from the class `at`."""
+        ds = self.digits(a)[1]
+        return self.index(key, {v: ds[v] - 1 if ds[v] else at[v] for v in key})
+
+    def state(self, at: dict) -> State:
+        """The first state of a class: other variables at their first value."""
+        return State(self.space, tuple(d.values[at.get(v, 0)]
+                                       for v, d in enumerate(self.space.domains)))
+
+    def members(self, key: tuple) -> list:
+        """Per class of key, its states in order."""
+        got = self._members.get(key)
+        if got is None:
+            got = [[] for _ in self.classes(key)]
+            for i, c in enumerate(self.space.projection(list(key))[0]):
+                got[c].append(i)
+            self._members[key] = got
+        return got
+
+    def cells(self, a: int, states: list) -> list:
+        """The positions atom a reaches from each of `states`."""
+        slot, ds = self.digits(a)
+        off = slot * self.n + sum((d - 1) * s for d, s in zip(ds, self.strides) if d)
+        written = tuple(v for v, d in enumerate(ds) if d)
+        if not written:
+            return [i + off for i in states]
+        base = self._bases.get(written)
+        if base is None:
+            base = [0]
+            for v, (size, stride) in enumerate(zip(self.sizes, self.strides)):
+                w = 0 if v in written else stride
+                base = [b + k * w for b in base for k in range(size)]
+            self._bases[written] = base
+        return [base[i] + off for i in states]
+
+    def towards(self, index: int, at: dict) -> int:
+        """The atom that reaches state `index` from the class `at` of the
+        key of every variable."""
+        digits, rest = [], index
+        for s in self.strides:
+            k, rest = divmod(rest, s)
+            digits.append(k + 1)
+        return self.atom(0, digits, at)
+
+
 class _Undef:
     """Marks a state whose value is undefined, with the first reason seen:
-    `what` at a state, formatted only when the reason is read.  A marker
-    absorbs arithmetic, so a sum holds the first marker it meets."""
+    `what` at the state that the atom `at` reaches from the state the
+    entry is read at.  Placed at a state, it holds that state's index and
+    formats the reason only when it is read.  A marker absorbs arithmetic,
+    so a sum holds the first marker it meets."""
 
-    __slots__ = ("what", "space", "index")
+    __slots__ = ("what", "at", "frame", "index")
 
-    def __init__(self, what: str, space: StateSpace, index: int):
+    def __init__(self, what: str, at: int, frame: _Frame, index: Optional[int] = None):
         self.what = what
-        self.space = space
+        self.at = at
+        self.frame = frame
         self.index = index
+
+    def after(self, a: int, at: dict) -> "_Undef":
+        """The marker read at the state that a reaches from the class `at`."""
+        return _Undef(self.what, self.frame.then(a, self.at, at), self.frame)
+
+    def placed(self, states: list) -> list:
+        """The marker read at each of `states`."""
+        return [_Undef(self.what, 0, self.frame, t)
+                for t in self.frame.cells(self.at, states)]
 
     @property
     def reason(self) -> str:
-        return f"{self.what} at {self.space.state_at(self.index)}"
+        return f"{self.what} at {self.frame.space.state_at(self.index)}"
 
     def _absorb(self, other):
         return self
@@ -127,6 +362,8 @@ class _Undef:
     __add__ = __radd__ = __mul__ = __rmul__ = _absorb
 
     def __repr__(self):
+        if self.index is None:
+            return f"<undefined: {self.what} via {self.at}>"
         return f"<undefined: {self.reason}>"
 
 
@@ -151,7 +388,7 @@ class _Lin:
     """An exact value plus the linear form that produced it, over a loop's
     states (keys i >= 0) and its exits (keys ~i).  Running a loop body on
     these gives each state's value at the current point together with the
-    policy that attains it, since _pick keeps the form of the option it
+    policy that attains it, since a pick keeps the form of the option it
     picks.  Constants (always 0 in a body) carry no form."""
 
     __slots__ = ("value", "form")
@@ -188,152 +425,117 @@ def _value(v):
     return v.value if isinstance(v, _Lin) else v
 
 
-# --- compiled form ---------------------------------------------------------
-#
-# Compilation resolves every expression against the concrete state space
-# once: each guard, probability, assigned expression and :suchthat
-# predicate is evaluated once per value of its free variables, targets are
-# found by stride arithmetic, and a marker formats its reason only when it
-# is read.  Every statement but `;` and WHILE becomes one _CPick: per
-# state, the _Undef marker of an evaluation error, or the demon's options,
-# each a sub-distribution over positions in the vector the node reads.
-# Primitive statements read the post, so a position is a successor state;
-# IF, <p>, |^| and guarded IF read their branches' outputs stacked, so
-# position j*n + i is branch j at state i.  Every state of every node
-# stores one entry, so the common cases stay bare:
-#
-#   entry:  an _Undef marker, a position (the one option of going there),
-#           or a tuple of options;
-#   option: a position, a marker, or a pair (weights, atoms) of tuples
-#           with positive Fraction weights, where an atom is a position,
-#           or last a marker met there.  The weights sum to 1, or to less
-#           where the rest of the mass is lost to ABORT or to a loop that
-#           runs forever; ((), ()) is ABORT, worth 0.  No option follows
-#           one that meets a marker.
-#
-# This one form is the per-state demonic set of distributions of McIver &
-# Morgan, with the markers in place: composition reads and writes it, and
-# a pick runs a form derived from it (see Running).
-#
-# The first marker met in evaluation order (options in order, positions in
-# order) wins, so `x :dist [a: p, b: 1 - p]` reports the post's marker at
-# a's target before b's undefined target, as `x := a <p> x := b` does, and
-# so does `x := a |^| x := b`, which is what the parser makes of
-# `x :in {a, b}`.  Sides of weight 0 are dropped here, so their markers
-# never surface, and 1 - p is computed here, once per value of p.
-#
-# Summaries.  A part of the program with one option per state has a
-# meaning that does not depend on the post, so it is composed here, bottom
-# up.  A pick over flat branches (picks that read the post) and `a; b` with
-# both flat become one flat pick whenever each option either is a single
-# position, which takes the options it reads as they are (scaled by its
-# weight), or reads single-option entries only, which it mixes into one.
-# Any other case would enumerate the demon's choices and is left as it is.
-# Options equal as distributions are merged, so the halving body's guarded
-# IF, whose two branches agree where they overlap, has one option there.
-# Composition keeps the evaluation order, markers included, so a composed
-# pick meets the first marker the nodes it replaces would meet.  Every
-# WHILE compiles to a _CWhile; when its composed step has one option per
-# state, the _CWhile is solved once, here, into a flat pick over its exits
-# (_CWhile.summary), and a loop with a demonic choice left is solved by
-# policy iteration on every run.  A sequence is compiled from its last
-# statement back, and every statement is compiled knowing the compiled
-# statements that follow it, so a summarised loop finds its undefined
-# states, and their reasons, with the markers that what follows it meets
-# at its exits (one run of it on 0), flat or not, whether the loop is
-# followed directly or sits in a branch of a choice that more statements
-# follow: it meets them in the order a _CWhile does.
-#
-# Running.  A pick derives its run form on its first run and keeps it
-# (_CPick.ints, built by _ints): every weight becomes an int over its W,
-# and every marker inside an option moves to a position past the end of
-# the vector the pick reads, where the pick's consts hold it.  A bare
-# position, worth weight 1, reads its value times W.  A vector (_Vec)
-# carries its common denominator; branch outputs are brought to the lcm
-# of theirs before a pick reads them stacked.  A _CWhile runs its body on
-# _Lin values through the same _pick, once per policy-iteration round,
-# and its output is over the input's denominator times the lcm of its
-# solved rows' denominators.
-
-_ABORT = (((), ()),)
-
-
-def _ints(entries: list, width: int) -> tuple:
-    """(w, entries, consts), the run form of entries over a vector of
-    `width` positions: every weight an int over w, the lcm of the weights'
-    denominators, and every marker inside an option moved to a position
-    past `width`, where consts holds it.  An entry that is a marker stays."""
+def _ints(frame: _Frame, key: tuple, entries: list) -> tuple:
+    """(w, plan), the run form of entries: every weight an int over w, the
+    lcm of the weights' denominators, and per class its states with its
+    options, each a list of parts (x, column): x times the values at the
+    positions in column, or, where x is None, the placed markers in it."""
     w = lcm(*{x.denominator for e in entries if e.__class__ is tuple
               for o in e if o.__class__ is tuple for x in o[0]})
-    scaled: dict = {}  # id of a weight tuple -> its ints; tuples are shared
-    consts: list = []
-    slot: dict = {}  # marker -> its position
-
-    def position(a):
-        if a.__class__ is not _Undef:
-            return a
-        if a not in slot:
-            slot[a] = width + len(consts)
-            consts.append(a)
-        return slot[a]
-
-    def option(o):
-        if o.__class__ is not tuple:
-            return position(o)
-        ints = scaled.get(id(o[0]))
-        if ints is None:
-            ints = scaled[id(o[0])] = tuple(x.numerator * (w // x.denominator)
-                                            for x in o[0])
-        return ints, tuple(map(position, o[1])) if _meets(o) else o[1]
-
-    return w, [e if e.__class__ is not tuple else tuple(map(option, e))
-               for e in entries], consts
+    plan = []
+    for states, e in zip(frame.members(key), entries):
+        options = []
+        for o in (e if e.__class__ is tuple else (e,)):
+            if o.__class__ is int:
+                options.append([(w, frame.cells(o, states))])
+            elif o.__class__ is _Undef:
+                options.append([(None, o.placed(states))])
+            else:
+                options.append([(None, a.placed(states)) if a.__class__ is _Undef
+                                else (x.numerator * (w // x.denominator), frame.cells(a, states))
+                                for x, a in zip(*o)])
+        plan.append((states, options))
+    return w, plan
 
 
-def _pick(entries, w, vec) -> list:
-    """Run a pick whose weights are ints over w: per state its marker, or
-    the least over its options of the expected value of vec, over w times
-    vec's denominator; the first marker met, in order, wins."""
-    return [vec[s] * w if s.__class__ is int else _least(s, vec, w) for s in entries]
-
-
-def _least(options, vec, w):
-    if options.__class__ is _Undef:
-        return options
+def _column(options: list, vec, size: int) -> list:
+    """Per state of a class, its marker, or the least over the options of
+    the expected value of vec; the first marker met, in order, wins."""
     best = None
-    for opt in options:
-        if opt.__class__ is int:
-            v = vec[opt] * w
+    for parts in options:
+        col = None
+        for x, cells in parts:
+            part = cells if x is None else [x * vec[t] for t in cells]
+            col = part if col is None else list(map(add, col, part))
+        if col is None:  # ABORT
+            col = [0] * size
+        if best is None:
+            best = col
         else:
-            v = sum(map(mul, opt[0], map(vec.__getitem__, opt[1])))
-        if v.__class__ is _Undef:
-            return v
-        if best is None or not best <= v:
-            best = v
+            best = [b if b.__class__ is _Undef else
+                    c if c.__class__ is _Undef or not b <= c else b
+                    for b, c in zip(best, col)]
     return best
 
 
 class _CPick:
-    """A per-state demonic choice of distributions: states holds an entry
-    per state, the form that composition reads and writes, and ints the
-    run form derived from it."""
+    """A per-state demonic choice of distributions: entries holds an entry
+    per class of key, the form that composition reads and writes, and ints
+    the run form derived from it."""
 
-    def __init__(self, states, branches=()):
-        self.states = states  # per state: an entry, as above
+    def __init__(self, frame: _Frame, key: tuple, entries: list, branches=()):
+        self.frame = frame
+        self.key = key  # the variables it reads, in order
+        self.entries = entries  # per class of key: an entry, as above
         self.branches = branches  # compiled branches; none: reads the post
 
     @cached_property
+    def writes(self) -> tuple:
+        """(may, must): the variables some atom writes, and those every
+        atom writes (all of them, where there is no atom)."""
+        may, must = frozenset(), None
+        for a in (a for e in self.entries for a in _entry_atoms(e)):
+            w = self.frame.written(a)
+            may |= w
+            must = w if must is None else must & w
+        return may, frozenset(range(len(self.frame.sizes))) if must is None else must
+
+    @cached_property
     def ints(self) -> tuple:
-        """(w, entries, consts): the states with int weights and marker
-        positions (_ints), built on the first run and kept, so the picks
-        that composition replaces never build it."""
-        return _ints(self.states, len(self.states) * (len(self.branches) or 1))
+        """(w, plan): the entries with int weights and columns (_ints),
+        built on the first run and kept, so the picks that composition
+        replaces never build it."""
+        return _ints(self.frame, self.key, self.entries)
+
+    def apply(self, vec) -> _Vec:
+        """Run the entries on vec, the post or the stacked branch outputs."""
+        w, plan = self.ints
+        if len(plan) == 1:
+            out = _column(plan[0][1], vec, self.frame.n)
+        else:
+            out = [0] * self.frame.n
+            for states, options in plan:
+                for i, v in zip(states, _column(options, vec, len(states))):
+                    out[i] = v
+        return _reduced(_Vec(out, _den(vec) * w))
 
     def run(self, f):
         if self.branches:
             f = _stacked([branch.run(f) for branch in self.branches])
-        w, entries, consts = self.ints
-        return _Vec(_pick(entries, w, f + consts if consts else f), f.den * w)
+        return self.apply(f)
+
+
+def _entry_atoms(e):
+    """The int atoms of an entry."""
+    if e.__class__ is int:
+        yield e
+    elif e.__class__ is tuple:
+        for o in e:
+            if o.__class__ is int:
+                yield o
+            elif o.__class__ is tuple:
+                yield from (a for a in o[1] if a.__class__ is int)
+
+
+def _reduced(vec: _Vec) -> _Vec:
+    """vec over the least denominator its values allow, where they are all
+    ints: an unfused chain of picks multiplies their W otherwise, and the
+    bit length of its denominator grows with the chain."""
+    try:
+        g = gcd(vec.den, *vec)
+    except TypeError:  # a marker or a _Lin
+        return vec
+    return vec if g == 1 else _Vec([v // g for v in vec], vec.den // g)
 
 
 def _stacked(outs: list) -> _Vec:
@@ -363,23 +565,24 @@ class _CSeq:
 
 
 class _CWhile:
-    """A loop, solved exactly on every run, or once at compile time by
-    summary() when it is demon-free; see the module notes."""
+    """A loop with a demonic choice left, solved exactly on every run; see
+    the module notes.  The gate is a pick over the body's output (slot 0)
+    and the exits (slot 1)."""
 
-    def __init__(self, gate, body):
-        # over the body's output, then the exits; a gate meets a marker
-        # only as a whole entry, so it has no consts
-        self.w, self.gate, _ = _ints(gate, 2 * len(gate))
+    def __init__(self, gate: _CPick, body):
+        self.gate = gate
         self.body = body
-        self.stuck = self._stuck_states(len(gate))
+        self.stuck = self._stuck_states(gate.frame.n)
 
     def _step(self, x: list, exits: list, den: int) -> _Vec:
         """The gate over the body's output at x and the exits, both over den."""
         out = self.body.run(_Vec(x, den))
-        scale = _den(out) // den
-        if scale != 1:
-            exits = [e * scale for e in exits]
-        return _Vec(_pick(self.gate, self.w, out + exits), _den(out) * self.w)
+        common = lcm(_den(out), den)
+        if common != _den(out):
+            out = [v * (common // _den(out)) for v in out]
+        if common != den:
+            exits = [e * (common // den) for e in exits]
+        return self.gate.apply(_Vec(out + exits, common))
 
     def _stuck_states(self, n):
         """States where the demon can keep the loop going forever: the
@@ -405,43 +608,6 @@ class _CWhile:
             if grown.keys() == undef.keys():
                 return undef
             undef = grown
-
-    def summary(self, step: list, exits: list) -> list:
-        """Entries over the exits, for a loop whose composed step
-        (entries over its states, then its exits at n + i) has one
-        option per state, solved once with linear.absorb.
-
-        The undefined states, given the markers in `exits`, and the stuck
-        states, which become ABORT, are the ones run() sets aside.  The
-        rest get their exit sub-distribution, checked to satisfy the step
-        exactly.
-        """
-        n, undef, stuck = len(step), self._undefined(exits), self.stuck
-        live = [i for i in range(n) if i not in undef and i not in stuck]
-        rows = absorb({s: {a: w for a, w in zip(*_atoms(step[s])) if a not in stuck}
-                       for s in live})
-        # the fixpoint check: row s is its step applied to the rows, in ints
-        # over d times the step's w
-        d, solved = _common(rows)
-        w, entries, _ = _ints(step, 2 * n)  # a live state meets no marker
-        for s in live:
-            want: dict = {}
-            for a, c in zip(*_atoms(entries[s], w)):
-                for k, x in ({a: d} if a >= n else solved.get(a, {})).items():
-                    want[k] = want.get(k, 0) + c * x
-            if ({k: x for k, x in want.items() if x}
-                    != {k: x * w for k, x in solved[s].items() if x}):
-                raise WpError(_FIXPOINT_BUG)
-        out = []
-        for i in range(n):
-            if i in undef:
-                out.append(undef[i])
-            elif i in stuck:
-                out.append(_ABORT)
-            else:
-                opt = _option(dict(sorted((k - n, c) for k, c in rows[i].items() if c)))
-                out.append(opt if opt.__class__ is int else (opt,))
-        return out
 
     def run(self, f):
         n, stuck, den = len(f), self.stuck, _den(f)
@@ -506,12 +672,12 @@ def _option(mixed: dict):
     return tuple(mixed.values()), tuple(mixed)
 
 
-def _mix(weights, atoms, inner, mixed: dict) -> bool:
+def _mix(weights, atoms, read, mixed: dict) -> bool:
     """Add to mixed the mixture, by weights, of the single-option entries
-    of inner at atoms, up to the first marker met; False if an entry has
+    read(a) at atoms, up to the first marker met; False if an entry has
     several options."""
     for w, p in zip(weights, atoms):
-        sub = p if p.__class__ is _Undef else inner[p]
+        sub = p if p.__class__ is _Undef else read(p)
         if sub.__class__ is tuple:
             if len(sub) != 1:
                 return False
@@ -563,14 +729,40 @@ def _entry(options: list):
     return tuple(options)
 
 
-def _compose(outer: list, inner: list):
-    """Entries whose positions read the entries `inner`, as entries over
-    what `inner` reads; None where an option would mix an entry that has
-    several options."""
+def _rebased(frame: _Frame, entry, a: int, at: dict):
+    """An entry read at the state that atom a reaches from the class `at`,
+    as an entry read at the class."""
+    if entry.__class__ is int:
+        return frame.then(a, entry, at)
+    if entry.__class__ is _Undef:
+        return entry.after(a, at)
+
+    def moved(o):
+        if o.__class__ is int:
+            return frame.then(a, o, at)
+        if o.__class__ is _Undef:
+            return o.after(a, at)
+        return o[0], tuple(frame.then(a, b, at) if b.__class__ is int else b.after(a, at)
+                           for b in o[1])
+
+    options = [moved(o) for o in entry]
+    # options that the class tells apart no more are merged
+    return _entry(options) if len(options) > 1 else tuple(options)
+
+
+def _compose(frame: _Frame, key: tuple, outer_key: tuple, outer: list, inner):
+    """Entries per class of key, each the entry of `outer` (entries over
+    outer_key) there, with every atom a replaced by inner(at, a), the
+    entry it reads, brought back to the class `at`; None where an option
+    would mix an entry that has several options."""
     out = []
-    for entry in outer:
+    for at in frame.classes(key):
+        def read(a, at=at):
+            return _rebased(frame, inner(at, a), a, at)
+
+        entry = outer[frame.index(outer_key, at)]
         if entry.__class__ is int:
-            out.append(inner[entry])
+            out.append(read(entry))
             continue
         if entry.__class__ is _Undef:
             out.append(entry)
@@ -578,16 +770,16 @@ def _compose(outer: list, inner: list):
         options: list = []
         for opt in entry:
             if opt.__class__ is int:
-                sub = inner[opt]
+                sub = read(opt)
                 options += sub if sub.__class__ is tuple else (sub,)
             elif opt.__class__ is _Undef:
                 options.append(opt)
             elif len(opt[1]) == 1:
                 (w,), (p,) = opt
-                options += (p,) if p.__class__ is _Undef else _scaled(w, inner[p])
+                options += (p,) if p.__class__ is _Undef else _scaled(w, read(p))
             else:
                 mixed: dict = {}
-                if not _mix(*opt, inner, mixed):
+                if not _mix(*opt, read, mixed):
                     return None
                 options.append(_option(mixed))
             if _meets(options[-1]):
@@ -596,59 +788,100 @@ def _compose(outer: list, inner: list):
     return out
 
 
+def _union(*keys) -> tuple:
+    return tuple(sorted(set().union(*keys)))
+
+
 def _seq(first, second):
     if _flat(first) and _flat(second):
-        entries = _compose(first.states, second.states)
+        frame = first.frame
+        key = _union(first.key, set(second.key) - first.writes[1])
+        entries = _compose(frame, key, first.key, first.entries,
+                           lambda at, a: second.entries[frame.reach(second.key, a, at)])
         if entries is not None:
-            return _CPick(entries)
+            return _CPick(frame, key, entries)
     return _CSeq(first, second)
 
 
-def _choice(entries: list, branches: list) -> _CPick:
+def _choice(frame: _Frame, key: tuple, entries: list, branches: list) -> _CPick:
     """A pick over its branches' stacked outputs, composed when it can be."""
     if all(_flat(b) for b in branches):
-        composed = _compose(entries, [e for b in branches for e in b.states])
+        def inner(at, a):
+            branch = branches[a // frame.slots]
+            return branch.entries[frame.index(branch.key, at)]
+
+        full = _union(key, *(b.key for b in branches))
+        composed = _compose(frame, full, key, entries, inner)
         if composed is not None:
-            return _CPick(composed)
-    return _CPick(entries, branches)
+            return _CPick(frame, full, composed)
+    return _CPick(frame, key, entries, branches)
 
 
-def _loop(prog: While, space: StateSpace, after: tuple):
-    """A WHILE, summarised when its composed step (entries over the loop's
-    states, then its exits at n + i) has one option per state; the markers
-    that the statements `after` it meet at the exits count then, as they
-    would when run."""
-    n = space.size
-    kind = static_kind(prog.guard, space)
+def _loop(prog: While, frame: _Frame, after: tuple):
+    """A WHILE, summarised when its composed step has one option per
+    class; the markers that the statements `after` it meet at the exits
+    count then, as they would when run."""
+    kind = static_kind(prog.guard, frame.space)
     if kind not in ("bool", "num"):
         raise WpError("loop condition must be boolean or numeric")
-    gate = _either(_eval_guarded(space, prog.guard, "bool" if kind == "bool" else "prob"))
-    body = _compile(prog.body, space)
-    loop = _CWhile(gate, body)
+    key, gate = _either(frame, *_eval_guarded(frame, prog.guard,
+                                              "bool" if kind == "bool" else "prob"))
+    body = _compile(prog.body, frame)
     if _flat(body):
-        step = _compose(gate, body.states + list(range(n, 2 * n)))
+        # slot 0 goes round again through the body, slot 1 exits
+        step_key = _union(key, body.key)
+        step = _compose(frame, step_key, key, gate, lambda at, a: a if a else
+                        body.entries[frame.index(body.key, at)])
         if _one_option(step):
-            loop = _CPick(loop.summary(step, _exits(after, n)))
-    return loop
+            return _summary(frame, step_key, step, body, _exits(after, frame))
+    return _CWhile(_CPick(frame, key, gate), body)
 
 
-def _exits(after: tuple, n: int) -> _Vec:
-    """What the compiled statements `after` a loop, nearest first, give on
-    the post 0: per state the first marker they meet from there, else 0."""
-    vec = _Vec([0] * n, 1)
+def _exits(after: tuple, frame: _Frame) -> Optional[tuple]:
+    """(key, marks) for the compiled statements `after` a loop, nearest
+    first: per class of key, the first marker they meet on the post 0,
+    read at the state the loop exits at, else None; None where they meet
+    none."""
+    if all(_flat(node) and not any(map(_meets_entry, node.entries)) for node in after):
+        return None
+    node = after[0]
+    for later in after[1:]:
+        node = _seq(node, later)
+    if _flat(node):
+        marks = [_first_mark(e) for e in node.entries]
+        return node.key, marks
+    # run them: a marker's state may then depend on every variable
+    vec = _Vec([0] * frame.n, 1)
     for node in reversed(after):
         vec = node.run(vec)
-    return vec
+    key = tuple(range(len(frame.sizes)))
+    return key, [_Undef(x.what, frame.towards(x.index, at), frame)
+                 if x.__class__ is _Undef else None
+                 for x, at in zip(vec, frame.classes(key))]
+
+
+def _first_mark(e) -> Optional[_Undef]:
+    """The marker an entry meets on the post 0, or None."""
+    if e.__class__ is _Undef:
+        return e
+    for o in (e if e.__class__ is tuple else ()):
+        if _meets(o):
+            return o if o.__class__ is _Undef else o[1][-1]
+    return None
+
+
+def _meets_entry(e) -> bool:
+    return e.__class__ is _Undef or (e.__class__ is tuple and any(map(_meets, e)))
 
 
 def _one_option(step) -> bool:
-    """Whether a composed step exists and has one option per state."""
+    """Whether a composed step exists and has one option per class."""
     return step is not None and all(e.__class__ is not tuple or len(e) == 1
                                     for e in step)
 
 
 def _atoms(entry, one=ONE) -> tuple:
-    """(atoms, weights) of a step entry with one option; a bare position
+    """(atoms, weights) of a step entry with one option; a bare atom
     weighs `one`."""
     if entry.__class__ is int:
         return (entry,), (one,)
@@ -656,112 +889,243 @@ def _atoms(entry, one=ONE) -> tuple:
     return ((opt,), (one,)) if opt.__class__ is int else (opt[1], opt[0])
 
 
-def _eval_guarded(space: StateSpace, expr, want: str):
-    """Per-state evaluation of a guard (want "bool") or a probability
-    (want "prob"), with errors downgraded to _Undef markers."""
-    index, results = evaluate(space, expr)
-    reasons = []
+def _summary(frame: _Frame, step_key: tuple, step: list, body: _CPick,
+             exits: Optional[_Vec]) -> _CPick:
+    """A loop whose composed step (entries over step_key: an atom of slot
+    0 goes round again, slot 1 exits) has one option per class, solved
+    once, with linear.absorb, over the classes of the loop's key.
+
+    The undefined classes, given the markers in `exits` (see _exits;
+    None: no markers), and the stuck classes, which become ABORT, are set aside as
+    _CWhile sets its states aside.  A class where the guard is false exits
+    at once.  The rest get their exit sub-distribution, checked to satisfy
+    the step exactly.
+    """
+    may, must = body.writes
+    out_at = frame.slots  # the exit atom: slot 1, nothing written
+    # what follows reads its markers at the exit state
+    key = _union(step_key, may - must, exits[0] if exits is not None else ())
+    if any(e != out_at and out_at in _atoms(e)[0]
+           for e in step if e.__class__ is not _Undef):
+        key = _union(key, may)  # stops mid-round: keep what rounds write
+    classes = frame.classes(key)
+    opts = [step[frame.index(step_key, at)] for at in classes]
+
+    def go(k, a):
+        return frame.reach(key, a, classes[k])
+
+    stuck = set(range(len(classes)))
+    while stuck:
+        kept = {k for k in stuck if opts[k].__class__ is not _Undef and all(
+            a.__class__ is int and a < out_at and go(k, a) in stuck
+            for a in _atoms(opts[k])[0])}
+        if kept == stuck:
+            break
+        stuck = kept
+
+    def met(k, a, undef):
+        """The marker that atom a meets from class k, or None."""
+        if a.__class__ is _Undef:
+            return a
+        if a == out_at:
+            return exits[1][frame.index(exits[0], classes[k])] if exits is not None else None
+        m = undef.get(go(k, a))
+        return m.after(a, classes[k]) if m is not None else None
+
+    undef: dict = {}
+    while True:
+        grown = {}
+        for k, e in enumerate(opts):
+            m = e if e.__class__ is _Undef else next(
+                (m for m in (met(k, a, undef) for a in _atoms(e)[0]) if m is not None), None)
+            if m is not None:
+                grown[k] = m
+        if grown.keys() == undef.keys():
+            break
+        undef = grown
+
+    def exit_of(j, a):
+        # key's values at class j, and what the last round wrote elsewhere
+        ds = frame.digits(a)[1]
+        return ~frame.atom(0, [classes[j][v] + 1 if v in classes[j] else d
+                               for v, d in enumerate(ds)], {})
+
+    done = {k for k, e in enumerate(opts) if e == out_at}  # the guard is false
+    moves, rows = {}, {}
+    for k in range(len(classes)):
+        if k in undef or k in stuck or k in done:
+            continue
+        moves[k] = []
+        for a, w in zip(*_atoms(opts[k])):
+            if a == out_at:
+                moves[k].append((w, exit_of(k, 0)))
+                continue
+            j = go(k, a)
+            if j not in stuck:
+                moves[k].append((w, exit_of(j, a) if j in done else j))
+        row: dict = {}
+        for w, t in moves[k]:
+            row[t] = row.get(t, 0) + w
+        rows[k] = row
+    solved_rows = absorb(rows)
+    # the fixpoint check: row k is its step applied to the rows, in ints
+    # over d times the step's w
+    d, solved = _common(solved_rows)
+    for k, pairs in moves.items():
+        w = lcm(*(x.denominator for x, _ in pairs))
+        want: dict = {}
+        for x, t in pairs:
+            c = x.numerator * (w // x.denominator)
+            for e, y in (solved[t] if t >= 0 else {t: d}).items():
+                want[e] = want.get(e, 0) + c * y
+        if ({e: y for e, y in want.items() if y}
+                != {e: y * w for e, y in solved[k].items() if y}):
+            raise WpError(_FIXPOINT_BUG)
+    entries = []
+    for k, at in enumerate(classes):
+        if k in undef:
+            entries.append(undef[k])
+        elif k in stuck:
+            entries.append(_ABORT)
+        elif k in done:
+            entries.append(0)
+        else:
+            # the exits in the order of the states they reach, as a _CWhile
+            # meets them
+            first = [sum(at.get(v, 0) * s for v, s in enumerate(frame.strides))]
+            ordered = sorted((frame.cells(~e, first)[0], frame.atom(0, frame.digits(~e)[1], at), c)
+                             for e, c in solved_rows[k].items() if c)
+            opt = _option({a: c for _, a, c in ordered})
+            entries.append(opt if opt.__class__ is int else (opt,))
+    return _CPick(frame, key, entries)
+
+
+def _evaluated(frame: _Frame, expr) -> tuple:
+    """(key, results): expr evaluated once per class of its free
+    variables, each result a value or the EvalError."""
+    space = frame.space
+    key = tuple(sorted(space.var_pos(v) for v in free_vars(expr)))
+    results = []
+    for at in frame.classes(key):
+        try:
+            results.append(eval_expr(expr, frame.state(at)))
+        except EvalError as exc:
+            results.append(exc)
+    return key, results
+
+
+def _eval_guarded(frame: _Frame, expr, want: str) -> tuple:
+    """(key, per class): a guard (want "bool") or a probability (want
+    "prob"), with errors downgraded to _Undef markers."""
+    key, results = _evaluated(frame, expr)
+    out = []
     for v in results:
         if isinstance(v, EvalError):
-            reasons.append(str(v))
+            reason = str(v)
         elif want == "bool":
-            reasons.append(None if isinstance(v, bool) else f"guard {expr} is not boolean")
+            reason = None if isinstance(v, bool) else f"guard {expr} is not boolean"
         elif isinstance(v, Fraction) and 0 <= v <= 1:
-            reasons.append(None)
+            reason = None
         else:
-            reasons.append(f"probability {expr} = {v} outside [0, 1]")
-    return [results[c] if reasons[c] is None else _Undef(reasons[c], space, i)
-            for i, c in enumerate(index)]
+            reason = f"probability {expr} = {v} outside [0, 1]"
+        out.append(v if reason is None else _Undef(reason, 0, frame))
+    return key, out
 
 
-def _assign_targets(space: StateSpace, var: str, expr) -> list:
+def _assign_targets(frame: _Frame, var: str, expr) -> tuple:
+    """(key, entries) of `var := expr`."""
+    space = frame.space
     pos = space.var_pos(var)
-    index, results = evaluate(space, expr)
-    digits, offsets = space.projection([pos])  # offsets[k]: var at its k-th value
-    moves, reasons = [], []
-    for v in results:
+    key, results = _evaluated(frame, expr)
+    digits = [0] * len(frame.sizes)
+    entries = []
+    for at, v in zip(frame.classes(key), results):
         k = -1
         if isinstance(v, EvalError):
-            reasons.append(str(v))
+            reason = str(v)
         elif isinstance(v, bool):
-            reasons.append(f"cannot assign a boolean to {var}")
+            reason = f"cannot assign a boolean to {var}"
         else:
             k = space.domains[pos].index_of(v)
-            reasons.append(None if k >= 0 else f"{var} := {v} leaves the domain of {var}")
-        moves.append(offsets[k] if k >= 0 else None)
-    return [i - offsets[d] + moves[c] if reasons[c] is None
-            else _Undef(reasons[c], space, i)
-            for i, (c, d) in enumerate(zip(index, digits))]
+            reason = None if k >= 0 else f"{var} := {v} leaves the domain of {var}"
+        if reason is None:
+            digits[pos] = k + 1
+            entries.append(frame.atom(0, digits, at))
+        else:
+            entries.append(_Undef(reason, 0, frame))
+    return key, entries
 
 
-def _either(gate: list) -> list:
-    """Entries of a two-way choice: per state i, position i (the first way)
-    with weight g and n + i (the second) with 1 - g, where g is a guard's
-    bool or a probability; a side of weight 0 is dropped."""
-    n, weights, entries = len(gate), {}, []
-    for i, g in enumerate(gate):
+def _either(frame: _Frame, key: tuple, gate: list) -> tuple:
+    """(key, entries) of a two-way choice: per class the first way (slot
+    0) with weight g and the second (slot 1) with 1 - g, where g is a
+    guard's bool or a probability; a side of weight 0 is dropped."""
+    second, weights, entries = frame.slots, {}, []
+    for g in gate:
         if isinstance(g, _Undef):
             entries.append(g)
         elif g.denominator == 1:  # a bool, or the probability 0 or 1
-            entries.append(i if g else n + i)
+            entries.append(0 if g else second)
         else:
             w = weights.get(g)
             if w is None:
                 w = weights[g] = (g, ONE - g)
-            entries.append(((w, (i, n + i)),))
-    return entries
+            entries.append(((w, (0, second)),))
+    return key, entries
 
 
-def _compile(prog: Program, space: StateSpace, after: tuple = ()):
+def _compile(prog: Program, frame: _Frame, after: tuple = ()):
     """Resolve a program against a space; see the compiled-form notes above.
     `after` holds the compiled statements that follow prog, nearest first,
     which a loop inside it reads for their markers."""
-    n = space.size
     if isinstance(prog, Seq):
         # from the last statement back, so a loop sees what follows it
         parts = _chain(prog)
-        node = _compile(parts.pop(), space, after)
+        node = _compile(parts.pop(), frame, after)
         while parts:
-            node = _seq(_compile(parts.pop(), space, (node,) + after), node)
+            node = _seq(_compile(parts.pop(), frame, (node,) + after), node)
         return node
     if isinstance(prog, While):
-        return _loop(prog, space, after)
-    # primitive statements: positions are successor states
+        return _loop(prog, frame, after)
+    # primitive statements: atoms read the post
     if isinstance(prog, Skip):
-        return _CPick(list(range(n)))
+        return _CPick(frame, (), [0])
     if isinstance(prog, Abort):
-        return _CPick([_ABORT] * n)
+        return _CPick(frame, (), [_ABORT])
     if isinstance(prog, Assign):
-        return _CPick(_assign_targets(space, prog.var, prog.expr))
+        return _CPick(frame, *_assign_targets(frame, prog.var, prog.expr))
     if isinstance(prog, SuchThat):
-        return _CPick(_suchthat_options(space, prog))
+        return _CPick(frame, *_suchthat_options(frame, prog))
     if isinstance(prog, ChooseFromDist):
         weights, exprs = zip(*[(p, e) for e, p in prog.dist.items if p > 0])
-        columns = [_assign_targets(space, prog.var, e) for e in exprs]
+        columns = [_assign_targets(frame, prog.var, e) for e in exprs]
+        key = _union(*(k for k, _ in columns))
         entries, sides = [], range(len(exprs))
-        for row in zip(*columns):
+        for at in frame.classes(key):
+            row = [_rebased(frame, col[frame.index(k, at)], 0, at) for k, col in columns]
             mixed: dict = {}
-            _mix(weights, sides, row, mixed)
+            _mix(weights, sides, row.__getitem__, mixed)
             entries.append(_entry([_option(mixed)]))
-        return _CPick(entries)
+        return _CPick(frame, key, entries)
     # the rest read their branches' outputs, stacked
-    branches = [_compile(c, space, after) for c in children(prog)]
+    branches = [_compile(c, frame, after) for c in children(prog)]
     if isinstance(prog, IfBool):
-        entries = _either(_eval_guarded(space, prog.guard, "bool"))
+        key, entries = _either(frame, *_eval_guarded(frame, prog.guard, "bool"))
     elif isinstance(prog, ProbChoice):
-        entries = _either(_eval_guarded(space, prog.prob, "prob"))
+        key, entries = _either(frame, *_eval_guarded(frame, prog.prob, "prob"))
     elif isinstance(prog, DemonChoice):
-        entries = [(i, n + i) for i in range(n)]
+        key, entries = (), [(0, frame.slots)]
     elif isinstance(prog, GuardedIf):
-        entries = []
-        for i, row in enumerate(zip(*[_eval_guarded(space, g, "bool")
-                                      for g, _ in prog.branches])):
+        guards = [_eval_guarded(frame, g, "bool") for g, _ in prog.branches]
+        key, entries = _union(*(k for k, _ in guards)), []
+        for at in frame.classes(key):
+            row = [values[frame.index(k, at)] for k, values in guards]
             undef = next((m for m in row if isinstance(m, _Undef)), None)
-            enabled = tuple(j * n + i for j, m in enumerate(row) if m is True)
+            enabled = tuple(j * frame.slots for j, m in enumerate(row) if m is True)
             entries.append(undef if undef is not None else enabled or _ABORT)
     else:
         raise WpError(f"unknown program node {type(prog).__name__}")
-    return _choice(entries, branches)
+    return _choice(frame, key, entries, branches)
 
 
 def _chain(prog: Program) -> list:
@@ -771,46 +1135,36 @@ def _chain(prog: Program) -> list:
     return [prog]
 
 
-def _suchthat_options(space: StateSpace, prog: SuchThat):
+def _suchthat_options(frame: _Frame, prog: SuchThat) -> tuple:
+    """(key, entries) of `vars :suchthat pred`: per class, the candidates
+    that satisfy pred, in order, or the marker of the first candidate
+    where it is undefined (an evaluation error names the state the choice
+    is made at)."""
+    space = frame.space
     positions = [space.var_pos(v) for v in prog.vars]
-    index, verdicts = evaluate(space, prog.pred)
-    # the candidates' offsets from a state with the variables at their
-    # first values; states equal but for the variables share candidates
-    offsets = [0]
+    pred_key, verdicts = _evaluated(frame, prog.pred)
+    key = tuple(p for p in pred_key if p not in positions)
+    candidates = [{}]
     for p in positions:
-        offsets = [space.reindex(o, p, v) for o in offsets for v in space.domains[p].values]
-    own, firsts = space.projection(sorted(set(positions)))
+        candidates = [{**c, p: k} for c in candidates for k in range(frame.sizes[p])]
+    atoms = [frame.atom(0, [c[v] + 1 if v in c else 0 for v in range(len(frame.sizes))], {})
+             for c in candidates]
     unsatisfied = f"no values of {', '.join(prog.vars)} satisfy {prog.pred}"
-    found: dict = {}  # base state -> _candidates there
-    options = []
-    for i, c in enumerate(own):
-        base = i - firsts[c]
-        got = found.get(base)
-        if got is None:
-            got = found[base] = _candidates(base, offsets, index, verdicts)
-        targets, what, at = got
-        if what is not None:
-            options.append(_Undef(what, space, i if at is None else at))
-        else:
-            options.append(targets or _Undef(unsatisfied, space, i))
-    return options
-
-
-def _candidates(base: int, offsets: list, index: list, verdicts: list) -> tuple:
-    """(the candidates that satisfy the predicate, in order, None, None),
-    or ((), reason, state) at the first candidate where it is undefined;
-    state None stands for the state the choice is made at."""
-    ok = []
-    for o in offsets:
-        t = base + o
-        v = verdicts[index[t]]
-        if isinstance(v, EvalError):
-            return (), str(v), None
-        if not isinstance(v, bool):
-            return (), "suchthat predicate is not boolean", t
-        if v:
-            ok.append(t)
-    return tuple(ok), None, None
+    entries = []
+    for at in frame.classes(key):
+        ok, entry = [], None
+        for c, a in zip(candidates, atoms):
+            v = verdicts[frame.index(pred_key, {**at, **c})]
+            if isinstance(v, EvalError):
+                entry = _Undef(str(v), 0, frame)
+                break
+            if not isinstance(v, bool):
+                entry = _Undef("suchthat predicate is not boolean", a, frame)
+                break
+            if v:
+                ok.append(a)
+        entries.append(entry or tuple(ok) or _Undef(unsatisfied, 0, frame))
+    return key, entries
 
 
 class Compiled:
@@ -867,41 +1221,35 @@ class Compiled:
         root = self._root
         if not _flat(root):
             return None
-        index, _ = self.space.projection(positions)
-        points: dict = {}  # combination -> the entry of going there
-        seen: dict = {}  # id of an entry -> its set; entries are shared
-        out = []
-        for e in root.states:
-            if e.__class__ is int:
-                c = index[e]
-                got = points.get(c)
-                if got is None:
-                    got = points[c] = frozenset((frozenset(((c, ONE),)),))
-            elif e.__class__ is _Undef:
+        frame = root.frame
+        steps, step = [], 1  # the combination is sum value * step
+        for p in reversed(positions):
+            steps.append((p, step))
+            step *= frame.sizes[p]
+        key = _union(root.key, positions)
+        sets = []
+        for at in frame.classes(key):
+            e = root.entries[frame.index(root.key, at)]
+            if e.__class__ is _Undef:
                 return None
-            else:
-                got = seen.get(id(e))
-                if got is None:
-                    options = []
-                    for o in e:
-                        if _meets(o):
-                            return None
-                        if o.__class__ is int:
-                            options.append(frozenset(((index[o], ONE),)))
-                            continue
-                        mass: dict = {}
-                        for w, a in zip(*o):
-                            c = index[a]
-                            mass[c] = mass[c] + w if c in mass else w
-                        options.append(frozenset(mass.items()))
-                    got = seen[id(e)] = frozenset(options)
-            out.append(got)
-        return out
+            options = []
+            for o in (e if e.__class__ is tuple else (e,)):
+                if _meets(o):
+                    return None
+                mass: dict = {}
+                for a, w in zip(*_atoms((o,))):
+                    ds = frame.digits(a)[1]
+                    c = sum((ds[p] - 1 if ds[p] else at[p]) * s for p, s in steps)
+                    mass[c] = mass[c] + w if c in mass else w
+                options.append(frozenset(mass.items()))
+            sets.append(frozenset(options))
+        index, _ = frame.space.projection(list(key))
+        return [sets[c] for c in index]
 
 
 def compile_program(prog: Program, space: StateSpace) -> Compiled:
     """Resolve a program against a space once; run it with Compiled.wp."""
-    return Compiled(space, _compile(prog, space))
+    return Compiled(space, _compile(prog, _Frame(space)))
 
 
 def wp(prog: Program, post: Expectation, space: Optional[StateSpace] = None,

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pgclkit import Expectation, parse_expression, parse_program, space_of
 from pgclkit.errors import EvalError
 from pgclkit.exprs import Bracket, eval_expr
+from pgclkit.wp import _CPick, _CWhile, _Frame
 from pgclkit.programs import (
     Abort,
     Assign,
@@ -40,6 +41,13 @@ def bit_space():
 def pqr_space(grid=EIGHTHS):
     """x plus the p, q, r variables of the bias-halving derivation."""
     return space_of(("x", (0, 1)), ("p", grid), ("q", grid), ("r", grid))
+
+
+def one_state_loop(body):
+    """A _CWhile over a one-state space whose guard always holds, with
+    `body` (anything with a run method) as its body."""
+    frame = _Frame(space_of(("c", ("H",))))
+    return _CWhile(_CPick(frame, (), [0]), body)
 
 
 def prog(text, space, **params):

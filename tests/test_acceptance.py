@@ -39,7 +39,6 @@ from pgclkit import (
     space_of,
     wp,
 )
-from pgclkit.wp import _CWhile
 
 F = Fraction
 
@@ -275,7 +274,7 @@ def test_criterion_8_property_suites():
                 return [x * F(1, 2) + F(1, 2) for x in f]
 
         try:
-            _CWhile([0], _Affine()).run([F(1)])
+            helpers.one_state_loop(_Affine()).run([F(1)])
         except WpError:
             pass
         else:

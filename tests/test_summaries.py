@@ -23,7 +23,7 @@ from pgclkit import (
 from pgclkit.errors import EvalError
 from pgclkit.expectations import Expectation
 from pgclkit.programs import Seq, While, children, loop_free
-from pgclkit.wp import _CPick, _CWhile, _flat, _Undef, _Vec, compile_program
+from pgclkit.wp import _CPick, _CSeq, _CWhile, _flat, _Undef, _Vec, compile_program
 
 F = Fraction
 
@@ -41,10 +41,13 @@ def root(text, space, **params):
     helpers.SPLIT_THEN_COIN, helpers.HALVING_LOOP, helpers.HALVING_BODY,
 ])
 def test_demon_free_programs_compile_to_one_flat_pick(text):
-    node = root(text, helpers.pqr_space())
+    space = helpers.pqr_space()
+    node = root(text, space)
     assert isinstance(node, _CPick) and not node.branches
-    # one option per state: a bare position or a single distribution
-    assert all(e.__class__ is int or len(e) == 1 for e in node.states)
+    # keyed by p alone: one entry per value of p, not per state
+    assert node.key == (space.var_pos("p"),) and len(node.entries) == 9
+    # one option per class: a bare atom or a single distribution
+    assert all(e.__class__ is int or len(e) == 1 for e in node.entries)
 
 
 def test_split_then_coin_on_the_step_space_is_one_flat_pick():
@@ -67,17 +70,90 @@ def test_a_flat_pick_holds_its_markers_inline():
     node = compiled._root
     assert isinstance(node, _CPick) and not node.branches
     assert not hasattr(node, "consts")
-    assert all(isinstance(e, _Undef) for e in node.states)
-    assert node.states[0].reason == "division by zero at {x=0}"
+    # it reads nothing, so one class; its marker is met at the state that
+    # x := 0 reaches, whichever state it is read at
+    assert node.key == () and len(node.entries) == 1
+    marker = node.entries[0]
+    assert isinstance(marker, _Undef) and marker.index is None
+    assert [m.reason for m in marker.placed([0, 1])] == ["division by zero at {x=0}"] * 2
     with pytest.raises(UndefinedStateError, match=r"^wp is undefined at \{x=0\}: "
                                                   r"division by zero at \{x=0\}$"):
         compiled.wp(Expectation(space, (F(1), F(2))))  # x + 1
     # a marker inside an option stays there; the run form, built on the
-    # first run, moves it past the end of the post, to the consts
+    # first run, places it at each state of the class
     node = root("x :in {1, 0}; x := 1/x", space)
-    marker = node.states[0][1]
-    assert isinstance(marker, _Undef) and node.states == [(1, marker)] * 2
-    assert node.ints == (1, [(1, 2)] * 2, [marker])
+    (one, marker), = node.entries
+    assert isinstance(marker, _Undef) and node.frame.digits(one) == (0, (2,))  # x := 1
+    w, ((states, options),) = node.ints
+    assert w == 1 and states == [0, 1] and options[0] == [(1, [1, 1])]
+    (x, placed), = options[1]
+    assert x is None and [m.reason for m in placed] == ["division by zero at {x=0}"] * 2
+
+
+def _absorbed_rows(monkeypatch) -> list:
+    """The number of rows of each linear.absorb call made from now on."""
+    calls, solve = [], wp_module.absorb
+
+    def counting(rows):
+        calls.append(len(rows))
+        return solve(rows)
+
+    monkeypatch.setattr(wp_module, "absorb", counting)
+    return calls
+
+
+@pytest.mark.parametrize("denominator, interior", [(8, 7), (16, 15)])
+def test_halving_loop_solves_one_row_per_interior_value_of_p(
+        denominator, interior, monkeypatch):
+    space = helpers.pqr_space(tuple(F(k, denominator) for k in range(denominator + 1)))
+    calls = _absorbed_rows(monkeypatch)
+    compiled = compile_program(helpers.prog(helpers.HALVING_LOOP, space), space)
+    # the chain runs over the values of p strictly between 0 and 1, where
+    # the space has 2 * (d + 1) ** 3 states
+    assert calls == [interior]
+    # and x = 1 with probability exactly p, the closed form
+    x, p = space.var_pos("x"), space.var_pos("p")
+    rows = compiled.rows([x])
+    pre = compiled.wp(helpers.bracket_post(space, "x = 1")).pre
+    for i, state in enumerate(space.states()):
+        pv = state["p"]
+        assert rows[i] == {frozenset((c, w) for c, w in ((0, 1 - pv), (1, pv)) if w)}
+        assert pre.values[i] == pv
+
+
+def test_an_abort_path_counts_as_writing_every_variable():
+    # no branch is enabled at p = 1/2: that path writes every variable, so
+    # what follows, which reads q, keys the sequence on p alone
+    text = "IF p < 1/2 -> q := 0 [] p > 1/2 -> q := 1 FI; x := q"
+    space = helpers.pqr_space()
+    compiled = compile_program(helpers.prog(text, space), space)
+    node = compiled._root
+    assert isinstance(node, _CPick) and node.key == (space.var_pos("p"),)
+    assert node.entries[4] == wp_module._ABORT  # p = 1/2
+    post = helpers.bracket_post(space, "x = 1")
+    pre = compiled.wp(post).pre
+    for state, outs in resolutions_by_state(helpers.prog(text, space), space).items():
+        assert pre[state] == min_expected(outs, post)
+
+
+def test_a_long_demonic_chain_keeps_the_denominator_of_its_values():
+    # 40 demonic picks between non-dyadic coins, each reading a mixture of
+    # the next one's two options, so none fuses; without the gcd each pick
+    # multiplied the denominator by 15, 157 bits over the chain
+    space = space_of(("c", (0, 1)))
+    pick = "((c := 0 <1/3> c := 1) |^| (c := 0 <2/5> c := 1))"
+    chain = root("; ".join([pick] * 40), space)
+    picks, node = [], chain
+    while isinstance(node, _CSeq):
+        picks.append(node.first)
+        node = node.second
+    picks.append(node)
+    assert len(picks) == 40 and all(_flat(p) and len(p.entries[0]) == 2 for p in picks)
+    # the last pick takes the least mean, 1/3 or 2/5 on [c = 0], and
+    # every earlier one averages a constant
+    for post, den, value in (([1, 0], 3, 1), ([2, 5], 5, 19)):
+        vec = chain.run(_Vec(post, 1))
+        assert (vec.den, list(vec)) == (den, [value, value])
 
 
 def test_policy_iteration_runs_the_body_once_per_round(monkeypatch):

@@ -274,7 +274,7 @@ def test_loop_solve_that_is_no_fixpoint_is_reported_as_engine_bug():
             return [x * F(1, 2) + F(1, 2) for x in f]
 
     with pytest.raises(WpError, match="fixpoint check"):
-        _CWhile([0], _Affine()).run([F(1)])
+        helpers.one_state_loop(_Affine()).run([F(1)])
 
 
 def test_bias_spec_hits_p_exactly():
@@ -399,12 +399,13 @@ def test_demonic_ruin_on_coprime_posts_matches_every_policy_exactly():
 def test_a_bad_weight_fails_the_feasibility_check(monkeypatch):
     ints = wp_module._ints
 
-    def heavier(entries, width):
-        # the first option of the first state weighs 2/w more
-        w, out, consts = ints(entries, width)
-        (weights, positions), = out[0]
-        out[0] = ((weights[0] + 2,) + weights[1:], positions),
-        return w, out, consts
+    def heavier(frame, key, entries):
+        # the first atom of the first option of the first class weighs 2/w more
+        w, plan = ints(frame, key, entries)
+        states, options = plan[0]
+        (x, cells), *rest = options[0]
+        options[0] = [(x + 2, cells)] + rest
+        return w, plan
 
     monkeypatch.setattr(wp_module, "_ints", heavier)
     space = space_of(("x", (0, 1)))
