@@ -86,22 +86,35 @@ class Verdict:
         return self.status + tail
 
 
-@dataclass(frozen=True)
 class ProbeFamily:
     """Finite witness family of expectations used by the checkers.
 
     `observed` names the variables every probe is a function of, so that
     a check may decide from the compiled rows over them.  Only `default`
-    and `over_vars`, which build the probes, set it; a family built from
-    a tuple of probes has none and always runs its probes."""
+    and `over_vars` set it, since only they know what their probes read;
+    they build their probes when first read, so a check that the rows
+    decide as `holds` builds none.  A family of given probes has no
+    observed variables and always runs its probes."""
 
-    probes: tuple[Expectation, ...]
-    seed: Optional[int] = None
-    observed: Optional[tuple[str, ...]] = field(default=None, init=False)
+    def __init__(self, probes: Iterable[Expectation], seed: Optional[int] = None):
+        self._probes = tuple(probes)
+        self._build = None
+        self.seed = seed
+        self.observed: Optional[tuple[str, ...]] = None
+        self.space = self._probes[0].space if self._probes else None
 
-    def _observing(self, names: tuple[str, ...]) -> "ProbeFamily":
-        object.__setattr__(self, "observed", names)
-        return self
+    @classmethod
+    def _deferred(cls, space: StateSpace, observed: tuple[str, ...],
+                  seed: int, build) -> "ProbeFamily":
+        family = cls((), seed)
+        family.space, family.observed, family._build = space, observed, build
+        return family
+
+    @property
+    def probes(self) -> tuple[Expectation, ...]:
+        if self._build is not None:
+            self._probes, self._build = tuple(self._build()), None
+        return self._probes
 
     def __iter__(self):
         return iter(self.probes)
@@ -117,21 +130,9 @@ class ProbeFamily:
         probability instead, and a bracket undefined at some state is
         skipped), and `extra` seeded random expectations with values in
         [0, PROBE_BOUND]."""
-        probes = [indicator(space, i) for i in range(space.size)]
-        seen = {p.values for p in probes}
-        for prog in programs:
-            for pred in collect_predicates(prog):
-                if static_kind(pred, space) != "bool":
-                    continue
-                try:
-                    exp = from_expr(space, Bracket(pred))
-                except EvalError:
-                    continue
-                if exp.values not in seen:
-                    seen.add(exp.values)
-                    probes.append(exp)
-        probes.extend(_random_probes(space, seed, extra, seen))
-        return ProbeFamily(tuple(probes), seed=seed)._observing(space.names)
+        programs = tuple(programs)
+        return ProbeFamily._deferred(space, space.names, seed, lambda: _default_probes(
+            space, programs, seed, extra))
 
     @staticmethod
     def over_vars(space: StateSpace, names: Iterable[str], seed: int = 0,
@@ -142,36 +143,61 @@ class ProbeFamily:
         variables but use scratch variables differently.
         """
         names = tuple(names)
-        positions = [space.var_pos(n) for n in names]
-        rng = random.Random(seed)
-        probes: list[Expectation] = []
-        seen = set()
+        for n in names:
+            space.var_pos(n)  # an undeclared name fails here, not on first use
+        return ProbeFamily._deferred(space, names, seed, lambda: _over_vars_probes(
+            space, names, seed, extra))
 
-        combos: list[tuple] = [()]
-        for p in positions:
-            combos = [c + (v,) for c in combos for v in space.domains[p].values]
-        # per state its combination, by stride arithmetic; a probe is a
-        # column over the combinations, and two probes are equal exactly
-        # when their columns agree on the combinations some state has
-        index, firsts = space.projection(positions)
-        present = [c for c, first in enumerate(firsts) if first >= 0]
 
-        def add(column, label):
-            key = tuple(column[c] for c in present)
-            if key not in seen:
-                seen.add(key)
-                probes.append(Expectation.proven(
-                    space, tuple(map(column.__getitem__, index)), label=label))
+def _default_probes(space: StateSpace, programs: tuple, seed: int, extra: int) -> list:
+    probes = [indicator(space, i) for i in range(space.size)]
+    seen = {p.values for p in probes}
+    for prog in programs:
+        for pred in collect_predicates(prog):
+            if static_kind(pred, space) != "bool":
+                continue
+            try:
+                exp = from_expr(space, Bracket(pred))
+            except EvalError:
+                continue
+            if exp.values not in seen:
+                seen.add(exp.values)
+                probes.append(exp)
+    probes.extend(_random_probes(space, seed, extra, seen))
+    return probes
 
-        for k, combo in enumerate(combos):
-            column = [ZERO] * len(combos)
-            column[k] = ONE
-            add(column, f"[{', '.join(f'{n}={v}' for n, v in zip(names, combo))}]")
-        for k in range(extra):
-            column = [Fraction(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
-                               PROBE_DENOMINATOR) for _ in combos]
-            add(column, f"random probe {k} over {', '.join(names)}")
-        return ProbeFamily(tuple(probes), seed=seed)._observing(names)
+
+def _over_vars_probes(space: StateSpace, names: tuple, seed: int, extra: int) -> list:
+    positions = [space.var_pos(n) for n in names]
+    rng = random.Random(seed)
+    probes: list[Expectation] = []
+    seen = set()
+
+    combos: list[tuple] = [()]
+    for p in positions:
+        combos = [c + (v,) for c in combos for v in space.domains[p].values]
+    # per state its combination, by stride arithmetic; a probe is a
+    # column over the combinations, and two probes are equal exactly
+    # when their columns agree on the combinations some state has
+    index, firsts = space.projection(positions)
+    present = [c for c, first in enumerate(firsts) if first >= 0]
+
+    def add(column, label):
+        key = tuple(column[c] for c in present)
+        if key not in seen:
+            seen.add(key)
+            probes.append(Expectation.proven(
+                space, tuple(map(column.__getitem__, index)), label=label))
+
+    for k, combo in enumerate(combos):
+        column = [ZERO] * len(combos)
+        column[k] = ONE
+        add(column, f"[{', '.join(f'{n}={v}' for n, v in zip(names, combo))}]")
+    for k in range(extra):
+        column = [Fraction(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
+                           PROBE_DENOMINATOR) for _ in combos]
+        add(column, f"random probe {k} over {', '.join(names)}")
+    return probes
 
 
 def _random_probes(space: StateSpace, seed: int, count: int, seen: set):
@@ -201,13 +227,13 @@ def _compare(left: Program, right: Program, probes: ProbeFamily,
              refines: bool) -> Verdict:
     """Decide `left` = `right`, or `left` refined by `right`, from the
     compiled rows where they can; else run both programs on every probe."""
-    if not len(probes):
+    if probes.space is None:
         raise VariantError("empty probe family")
-    space = space or probes.probes[0].space
+    space = space or probes.space
     left_c, right_c = compile_program(left, space), compile_program(right, space)
     violates = operator.gt if refines else operator.ne
     decided = None
-    if probes.observed is not None and probes.probes[0].space == space:
+    if probes.observed is not None and probes.space == space:
         positions = [space.var_pos(n) for n in probes.observed]
         decided = _by_rows(left_c.rows(positions), right_c.rows(positions), refines)
     if decided is None:

@@ -196,6 +196,28 @@ def test_rows_refute_a_refinement_that_the_probes_pass():
     assert (v.status, v.method) == ("holds", "rows")
 
 
+def test_a_check_the_rows_decide_builds_no_probe(monkeypatch):
+    built = []
+    for name in ("_default_probes", "_over_vars_probes"):
+        def recording(*args, name=name, build=getattr(checks, name)):
+            built.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(checks, name, recording)
+    s = helpers.pqr_space(helpers.THIRDS)
+    spec, loop = helpers.prog(helpers.BIAS_SPEC, s), helpers.prog(helpers.HALVING_LOOP, s)
+    for left, right, fam in ((spec, loop, ProbeFamily.over_vars(s, ("x",))),
+                             (loop, loop, ProbeFamily.default(s, (loop,)))):
+        v = check_equal(left, right, fam, s)
+        assert (v.status, v.method) == ("holds", "rows")
+    assert built == []
+    # a refutation runs the probes, to report the first one that refutes
+    fam = ProbeFamily.over_vars(s, ("x",))
+    v = check_refines(spec, helpers.prog("x := 0", s), fam, s)
+    assert (v.status, v.method) == ("fails", "rows") and built == ["_over_vars_probes"]
+    assert len(fam) == len(fam.probes) and built == ["_over_vars_probes"]  # built once
+
+
 def test_a_family_of_bare_probes_runs_them():
     s = helpers.bit_space()
     left, right = helpers.prog("x :in 1 <1/4> 0", s), helpers.prog("x :in 1 <1/2> 0", s)
