@@ -427,13 +427,15 @@ def check_variant(loop: Program, spec: VariantSpec,
         decrease = Expectation.proven(space, tuple(map(column.__getitem__, variant_index)),
                                       label=f"[{spec.variant} < {cut}]")
         result = body.wp(decrease, WpConfig(undefined="mask"))
-        masked = {st.index for st in result.undefined_states}
+        masked = {st.index: why for st, why in zip(result.undefined_states,
+                                                   result.undefined_reasons)}
         for i, v in guard_states:
             if v != cut:
                 continue
             if i in masked:
                 raise UndefinedStateError(
-                    f"loop body wp is undefined at guard state {space.state_at(i)}",
+                    f"loop body wp is undefined at guard state {space.state_at(i)}: "
+                    f"{masked[i]}",
                     state=space.state_at(i),
                 )
             achieved = result.pre.values[i]

@@ -49,7 +49,8 @@ assignment leaving the variable's domain, a probability outside [0, 1])
 are tracked with an explicit marker.  A side of weight exactly 0 is
 dropped when the program is compiled, so errors on unreachable branches
 are harmless, as they should be.  Surviving markers raise by default;
-cfg.undefined="mask" reports them in WpResult.undefined_states instead.
+cfg.undefined="mask" reports them in WpResult.undefined_states instead,
+with their reasons in WpResult.undefined_reasons.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class WpConfig:
 
 @dataclass(frozen=True)
 class WpResult:
-    """Pre-expectation plus the states where it is undefined.
+    """Pre-expectation plus the states where it is undefined, each with
+    the reason of the first marker met there (undefined_reasons).
 
     Every loop is solved exactly, so loop_residual is always 0; it stays
     for callers that read it.
@@ -106,6 +108,7 @@ class WpResult:
     pre: Expectation
     loop_residual: Fraction = ZERO
     undefined_states: tuple[State, ...] = ()
+    undefined_reasons: tuple[str, ...] = ()
 
 
 # --- compiled form ---------------------------------------------------------
@@ -1186,11 +1189,13 @@ class Compiled:
         vec = self._root.run(_Vec(scaled, den))
         top = max(scaled) * vec.den  # v / vec.den <= max post iff v * den <= top
         undefined: list[State] = []
+        reasons: list[str] = []
         values = []
         exact: dict = {}  # each distinct value becomes one Fraction
         for i, v in enumerate(vec):
             if v.__class__ is _Undef:
                 undefined.append(space.state_at(i))
+                reasons.append(v.reason)
                 if cfg.undefined == "raise":
                     raise UndefinedStateError(
                         f"wp is undefined at {space.state_at(i)}: {v.reason}",
@@ -1210,6 +1215,7 @@ class Compiled:
         return WpResult(
             pre=Expectation.proven(space, tuple(values)),
             undefined_states=tuple(undefined),
+            undefined_reasons=tuple(reasons),
         )
 
     def rows(self, positions) -> Optional[list]:

@@ -374,6 +374,24 @@ def test_variant_errors_name_the_state():
     assert str(ei.value) == "variant 1 / (x - 1) is undefined at {x=1}: division by zero"
 
 
+def test_an_undefined_body_names_its_reason():
+    s = helpers.random_space()
+    loop = helpers.prog("WHILE x < 2 DO y :dist [x + 1: 1/3, 0: 2/3] OD", s)
+    with pytest.raises(UndefinedStateError) as ei:
+        check_variant(loop, variant(s, "2 - x", 3, "1/3"), s)
+    assert str(ei.value) == ("loop body wp is undefined at guard state {x=1, y=0}: "
+                             "y := 2 leaves the domain of y at {x=1, y=0}")
+    # mask mode keeps each undefined state's reason next to it
+    result = wp(helpers.prog("x := 1/x", s), helpers.bracket_post(s, "true"), s,
+                WpConfig(undefined="mask"))
+    assert [(str(st), why) for st, why in zip(result.undefined_states,
+                                              result.undefined_reasons)] == [
+        ("{x=0, y=0}", "division by zero at {x=0, y=0}"),
+        ("{x=0, y=1}", "division by zero at {x=0, y=1}"),
+        ("{x=2, y=0}", "x := 1/2 leaves the domain of x at {x=2, y=0}"),
+        ("{x=2, y=1}", "x := 1/2 leaves the domain of x at {x=2, y=1}")]
+
+
 def test_variant_requires_boolean_loop():
     s = space_of(("c", ("H", "T")), ("p", (0, F(1, 2), 1)))
     with pytest.raises(VariantError):
