@@ -381,8 +381,9 @@ def check_variant(loop: Program, spec: VariantSpec,
 
     # each evaluated once per value of its free variables; an error is
     # raised at the first state that reads it, as in a state-by-state walk
-    guard_index, guards = evaluate(space, loop.guard)
-    variant_index, variants = evaluate(space, spec.variant)
+    guard_at, guards = evaluate(space, loop.guard)
+    variant_at, variants = evaluate(space, spec.variant)
+    guard_index, variant_index = space.projection(guard_at)[0], space.projection(variant_at)[0]
     guard_states: list[tuple[int, Fraction]] = []
     for i in range(space.size):
         g = guards[guard_index[i]]

@@ -6,6 +6,7 @@ space, which makes pointwise arithmetic and comparisons exact and cheap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +65,8 @@ def from_expr(space: StateSpace, expr: Expr, label: str = "") -> Expectation:
     guards can be used as expectations directly."""
     if static_kind(expr, space) == "bool":
         expr = Bracket(expr)
-    index, results = evaluate(space, expr)
+    positions, results = evaluate(space, expr)
+    index, _ = space.projection(positions)
     ok = [isinstance(v, Fraction) and v >= 0 for v in results]
     if not all(ok):
         # the first state that reads a bad value, as a state-by-state walk
@@ -80,16 +82,22 @@ def from_expr(space: StateSpace, expr: Expr, label: str = "") -> Expectation:
 
 
 def evaluate(space: StateSpace, expr) -> tuple:
-    """expr evaluated once per value of its free variables: per state the
-    index of that value, and per index the result or the EvalError."""
-    index, firsts = space.projection(sorted(space.var_pos(v) for v in free_vars(expr)))
+    """expr evaluated once per value of its free variables: (positions,
+    results), the positions of those variables in order, and per
+    combination of their values, numbered as in StateSpace.projection,
+    the result or the EvalError.  Each is evaluated at the first state
+    with that combination."""
+    positions = tuple(sorted(space.var_pos(v) for v in free_vars(expr)))
+    first = [d.values[0] for d in space.domains]
     results = []
-    for i in firsts:
+    for combo in itertools.product(*(space.domains[p].values for p in positions)):
+        for p, v in zip(positions, combo):
+            first[p] = v
         try:
-            results.append(eval_expr(expr, space.state_at(i)))
+            results.append(eval_expr(expr, State(space, tuple(first))))
         except EvalError as exc:
             results.append(exc)
-    return index, results
+    return positions, results
 
 
 def constant(space: StateSpace, value) -> Expectation:

@@ -64,8 +64,8 @@ from operator import add
 from typing import Optional
 
 from .errors import EvalError, UndefinedStateError, WpError
-from .expectations import Expectation
-from .exprs import eval_expr, free_vars, static_kind
+from .expectations import Expectation, evaluate
+from .exprs import static_kind
 from .linear import absorb
 from .programs import (
     Abort,
@@ -117,11 +117,11 @@ class WpResult:
 # variables it leaves unchanged, so the compiler works on classes, not
 # states.  Every node that composition reads (a flat _CPick) has a key: the
 # variables it reads before it writes them, in declaration order.  For a
-# primitive statement that is the free variables of its expressions; for
-# `a; b` it is key(a) plus the variables of key(b) that a does not write
-# on every path (ABORT and a marker count as writing every variable); for
-# a choice the union of its own and its branches' keys; a loop's key is
-# below.  The node holds one entry per class of its key, a combination of
+# primitive statement that is the free variables of its expressions (less
+# the variables a :suchthat chooses); for `a; b` it is key(a) plus the
+# variables of key(b) that a does not write on every path (ABORT and a
+# marker count as writing every variable); for a choice the union of its
+# own and its branches' keys; a loop's key is below.  The node holds one entry per class of its key, a combination of
 # the key's values numbered row-major (_Frame.classes), and an atom is a
 # partial assignment: the values written on that path (_Frame).  Read at
 # state i, an atom reaches i with its written digits replaced, by the
@@ -194,7 +194,9 @@ class WpResult:
 #
 # Compile cost follows the number of classes, not the number of states:
 # HALVING_LOOP compiles 9 classes of p on eighths, where the space has
-# 1 458 states.
+# 1 458 states.  Best of three compile_program calls of it (Python 3.11,
+# 2 cores) took 60 ms on eighths and 399 ms on sixteenths with one entry
+# per state, and 2-4 ms and 6-11 ms with one per class.
 #
 # Running.  A pick derives its run form on its first run and keeps it
 # (_CPick.ints, built by _ints): every weight becomes an int over its W,
@@ -262,9 +264,6 @@ class _Frame:
         slot, second = self.digits(b)
         return self.atom(slot, [y or x for x, y in zip(first, second)], at)
 
-    def written(self, a: int) -> frozenset:
-        return frozenset(v for v, d in enumerate(self.digits(a)[1]) if d)
-
     def classes(self, key: tuple) -> list:
         """Per class of key, row-major, its values as {variable: index}."""
         got = self._classes.get(key)
@@ -289,11 +288,6 @@ class _Frame:
         """The class of key of the state atom a reaches from the class `at`."""
         ds = self.digits(a)[1]
         return self.index(key, {v: ds[v] - 1 if ds[v] else at[v] for v in key})
-
-    def state(self, at: dict) -> State:
-        """The first state of a class: other variables at their first value."""
-        return State(self.space, tuple(d.values[at.get(v, 0)]
-                                       for v, d in enumerate(self.space.domains)))
 
     def members(self, key: tuple) -> list:
         """Per class of key, its states in order."""
@@ -320,15 +314,6 @@ class _Frame:
                 base = [b + k * w for b in base for k in range(size)]
             self._bases[written] = base
         return [base[i] + off for i in states]
-
-    def towards(self, index: int, at: dict) -> int:
-        """The atom that reaches state `index` from the class `at` of the
-        key of every variable."""
-        digits, rest = [], index
-        for s in self.strides:
-            k, rest = divmod(rest, s)
-            digits.append(k + 1)
-        return self.atom(0, digits, at)
 
 
 class _Undef:
@@ -365,9 +350,7 @@ class _Undef:
     __add__ = __radd__ = __mul__ = __rmul__ = _absorb
 
     def __repr__(self):
-        if self.index is None:
-            return f"<undefined: {self.what} via {self.at}>"
-        return f"<undefined: {self.reason}>"
+        return f"<undefined: {self.what if self.index is None else self.reason}>"
 
 
 class _Vec(list):
@@ -488,7 +471,7 @@ class _CPick:
         atom writes (all of them, where there is no atom)."""
         may, must = frozenset(), None
         for a in (a for e in self.entries for a in _entry_atoms(e)):
-            w = self.frame.written(a)
+            w = frozenset(v for v, d in enumerate(self.frame.digits(a)[1]) if d)
             may |= w
             must = w if must is None else must & w
         return may, frozenset(range(len(self.frame.sizes))) if must is None else must
@@ -840,27 +823,27 @@ def _loop(prog: While, frame: _Frame, after: tuple):
     return _CWhile(_CPick(frame, key, gate), body)
 
 
-def _exits(after: tuple, frame: _Frame) -> Optional[tuple]:
+def _exits(after: tuple, frame: _Frame) -> tuple:
     """(key, marks) for the compiled statements `after` a loop, nearest
     first: per class of key, the first marker they meet on the post 0,
-    read at the state the loop exits at, else None; None where they meet
-    none."""
+    read at the state the loop exits at, else None."""
     if all(_flat(node) and not any(map(_meets_entry, node.entries)) for node in after):
-        return None
+        return (), [None]
     node = after[0]
     for later in after[1:]:
         node = _seq(node, later)
     if _flat(node):
-        marks = [_first_mark(e) for e in node.entries]
-        return node.key, marks
-    # run them: a marker's state may then depend on every variable
+        return node.key, [_first_mark(e) for e in node.entries]
+    # run them: a marker's state may then depend on every variable, and
+    # class i of that key is state i
     vec = _Vec([0] * frame.n, 1)
     for node in reversed(after):
         vec = node.run(vec)
     key = tuple(range(len(frame.sizes)))
-    return key, [_Undef(x.what, frame.towards(x.index, at), frame)
-                 if x.__class__ is _Undef else None
-                 for x, at in zip(vec, frame.classes(key))]
+    every = frame.classes(key)
+    return key, [None if x.__class__ is not _Undef else _Undef(
+        x.what, frame.atom(0, [d + 1 for d in every[x.index].values()], at), frame)
+        for x, at in zip(vec, every)]
 
 
 def _first_mark(e) -> Optional[_Undef]:
@@ -893,21 +876,21 @@ def _atoms(entry, one=ONE) -> tuple:
 
 
 def _summary(frame: _Frame, step_key: tuple, step: list, body: _CPick,
-             exits: Optional[_Vec]) -> _CPick:
+             exits: tuple) -> _CPick:
     """A loop whose composed step (entries over step_key: an atom of slot
     0 goes round again, slot 1 exits) has one option per class, solved
     once, with linear.absorb, over the classes of the loop's key.
 
-    The undefined classes, given the markers in `exits` (see _exits;
-    None: no markers), and the stuck classes, which become ABORT, are set aside as
-    _CWhile sets its states aside.  A class where the guard is false exits
+    The undefined classes, given the markers that what follows meets at
+    the exits (see _exits), and the stuck classes, which become ABORT, are
+    set aside as _CWhile sets its states aside.  A class where the guard is false exits
     at once.  The rest get their exit sub-distribution, checked to satisfy
     the step exactly.
     """
     may, must = body.writes
     out_at = frame.slots  # the exit atom: slot 1, nothing written
     # what follows reads its markers at the exit state
-    key = _union(step_key, may - must, exits[0] if exits is not None else ())
+    key = _union(step_key, may - must, exits[0])
     if any(e != out_at and out_at in _atoms(e)[0]
            for e in step if e.__class__ is not _Undef):
         key = _union(key, may)  # stops mid-round: keep what rounds write
@@ -931,7 +914,7 @@ def _summary(frame: _Frame, step_key: tuple, step: list, body: _CPick,
         if a.__class__ is _Undef:
             return a
         if a == out_at:
-            return exits[1][frame.index(exits[0], classes[k])] if exits is not None else None
+            return exits[1][frame.index(exits[0], classes[k])]
         m = undef.get(go(k, a))
         return m.after(a, classes[k]) if m is not None else None
 
@@ -993,34 +976,18 @@ def _summary(frame: _Frame, step_key: tuple, step: list, body: _CPick,
         elif k in done:
             entries.append(0)
         else:
-            # the exits in the order of the states they reach, as a _CWhile
-            # meets them
-            first = [sum(at.get(v, 0) * s for v, s in enumerate(frame.strides))]
-            ordered = sorted((frame.cells(~e, first)[0], frame.atom(0, frame.digits(~e)[1], at), c)
-                             for e, c in solved_rows[k].items() if c)
-            opt = _option({a: c for _, a, c in ordered})
+            # every exit writes the same variables, so in the order of their
+            # atoms they reach states in order, as a _CWhile meets them
+            exits_k = sorted((~t, c) for t, c in solved_rows[k].items() if c)
+            opt = _option({frame.atom(0, frame.digits(e)[1], at): c for e, c in exits_k})
             entries.append(opt if opt.__class__ is int else (opt,))
     return _CPick(frame, key, entries)
-
-
-def _evaluated(frame: _Frame, expr) -> tuple:
-    """(key, results): expr evaluated once per class of its free
-    variables, each result a value or the EvalError."""
-    space = frame.space
-    key = tuple(sorted(space.var_pos(v) for v in free_vars(expr)))
-    results = []
-    for at in frame.classes(key):
-        try:
-            results.append(eval_expr(expr, frame.state(at)))
-        except EvalError as exc:
-            results.append(exc)
-    return key, results
 
 
 def _eval_guarded(frame: _Frame, expr, want: str) -> tuple:
     """(key, per class): a guard (want "bool") or a probability (want
     "prob"), with errors downgraded to _Undef markers."""
-    key, results = _evaluated(frame, expr)
+    key, results = evaluate(frame.space, expr)
     out = []
     for v in results:
         if isinstance(v, EvalError):
@@ -1039,7 +1006,7 @@ def _assign_targets(frame: _Frame, var: str, expr) -> tuple:
     """(key, entries) of `var := expr`."""
     space = frame.space
     pos = space.var_pos(var)
-    key, results = _evaluated(frame, expr)
+    key, results = evaluate(space, expr)
     digits = [0] * len(frame.sizes)
     entries = []
     for at, v in zip(frame.classes(key), results):
@@ -1145,7 +1112,7 @@ def _suchthat_options(frame: _Frame, prog: SuchThat) -> tuple:
     is made at)."""
     space = frame.space
     positions = [space.var_pos(v) for v in prog.vars]
-    pred_key, verdicts = _evaluated(frame, prog.pred)
+    pred_key, verdicts = evaluate(space, prog.pred)
     key = tuple(p for p in pred_key if p not in positions)
     candidates = [{}]
     for p in positions:

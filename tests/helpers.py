@@ -9,7 +9,6 @@ from fractions import Fraction
 from pgclkit import Expectation, parse_expression, parse_program, space_of
 from pgclkit.errors import EvalError
 from pgclkit.exprs import Bracket, eval_expr
-from pgclkit.wp import _CPick, _CWhile, _Frame
 from pgclkit.programs import (
     Abort,
     Assign,
@@ -46,6 +45,8 @@ def pqr_space(grid=EIGHTHS):
 def one_state_loop(body):
     """A _CWhile over a one-state space whose guard always holds, with
     `body` (anything with a run method) as its body."""
+    from pgclkit.wp import _CPick, _CWhile, _Frame  # engine internals
+
     frame = _Frame(space_of(("c", ("H",))))
     return _CWhile(_CPick(frame, (), [0]), body)
 
