@@ -86,35 +86,42 @@ class Verdict:
         return self.status + tail
 
 
+@dataclass(frozen=True)
 class ProbeFamily:
     """Finite witness family of expectations used by the checkers.
 
     `observed` names the variables every probe is a function of, so that
     a check may decide from the compiled rows over them.  Only `default`
     and `over_vars` set it, since only they know what their probes read;
-    they build their probes when first read, so a check that the rows
-    decide as `holds` builds none.  A family of given probes has no
-    observed variables and always runs its probes."""
+    they build their probes when `probes` is first read, so a check that
+    the rows decide as `holds` builds none.  A family built from a tuple
+    of probes has no observed variables and always runs its probes."""
 
-    def __init__(self, probes: Iterable[Expectation], seed: Optional[int] = None):
-        self._probes = tuple(probes)
-        self._build = None
-        self.seed = seed
-        self.observed: Optional[tuple[str, ...]] = None
-        self.space = self._probes[0].space if self._probes else None
+    probes: tuple[Expectation, ...]
+    seed: Optional[int] = None
+    observed: Optional[tuple[str, ...]] = field(default=None, init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "space", self.probes[0].space if self.probes else None)
 
     @classmethod
     def _deferred(cls, space: StateSpace, observed: tuple[str, ...],
                   seed: int, build) -> "ProbeFamily":
-        family = cls((), seed)
-        family.space, family.observed, family._build = space, observed, build
+        """A family whose probes build() makes when first read; the
+        builder hangs off the frozen dataclass, out of its fields."""
+        family = object.__new__(cls)
+        for name, value in (("seed", seed), ("observed", observed), ("space", space),
+                            ("_build", build)):
+            object.__setattr__(family, name, value)
         return family
 
-    @property
-    def probes(self) -> tuple[Expectation, ...]:
-        if self._build is not None:
-            self._probes, self._build = tuple(self._build()), None
-        return self._probes
+    def __getattr__(self, name):
+        # reached only for an attribute not set: a deferred family's probes
+        build = self.__dict__.get("_build")
+        if name != "probes" or build is None:
+            raise AttributeError(name)
+        object.__setattr__(self, "probes", tuple(build()))
+        return self.probes
 
     def __iter__(self):
         return iter(self.probes)

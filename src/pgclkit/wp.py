@@ -723,15 +723,8 @@ def _rebased(frame: _Frame, entry, a: int, at: dict):
     if entry.__class__ is _Undef:
         return entry.after(a, at)
 
-    def moved(o):
-        if o.__class__ is int:
-            return frame.then(a, o, at)
-        if o.__class__ is _Undef:
-            return o.after(a, at)
-        return o[0], tuple(frame.then(a, b, at) if b.__class__ is int else b.after(a, at)
-                           for b in o[1])
-
-    options = [moved(o) for o in entry]
+    options = [(o[0], tuple(_rebased(frame, b, a, at) for b in o[1]))
+               if o.__class__ is tuple else _rebased(frame, o, a, at) for o in entry]
     # options that the class tells apart no more are merged
     return _entry(options) if len(options) > 1 else tuple(options)
 
