@@ -196,7 +196,7 @@ class WpResult:
 # HALVING_LOOP compiles 9 classes of p on eighths, where the space has
 # 1 458 states.  Best of three compile_program calls of it (Python 3.11,
 # 2 cores) took 60 ms on eighths and 399 ms on sixteenths with one entry
-# per state, and 2-4 ms and 6-11 ms with one per class.
+# per state, and 2-5 ms and 5-12 ms with one per class.
 #
 # Running.  A pick derives its run form on its first run and keeps it
 # (_CPick.ints, built by _ints): every weight becomes an int over its W,
@@ -455,9 +455,9 @@ def _column(options: list, vec, size: int) -> list:
 
 
 class _CPick:
-    """A per-state demonic choice of distributions: entries holds an entry
-    per class of key, the form that composition reads and writes, and ints
-    the run form derived from it."""
+    """A demonic choice of distributions at every state: entries holds an
+    entry per class of key, the form that composition reads and writes,
+    and ints the run form derived from it."""
 
     def __init__(self, frame: _Frame, key: tuple, entries: list, branches=()):
         self.frame = frame
@@ -820,7 +820,7 @@ def _exits(after: tuple, frame: _Frame) -> tuple:
     """(key, marks) for the compiled statements `after` a loop, nearest
     first: per class of key, the first marker they meet on the post 0,
     read at the state the loop exits at, else None."""
-    if all(_flat(node) and not any(map(_meets_entry, node.entries)) for node in after):
+    if all(_flat(node) and not any(map(_first_mark, node.entries)) for node in after):
         return (), [None]
     node = after[0]
     for later in after[1:]:
@@ -847,10 +847,6 @@ def _first_mark(e) -> Optional[_Undef]:
         if _meets(o):
             return o if o.__class__ is _Undef else o[1][-1]
     return None
-
-
-def _meets_entry(e) -> bool:
-    return e.__class__ is _Undef or (e.__class__ is tuple and any(map(_meets, e)))
 
 
 def _one_option(step) -> bool:

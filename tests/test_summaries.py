@@ -112,8 +112,7 @@ def test_halving_loop_solves_one_row_per_interior_value_of_p(
     # the space has 2 * (d + 1) ** 3 states
     assert calls == [interior]
     # and x = 1 with probability exactly p, the closed form
-    x, p = space.var_pos("x"), space.var_pos("p")
-    rows = compiled.rows([x])
+    rows = compiled.rows([space.var_pos("x")])
     pre = compiled.wp(helpers.bracket_post(space, "x = 1")).pre
     for i, state in enumerate(space.states()):
         pv = state["p"]
@@ -193,14 +192,7 @@ def test_policy_iteration_runs_the_body_once_per_round(monkeypatch):
 
 
 def test_summarised_loop_solves_once_at_compile_time(monkeypatch):
-    calls = []
-
-    def counting(rows):
-        calls.append(len(rows))
-        return absorb(rows)
-
-    absorb = wp_module.absorb
-    monkeypatch.setattr(wp_module, "absorb", counting)
+    calls = _absorbed_rows(monkeypatch)
     space = helpers.pqr_space(helpers.THIRDS)
     compiled = compile_program(helpers.prog(helpers.HALVING_LOOP, space), space)
     assert len(calls) == 1
