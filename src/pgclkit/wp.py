@@ -121,13 +121,14 @@ class WpResult:
 # the variables a :suchthat chooses); for `a; b` it is key(a) plus the
 # variables of key(b) that a does not write on every path (ABORT and a
 # marker count as writing every variable); for a choice the union of its
-# own and its branches' keys; a loop's key is below.  The node holds one entry per class of its key, a combination of
-# the key's values numbered row-major (_Frame.classes), and an atom is a
-# partial assignment: the values written on that path (_Frame).  Read at
-# state i, an atom reaches i with its written digits replaced, by the
-# strides of StateSpace.  A written value that the class already gives
-# its variable is dropped, so two atoms are equal exactly when they reach
-# the same state from every state of the class.
+# own and its branches' keys; a loop's key is below.  The node holds one
+# entry per class of its key, a combination of the key's values numbered
+# row-major (_Frame.classes), and an atom is a partial assignment: the
+# values written on that path (_Frame).  Read at state i, an atom reaches
+# i with its written digits replaced, by the strides of StateSpace.  A
+# written value that the class already gives its variable is dropped, so
+# two atoms are equal exactly when they reach the same state from every
+# state of the class.
 #
 # Every statement but `;` and WHILE becomes one _CPick: per class, the
 # marker of an evaluation error, or the demon's options, each a
