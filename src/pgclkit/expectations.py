@@ -29,7 +29,7 @@ class Expectation:
                 f"expectation has {len(self.values)} entries for a space of "
                 f"{self.space.size} states"
             )
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
+        vals = tuple(v if isinstance(v, Fraction) else _exact(v)
                      for v in self.values)
         if any(v < 0 for v in vals):
             raise EvalError("expectations must be non-negative everywhere")
@@ -100,8 +100,16 @@ def evaluate(space: StateSpace, expr) -> tuple:
     return positions, results
 
 
+def _exact(value) -> Fraction:
+    """value as a Fraction; a float or a bool is refused, not converted."""
+    if isinstance(value, (float, bool)):
+        raise EvalError(f"expectation value {value!r} is not exact; "
+                        "use an int or a Fraction")
+    return Fraction(value)
+
+
 def constant(space: StateSpace, value) -> Expectation:
-    v = Fraction(value)
+    v = value if isinstance(value, Fraction) else _exact(value)
     return Expectation(space, (v,) * space.size, label=str(v))
 
 

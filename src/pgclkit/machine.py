@@ -1,9 +1,10 @@
 """Finite flip machines: the sampler's reachable configurations as a graph.
 
 An interior node consumes one fair flip and routes to its heads/tails
-successors; a leaf emits an outcome.  Building the machine explores the
-cumulative-list sampler's configuration space breadth-first, identifying
-configurations by (low, window slice, high) so revisited configurations
+successors; a leaf emits an outcome.  Building the machine walks
+the successor table of the WeightedDist (see sampler) breadth first,
+deriving the entries that no draw has reached yet.  The table identifies
+configurations by (low, window slice, high), so revisited configurations
 become back-edges and every outcome gets a single shared leaf.  Cycles are
 expected: a machine need not be a tree, only absorbing.
 
@@ -19,21 +20,20 @@ of wp.py use too; each row has at most two successors, which keeps the
 elimination sparse.  A vanishing pivot means some interior node is never
 absorbed; the machine is rejected loudly.
 
-Bulk trials do not build a machine: run_trials walks the successor table
-of the WeightedDist (see sampler), one table lookup per flip, which holds
-only the configurations that draws reach; sampler.sample_discrete walks
-the same table.  Every draw of a run reads one seeded stream,
-RandomBitSource(seed), so a run returns the same outcomes and flip counts
-as that many sample_discrete draws from the stream.  Its interior
-configurations are the machine's, keyed the same way, and each was
-checked when first derived, as build_machine checks every reachable one.
+Bulk trials do not build a machine: run_trials walks the same successor
+table, one table lookup per flip, deriving only the configurations that
+draws reach; sampler.sample_discrete walks it too.  Every draw of a run
+reads one seeded stream, RandomBitSource(seed), so a run returns the same
+outcomes and flip counts as that many sample_discrete draws from the
+stream.  The table is the only place configurations are derived and
+checked, once per distribution, by whichever of these reaches one first;
+the machine's interior nodes are its configurations.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -41,7 +41,7 @@ from typing import Optional
 from .bits import RandomBitSource
 from .errors import DistError, MachineAnalysisError, MachineFormatError
 from .linear import absorb
-from .sampler import CumulativeDist, WeightedDist
+from .sampler import WeightedDist
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -124,35 +124,35 @@ class MachineAnalysis:
 
 
 def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machine:
-    """Explore the sampler's configurations from the initial one.
+    """The sampler's configurations reachable from the initial one, read
+    breadth first from the successor table of `d`; an entry that no draw
+    has reached yet is derived, and checked, on the way.
 
     Node ids are assigned in discovery order (root is 0), so the result is
-    reproducible.  Leaves are shared per outcome, which follows from keying
-    configurations on the active window alone.
+    reproducible.  Leaves are shared per outcome: the table names a leaf
+    by its outcome alone.
     """
-    start = CumulativeDist.initial(d)
-    ids: dict[tuple, int] = {start.key(): 0}
-    todo: deque[CumulativeDist] = deque([start])
+    table = d._successor_table()
+    succ, underived = table.succ, table.underived
+    order = [table.start]  # entries in discovery order: node i is order[i]
+    ids = {table.start: 0}
     nodes: list[MachineNode] = []
-    while todo:
-        # ids are given in discovery order and todo is FIFO, so the
-        # configuration popped now has id len(nodes)
-        c = todo.popleft()
-        if c.is_terminal:
-            nodes.append(MachineNode(len(nodes), "leaf", outcome=c.outcome))
+    for entry in order:  # order grows as the walk discovers entries
+        if entry < 0:  # a leaf, -outcome
+            nodes.append(MachineNode(len(nodes), "leaf", outcome=-entry))
             continue
         succ_ids = []
-        for succ in (c.split_left(), c.split_right()):
-            succ.check_invariant()
-            key = succ.key()
-            if key not in ids:
+        for e in (entry, entry + 1):
+            nxt = succ[e] if succ[e] > underived else table.derive(succ[e])
+            if nxt not in ids:
                 if len(ids) >= max_nodes:
                     raise MachineFormatError(
                         f"machine construction exceeded {max_nodes} nodes"
                     )
-                ids[key] = len(ids)
-                todo.append(succ)
-            succ_ids.append(ids[key])
+                ids[nxt] = len(ids)
+                order.append(nxt)
+            succ_ids.append(ids[nxt])
+        c = table.configs[entry >> 1]
         window = " ".join(str(v) for v in c.window())
         nodes.append(MachineNode(len(nodes), "interior", heads=succ_ids[0],
                                  tails=succ_ids[1],

@@ -12,9 +12,9 @@ parse_source requires the header and builds the state space from it;
 parse_program reads against a given space and accepts a header only if
 it declares exactly that space.
 
-The parser builds core statements only: `:in`, a numeric IF and `{pred}`
-become the choices and conditionals they stand for (see programs), as
-`x, y := e1, e2` becomes a sequence of assignments.
+The parser builds core statements only: `:in`, `:dist`, a numeric IF and
+`{pred}` become the choices and conditionals they stand for (see
+programs), as `x, y := e1, e2` becomes a sequence of assignments.
 
 Newlines and semicolons both sequence statements.  Rational literals may
 be written a/b or as exact decimals (0.25 means 1/4, converted without
@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import PgclError, PgclSyntaxError
+from .errors import DistError, PgclError, PgclSyntaxError
 from .exprs import (
     And,
     BinOp,
@@ -50,9 +50,7 @@ from .exprs import (
 from .programs import (
     Abort,
     Assign,
-    ChooseFromDist,
     DemonChoice,
-    DistExpr,
     GuardedIf,
     IfBool,
     ProbChoice,
@@ -300,6 +298,10 @@ class _Parser:
         if tok.kind == "WHILE":
             self.next()
             guard = self.parse_expr()
+            if static_kind(guard, self.space) not in ("bool", "num"):
+                raise PgclSyntaxError(
+                    "WHILE condition must be boolean or numeric", tok.line, tok.col
+                )
             self.expect("DO")
             body = self.parse_seq()
             self.expect("OD")
@@ -402,7 +404,7 @@ class _Parser:
                 if not self.accept(","):
                     break
             self.expect("]")
-            return ChooseFromDist(name, DistExpr(tuple(items)))
+            return _dist_choice(name, items)
         raise self.fail(f"expected an assignment operator, found {op.text!r}")
 
     def _declared_name(self) -> str:
@@ -527,6 +529,24 @@ class _Parser:
                 return TokenLit(name)
             raise PgclSyntaxError(f"undeclared variable {name}", tok.line, tok.col)
         raise self.fail(f"expected an expression, found {tok.text!r}")
+
+
+def _dist_choice(name: str, items: list) -> Program:
+    """`x :dist [e1: p1, ..., ek: pk]` as the binary choices it stands for,
+    x := e1 <p1> (x := e2 <p2/(1-p1)> (... x := ek)), items of
+    probability 0 left out."""
+    if any(p < 0 for _, p in items):
+        raise DistError("negative probability in distribution")
+    total = sum(p for _, p in items)
+    if total != 1:
+        raise DistError(f"distribution probabilities sum to {total}, not 1")
+    items = [(e, p) for e, p in items if p]
+    prog: Program = Assign(name, items[-1][0])
+    rest = items[-1][1]
+    for e, p in reversed(items[:-1]):
+        rest += p
+        prog = ProbChoice(Assign(name, e), Lit(p / rest), prog)
+    return prog
 
 
 # --- public entry points ---------------------------------------------------

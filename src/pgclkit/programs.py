@@ -12,7 +12,6 @@ The statement forms, one node class each:
     P <p> Q                       run P with probability p, else Q
     P |^| Q                       demonic choice
     xs :suchthat pred             demonic choice of any satisfying values
-    x :dist [e1: p1, ..., ek: pk] draw from a finite distribution
 
 The parser lowers the other surface forms to these, as pGCL defines them
 (McIver & Morgan 2005), so they have no node of their own:
@@ -20,6 +19,8 @@ The parser lowers the other surface forms to these, as pGCL defines them
     x :in e1 <p> e2               x := e1 <p> x := e2
     x :in e1 |^| e2               x := e1 |^| x := e2
     x :in {e1, ..., ek}           (x := e1 |^| ...) |^| x := ek
+    x :dist [e1: p1, ..., ek: pk] x := e1 <p1> (x := e2 <p2/(1-p1)> (...)),
+                                  leaving out the items of probability 0
     IF p THEN P ELSE Q            P <p> Q, when p is numeric
     { pred }                      IF pred THEN SKIP ELSE ABORT
 
@@ -33,9 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DistError, VariantError
-from .exprs import Expr, Lit, pretty_expr
-
-ONE = Fraction(1)
+from .exprs import Expr, pretty_expr
 
 
 class Program:
@@ -105,33 +104,6 @@ class SuchThat(Program):
 
 
 @dataclass(frozen=True)
-class DistExpr:
-    """Finite distribution literal: (expression, probability) pairs.
-
-    Probabilities are rational constants and must sum to exactly 1.
-    """
-
-    items: tuple[tuple[Expr, Fraction], ...]
-
-    def __post_init__(self):
-        items = tuple((e, Fraction(p)) for e, p in self.items)
-        object.__setattr__(self, "items", items)
-        if not items:
-            raise DistError("empty distribution")
-        if any(p < 0 for _, p in items):
-            raise DistError("negative probability in distribution")
-        total = sum(p for _, p in items)
-        if total != ONE:
-            raise DistError(f"distribution probabilities sum to {total}, not 1")
-
-
-@dataclass(frozen=True)
-class ChooseFromDist(Program):
-    var: str
-    dist: DistExpr
-
-
-@dataclass(frozen=True)
 class GuardedIf(Program):
     """IF g1 -> P1 [] ... FI.  Overlapping guards resolve demonically;
     when no guard holds the statement behaves as ABORT."""
@@ -155,6 +127,9 @@ class VariantSpec:
     epsilon: Fraction
 
     def __post_init__(self):
+        if isinstance(self.epsilon, (float, bool)):
+            raise VariantError(f"epsilon {self.epsilon!r} is not exact; "
+                               "use an int or a Fraction")
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.upper_bound < 0:
             raise VariantError("upper bound must be a natural number")
@@ -261,11 +236,6 @@ def pretty_print(p: Program) -> str:
         return _chain(p)
     if isinstance(p, SuchThat):
         return f"{', '.join(p.vars)} :suchthat {pretty_expr(p.pred)}"
-    if isinstance(p, ChooseFromDist):
-        inner = ", ".join(
-            f"{pretty_expr(e)}: {pretty_expr(Lit(prob))}" for e, prob in p.dist.items
-        )
-        return f"{p.var} :dist [{inner}]"
     if isinstance(p, GuardedIf):
         inner = " [] ".join(
             f"{pretty_expr(g)} -> {pretty_print(b)}" for g, b in p.branches

@@ -26,7 +26,6 @@ from .exprs import eval_expr
 from .programs import (
     Abort,
     Assign,
-    ChooseFromDist,
     DemonChoice,
     GuardedIf,
     IfBool,
@@ -166,14 +165,6 @@ def _resolve(prog: Program, index: int, space: StateSpace,
             )
         budget.charge(len(out))
         return out
-    if isinstance(prog, ChooseFromDist):
-        acc: dict[int, Fraction] = {}
-        for e, p in prog.dist.items:
-            if p == 0:
-                continue
-            t = _target(space, index, prog.var, e)
-            acc[t] = acc.get(t, ZERO) + p
-        return [Dist(tuple(sorted(acc.items())))]
     if isinstance(prog, GuardedIf):
         out = []
         for g, body in prog.branches:

@@ -26,8 +26,10 @@ checks the window invariant of the result, and stores the entry only once
 the check has passed, so no configuration is used unchecked and the table
 holds only the configurations that draws reach.  sample_discrete walks it
 for single traced draws, scripted bit streams and `pgcl sample`;
-machine.run_trials walks the same table for bulk trials.  sample_binary
-keeps its bias as a pair of integers too.
+machine.run_trials walks the same table for bulk trials, and
+machine.build_machine reads all of it, deriving what draws have not
+reached, and numbers its entries breadth first.  sample_binary keeps its
+bias as a pair of integers too.
 """
 
 from __future__ import annotations
@@ -140,8 +142,8 @@ class CumulativeDist:
         return self.dL[self.low : self.high]
 
     def key(self) -> tuple:
-        """Identity for machine construction: stale entries outside the
-        window are ignored."""
+        """Identity of a configuration in the successor table, and so of a
+        machine node: stale entries outside the window are ignored."""
         return (self.low, self.window(), self.high)
 
     def split_left(self) -> "CumulativeDist":
@@ -179,7 +181,7 @@ class _SuccessorTable:
     def __init__(self, d: WeightedDist):
         self.underived = -d.size - 1
         self.succ: list[int] = []
-        self._configs: list[CumulativeDist] = []  # interior configuration i
+        self.configs: list[CumulativeDist] = []  # interior configuration i
         self._positions: dict[tuple, int] = {}  # key() -> 2*i
         root = CumulativeDist.initial(d)
         root.check_invariant()
@@ -187,13 +189,13 @@ class _SuccessorTable:
 
     def __len__(self) -> int:
         """Interior configurations derived so far."""
-        return len(self._configs)
+        return len(self.configs)
 
     def derive(self, code: int) -> int:
         """Derive, check and store the entry that `code` stands for, and
         return it.  Nothing is stored when the check fails."""
         e = self.underived - code
-        parent = self._configs[e >> 1]
+        parent = self.configs[e >> 1]
         c = parent.split_right() if e & 1 else parent.split_left()
         c.check_invariant()
         self.succ[e] = entry = self._entry(c)
@@ -208,7 +210,7 @@ class _SuccessorTable:
         position = self._positions.get(key)
         if position is None:
             position = self._positions[key] = len(self.succ)
-            self._configs.append(c)
+            self.configs.append(c)
             self.succ += (self.underived - position, self.underived - position - 1)
         return position
 
@@ -256,7 +258,12 @@ def sample_binary(p: Fraction, bits) -> SampleTrace:
     q = 0 or r = 1, and one flip selects which half to keep: heads (bit 0)
     keeps q, tails keeps r.  Endpoint biases never flip at all.
     """
-    x = p if isinstance(p, Fraction) else Fraction(p)
+    if isinstance(p, Fraction):
+        x = p
+    elif isinstance(p, (float, bool)):
+        raise DistError(f"bias {p!r} is not exact; use an int or a Fraction")
+    else:
+        x = Fraction(p)
     a, b = x.numerator, x.denominator  # b > 0
     if not 0 <= a <= b:
         raise DistError(f"bias {p} outside [0, 1]")

@@ -70,7 +70,6 @@ from .linear import absorb
 from .programs import (
     Abort,
     Assign,
-    ChooseFromDist,
     DemonChoice,
     GuardedIf,
     IfBool,
@@ -152,11 +151,12 @@ class WpResult:
 # that state only when it is reported (_Undef.placed, _Undef.reason).
 #
 # The first marker met in evaluation order (options in order, atoms in
-# order) wins, so `x :dist [a: p, b: 1 - p]` reports the post's marker at
-# a's target before b's undefined target, as `x := a <p> x := b` does, and
-# so does `x := a |^| x := b`, which is what the parser makes of
-# `x :in {a, b}`.  Sides of weight 0 are dropped here, so their markers
-# never surface, and 1 - p is computed here, once per value of p.
+# order) wins, so `x := a <p> x := b`, which is what the parser makes of
+# `x :dist [a: p, b: 1 - p]`, reports the post's marker at a's target
+# before b's undefined target, and so does `x := a |^| x := b`, which is
+# what it makes of `x :in {a, b}`.  Sides of weight 0 are dropped here, so
+# their markers never surface, and 1 - p is computed here, once per value
+# of p.
 #
 # Summaries.  A part of the program with one option per class has a
 # meaning that does not depend on the post, so it is composed here, bottom
@@ -709,8 +709,6 @@ def _entry(options: list):
                 break
         options = kept
     first = options[0]
-    if first.__class__ is tuple and first[1] and first[1][0].__class__ is _Undef:
-        return first[1][0]
     if len(options) == 1 and first.__class__ is not tuple:
         return first
     return tuple(options)
@@ -1056,17 +1054,6 @@ def _compile(prog: Program, frame: _Frame, after: tuple = ()):
         return _CPick(frame, *_assign_targets(frame, prog.var, prog.expr))
     if isinstance(prog, SuchThat):
         return _CPick(frame, *_suchthat_options(frame, prog))
-    if isinstance(prog, ChooseFromDist):
-        weights, exprs = zip(*[(p, e) for e, p in prog.dist.items if p > 0])
-        columns = [_assign_targets(frame, prog.var, e) for e in exprs]
-        key = _union(*(k for k, _ in columns))
-        entries, sides = [], range(len(exprs))
-        for at in frame.classes(key):
-            row = [_rebased(frame, col[frame.index(k, at)], 0, at) for k, col in columns]
-            mixed: dict = {}
-            _mix(weights, sides, row.__getitem__, mixed)
-            entries.append(_entry([_option(mixed)]))
-        return _CPick(frame, key, entries)
     # the rest read their branches' outputs, stacked
     branches = [_compile(c, frame, after) for c in children(prog)]
     if isinstance(prog, IfBool):

@@ -13,7 +13,10 @@ helpers.random_space().  The records are:
 - check_equal and check_refines of each program against the next one on
   the same space, with the default probes, in both modes;
 - check_variant of each random loop for several variants, bounds and
-  epsilons.
+  epsilons;
+- machine_to_text and analyze of build_machine for `count` seeded weight
+  vectors, on a fresh distribution and on one whose successor table a
+  short run_trials has partly derived.
 
 Every record is computed independently, so an error ends only its own
 record.  The script never fails on an answer: it only prints them.
@@ -29,14 +32,19 @@ from pgclkit import (
     Expectation,
     ProbeFamily,
     VariantSpec,
+    WeightedDist,
     WpConfig,
+    analyze,
+    build_machine,
     check_equal,
     check_refines,
     check_variant,
     constant,
     from_expr,
     indicator,
+    machine_to_text,
     parse_expression,
+    run_trials,
     wp,
 )
 
@@ -115,6 +123,17 @@ def dump(count: int, out) -> None:
                     emit(f"check_variant loop {k}: {text} | {variant} | {bound} | {eps}",
                          answer(lambda: check_variant(
                              loop, VariantSpec(expr, bound, eps), space)))
+
+    gen = random.Random(20261020)
+    for k in range(count):
+        weights = tuple(gen.randint(1, 30) for _ in range(gen.randint(1, 5)))
+        for when in ("fresh", "after trials"):
+            d = WeightedDist(weights)
+            if when != "fresh":
+                run_trials(d, 5, k)
+            emit(f"machine {weights} | {when}", answer(
+                lambda: machine_to_text(build_machine(d)).replace("\n", " | ")))
+            emit(f"analyze {weights} | {when}", answer(lambda: analyze(build_machine(d))))
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,6 @@ from pgclkit.exprs import Bracket, eval_expr
 from pgclkit.programs import (
     Abort,
     Assign,
-    ChooseFromDist,
     DemonChoice,
     GuardedIf,
     IfBool,
@@ -342,10 +341,6 @@ def value_iteration(p, space, post: list) -> list:
             return mix(p.prob, run(p.left, f), run(p.right, f))
         if isinstance(p, DemonChoice):
             return demon(run(p.left, f), run(p.right, f))
-        if isinstance(p, ChooseFromDist):
-            parts = [(float(w), assign(p.var, e, f)) for e, w in p.dist.items if w > 0]
-            return [None if any(v[i] is None for _, v in parts)
-                    else sum(w * v[i] for w, v in parts) for i in range(n)]
         if isinstance(p, SuchThat):
             return [such_that(p, i, f) for i in range(n)]
         if isinstance(p, GuardedIf):

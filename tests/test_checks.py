@@ -401,6 +401,14 @@ def test_variant_requires_boolean_loop():
         check_variant(loop, variant(s, "1", 1, "1/2"), s)
 
 
+def test_variant_spec_refuses_an_inexact_epsilon():
+    e = parse_expression("c", space_of(("c", (0, 1))))
+    for bad in (0.1, True):
+        with pytest.raises(VariantError, match="is not exact"):
+            VariantSpec(e, 1, bad)
+    assert VariantSpec(e, 1, 1).epsilon == F(1)
+
+
 def test_vacuous_guard_holds():
     s = space_of(("c", ("H", "T")))
     loop = helpers.prog("WHILE c != c DO SKIP OD", s)

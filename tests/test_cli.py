@@ -92,6 +92,13 @@ def test_wp_syntax_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_wp_loop_over_a_token_guard_exits_2(tmp_path, capsys):
+    prog = write(tmp_path, "loop.pgcl", "var c in {H, T}\nWHILE c DO SKIP OD\n")
+    rc = main(["wp", "--program", prog])
+    assert rc == 2
+    assert "2:1: WHILE condition must be boolean or numeric" in capsys.readouterr().err
+
+
 def test_wp_missing_file_exits_2(capsys):
     rc = main(["wp", "--program", "/nonexistent/file.pgcl"])
     assert rc == 2

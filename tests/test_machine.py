@@ -5,11 +5,13 @@ from importlib import resources
 import pytest
 
 from pgclkit import (
+    CumulativeDist,
     Machine,
     MachineAnalysisError,
     MachineFormatError,
     MachineNode,
     WeightedDist,
+    WindowInvariantError,
     analyze,
     build_machine,
     crosscheck,
@@ -141,6 +143,32 @@ def test_single_outcome_machine_is_one_leaf():
 def test_build_budget_is_enforced():
     with pytest.raises(MachineFormatError):
         build_machine(WeightedDist((1, 1, 1, 1, 1, 1)), max_nodes=5)
+
+
+def test_machine_reads_the_successor_table_draws_left_partly_derived():
+    for weights in ((54, 25, 64), (2, 1, 3, 4), (1, 1, 1, 1, 1, 1)):
+        fresh = machine_to_text(build_machine(WeightedDist(weights)))
+        d = WeightedDist(weights)
+        run_trials(d, 3, 1)
+        reached = len(d._successor_table())
+        m = build_machine(d)
+        assert reached < m.interior_count() == len(d._successor_table())
+        assert machine_to_text(m) == fresh
+        # built again, from the full table
+        assert machine_to_text(build_machine(d)) == fresh
+
+
+def test_machine_configurations_are_checked_when_derived(monkeypatch):
+    real = CumulativeDist.check_invariant
+
+    def check(c):
+        if c.key() == (0, (4,), 1):  # the die after heads, heads
+            raise WindowInvariantError("planted")
+        real(c)
+
+    monkeypatch.setattr(CumulativeDist, "check_invariant", check)
+    with pytest.raises(WindowInvariantError, match="planted"):
+        build_machine(WeightedDist((1,) * 6))
 
 
 def test_bundled_optimal_die_machine():

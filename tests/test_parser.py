@@ -18,7 +18,6 @@ from pgclkit.exprs import Lit, Var
 from pgclkit.programs import (
     Abort,
     Assign,
-    ChooseFromDist,
     DemonChoice,
     GuardedIf,
     IfBool,
@@ -149,9 +148,26 @@ def test_suchthat_statement():
 def test_dist_statement_checks_total():
     s = space_of(("x", (0, 1, 2)))
     p = parse_program("x :dist [0: 1/4, 1: 1/4, 2: 1/2]", s)
-    assert isinstance(p, ChooseFromDist)
-    with pytest.raises(DistError):
+    assert p == parse_program("x := 0 <1/4> (x := 1 <1/3> x := 2)", s)
+    with pytest.raises(DistError, match=r"^distribution probabilities sum to 1/2, not 1$"):
         parse_program("x :dist [0: 1/4, 1: 1/4]", s)
+    with pytest.raises(DistError, match=r"^negative probability in distribution$"):
+        parse_program("x :dist [0: -1/4, 1: 1/4, 2: 1]", s)
+
+
+def test_dist_drops_zero_items_and_a_single_item_is_an_assignment():
+    s = space_of(("x", (0, 1, 2)))
+    assert parse_program("x :dist [2: 0, 1: 1]", s) == Assign("x", Lit(F(1)))
+    assert (parse_program("x :dist [0: 1/2, 2: 0, 1: 1/2]", s)
+            == ProbChoice(Assign("x", Lit(F(0))), Lit(F(1, 2)), Assign("x", Lit(F(1)))))
+
+
+def test_while_condition_kind_is_checked_at_parse_time():
+    s = coin()
+    with pytest.raises(PgclSyntaxError,
+                       match="WHILE condition must be boolean or numeric") as ei:
+        parse_program("SKIP\nWHILE x DO SKIP OD", s)
+    assert (ei.value.line, ei.value.column) == (2, 1)
 
 
 def test_undeclared_variable_errors_with_position():
@@ -188,7 +204,7 @@ def test_comments_and_blank_lines_ignored():
 def test_newline_inside_brackets_does_not_split():
     s = space_of(("x", (0, 1, 2)))
     p = parse_program("x :dist [0: 1/4,\n 1: 1/4,\n 2: 1/2]", s)
-    assert isinstance(p, ChooseFromDist)
+    assert p == parse_program("x :dist [0: 1/4, 1: 1/4, 2: 1/2]", s)
 
 
 def test_parse_source_reads_var_headers():

@@ -164,6 +164,15 @@ def test_binary_rejects_bias_outside_unit_interval():
         sample_binary(F(3, 2), ScriptedBitSource(()))
 
 
+def test_binary_refuses_floats_and_bools():
+    # 0.1 would be sampled at its binary value, and True as the bias 1
+    for bad in (0.1, 0.5, True, False):
+        with pytest.raises(DistError, match="is not exact"):
+            sample_binary(bad, ScriptedBitSource((0, 1) * 40))
+    assert sample_binary(1, ScriptedBitSource(())).outcome == 1
+    assert sample_binary(0, ScriptedBitSource(())).outcome == 0
+
+
 def test_trials_are_reproducible_and_exhaustive():
     d = WeightedDist((1, 2))
     a = run_trials(d, 500, seed=7)

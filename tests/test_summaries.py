@@ -375,6 +375,12 @@ BRANCH_LOOP = (
 )
 
 
+# a summarised loop followed by two statements in its branch of the choice
+# and one after the choice: the loop reads the markers of the three
+# composed into one
+LOOP_THEN_SEVERAL = "(((WHILE 1/2 DO y := 0 OD); y := 1/x) |^| SKIP); y := 2 * y"
+
+
 def test_a_loop_in_a_branch_reads_the_markers_after_the_choice():
     space = helpers.random_space()
     reasons = _outputs(helpers.prog(BRANCH_LOOP, space), space, [[1] * space.size])[0]
@@ -386,7 +392,8 @@ def test_summarised_loops_agree_with_cwhile(monkeypatch):
     rng = random.Random(13)
     programs = list(helpers.loop_corpus())
     gen, space = random.Random(20261018), helpers.random_space()
-    programs += [(helpers.prog(text, space), space) for text in (UNFUSED_REST, BRANCH_LOOP)]
+    programs += [(helpers.prog(text, space), space)
+                 for text in (UNFUSED_REST, BRANCH_LOOP, LOOP_THEN_SEVERAL)]
     programs += [(helpers.prog(helpers.random_program(gen), space), space)
                  for _ in range(RANDOM_PROGRAMS)]
     # and loops with a flat body, in a branch of a choice that more

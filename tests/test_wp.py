@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from pgclkit import (
+    EvalError,
     Expectation,
     UndefinedStateError,
     WpConfig,
@@ -18,6 +19,8 @@ from pgclkit import (
     space_of,
     wp,
 )
+from pgclkit.exprs import Var
+from pgclkit.programs import Skip, While
 from pgclkit.wp import _CWhile, compile_program
 
 # the module, not the function pgclkit.wp that the package exports
@@ -222,6 +225,8 @@ MARKER_RULES = [
      "x := 5 leaves the domain of x at {x=0}"),
     ("(WHILE 1/2 DO x := x + 1 OD); x := 5", (0, 0), [0, 1],
      "x := 5 leaves the domain of x at {x=0}"),
+    ("x := true", (0, 0), [0, 1], "cannot assign a boolean to x at {x=0}"),
+    ("x := (x = 0)", (0, 0), [0, 1], "cannot assign a boolean to x at {x=0}"),
 ]
 
 
@@ -257,6 +262,26 @@ def test_dist_with_expression_values():
     r = wp(p, post(s, "x = 0"))
     for st in s.states():
         assert r.pre[st] == (F(1) if st["y"] == 0 else F(1, 2))
+
+
+def test_loop_condition_kind_is_checked_for_programs_built_directly():
+    # the parser refuses `WHILE x DO ...` over a token x; a tree built
+    # through the API reaches the engine's own check
+    s = helpers.coin_space()
+    loop = While(Var("c1"), Skip())
+    with pytest.raises(WpError, match="loop condition must be boolean or numeric"):
+        wp(loop, constant(s, 1))
+
+
+def test_expectations_refuse_floats_and_bools():
+    s = space_of(("x", (0, 1)))
+    for bad in (0.1, True):
+        with pytest.raises(EvalError, match="is not exact"):
+            constant(s, bad)
+        with pytest.raises(EvalError, match="is not exact"):
+            Expectation(s, (F(1), bad))
+    assert constant(s, 2).values == (F(2), F(2))
+    assert Expectation(s, (0, F(1, 2))).values == (F(0), F(1, 2))
 
 
 def test_space_mismatch_is_rejected():
