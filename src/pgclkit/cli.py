@@ -7,7 +7,9 @@ Every subcommand takes --json; rationals are rendered as "num/den" strings.
 
 A program file opens with its `var` declarations, but a --right or --impl
 file may leave them out and is then read over the other file's space; if
-it has them, they must declare that same space.
+it has them, they must declare that same space.  Under --grid each file
+is read, tokenized and its header checked once, and its program parsed at
+each grid value, as a parameter's value may change it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .machine import (
     to_dot,
 )
 from .bits import RandomBitSource, ScriptedBitSource
-from .parser import parse_expression, parse_program, parse_rational, parse_source
+from .parser import ProgramText, parse_expression, parse_rational, parse_source
 from .programs import VariantSpec, While
 from .expectations import from_expr
 from .sampler import WeightedDist, read_trials_file, sample_discrete
@@ -69,20 +71,38 @@ def _parse_params(pairs) -> dict[str, Fraction]:
     return params
 
 
-def _load_program(path: str, params, space: Optional[StateSpace] = None):
-    """Parse a program file; it may leave out its `var` declarations when
-    a space from a sibling file is supplied, and must match it if not.
-    An error in the file names it, and keeps its class (so its exit code)."""
-    text = _read_text(path)
+def _named(path: str, fn, *args):
+    """fn(*args), where an error in the file at path names it, and keeps
+    its class (so its exit code)."""
     try:
-        if space is None:
-            return parse_source(text, params)
-        return space, parse_program(text, space, params)
+        return fn(*args)
     except PgclError as exc:
         name = "<stdin>" if path == "-" else path
         sep = ":" if isinstance(exc, PgclSyntaxError) else ": "  # path:line:col
         exc.args = (f"{name}{sep}{exc}",)
         raise
+
+
+def _load_program(path: str, params):
+    """Parse a program file, `var` declarations first."""
+    return _named(path, parse_source, _read_text(path), params)
+
+
+def _program_file(path: str):
+    """parse(params, space=None) -> (space, program) for the program file
+    at path.  The first call reads the file, tokenizes it and reads its
+    `var` header, which may be left out when a space from a sibling file
+    is supplied, and must match it if not; each call then parses the
+    program with its params, as they may change its literals."""
+    source = None
+
+    def parse(params, space: Optional[StateSpace] = None):
+        nonlocal source
+        if source is None:
+            source = _named(path, ProgramText, _read_text(path), space)
+        return source.space, _named(path, source.program, params)
+
+    return parse
 
 
 def _load_dist(value: str) -> tuple[Optional[int], WeightedDist]:
@@ -158,11 +178,12 @@ def _probes_for(args, space, progs) -> ProbeFamily:
 
 def _run_check(args, kind: str) -> int:
     params = _parse_params(args.param)
+    left, right = _program_file(args.lhs), _program_file(args.rhs)
 
     def one(extra_params) -> Verdict:
         merged = {**params, **extra_params}
-        space, lhs = _load_program(args.lhs, merged)
-        space, rhs = _load_program(args.rhs, merged, space)
+        space, lhs = left(merged)
+        space, rhs = right(merged, space)
         probes = _probes_for(args, space, (lhs, rhs))
         fn = check_equal if kind == "equal" else check_refines
         return fn(lhs, rhs, probes, space)

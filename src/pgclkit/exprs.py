@@ -36,8 +36,8 @@ class Lit(Expr):
     value: Fraction
 
     def __post_init__(self):
-        if isinstance(self.value, float):
-            raise EvalError("float literals are not allowed")
+        if isinstance(self.value, (float, bool)):
+            raise EvalError(f"{type(self.value).__name__} literals are not allowed")
         object.__setattr__(self, "value", Fraction(self.value))
 
 

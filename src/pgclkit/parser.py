@@ -10,7 +10,9 @@ or decimal with an optional `/den` and an optional leading `-`; spaces
 and tabs may separate any two parts, and newlines too inside the braces.
 parse_source requires the header and builds the state space from it;
 parse_program reads against a given space and accepts a header only if
-it declares exactly that space.
+it declares exactly that space.  Both read through ProgramText, which
+tokenizes a text and reads its header once, and can then parse the
+program with several sets of parameters.
 
 The parser builds core statements only: `:in`, `:dist`, a numeric IF and
 `{pred}` become the choices and conditionals they stand for (see
@@ -164,7 +166,7 @@ class _Parser:
                  params: Optional[dict[str, Fraction]] = None):
         self.tokens = tokens
         self.pos = 0
-        self.space = space  # None until parse_file reads it from the header
+        self.space = space  # None until parse_header reads it
         self.params = dict(params or {})
 
     # --- token plumbing ---------------------------------------------------
@@ -202,10 +204,9 @@ class _Parser:
 
     # --- declarations and files ---------------------------------------------
 
-    def parse_file(self) -> tuple[StateSpace, Program]:
-        """A `var` header, then the program up to the end of input.  With
-        no space yet the header declares it; with one, the header may be
-        left out, and if present must declare exactly that space."""
+    def parse_header(self) -> None:
+        """A `var` header.  With no space yet it declares it; with one, it
+        may be left out, and if present must declare exactly that space."""
         start = self.peek()
         domains = self.parse_declarations()
         if self.space is None:
@@ -217,9 +218,6 @@ class _Parser:
                 "the `var` header declares a different state space than the "
                 "one given", start.line, start.col,
             )
-        prog = self.parse_seq()
-        self.expect("EOF", "end of input")
-        return self.space, prog
 
     def parse_declarations(self) -> list[VarDomain]:
         """`var NAME in {v, ...}` lines, as many as there are (maybe none)."""
@@ -560,11 +558,33 @@ def parse_rational(text: str) -> Fraction:
         raise PgclSyntaxError(f"bad rational {text!r}: {exc}", 1, 1) from None
 
 
+class ProgramText:
+    """Program text, tokenized and its `var` header read once (with no
+    space given the header declares it; with one it may be left out, and
+    if present must declare exactly that space), then parsed with each
+    set of parameters asked for: a parameter becomes a literal, and a
+    `:dist` is checked with its values."""
+
+    def __init__(self, text: str, space: Optional[StateSpace] = None):
+        parser = _Parser(tokenize(text), space)
+        parser.parse_header()
+        self.space = parser.space
+        self._tokens, self._start = parser.tokens, parser.pos
+
+    def program(self, params: Optional[dict[str, Fraction]] = None) -> Program:
+        """The program after the header, up to the end of input."""
+        parser = _Parser(self._tokens, self.space, params)
+        parser.pos = self._start
+        prog = parser.parse_seq()
+        parser.expect("EOF", "end of input")
+        return prog
+
+
 def parse_program(text: str, space: StateSpace,
                   params: Optional[dict[str, Fraction]] = None) -> Program:
     """Parse program text against a previously built state space.  The
     text may open with a `var` header only if it declares that space."""
-    return _Parser(tokenize(text), space, params).parse_file()[1]
+    return ProgramText(text, space).program(params)
 
 
 def parse_expression(text: str, space: StateSpace,
@@ -583,4 +603,5 @@ def parse_source(text: str,
                  params: Optional[dict[str, Fraction]] = None
                  ) -> tuple[StateSpace, Program]:
     """Parse a full source file: `var` declarations, then the program."""
-    return _Parser(tokenize(text), None, params).parse_file()
+    source = ProgramText(text)
+    return source.space, source.program(params)

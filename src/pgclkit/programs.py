@@ -131,6 +131,8 @@ class VariantSpec:
             raise VariantError(f"epsilon {self.epsilon!r} is not exact; "
                                "use an int or a Fraction")
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        if not isinstance(self.upper_bound, int) or isinstance(self.upper_bound, bool):
+            raise VariantError(f"upper bound {self.upper_bound!r} is not an int")
         if self.upper_bound < 0:
             raise VariantError("upper bound must be a natural number")
         if not 0 < self.epsilon <= 1:

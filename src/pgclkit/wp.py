@@ -172,6 +172,20 @@ class WpResult:
 # order, markers included, so a composed pick meets the first marker the
 # nodes it replaces would meet.
 #
+# Each flat pick knows whether it is single: every entry has at most one
+# option.  A primitive pick or a gate finds out from its entries (an
+# assignment, SKIP, ABORT and an IF or <p> gate always are); a composed
+# pick is single when its outer and inner parts both are.  Composition
+# can fail only where it mixes an inner entry with several options, so a
+# composition whose inner parts are all single cannot fail, and its pick
+# builds a class's entry the first time composition or a run reads it,
+# and keeps it (_Lazy); the split step's coin, keyed on q and r, builds
+# the one class of their 81 that the split before it reaches.  Any other
+# composition builds every class at once, as it may fail.  A run, rows,
+# the writes of a pick (read when it is the first part of a sequence or a
+# loop body), a loop's step and the markers after a loop read every class
+# of what they read, and so force them all.
+#
 # Loops.  A WHILE whose composed step (the guard over the body, whose
 # atoms go round again in slot 0, and the exit, in slot 1) has one option
 # per class is solved once, here, into a flat pick over its exits
@@ -193,11 +207,14 @@ class WpResult:
 # them in the order a _CWhile does.  Those markers may read any variable,
 # so a loop followed by one keys on every variable.
 #
-# Compile cost follows the number of classes, not the number of states:
-# HALVING_LOOP compiles 9 classes of p on eighths, where the space has
-# 1 458 states.  Best of three compile_program calls of it (Python 3.11,
-# 2 cores) took 60 ms on eighths and 399 ms on sixteenths with one entry
-# per state, and 2-5 ms and 5-12 ms with one per class.
+# Compile cost follows the number of classes built, not the number of
+# states: HALVING_LOOP compiles 9 classes of p on eighths, where the space
+# has 1 458 states.  Best of three compile_program calls of it (Python
+# 3.11, 2 cores) took 60 ms on eighths and 399 ms on sixteenths with one
+# entry per state, and 2-5 ms and 5-12 ms with one per class.
+# SPLIT_THEN_COIN at p = 3/8 over x, q, r (162 states) took 3.9 ms with
+# every class of every pick built, and 0.7 ms with its classes built as
+# they are read.
 #
 # Running.  A pick derives its run form on its first run and keeps it
 # (_CPick.ints, built by _ints): every weight becomes an int over its W,
@@ -455,16 +472,50 @@ def _column(options: list, vec, size: int) -> list:
     return best
 
 
+class _Lazy:
+    """Entries per class, each built by build(class) the first time it is
+    read, by index or in iteration, and kept (got holds None until then)."""
+
+    __slots__ = ("build", "got")
+
+    def __init__(self, build, size: int):
+        self.build = build
+        self.got = [None] * size
+
+    def __getitem__(self, k: int):
+        e = self.got[k]
+        if e is None:
+            e = self.got[k] = self.build(k)
+        return e
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.got)))
+
+    def __len__(self) -> int:
+        return len(self.got)
+
+
 class _CPick:
     """A demonic choice of distributions at every state: entries holds an
-    entry per class of key, the form that composition reads and writes,
-    and ints the run form derived from it."""
+    entry per class of key, the form that composition reads and writes
+    (a list, or a _Lazy table where a composition builds it as it is
+    read), and ints the run form derived from it."""
 
-    def __init__(self, frame: _Frame, key: tuple, entries: list, branches=()):
+    def __init__(self, frame: _Frame, key: tuple, entries, branches=(),
+                 single: Optional[bool] = None):
         self.frame = frame
         self.key = key  # the variables it reads, in order
         self.entries = entries  # per class of key: an entry, as above
         self.branches = branches  # compiled branches; none: reads the post
+        if single is not None:
+            self.single = single
+
+    @cached_property
+    def single(self) -> bool:
+        """Whether every entry has at most one option, so that a
+        composition with this pick as its inner part cannot fail (see
+        Summaries); a pick built as it is read is told instead."""
+        return all(e.__class__ is not tuple or len(e) == 1 for e in self.entries)
 
     @cached_property
     def writes(self) -> tuple:
@@ -728,23 +779,28 @@ def _rebased(frame: _Frame, entry, a: int, at: dict):
     return _entry(options) if len(options) > 1 else tuple(options)
 
 
-def _compose(frame: _Frame, key: tuple, outer_key: tuple, outer: list, inner):
-    """Entries per class of key, each the entry of `outer` (entries over
-    outer_key) there, with every atom a replaced by inner(at, a), the
-    entry it reads, brought back to the class `at`; None where an option
-    would mix an entry that has several options."""
-    out = []
-    for at in frame.classes(key):
-        def read(a, at=at):
+def _compose(key: tuple, outer: _CPick, inner, single: bool) -> Optional[_CPick]:
+    """A flat pick over the classes of key: per class, the entry of the
+    flat pick `outer` there, with every atom a replaced by inner(at, a),
+    the entry it reads, brought back to the class `at`.  Where `single`
+    (every entry inner gives has at most one option) nothing can fail, and
+    each entry is built when it is first read; otherwise every class is
+    built now, and the result is None where an option would mix an entry
+    that has several options."""
+    frame = outer.frame
+    classes = frame.classes(key)
+
+    def build(k: int):
+        at = classes[k]
+
+        def read(a):
             return _rebased(frame, inner(at, a), a, at)
 
-        entry = outer[frame.index(outer_key, at)]
+        entry = outer.entries[frame.index(outer.key, at)]
         if entry.__class__ is int:
-            out.append(read(entry))
-            continue
+            return read(entry)
         if entry.__class__ is _Undef:
-            out.append(entry)
-            continue
+            return entry
         options: list = []
         for opt in entry:
             if opt.__class__ is int:
@@ -762,8 +818,16 @@ def _compose(frame: _Frame, key: tuple, outer_key: tuple, outer: list, inner):
                 options.append(_option(mixed))
             if _meets(options[-1]):
                 break
-        out.append(_entry(options))
-    return out
+        return _entry(options)
+
+    if single:
+        return _CPick(frame, key, _Lazy(build, len(classes)), single=outer.single)
+    entries = []
+    for k in range(len(classes)):
+        entries.append(build(k))
+        if entries[-1] is None:
+            return None
+    return _CPick(frame, key, entries)
 
 
 def _union(*keys) -> tuple:
@@ -774,25 +838,27 @@ def _seq(first, second):
     if _flat(first) and _flat(second):
         frame = first.frame
         key = _union(first.key, set(second.key) - first.writes[1])
-        entries = _compose(frame, key, first.key, first.entries,
-                           lambda at, a: second.entries[frame.reach(second.key, a, at)])
-        if entries is not None:
-            return _CPick(frame, key, entries)
+        composed = _compose(key, first, lambda at, a: second.entries[
+            frame.reach(second.key, a, at)], second.single)
+        if composed is not None:
+            return composed
     return _CSeq(first, second)
 
 
-def _choice(frame: _Frame, key: tuple, entries: list, branches: list) -> _CPick:
+def _choice(gate: _CPick, branches: list) -> _CPick:
     """A pick over its branches' stacked outputs, composed when it can be."""
     if all(_flat(b) for b in branches):
+        frame = gate.frame
+
         def inner(at, a):
             branch = branches[a // frame.slots]
             return branch.entries[frame.index(branch.key, at)]
 
-        full = _union(key, *(b.key for b in branches))
-        composed = _compose(frame, full, key, entries, inner)
+        full = _union(gate.key, *(b.key for b in branches))
+        composed = _compose(full, gate, inner, all(b.single for b in branches))
         if composed is not None:
-            return _CPick(frame, full, composed)
-    return _CPick(frame, key, entries, branches)
+            return composed
+    return _CPick(gate.frame, gate.key, gate.entries, branches)
 
 
 def _loop(prog: While, frame: _Frame, after: tuple):
@@ -802,17 +868,16 @@ def _loop(prog: While, frame: _Frame, after: tuple):
     kind = static_kind(prog.guard, frame.space)
     if kind not in ("bool", "num"):
         raise WpError("loop condition must be boolean or numeric")
-    key, gate = _either(frame, *_eval_guarded(frame, prog.guard,
-                                              "bool" if kind == "bool" else "prob"))
+    gate = _CPick(frame, *_either(frame, *_eval_guarded(
+        frame, prog.guard, "bool" if kind == "bool" else "prob")))
     body = _compile(prog.body, frame)
     if _flat(body):
         # slot 0 goes round again through the body, slot 1 exits
-        step_key = _union(key, body.key)
-        step = _compose(frame, step_key, key, gate, lambda at, a: a if a else
-                        body.entries[frame.index(body.key, at)])
+        step = _compose(_union(gate.key, body.key), gate, lambda at, a: a if a else
+                        body.entries[frame.index(body.key, at)], body.single)
         if _one_option(step):
-            return _summary(frame, step_key, step, body, _exits(after, frame))
-    return _CWhile(_CPick(frame, key, gate), body)
+            return _summary(step, body, _exits(after, frame))
+    return _CWhile(gate, body)
 
 
 def _exits(after: tuple, frame: _Frame) -> tuple:
@@ -848,10 +913,9 @@ def _first_mark(e) -> Optional[_Undef]:
     return None
 
 
-def _one_option(step) -> bool:
+def _one_option(step: Optional[_CPick]) -> bool:
     """Whether a composed step exists and has one option per class."""
-    return step is not None and all(e.__class__ is not tuple or len(e) == 1
-                                    for e in step)
+    return step is not None and step.single
 
 
 def _atoms(entry, one=ONE) -> tuple:
@@ -863,11 +927,10 @@ def _atoms(entry, one=ONE) -> tuple:
     return ((opt,), (one,)) if opt.__class__ is int else (opt[1], opt[0])
 
 
-def _summary(frame: _Frame, step_key: tuple, step: list, body: _CPick,
-             exits: tuple) -> _CPick:
-    """A loop whose composed step (entries over step_key: an atom of slot
-    0 goes round again, slot 1 exits) has one option per class, solved
-    once, with linear.absorb, over the classes of the loop's key.
+def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
+    """A loop whose composed step (a flat pick: an atom of slot 0 goes
+    round again, slot 1 exits) has one option per class, solved once,
+    with linear.absorb, over the classes of the loop's key.
 
     The undefined classes, given the markers that what follows meets at
     the exits (see _exits), and the stuck classes, which become ABORT, are
@@ -875,15 +938,16 @@ def _summary(frame: _Frame, step_key: tuple, step: list, body: _CPick,
     at once.  The rest get their exit sub-distribution, checked to satisfy
     the step exactly.
     """
+    frame = step.frame
     may, must = body.writes
     out_at = frame.slots  # the exit atom: slot 1, nothing written
     # what follows reads its markers at the exit state
-    key = _union(step_key, may - must, exits[0])
+    key = _union(step.key, may - must, exits[0])
     if any(e != out_at and out_at in _atoms(e)[0]
-           for e in step if e.__class__ is not _Undef):
+           for e in step.entries if e.__class__ is not _Undef):
         key = _union(key, may)  # stops mid-round: keep what rounds write
     classes = frame.classes(key)
-    opts = [step[frame.index(step_key, at)] for at in classes]
+    opts = [step.entries[frame.index(step.key, at)] for at in classes]
 
     def go(k, a):
         return frame.reach(key, a, classes[k])
@@ -1072,7 +1136,7 @@ def _compile(prog: Program, frame: _Frame, after: tuple = ()):
             entries.append(undef if undef is not None else enabled or _ABORT)
     else:
         raise WpError(f"unknown program node {type(prog).__name__}")
-    return _choice(frame, key, entries, branches)
+    return _choice(_CPick(frame, key, entries), branches)
 
 
 def _chain(prog: Program) -> list:

@@ -409,6 +409,17 @@ def test_variant_spec_refuses_an_inexact_epsilon():
     assert VariantSpec(e, 1, 1).epsilon == F(1)
 
 
+def test_variant_spec_takes_only_an_int_bound():
+    s = space_of(("x", (0, 1, 2)))
+    e = parse_expression("x", s)
+    for bad in (2.5, True, False, F(2)):
+        with pytest.raises(VariantError, match="is not an int"):
+            VariantSpec(e, bad, 1)
+    assert VariantSpec(e, 2, 1).upper_bound == 2
+    loop = helpers.prog("WHILE x > 0 DO x := x - 1 OD", s)
+    assert check_variant(loop, VariantSpec(e, 2, 1), s).holds
+
+
 def test_vacuous_guard_holds():
     s = space_of(("c", ("H", "T")))
     loop = helpers.prog("WHILE c != c DO SKIP OD", s)

@@ -216,6 +216,63 @@ def test_check_equal_grid_holds(tmp_path, capsys):
     assert out.strip().endswith("overall: holds")
 
 
+def test_check_equal_grid_json_matches_a_run_per_value(tmp_path, capsys):
+    # the right file has no header; p*p agrees with p at 0 and 1 only
+    left = write(tmp_path, "spec.pgcl", DYADIC_HEADER + "x :in 1 <p> 0\n")
+    right = write(tmp_path, "square.pgcl", "x :in 1 <p*p> 0\n")
+    argv = ["check-equal", "--left", left, "--right", right, "--probe-vars", "x", "--json"]
+    rc = main(argv + ["--grid", "p", "--grid-denominator", "4"])
+    grid = json.loads(capsys.readouterr().out)
+    assert rc == 1 and grid["parameter"] == "p"
+    values = ["0/1", "1/4", "1/2", "3/4", "1/1"]
+    assert [r["value"] for r in grid["results"]] == values
+    for value, record in zip(values, grid["results"]):
+        rc = main(argv + ["--param", f"p={value}"])
+        assert rc == (0 if value in ("0/1", "1/1") else 1)
+        assert record == {"value": value, **json.loads(capsys.readouterr().out)}
+
+
+@pytest.mark.parametrize("dist, printed, error", [
+    # the total is 1 at p = 0 only
+    ("x :dist [1: p, 0: 1 - p*p]", ["p = 0/1: holds"],
+     "distribution probabilities sum to 19/16, not 1"),
+    # 1 - 2*p is negative from p = 3/4 on
+    ("x :dist [1: 2*p, 0: 1 - 2*p]", ["p = 0/1: holds", "p = 1/4: fails", "p = 1/2: fails"],
+     "negative probability in distribution"),
+])
+def test_a_dist_checked_at_each_grid_value(tmp_path, capsys, dist, printed, error):
+    left = write(tmp_path, "spec.pgcl", "var x in {0, 1}\nx :in 1 <p> 0\n")
+    right = write(tmp_path, "dist.pgcl", dist + "\n")
+    argv = ["check-equal", "--left", left, "--right", right, "--grid", "p",
+            "--grid-denominator", "4", "--probe-vars", "x"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(" [")[0] for line in out.splitlines()] == printed
+    assert err == f"error: {right}: {error}\n"
+    assert main(argv + ["--json"]) == 1
+    assert capsys.readouterr() == ("", f"error: {right}: {error}\n")
+
+
+def test_check_equal_grid_with_a_right_header_of_another_space_errors_once(tmp_path, capsys):
+    left = write(tmp_path, "spec.pgcl", DYADIC_HEADER + "x :in 1 <p> 0\n")
+    right = write(tmp_path, "other.pgcl", "var x in {0, 1}\nx :in 1 <p> 0\n")
+    rc = main(["check-equal", "--left", left, "--right", right, "--grid", "p"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {right}:1:1: the `var` header declares a different state space "
+        "than the one given\n"))
+
+
+def test_check_equal_grid_reads_stdin_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("var x in {0, 1}\nx :in 1 <p> 0\n"))
+    right = write(tmp_path, "impl.pgcl", "x := 1 <p> x := 0\n")
+    rc = main(["check-equal", "--left", "-", "--right", right, "--grid", "p",
+               "--grid-denominator", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "p = 0/1: holds", "p = 1/2: holds", "p = 1/1: holds", "overall: holds"]
+
+
 @pytest.mark.parametrize("denominator", ["0", "-2"])
 def test_check_equal_grid_denominator_below_1_exits_1(tmp_path, capsys,
                                                       denominator):

@@ -6,6 +6,7 @@ import pytest
 import helpers
 from pgclkit import (
     DistError,
+    EvalError,
     PgclSyntaxError,
     parse_expression,
     parse_program,
@@ -266,6 +267,16 @@ def test_params_substitute_as_literals():
     assert p.prob.value == F(3, 8)
     with pytest.raises(PgclSyntaxError):
         parse_program("p := 1", s, {"p": F(3, 8)})
+
+
+def test_a_bool_parameter_is_refused_not_read_as_one():
+    s = space_of(("x", (0, 1)))
+    for value in (True, False):
+        with pytest.raises(EvalError, match="bool literals are not allowed"):
+            parse_program("x := a", s, {"a": value})
+        with pytest.raises(EvalError, match="bool literals are not allowed"):
+            Lit(value)
+    assert parse_program("x := a", s, {"a": 1}) == Assign("x", Lit(F(1)))
 
 
 def test_skip_abort_literals():

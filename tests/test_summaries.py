@@ -3,6 +3,7 @@ demon-free loops are solved once, and the values agree with independent
 oracles."""
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -55,6 +56,69 @@ def test_split_then_coin_on_the_step_space_is_one_flat_pick():
     for pv in helpers.EIGHTHS:
         node = root(helpers.SPLIT_THEN_COIN, space, p=pv)
         assert isinstance(node, _CPick) and not node.branches
+
+
+def test_the_coin_builds_only_the_class_the_split_reaches(monkeypatch):
+    space = space_of(("x", (0, 1)), ("q", helpers.EIGHTHS), ("r", helpers.EIGHTHS))
+    seconds, seq = [], wp_module._seq
+
+    def recording(first, second):
+        seconds.append(second)
+        return seq(first, second)
+
+    monkeypatch.setattr(wp_module, "_seq", recording)
+    compiled = compile_program(helpers.prog(helpers.SPLIT_THEN_COIN, space, p=F(3, 8)), space)
+    coin = seconds[-1]  # the last sequence made is the split, then the coin
+    assert coin.key == (space.var_pos("q"), space.var_pos("r")) and len(coin.entries) == 81
+    # the split writes q = 0 and r = 3/4 on its one path, so composing
+    # reads the coin at that class alone; a run reads the composed pick
+    compiled.wp(helpers.bracket_post(space, "x = 1"))
+    compiled.rows([space.var_pos("x")])
+    assert sum(e is not None for e in coin.entries.got) == 1
+
+
+def _forcing(monkeypatch):
+    """From now on, every composed pick builds all its entries when made."""
+    compose = wp_module._compose
+
+    def forced(*args):
+        node = compose(*args)
+        if node is not None:
+            list(node.entries)
+        return node
+
+    monkeypatch.setattr(wp_module, "_compose", forced)
+
+
+def _everything(prog, space, posts) -> list:
+    """Compiled.rows over every ordered subset of the variables, then wp
+    of each post in both undefined modes, or the error's text."""
+    compiled = compile_program(prog, space)
+    names = range(len(space.domains))
+    out = [compiled.rows(list(order)) for k in range(len(space.domains) + 1)
+           for subset in itertools.combinations(names, k)
+           for order in itertools.permutations(subset)]
+    for post in posts:
+        for cfg in (None, WpConfig(undefined="mask")):
+            try:
+                out.append(compiled.wp(post, cfg))
+            except WpError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_building_entries_as_they_are_read_changes_no_answer(monkeypatch):
+    rng, gen = random.Random(7), random.Random(20261019)
+    space = helpers.random_space()
+    programs = helpers.corpus() + helpers.loop_corpus() + [
+        (helpers.prog(helpers.random_program(gen), space), space) for _ in range(200)]
+    for prog, space in programs:
+        posts = [constant(space, 1), Expectation(
+            space, tuple(F(rng.randrange(0, 9), rng.choice((1, 2, 3))) for _ in range(space.size)))]
+        lazy = _everything(prog, space, posts)
+        with monkeypatch.context() as m:
+            _forcing(m)
+            assert _everything(prog, space, posts) == lazy, prog
 
 
 def test_demonic_loop_stays_a_while():
