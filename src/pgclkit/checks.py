@@ -280,11 +280,16 @@ def _by_rows(left: Optional[list], right: Optional[list], refines: bool):
     at the first state i where it fails, with the witness post
     [combination c] (1 - [c] if flip, and 1 where c is -1); None when a
     side has no rows, or when no state fails and some state cannot be
-    decided."""
+    decided.  Rows are shared by the states of a class, so each distinct
+    pair of row objects is compared once, at its first state."""
     if left is None or right is None:
         return None
-    undecided = False
+    undecided, seen = False, set()
     for i, (a, b) in enumerate(zip(left, right)):
+        pair = id(a), id(b)
+        if pair in seen:
+            continue
+        seen.add(pair)
         if a == b:
             continue
         gap = _row_gap(a, b, refines)

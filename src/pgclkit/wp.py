@@ -130,19 +130,21 @@ class WpResult:
 # state of the class.
 #
 # Every statement but `;` and WHILE becomes one _CPick: per class, the
-# marker of an evaluation error, or the demon's options, each a
-# sub-distribution over atoms.  Primitive statements read the post, so an
-# atom is in slot 0; IF, <p>, |^| and guarded IF read their branches'
-# outputs stacked, so atom j * slots (nothing written) reads branch j:
+# demon's options, each a sub-distribution over atoms, or one option that
+# meets the marker of an evaluation error.  Primitive statements read the
+# post, so an atom is in slot 0; IF, <p>, |^| and guarded IF read their
+# branches' outputs stacked, so atom j * slots (nothing written) reads
+# branch j:
 #
-#   entry:  an _Undef marker, an atom (the one option of going there), or
-#           a tuple of options;
-#   option: an atom, a marker, or a pair (weights, atoms) of tuples with
-#           positive Fraction weights, where an atom is an int, or last a
-#           marker met there.  The weights sum to 1, or to less where the
-#           rest of the mass is lost to ABORT or to a loop that runs
-#           forever; ((), ()) is ABORT, worth 0.  No option follows one
-#           that meets a marker.
+#   entry:  a non-empty tuple of options;
+#   option: a pair (weights, atoms) of tuples of one length, with positive
+#           Fraction weights and distinct atoms, where an atom is an int, or
+#           last a marker met there.  The weights sum to 1, or to less where
+#           the rest of the mass is lost to ABORT or to a loop that runs
+#           forever; ((), ()) is ABORT, worth 0.  No option follows one that
+#           meets a marker.
+#
+# Going surely to one atom, or meeting one marker, is _point(a).
 #
 # This one form is the per-state demonic set of distributions of McIver &
 # Morgan, with the markers in place: composition reads and writes it, and
@@ -221,14 +223,20 @@ class WpResult:
 # each class lists its states, and each atom of a class becomes the column
 # of positions it reaches from them; a marker becomes the column of its
 # placed markers.  The pick then runs class by class, a column at a time.
-# A bare atom, worth weight 1, reads its value times W.  A vector (_Vec)
-# carries its common denominator; branch outputs are brought to the lcm
-# of theirs before a pick reads them stacked.  A _CWhile runs its body on
+# A vector (_Vec) carries its common denominator; branch outputs are
+# brought to the lcm of theirs before a pick reads them stacked, and so are
+# a loop body's output and the exits.  A _CWhile runs its body on
 # _Lin values through the same columns, once per policy-iteration round,
 # and its output is over the input's denominator times the lcm of its
 # solved rows' denominators.
 
 _ABORT = (((), ()),)
+_SURE = (ONE,)
+
+
+def _point(a) -> tuple:
+    """The entry that goes surely to atom a, or meets marker a."""
+    return ((_SURE, (a,)),)
 
 
 class _Frame:
@@ -382,12 +390,6 @@ class _Vec(list):
         self.den = den
 
 
-def _den(vec) -> int:
-    """The common denominator of a vector; a plain list holds its values
-    as they are, so it is over 1."""
-    return vec.den if vec.__class__ is _Vec else 1
-
-
 class _Lin:
     """An exact value plus the linear form that produced it, over a loop's
     states (keys i >= 0) and its exits (keys ~i).  Running a loop body on
@@ -434,21 +436,11 @@ def _ints(frame: _Frame, key: tuple, entries: list) -> tuple:
     lcm of the weights' denominators, and per class its states with its
     options, each a list of parts (x, column): x times the values at the
     positions in column, or, where x is None, the placed markers in it."""
-    w = lcm(*{x.denominator for e in entries if e.__class__ is tuple
-              for o in e if o.__class__ is tuple for x in o[0]})
-    plan = []
-    for states, e in zip(frame.members(key), entries):
-        options = []
-        for o in (e if e.__class__ is tuple else (e,)):
-            if o.__class__ is int:
-                options.append([(w, frame.cells(o, states))])
-            elif o.__class__ is _Undef:
-                options.append([(None, o.placed(states))])
-            else:
-                options.append([(None, a.placed(states)) if a.__class__ is _Undef
-                                else (x.numerator * (w // x.denominator), frame.cells(a, states))
-                                for x, a in zip(*o)])
-        plan.append((states, options))
+    w = lcm(*{x.denominator for e in entries for o in e for x in o[0]})
+    plan = [(states, [[(None, a.placed(states)) if a.__class__ is _Undef
+                       else (x.numerator * (w // x.denominator), frame.cells(a, states))
+                       for x, a in zip(*o)] for o in e])
+            for states, e in zip(frame.members(key), entries)]
     return w, plan
 
 
@@ -474,18 +466,24 @@ def _column(options: list, vec, size: int) -> list:
 
 class _Lazy:
     """Entries per class, each built by build(class) the first time it is
-    read, by index or in iteration, and kept (got holds None until then)."""
+    read, by index or in iteration, and kept (got holds None until then).
+    Once the last is built, build is dropped, and with it the picks it
+    composes."""
 
-    __slots__ = ("build", "got")
+    __slots__ = ("build", "got", "left")
 
     def __init__(self, build, size: int):
         self.build = build
         self.got = [None] * size
+        self.left = size
 
     def __getitem__(self, k: int):
         e = self.got[k]
         if e is None:
             e = self.got[k] = self.build(k)
+            self.left -= 1
+            if not self.left:
+                self.build = None
         return e
 
     def __iter__(self):
@@ -515,14 +513,15 @@ class _CPick:
         """Whether every entry has at most one option, so that a
         composition with this pick as its inner part cannot fail (see
         Summaries); a pick built as it is read is told instead."""
-        return all(e.__class__ is not tuple or len(e) == 1 for e in self.entries)
+        return all(len(e) == 1 for e in self.entries)
 
     @cached_property
     def writes(self) -> tuple:
         """(may, must): the variables some atom writes, and those every
         atom writes (all of them, where there is no atom)."""
         may, must = frozenset(), None
-        for a in (a for e in self.entries for a in _entry_atoms(e)):
+        for a in (a for e in self.entries for o in e for a in o[1]
+                  if a.__class__ is not _Undef):
             w = frozenset(v for v, d in enumerate(self.frame.digits(a)[1]) if d)
             may |= w
             must = w if must is None else must & w
@@ -545,24 +544,12 @@ class _CPick:
             for states, options in plan:
                 for i, v in zip(states, _column(options, vec, len(states))):
                     out[i] = v
-        return _reduced(_Vec(out, _den(vec) * w))
+        return _reduced(_Vec(out, vec.den * w))
 
     def run(self, f):
         if self.branches:
             f = _stacked([branch.run(f) for branch in self.branches])
         return self.apply(f)
-
-
-def _entry_atoms(e):
-    """The int atoms of an entry."""
-    if e.__class__ is int:
-        yield e
-    elif e.__class__ is tuple:
-        for o in e:
-            if o.__class__ is int:
-                yield o
-            elif o.__class__ is tuple:
-                yield from (a for a in o[1] if a.__class__ is int)
 
 
 def _reduced(vec: _Vec) -> _Vec:
@@ -615,12 +602,7 @@ class _CWhile:
     def _step(self, x: list, exits: list, den: int) -> _Vec:
         """The gate over the body's output at x and the exits, both over den."""
         out = self.body.run(_Vec(x, den))
-        common = lcm(_den(out), den)
-        if common != _den(out):
-            out = [v * (common // _den(out)) for v in out]
-        if common != den:
-            exits = [e * (common // den) for e in exits]
-        return self.gate.apply(_Vec(out + exits, common))
+        return self.gate.apply(_stacked([out, _Vec(exits, den)]))
 
     def _stuck_states(self, n):
         """States where the demon can keep the loop going forever: the
@@ -648,7 +630,7 @@ class _CWhile:
             undef = grown
 
     def run(self, f):
-        n, stuck, den = len(f), self.stuck, _den(f)
+        n, stuck, den = len(f), self.stuck, f.den
         undef, rows, ceiling = self._undefined(f), None, None
         live = [i for i in range(n) if i not in undef and i not in stuck]
         fv = [x if x.__class__ is _Undef else _value(x) for x in f]
@@ -696,17 +678,11 @@ def _flat(node) -> bool:
 
 def _meets(opt) -> bool:
     """Whether an option meets a marker; only its last atom can."""
-    return (opt.__class__ is _Undef
-            or (opt.__class__ is tuple and bool(opt[1])
-                and opt[1][-1].__class__ is _Undef))
+    return bool(opt[1]) and opt[1][-1].__class__ is _Undef
 
 
-def _option(mixed: dict):
+def _option(mixed: dict) -> tuple:
     """An option from {atom: weight} in insertion order."""
-    if len(mixed) == 1:
-        (a, w), = mixed.items()
-        if a.__class__ is _Undef or w == 1:
-            return a
     return tuple(mixed.values()), tuple(mixed)
 
 
@@ -715,68 +691,59 @@ def _mix(weights, atoms, read, mixed: dict) -> bool:
     read(a) at atoms, up to the first marker met; False if an entry has
     several options."""
     for w, p in zip(weights, atoms):
-        sub = p if p.__class__ is _Undef else read(p)
-        if sub.__class__ is tuple:
-            if len(sub) != 1:
-                return False
-            sub = sub[0]
-        if sub.__class__ is int:
-            mixed[sub] = mixed[sub] + w if sub in mixed else w
-            continue
-        if sub.__class__ is _Undef:
-            mixed[sub] = w
+        if p.__class__ is _Undef:
+            mixed[p] = w
             return True
-        for v, q in zip(*sub):
+        sub = read(p)
+        if len(sub) != 1:
+            return False
+        for v, q in zip(*sub[0]):
             v = v if w is ONE else w if v is ONE else w * v
             mixed[q] = mixed[q] + v if q in mixed else v
-        if _meets(sub):
+        if _meets(sub[0]):
             return True
     return True
 
 
-def _scaled(w, sub) -> list:
+def _scaled(w, sub):
     """The options of an entry, each scaled by w."""
-    out = []
-    for o in ((sub,) if sub.__class__ is not tuple else sub):
-        if o.__class__ is int:
-            o = ((w,), (o,))
-        elif o.__class__ is tuple:
-            o = tuple(w * v for v in o[0]), o[1]
-        out.append(o)
-    return out
+    if w is ONE:
+        return sub
+    return [(tuple(w if v is ONE else w * v for v in ws), atoms) for ws, atoms in sub]
 
 
-def _entry(options: list):
+def _entry(options) -> tuple:
     """Normal form of an entry: an option equal to an earlier one as a
-    distribution is dropped, and a marker met first is the entry."""
+    distribution is dropped, and no option follows one that meets a
+    marker."""
     if len(options) > 1:
         kept, seen = [], set()
         for o in options:
-            key = o if o.__class__ is not tuple else frozenset(zip(*o))
+            key = frozenset(zip(*o))
             if key not in seen:
                 seen.add(key)
                 kept.append(o)
             if _meets(o):
                 break
         options = kept
-    first = options[0]
-    if len(options) == 1 and first.__class__ is not tuple:
-        return first
     return tuple(options)
 
 
-def _rebased(frame: _Frame, entry, a: int, at: dict):
+def _rebased(frame: _Frame, entry: tuple, a: int, at: dict) -> tuple:
     """An entry read at the state that atom a reaches from the class `at`,
-    as an entry read at the class."""
-    if entry.__class__ is int:
-        return frame.then(a, entry, at)
-    if entry.__class__ is _Undef:
-        return entry.after(a, at)
-
-    options = [(o[0], tuple(_rebased(frame, b, a, at) for b in o[1]))
-               if o.__class__ is tuple else _rebased(frame, o, a, at) for o in entry]
-    # options that the class tells apart no more are merged
-    return _entry(options) if len(options) > 1 else tuple(options)
+    as an entry read at the class; atoms, and then options, that the class
+    tells apart no more are merged."""
+    options = []
+    for ws, atoms in entry:
+        atoms = tuple([b.after(a, at) if b.__class__ is _Undef else frame.then(a, b, at)
+                       for b in atoms])
+        if len(atoms) > 1 and len(set(atoms)) < len(atoms):
+            mixed: dict = {}
+            for w, b in zip(ws, atoms):
+                mixed[b] = mixed[b] + w if b in mixed else w
+            ws, atoms = _option(mixed)
+        options.append((ws, atoms))
+    return _entry(options)
 
 
 def _compose(key: tuple, outer: _CPick, inner, single: bool) -> Optional[_CPick]:
@@ -796,26 +763,18 @@ def _compose(key: tuple, outer: _CPick, inner, single: bool) -> Optional[_CPick]
         def read(a):
             return _rebased(frame, inner(at, a), a, at)
 
-        entry = outer.entries[frame.index(outer.key, at)]
-        if entry.__class__ is int:
-            return read(entry)
-        if entry.__class__ is _Undef:
-            return entry
         options: list = []
-        for opt in entry:
-            if opt.__class__ is int:
-                sub = read(opt)
-                options += sub if sub.__class__ is tuple else (sub,)
-            elif opt.__class__ is _Undef:
-                options.append(opt)
-            elif len(opt[1]) == 1:
-                (w,), (p,) = opt
-                options += (p,) if p.__class__ is _Undef else _scaled(w, read(p))
-            else:
+        for opt in outer.entries[frame.index(outer.key, at)]:
+            ws, atoms = opt
+            if len(atoms) != 1:
                 mixed: dict = {}
-                if not _mix(*opt, read, mixed):
+                if not _mix(ws, atoms, read, mixed):
                     return None
                 options.append(_option(mixed))
+            elif atoms[0].__class__ is _Undef:
+                options.append(opt)
+            else:
+                options += _scaled(ws[0], read(atoms[0]))
             if _meets(options[-1]):
                 break
         return _entry(options)
@@ -873,8 +832,8 @@ def _loop(prog: While, frame: _Frame, after: tuple):
     body = _compile(prog.body, frame)
     if _flat(body):
         # slot 0 goes round again through the body, slot 1 exits
-        step = _compose(_union(gate.key, body.key), gate, lambda at, a: a if a else
-                        body.entries[frame.index(body.key, at)], body.single)
+        step = _compose(_union(gate.key, body.key), gate, lambda at, a: _point(a) if a
+                        else body.entries[frame.index(body.key, at)], body.single)
         if _one_option(step):
             return _summary(step, body, _exits(after, frame))
     return _CWhile(gate, body)
@@ -903,28 +862,14 @@ def _exits(after: tuple, frame: _Frame) -> tuple:
         for x, at in zip(vec, every)]
 
 
-def _first_mark(e) -> Optional[_Undef]:
+def _first_mark(e: tuple) -> Optional[_Undef]:
     """The marker an entry meets on the post 0, or None."""
-    if e.__class__ is _Undef:
-        return e
-    for o in (e if e.__class__ is tuple else ()):
-        if _meets(o):
-            return o if o.__class__ is _Undef else o[1][-1]
-    return None
+    return next((o[1][-1] for o in e if _meets(o)), None)
 
 
 def _one_option(step: Optional[_CPick]) -> bool:
     """Whether a composed step exists and has one option per class."""
     return step is not None and step.single
-
-
-def _atoms(entry, one=ONE) -> tuple:
-    """(atoms, weights) of a step entry with one option; a bare atom
-    weighs `one`."""
-    if entry.__class__ is int:
-        return (entry,), (one,)
-    opt = entry[0]
-    return ((opt,), (one,)) if opt.__class__ is int else (opt[1], opt[0])
 
 
 def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
@@ -941,22 +886,23 @@ def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
     frame = step.frame
     may, must = body.writes
     out_at = frame.slots  # the exit atom: slot 1, nothing written
+    out = _point(out_at)
     # what follows reads its markers at the exit state
     key = _union(step.key, may - must, exits[0])
-    if any(e != out_at and out_at in _atoms(e)[0]
-           for e in step.entries if e.__class__ is not _Undef):
+    if any(e != out and out_at in e[0][1] for e in step.entries):
         key = _union(key, may)  # stops mid-round: keep what rounds write
     classes = frame.classes(key)
-    opts = [step.entries[frame.index(step.key, at)] for at in classes]
+    # per class, its one option
+    opts = [step.entries[frame.index(step.key, at)][0] for at in classes]
 
     def go(k, a):
         return frame.reach(key, a, classes[k])
 
     stuck = set(range(len(classes)))
     while stuck:
-        kept = {k for k in stuck if opts[k].__class__ is not _Undef and all(
+        kept = {k for k in stuck if all(
             a.__class__ is int and a < out_at and go(k, a) in stuck
-            for a in _atoms(opts[k])[0])}
+            for a in opts[k][1])}
         if kept == stuck:
             break
         stuck = kept
@@ -973,9 +919,8 @@ def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
     undef: dict = {}
     while True:
         grown = {}
-        for k, e in enumerate(opts):
-            m = e if e.__class__ is _Undef else next(
-                (m for m in (met(k, a, undef) for a in _atoms(e)[0]) if m is not None), None)
+        for k, (_, atoms) in enumerate(opts):
+            m = next((m for m in (met(k, a, undef) for a in atoms) if m is not None), None)
             if m is not None:
                 grown[k] = m
         if grown.keys() == undef.keys():
@@ -988,13 +933,13 @@ def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
         return ~frame.atom(0, [classes[j][v] + 1 if v in classes[j] else d
                                for v, d in enumerate(ds)], {})
 
-    done = {k for k, e in enumerate(opts) if e == out_at}  # the guard is false
+    done = {k for k, o in enumerate(opts) if (o,) == out}  # the guard is false
     moves, rows = {}, {}
     for k in range(len(classes)):
         if k in undef or k in stuck or k in done:
             continue
         moves[k] = []
-        for a, w in zip(*_atoms(opts[k])):
+        for w, a in zip(*opts[k]):
             if a == out_at:
                 moves[k].append((w, exit_of(k, 0)))
                 continue
@@ -1022,17 +967,17 @@ def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
     entries = []
     for k, at in enumerate(classes):
         if k in undef:
-            entries.append(undef[k])
+            entries.append(_point(undef[k]))
         elif k in stuck:
             entries.append(_ABORT)
         elif k in done:
-            entries.append(0)
+            entries.append(_point(0))
         else:
             # every exit writes the same variables, so in the order of their
             # atoms they reach states in order, as a _CWhile meets them
             exits_k = sorted((~t, c) for t, c in solved_rows[k].items() if c)
-            opt = _option({frame.atom(0, frame.digits(e)[1], at): c for e, c in exits_k})
-            entries.append(opt if opt.__class__ is int else (opt,))
+            entries.append((_option({frame.atom(0, frame.digits(e)[1], at): c
+                                     for e, c in exits_k}),))
     return _CPick(frame, key, entries)
 
 
@@ -1072,9 +1017,9 @@ def _assign_targets(frame: _Frame, var: str, expr) -> tuple:
             reason = None if k >= 0 else f"{var} := {v} leaves the domain of {var}"
         if reason is None:
             digits[pos] = k + 1
-            entries.append(frame.atom(0, digits, at))
+            entries.append(_point(frame.atom(0, digits, at)))
         else:
-            entries.append(_Undef(reason, 0, frame))
+            entries.append(_point(_Undef(reason, 0, frame)))
     return key, entries
 
 
@@ -1083,11 +1028,12 @@ def _either(frame: _Frame, key: tuple, gate: list) -> tuple:
     0) with weight g and the second (slot 1) with 1 - g, where g is a
     guard's bool or a probability; a side of weight 0 is dropped."""
     second, weights, entries = frame.slots, {}, []
+    first, other = _point(0), _point(second)
     for g in gate:
         if isinstance(g, _Undef):
-            entries.append(g)
+            entries.append(_point(g))
         elif g.denominator == 1:  # a bool, or the probability 0 or 1
-            entries.append(0 if g else second)
+            entries.append(first if g else other)
         else:
             w = weights.get(g)
             if w is None:
@@ -1111,7 +1057,7 @@ def _compile(prog: Program, frame: _Frame, after: tuple = ()):
         return _loop(prog, frame, after)
     # primitive statements: atoms read the post
     if isinstance(prog, Skip):
-        return _CPick(frame, (), [0])
+        return _CPick(frame, (), [_point(0)])
     if isinstance(prog, Abort):
         return _CPick(frame, (), [_ABORT])
     if isinstance(prog, Assign):
@@ -1125,15 +1071,16 @@ def _compile(prog: Program, frame: _Frame, after: tuple = ()):
     elif isinstance(prog, ProbChoice):
         key, entries = _either(frame, *_eval_guarded(frame, prog.prob, "prob"))
     elif isinstance(prog, DemonChoice):
-        key, entries = (), [(0, frame.slots)]
+        key, entries = (), [_point(0) + _point(frame.slots)]
     elif isinstance(prog, GuardedIf):
         guards = [_eval_guarded(frame, g, "bool") for g, _ in prog.branches]
         key, entries = _union(*(k for k, _ in guards)), []
         for at in frame.classes(key):
             row = [values[frame.index(k, at)] for k, values in guards]
             undef = next((m for m in row if isinstance(m, _Undef)), None)
-            enabled = tuple(j * frame.slots for j, m in enumerate(row) if m is True)
-            entries.append(undef if undef is not None else enabled or _ABORT)
+            enabled = tuple((_SURE, (j * frame.slots,))
+                            for j, m in enumerate(row) if m is True)
+            entries.append(_point(undef) if undef is not None else enabled or _ABORT)
     else:
         raise WpError(f"unknown program node {type(prog).__name__}")
     return _choice(_CPick(frame, key, entries), branches)
@@ -1167,14 +1114,14 @@ def _suchthat_options(frame: _Frame, prog: SuchThat) -> tuple:
         for c, a in zip(candidates, atoms):
             v = verdicts[frame.index(pred_key, {**at, **c})]
             if isinstance(v, EvalError):
-                entry = _Undef(str(v), 0, frame)
+                entry = _point(_Undef(str(v), 0, frame))
                 break
             if not isinstance(v, bool):
-                entry = _Undef("suchthat predicate is not boolean", a, frame)
+                entry = _point(_Undef("suchthat predicate is not boolean", a, frame))
                 break
             if v:
-                ok.append(a)
-        entries.append(entry or tuple(ok) or _Undef(unsatisfied, 0, frame))
+                ok.append((_SURE, (a,)))
+        entries.append(entry or tuple(ok) or _point(_Undef(unsatisfied, 0, frame)))
     return key, entries
 
 
@@ -1243,15 +1190,12 @@ class Compiled:
         key = _union(root.key, positions)
         sets = []
         for at in frame.classes(key):
-            e = root.entries[frame.index(root.key, at)]
-            if e.__class__ is _Undef:
-                return None
             options = []
-            for o in (e if e.__class__ is tuple else (e,)):
+            for o in root.entries[frame.index(root.key, at)]:
                 if _meets(o):
                     return None
                 mass: dict = {}
-                for a, w in zip(*_atoms((o,))):
+                for w, a in zip(*o):
                     ds = frame.digits(a)[1]
                     c = sum((ds[p] - 1 if ds[p] else at[p]) * s for p, s in steps)
                     mass[c] = mass[c] + w if c in mass else w

@@ -44,10 +44,10 @@ def pqr_space(grid=EIGHTHS):
 def one_state_loop(body):
     """A _CWhile over a one-state space whose guard always holds, with
     `body` (anything with a run method) as its body."""
-    from pgclkit.wp import _CPick, _CWhile, _Frame  # engine internals
+    from pgclkit.wp import _CPick, _CWhile, _Frame, _point  # engine internals
 
     frame = _Frame(space_of(("c", ("H",))))
-    return _CWhile(_CPick(frame, (), [0]), body)
+    return _CWhile(_CPick(frame, (), [_point(0)]), body)
 
 
 def prog(text, space, **params):

@@ -39,6 +39,7 @@ from pgclkit import (
     space_of,
     wp,
 )
+from pgclkit.wp import _Vec
 
 F = Fraction
 
@@ -271,10 +272,10 @@ def test_criterion_8_property_suites():
         # is not a fixpoint of the step
         class _Affine:
             def run(self, f):
-                return [x * F(1, 2) + F(1, 2) for x in f]
+                return _Vec([x * F(1, 2) + F(1, 2) for x in f], f.den)
 
         try:
-            helpers.one_state_loop(_Affine()).run([F(1)])
+            helpers.one_state_loop(_Affine()).run(_Vec([1], 1))
         except WpError:
             pass
         else:

@@ -464,3 +464,24 @@ def test_checkers_compile_each_program_once(monkeypatch):
     calls.clear()
     assert check_variant(loop, variant(s, "x", 3, "1/2"), s).holds
     assert calls == [loop.body]
+
+
+def test_rows_compare_each_distinct_pair_of_row_objects_once(monkeypatch):
+    calls, gap = [], checks._row_gap
+
+    def counting(*args):
+        calls.append(args)
+        return gap(*args)
+
+    monkeypatch.setattr(checks, "_row_gap", counting)
+    # the spec may ABORT, or reach combination 1 with mass 1/2; the
+    # implementation surely reaches it: a refinement, two distinct pairs
+    abort = frozenset({frozenset()})
+    half = frozenset({frozenset({(1, F(1, 2))})})
+    sure = frozenset({frozenset({(1, F(1))})})
+    assert checks._by_rows([abort, half] * 3, [sure] * 6, True) is checks._HOLDS
+    assert len(calls) == 2
+    # the first state of a failing pair is the first state where it fails
+    calls.clear()
+    assert checks._by_rows([abort, sure, abort, sure], [sure, half] * 2, True) == (1, 1, False)
+    assert len(calls) == 2

@@ -2,9 +2,11 @@
 demon-free loops are solved once, and the values agree with independent
 oracles."""
 
+import gc
 import importlib
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -47,8 +49,8 @@ def test_demon_free_programs_compile_to_one_flat_pick(text):
     assert isinstance(node, _CPick) and not node.branches
     # keyed by p alone: one entry per value of p, not per state
     assert node.key == (space.var_pos("p"),) and len(node.entries) == 9
-    # one option per class: a bare atom or a single distribution
-    assert all(e.__class__ is int or len(e) == 1 for e in node.entries)
+    # one option per class
+    assert all(len(e) == 1 for e in node.entries)
 
 
 def test_split_then_coin_on_the_step_space_is_one_flat_pick():
@@ -121,6 +123,74 @@ def test_building_entries_as_they_are_read_changes_no_answer(monkeypatch):
             assert _everything(prog, space, posts) == lazy, prog
 
 
+def _picks(node):
+    """Every _CPick in a compiled tree."""
+    if isinstance(node, _CPick):
+        yield node
+        for branch in node.branches:
+            yield from _picks(branch)
+    elif isinstance(node, _CSeq):
+        yield from _picks(node.first)
+        yield from _picks(node.second)
+    else:
+        yield from _picks(node.gate)
+        yield from _picks(node.body)
+
+
+def test_every_entry_is_a_tuple_of_weights_and_atoms_options():
+    gen = random.Random(20261020)
+    space = helpers.random_space()
+    programs = helpers.corpus() + helpers.loop_corpus() + [
+        (helpers.prog(helpers.random_program(gen), space), space) for _ in range(200)]
+    for prog, space in programs:
+        for pick in _picks(compile_program(prog, space)._root):
+            for entry in pick.entries:
+                assert entry.__class__ is tuple and entry, (prog, entry)
+                for j, option in enumerate(entry):
+                    assert option.__class__ is tuple and len(option) == 2, (prog, entry)
+                    weights, atoms = option
+                    assert weights.__class__ is tuple and atoms.__class__ is tuple
+                    assert len(weights) == len(atoms) == len(set(atoms)), (prog, entry)
+                    assert all(w.__class__ is F and w > 0 for w in weights), (prog, entry)
+                    assert sum(weights) <= 1, (prog, entry)
+                    # a marker only last, and no option after one that meets it
+                    *firsts, last = atoms or (0,)
+                    assert all(a.__class__ is int for a in firsts), (prog, entry)
+                    assert last.__class__ is int or (
+                        last.__class__ is _Undef and j == len(entry) - 1), (prog, entry)
+
+
+def test_atoms_that_a_composition_makes_equal_are_merged():
+    # the first branch goes surely to x = 1; held as the atom x = 1 twice,
+    # each with weight 1/2, it was taken for the second branch, which
+    # reaches x = 1 with 1/2 and aborts otherwise, and that option was
+    # dropped: wp of 1 read 1, not 1/2
+    space = space_of(("x", (0, 1)))
+    text = "(x := 1; (x := 1 <1/2> SKIP)) |^| (x := 1 <1/2> ABORT)"
+    node = root(text, space)
+    assert [len(e) for e in node.entries] == [2]
+    post = constant(space, 1)
+    assert wp(helpers.prog(text, space), post, space).pre.values == (F(1, 2), F(1, 2))
+
+
+def test_a_fully_built_pick_lets_go_of_its_parts():
+    space = helpers.pqr_space()
+    frame = wp_module._Frame(space)
+    split, coin = (wp_module._compile(helpers.prog(text, space), frame) for text in (
+        "IF p <= 1/2 -> q,r := 0, 2*p [] p >= 1/2 -> q,r := 2*p-1, 1 FI",
+        "(x :in 1 <q> 0) <1/2> (x :in 1 <r> 0)"))
+    step = wp_module._seq(split, coin)
+    assert isinstance(step.entries, wp_module._Lazy) and len(step.entries) == 9
+    parts = [weakref.ref(split), weakref.ref(coin)]
+    del split, coin
+    step.entries[0]
+    gc.collect()
+    assert all(part() is not None for part in parts)  # eight classes to build
+    list(step.entries)
+    gc.collect()
+    assert all(part() is None for part in parts)
+
+
 def test_demonic_loop_stays_a_while():
     space = space_of(("i", tuple(range(13))))
     node = root("WHILE 0 < i & i < 12 DO (i := i + 1 <1/2> i := i - 1) "
@@ -137,7 +207,7 @@ def test_a_flat_pick_holds_its_markers_inline():
     # it reads nothing, so one class; its marker is met at the state that
     # x := 0 reaches, whichever state it is read at
     assert node.key == () and len(node.entries) == 1
-    marker = node.entries[0]
+    ((_, (marker,)),) = node.entries[0]  # one option, meeting the marker
     assert isinstance(marker, _Undef) and marker.index is None
     assert [m.reason for m in marker.placed([0, 1])] == ["division by zero at {x=0}"] * 2
     with pytest.raises(UndefinedStateError, match=r"^wp is undefined at \{x=0\}: "
@@ -146,7 +216,7 @@ def test_a_flat_pick_holds_its_markers_inline():
     # a marker inside an option stays there; the run form, built on the
     # first run, places it at each state of the class
     node = root("x :in {1, 0}; x := 1/x", space)
-    (one, marker), = node.entries
+    ((_, (one,)), (_, (marker,))), = node.entries  # two options
     assert isinstance(marker, _Undef) and node.frame.digits(one) == (0, (2,))  # x := 1
     w, ((states, options),) = node.ints
     assert w == 1 and states == [0, 1] and options[0] == [(1, [1, 1])]

@@ -21,7 +21,7 @@ from pgclkit import (
 )
 from pgclkit.exprs import Var
 from pgclkit.programs import Skip, While
-from pgclkit.wp import _CWhile, compile_program
+from pgclkit.wp import _CWhile, _Vec, compile_program
 
 # the module, not the function pgclkit.wp that the package exports
 wp_module = importlib.import_module("pgclkit.wp")
@@ -296,10 +296,10 @@ def test_loop_solve_that_is_no_fixpoint_is_reported_as_engine_bug():
         # x/2 + 1/2 is no wp: the constant term escapes the linear form, so
         # the solved vector (0) is not a fixpoint of the step (1/2)
         def run(self, f):
-            return [x * F(1, 2) + F(1, 2) for x in f]
+            return _Vec([x * F(1, 2) + F(1, 2) for x in f], f.den)
 
     with pytest.raises(WpError, match="fixpoint check"):
-        helpers.one_state_loop(_Affine()).run([F(1)])
+        helpers.one_state_loop(_Affine()).run(_Vec([1], 1))
 
 
 def test_bias_spec_hits_p_exactly():
