@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import DistError, EvalError, UndefinedStateError, VariantError, WpError
-from .expectations import Expectation, evaluate, from_expr, indicator
+from .expectations import Expectation, evaluate, from_expr
 from .exprs import Bracket, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
 from .states import State, StateSpace
@@ -132,19 +132,20 @@ class ProbeFamily:
     @staticmethod
     def default(space: StateSpace, programs: Iterable[Program] = (),
                 seed: int = 0, extra: int = PROBE_COUNT) -> "ProbeFamily":
-        """Indicators of every state, brackets of every boolean guard or
-        assertion appearing in the given programs (a loop guard may be a
-        probability instead, and a bracket undefined at some state is
-        skipped), and `extra` seeded random expectations with values in
-        [0, PROBE_BOUND]."""
+        """`over_vars` over every variable, plus the brackets of every
+        boolean guard or assertion in the given programs, placed before
+        the random probes (a loop guard may be a probability instead, and
+        a bracket undefined at some state is skipped)."""
         programs = tuple(programs)
-        return ProbeFamily._deferred(space, space.names, seed, lambda: _default_probes(
-            space, programs, seed, extra))
+        return ProbeFamily._deferred(space, space.names, seed, lambda: _probes(
+            space, space.names, programs, seed, extra))
 
     @staticmethod
     def over_vars(space: StateSpace, names: Iterable[str], seed: int = 0,
                   extra: int = PROBE_COUNT) -> "ProbeFamily":
-        """Probes measurable in a subset of the variables.
+        """Probes measurable in a subset of the variables: the indicator
+        of each combination of their values, then `extra` seeded random
+        expectations of them with values in [0, PROBE_BOUND].
 
         Needed when comparing programs that agree on their observable
         variables but use scratch variables differently.
@@ -152,29 +153,16 @@ class ProbeFamily:
         names = tuple(names)
         for n in names:
             space.var_pos(n)  # an undeclared name fails here, not on first use
-        return ProbeFamily._deferred(space, names, seed, lambda: _over_vars_probes(
-            space, names, seed, extra))
+        return ProbeFamily._deferred(space, names, seed, lambda: _probes(
+            space, names, (), seed, extra))
 
 
-def _default_probes(space: StateSpace, programs: tuple, seed: int, extra: int) -> list:
-    probes = [indicator(space, i) for i in range(space.size)]
-    seen = {p.values for p in probes}
-    for prog in programs:
-        for pred in collect_predicates(prog):
-            if static_kind(pred, space) != "bool":
-                continue
-            try:
-                exp = from_expr(space, Bracket(pred))
-            except EvalError:
-                continue
-            if exp.values not in seen:
-                seen.add(exp.values)
-                probes.append(exp)
-    probes.extend(_random_probes(space, seed, extra, seen))
-    return probes
-
-
-def _over_vars_probes(space: StateSpace, names: tuple, seed: int, extra: int) -> list:
+def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
+            extra: int) -> list:
+    """In order: the indicator of each combination of the named variables'
+    values, the bracket of each boolean guard or assertion in `programs`,
+    and `extra` seeded random columns with values in [0, PROBE_BOUND];
+    a probe equal to an earlier one is dropped."""
     positions = [space.var_pos(n) for n in names]
     rng = random.Random(seed)
     probes: list[Expectation] = []
@@ -200,26 +188,24 @@ def _over_vars_probes(space: StateSpace, names: tuple, seed: int, extra: int) ->
         column = [ZERO] * len(combos)
         column[k] = ONE
         add(column, f"[{', '.join(f'{n}={v}' for n, v in zip(names, combo))}]")
+    # programs come with every variable named, in order: there a state is
+    # its own combination, so a bracket's values are its column.  A loop
+    # guard may be a probability, and a bracket undefined somewhere is no
+    # probe.
+    for prog in programs:
+        for pred in collect_predicates(prog):
+            if static_kind(pred, space) != "bool":
+                continue
+            try:
+                exp = from_expr(space, Bracket(pred))
+            except EvalError:
+                continue
+            add(exp.values, exp.label)
     for k in range(extra):
         column = [Fraction(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
                            PROBE_DENOMINATOR) for _ in combos]
         add(column, f"random probe {k} over {', '.join(names)}")
     return probes
-
-
-def _random_probes(space: StateSpace, seed: int, count: int, seen: set):
-    rng = random.Random(seed)
-    out = []
-    for k in range(count):
-        values = tuple(
-            Fraction(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
-                     PROBE_DENOMINATOR)
-            for _ in range(space.size)
-        )
-        if values not in seen:
-            seen.add(values)
-            out.append(Expectation(space, values, label=f"random probe {k}"))
-    return out
 
 
 def dyadic_grid(denominator: int = 8) -> tuple[Fraction, ...]:

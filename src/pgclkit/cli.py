@@ -43,7 +43,7 @@ from .bits import RandomBitSource, ScriptedBitSource
 from .parser import ProgramText, parse_expression, parse_rational, parse_source
 from .programs import VariantSpec, While
 from .expectations import from_expr
-from .sampler import WeightedDist, read_trials_file, sample_discrete
+from .sampler import WeightedDist, _weight_lines, read_trials_file, sample_discrete
 from .states import StateSpace
 from .wp import WpConfig, wp
 
@@ -109,15 +109,13 @@ def _load_dist(value: str) -> tuple[Optional[int], WeightedDist]:
     """A --dist argument is a file path or an inline weight list.
 
     A file whose first non-comment line is a single integer followed by
-    more lines is a trials file carrying its own run count.
+    more lines is a trials file carrying its own run count.  A `#` starts
+    a comment anywhere on a line.
     """
     text = _read_text(value) if value != "-" and Path(value).exists() else (
         sys.stdin.read() if value == "-" else value
     )
-    lines = [
-        ln for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = _weight_lines(text)
     if len(lines) > 1 and len(lines[0].split()) == 1:
         runs, dist = read_trials_file(text)
         return runs, dist

@@ -45,7 +45,6 @@ from .sampler import WeightedDist
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 DEFAULT_MAX_NODES = 100_000
 
@@ -163,23 +162,26 @@ def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machin
 def analyze(m: Machine) -> MachineAnalysis:
     """Exact outcome probabilities and expected flips from the root."""
     # interior nodes are keyed by their int id; the absorbing keys are
-    # ("leaf", outcome) and "flips", which counts one flip per visit
+    # ("leaf", outcome) and "flips", which counts one flip per visit;
+    # every row is over 2
     rows = {}
     for node in m.nodes:
         if node.kind == "interior":
-            row = rows[node.id] = {"flips": ONE}
+            row = {"flips": 2}
+            rows[node.id] = (2, row)
             for succ_id in (node.heads, node.tails):
                 succ = m.node(succ_id)
                 key = succ_id if succ.kind == "interior" else ("leaf", succ.outcome)
-                row[key] = row.get(key, ZERO) + HALF
+                row[key] = row.get(key, 0) + 1
     root = m.node(m.root)
     if root.kind == "leaf":
         solved = {("leaf", root.outcome): ONE}
     else:
         try:
-            solved = absorb(rows)[m.root]
+            d, solved = absorb(rows)
         except ZeroDivisionError as exc:
             raise MachineAnalysisError(str(exc)) from None
+        solved = {k: Fraction(c, d) for k, c in solved[m.root].items()}
     probs = tuple(solved.get(("leaf", o), ZERO) for o in range(1, m.outcomes + 1))
     if sum(probs, ZERO) != ONE:
         raise MachineAnalysisError(

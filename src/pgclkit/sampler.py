@@ -280,9 +280,16 @@ def sample_binary(p: Fraction, bits) -> SampleTrace:
     return SampleTrace(a // b, len(consumed), tuple(consumed))
 
 
+def _weight_lines(text: str) -> list[str]:
+    """The lines of weight input that hold anything once a `#` comment,
+    which runs to the end of its line, is cut off."""
+    return [ln for ln in (ln.split("#", 1)[0] for ln in text.splitlines()) if ln.strip()]
+
+
 def read_trials_file(text: str) -> tuple[int, WeightedDist]:
-    """First line: run count.  Rest: whitespace-separated integer weights."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    """First line: run count.  Rest: whitespace-separated integer weights.
+    A `#` starts a comment anywhere on a line."""
+    lines = _weight_lines(text)
     if not lines:
         raise DistError("empty trials file")
     try:

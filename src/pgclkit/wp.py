@@ -573,13 +573,6 @@ def _stacked(outs: list) -> _Vec:
     return vec
 
 
-def _common(rows: dict) -> tuple:
-    """(d, rows) with every coefficient of the rows an int over d."""
-    d = lcm(*(c.denominator for r in rows.values() for c in r.values()))
-    return d, {s: {k: c.numerator * (d // c.denominator) for k, c in r.items()}
-               for s, r in rows.items()}
-
-
 class _CSeq:
     def __init__(self, first, second):
         self.first = first
@@ -631,7 +624,7 @@ class _CWhile:
 
     def run(self, f):
         n, stuck, den = len(f), self.stuck, f.den
-        undef, rows, ceiling = self._undefined(f), None, None
+        undef, ints, ceiling = self._undefined(f), None, None
         live = [i for i in range(n) if i not in undef and i not in stuck]
         fv = [x if x.__class__ is _Undef else _value(x) for x in f]
         d, v = 1, [0] * n  # the values of the current policy, over den * d
@@ -645,7 +638,7 @@ class _CWhile:
             out = self._step(x, exits, den * d)
             scale = out.den // (den * d)
             step = [_value(y) for y in out]
-            if rows is not None:
+            if ints is not None:
                 # policy iteration descends: step(v) <= v, and each policy's
                 # values lie below the step that chose it; a fixpoint ends it
                 if any(step[s] > v[s] * scale or (ceiling is not None and
@@ -654,9 +647,8 @@ class _CWhile:
                 if all(step[s] == v[s] * scale for s in live):
                     break
                 ceiling = _Vec(step, out.den)
-            rows = absorb({s: {k: Fraction(c, scale) for k, c in out[s].form.items()}
-                           if isinstance(out[s], _Lin) else {} for s in live})
-            d, ints = _common(rows)
+            d, ints = absorb({s: (scale, out[s].form if isinstance(out[s], _Lin) else {})
+                              for s in live})
             v = [0] * n
             for s in live:
                 v[s] = sum(c * fv[~k] for k, c in ints[s].items())
@@ -934,31 +926,28 @@ def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
                                for v, d in enumerate(ds)], {})
 
     done = {k for k, o in enumerate(opts) if (o,) == out}  # the guard is false
-    moves, rows = {}, {}
-    for k in range(len(classes)):
+    rows = {}  # per class its row, ints over the lcm of its weights
+    for k, (weights, atoms) in enumerate(opts):
         if k in undef or k in stuck or k in done:
             continue
-        moves[k] = []
-        for w, a in zip(*opts[k]):
-            if a == out_at:
-                moves[k].append((w, exit_of(k, 0)))
-                continue
-            j = go(k, a)
-            if j not in stuck:
-                moves[k].append((w, exit_of(j, a) if j in done else j))
+        w = lcm(*(x.denominator for x in weights))
         row: dict = {}
-        for w, t in moves[k]:
-            row[t] = row.get(t, 0) + w
-        rows[k] = row
-    solved_rows = absorb(rows)
+        for x, a in zip(weights, atoms):
+            if a == out_at:
+                t = exit_of(k, 0)
+            else:
+                j = go(k, a)
+                if j in stuck:
+                    continue
+                t = exit_of(j, a) if j in done else j
+            row[t] = row.get(t, 0) + x.numerator * (w // x.denominator)
+        rows[k] = (w, row)
+    d, solved = absorb(rows)
     # the fixpoint check: row k is its step applied to the rows, in ints
     # over d times the step's w
-    d, solved = _common(solved_rows)
-    for k, pairs in moves.items():
-        w = lcm(*(x.denominator for x, _ in pairs))
+    for k, (w, row) in rows.items():
         want: dict = {}
-        for x, t in pairs:
-            c = x.numerator * (w // x.denominator)
+        for t, c in row.items():
             for e, y in (solved[t] if t >= 0 else {t: d}).items():
                 want[e] = want.get(e, 0) + c * y
         if ({e: y for e, y in want.items() if y}
@@ -975,8 +964,8 @@ def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
         else:
             # every exit writes the same variables, so in the order of their
             # atoms they reach states in order, as a _CWhile meets them
-            exits_k = sorted((~t, c) for t, c in solved_rows[k].items() if c)
-            entries.append((_option({frame.atom(0, frame.digits(e)[1], at): c
+            exits_k = sorted((~t, c) for t, c in solved[k].items() if c)
+            entries.append((_option({frame.atom(0, frame.digits(e)[1], at): Fraction(c, d)
                                      for e, c in exits_k}),))
     return _CPick(frame, key, entries)
 

@@ -413,10 +413,14 @@ def _same_space(f: Expectation, g: Expectation):
 # --- probes over some variables, built state by state -------------------------
 
 
-def over_vars_by_state(space, names, seed=0, extra=16):
+def over_vars_by_state(space, names, seed=0, extra=16, programs=()):
     """ProbeFamily.over_vars as it was built before it went by index: each
-    probe calls a function on every State.  Returns (label, values) pairs."""
+    probe calls a function on every State.  With programs, the brackets of
+    their predicates that are boolean at every state follow the
+    indicators, as ProbeFamily.default places them when names are all the
+    variables.  Returns (label, values) pairs."""
     from pgclkit.checks import PROBE_BOUND, PROBE_DENOMINATOR
+    from pgclkit.programs import collect_predicates
 
     names = tuple(names)
     positions = [space.var_pos(n) for n in names]
@@ -435,6 +439,15 @@ def over_vars_by_state(space, names, seed=0, extra=16):
     for combo in combos:
         add(lambda s, c=combo: F(int(tuple(s.values[p] for p in positions) == c)),
             f"[{', '.join(f'{n}={v}' for n, v in zip(names, combo))}]")
+    for program in programs:
+        for pred in collect_predicates(program):
+            try:
+                held = [eval_expr(pred, s) for s in space.states()]
+            except EvalError:
+                continue
+            if all(isinstance(h, bool) for h in held):
+                add(lambda s, t=dict(zip(space.states(), held)): F(int(t[s])),
+                    str(Bracket(pred)))
     for k in range(extra):
         table = {c: F(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
                       PROBE_DENOMINATOR) for c in combos}

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -82,6 +83,25 @@ def test_over_vars_matches_the_family_built_state_by_state(names):
         assert fam.seed == seed
         assert ([(p.label, p.values) for p in fam]
                 == helpers.over_vars_by_state(space, names, seed, extra))
+
+
+def test_default_is_over_vars_on_every_variable_plus_the_brackets():
+    # same probes, labels, order and seeded draws as the reference built
+    # state by state; a probability guard and a bracket undefined at
+    # x = 0 are no probes
+    s = space_of(("x", (0, 1, 2)))
+    pqr = helpers.pqr_space(helpers.THIRDS)
+    cases = [(p, space) for p, space in helpers.corpus() + helpers.loop_corpus()
+             if space.size < 1000]
+    cases += [(helpers.prog(text, pqr), pqr) for text in (
+        helpers.BIAS_SPEC, helpers.SPLIT_STEP, helpers.SPLIT_THEN_COIN,
+        helpers.HALVING_BODY, helpers.HALVING_LOOP)]
+    cases.append((helpers.prog("IF 1/x = 1 THEN x := 1 ELSE x := 0", s), s))
+    for (p, space), (seed, extra) in zip(cases, itertools.cycle(((0, 16), (7, 4)))):
+        fam = ProbeFamily.default(space, (p, p), seed=seed, extra=extra)
+        assert fam.observed == space.names
+        assert ([(q.label, q.values) for q in fam]
+                == helpers.over_vars_by_state(space, space.names, seed, extra, (p, p)))
 
 
 def test_equal_is_reflexive_on_corpus():
@@ -197,13 +217,13 @@ def test_rows_refute_a_refinement_that_the_probes_pass():
 
 
 def test_a_check_the_rows_decide_builds_no_probe(monkeypatch):
-    built = []
-    for name in ("_default_probes", "_over_vars_probes"):
-        def recording(*args, name=name, build=getattr(checks, name)):
-            built.append(name)
-            return build(*args)
+    built, build = [], checks._probes
 
-        monkeypatch.setattr(checks, name, recording)
+    def recording(*args):
+        built.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(checks, "_probes", recording)
     s = helpers.pqr_space(helpers.THIRDS)
     spec, loop = helpers.prog(helpers.BIAS_SPEC, s), helpers.prog(helpers.HALVING_LOOP, s)
     for left, right, fam in ((spec, loop, ProbeFamily.over_vars(s, ("x",))),
@@ -214,8 +234,8 @@ def test_a_check_the_rows_decide_builds_no_probe(monkeypatch):
     # a refutation runs the probes, to report the first one that refutes
     fam = ProbeFamily.over_vars(s, ("x",))
     v = check_refines(spec, helpers.prog("x := 0", s), fam, s)
-    assert (v.status, v.method) == ("fails", "rows") and built == ["_over_vars_probes"]
-    assert len(fam) == len(fam.probes) and built == ["_over_vars_probes"]  # built once
+    assert (v.status, v.method) == ("fails", "rows") and built == [("x",)]
+    assert len(fam) == len(fam.probes) and built == [("x",)]  # built once
 
 
 def test_a_family_of_bare_probes_runs_them():

@@ -467,6 +467,26 @@ def test_trials_file_carries_run_count(tmp_path, capsys):
     assert sum(payload["tallies"]) == 150
 
 
+@pytest.mark.parametrize("text", [
+    "150\n1 1 1 1 1 1  # a fair die\n",
+    "150 # runs\n1 1 1 1 1 1\n",
+])
+def test_trials_file_comments_run_to_the_end_of_a_line(tmp_path, text, capsys):
+    f = write(tmp_path, "trials.txt", text)
+    rc = main(["trials", "--dist", f, "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["runs"] == 150
+    assert payload["weights"] == [1] * 6
+    assert sum(payload["tallies"]) == 150
+
+
+def test_inline_dist_comment_runs_to_the_end_of_the_line(capsys):
+    for text in ("1 2 # x", "1 2"):
+        assert main(["sample", "--dist", text, "--bits", "0,1,1"]) == 0
+        assert capsys.readouterr().out.strip() == "outcome=2 flips=3 bits=011"
+
+
 def test_trials_without_runs_exits_2(capsys):
     rc = main(["trials", "--dist", "1 2 3"])
     assert rc == 2

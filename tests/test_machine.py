@@ -278,17 +278,17 @@ def test_absorb_small_system():
     # a walk on 1, 2 absorbed at "lo" or "hi", plus a unit cost per step:
     # x1 = 1 + x2/2 + lo/2, x2 = 1 + x1/3 + 2 hi/3
     rows = {
-        1: {2: F(1, 2), "lo": F(1, 2), "cost": F(1)},
-        2: {1: F(1, 3), "hi": F(2, 3), "cost": F(1)},
+        1: (2, {2: 1, "lo": 1, "cost": 2}),
+        2: (3, {1: 1, "hi": 2, "cost": 3}),
     }
-    assert absorb(rows) == {
-        1: {"lo": F(3, 5), "hi": F(2, 5), "cost": F(9, 5)},
-        2: {"lo": F(1, 5), "hi": F(4, 5), "cost": F(8, 5)},
-    }
-    assert rows[1] == {2: F(1, 2), "lo": F(1, 2), "cost": F(1)}  # input kept
+    assert absorb(rows) == (5, {
+        1: {"lo": 3, "hi": 2, "cost": 9},
+        2: {"lo": 1, "hi": 4, "cost": 8},
+    })
+    assert rows[1] == (2, {2: 1, "lo": 1, "cost": 2})  # input kept
     # 1 and 2 feed each other forever: never absorbed
     with pytest.raises(ZeroDivisionError, match="singular"):
-        absorb({1: {2: F(1)}, 2: {1: F(1, 2), 2: F(1, 2)}})
+        absorb({1: (1, {2: 1}), 2: (2, {1: 1, 2: 1})})
 
 
 def test_crosscheck_agrees_within_noise(monkeypatch):

@@ -296,7 +296,7 @@ def test_loop_solve_that_is_no_fixpoint_is_reported_as_engine_bug():
         # x/2 + 1/2 is no wp: the constant term escapes the linear form, so
         # the solved vector (0) is not a fixpoint of the step (1/2)
         def run(self, f):
-            return _Vec([x * F(1, 2) + F(1, 2) for x in f], f.den)
+            return _Vec([x + f.den for x in f], 2 * f.den)
 
     with pytest.raises(WpError, match="fixpoint check"):
         helpers.one_state_loop(_Affine()).run(_Vec([1], 1))
