@@ -358,11 +358,16 @@ class _Undef:
         self.index = index
 
     def after(self, a: int, at: dict) -> "_Undef":
-        """The marker read at the state that a reaches from the class `at`."""
+        """The marker read at the state that a reaches from the class `at`;
+        a placed marker is read alike everywhere."""
+        if self.index is not None:
+            return self
         return _Undef(self.what, self.frame.then(a, self.at, at), self.frame)
 
     def placed(self, states: list) -> list:
         """The marker read at each of `states`."""
+        if self.index is not None:
+            return [self] * len(states)
         return [_Undef(self.what, 0, self.frame, t)
                 for t in self.frame.cells(self.at, states)]
 
@@ -455,13 +460,14 @@ def _column(options: list, vec, size: int) -> list:
             col = part if col is None else list(map(add, col, part))
         if col is None:  # ABORT
             col = [0] * size
-        if best is None:
-            best = col
-        else:
-            best = [b if b.__class__ is _Undef else
-                    c if c.__class__ is _Undef or not b <= c else b
-                    for b, c in zip(best, col)]
+        best = col if best is None else list(map(_least, best, col))
     return best
+
+
+def _least(b, c):
+    """The lesser of two values, where a marker wins over a value and the
+    first marker met over a later one."""
+    return b if b.__class__ is _Undef else c if c.__class__ is _Undef or not b <= c else b
 
 
 class _Lazy:
@@ -582,82 +588,125 @@ class _CSeq:
         return self.first.run(self.second.run(f))
 
 
-class _CWhile:
-    """A loop with a demonic choice left, solved exactly on every run; see
-    the module notes.  The gate is a pick over the body's output (slot 0)
-    and the exits (slot 1)."""
+class _CLoop:
+    """A loop solved on every run, over the positions of its step (see
+    Loops): class k of key is at places[k], or nowhere where the loop exits
+    at once, and a position from m on holds an exit.  step(x, exits, den)
+    runs the step on x over the positions and the exits, both over den;
+    parts are the compiled nodes it runs.  The stuck positions, and the
+    undefined ones when no marker reaches the exits, are found here."""
 
-    def __init__(self, gate: _CPick, body):
-        self.gate = gate
-        self.body = body
-        self.stuck = self._stuck_states(gate.frame.n)
-
-    def _step(self, x: list, exits: list, den: int) -> _Vec:
-        """The gate over the body's output at x and the exits, both over den."""
-        out = self.body.run(_Vec(x, den))
-        return self.gate.apply(_stacked([out, _Vec(exits, den)]))
-
-    def _stuck_states(self, n):
-        """States where the demon can keep the loop going forever: the
-        greatest Z with step([not Z]) = 0 on Z, exits scored 1."""
-        stuck = set(range(n))
-        while stuck:
-            out = self._step([0 if i in stuck else 1 for i in range(n)], [1] * n, 1)
-            kept = {i for i in stuck
-                    if out[i].__class__ is not _Undef and out[i] == 0}
-            if kept == stuck:
-                break
-            stuck = kept
-        return stuck
-
-    def _undefined(self, f):
-        """The states that turn undefined on the way up from 0: the least
-        marker set the step maps to itself.  Markers ignore values."""
-        exits = [x if x.__class__ is _Undef else 0 for x in f]
-        undef: dict[int, _Undef] = {}
-        while True:
-            out = self._step([undef.get(i, 0) for i in range(len(f))], exits, 1)
-            grown = {i: v for i, v in enumerate(out) if v.__class__ is _Undef}
-            if grown.keys() == undef.keys():
-                return undef
-            undef = grown
+    def __init__(self, frame: _Frame, key: tuple, places, step, marks: list,
+                 held: int, parts: tuple):
+        self.frame, self.key, self.places, self.step = frame, key, places, step
+        self.parts = parts
+        self.m = sum(p is not None for p in places)
+        self.n = self.m + held
+        self.exits = range(frame.n)  # per exit, the state it reaches
+        self.stuck = _stuck(step, self.n, len(marks))
+        self.undef = _undefined(step, self.n, marks)
 
     def run(self, f):
-        n, stuck, den = len(f), self.stuck, f.den
-        undef, ints, ceiling = self._undefined(f), None, None
-        live = [i for i in range(n) if i not in undef and i not in stuck]
-        fv = [x if x.__class__ is _Undef else _value(x) for x in f]
-        d, v = 1, [0] * n  # the values of the current policy, over den * d
-        while True:
-            # the step at v, run on _Lin values: its values, and its forms,
-            # which are the improved policy
-            x = [undef.get(i) or (0 if i in stuck else _Lin(v[i], {i: 1}))
-                 for i in range(n)]
-            exits = [x if x.__class__ is _Undef else _Lin(x * d, {~i: 1})
-                     for i, x in enumerate(fv)]
-            out = self._step(x, exits, den * d)
-            scale = out.den // (den * d)
-            step = [_value(y) for y in out]
-            if ints is not None:
-                # policy iteration descends: step(v) <= v, and each policy's
-                # values lie below the step that chose it; a fixpoint ends it
-                if any(step[s] > v[s] * scale or (ceiling is not None and
-                       v[s] * ceiling.den > ceiling[s] * den * d) for s in live):
-                    raise WpError(_FIXPOINT_BUG)
-                if all(step[s] == v[s] * scale for s in live):
-                    break
-                ceiling = _Vec(step, out.den)
-            d, ints = absorb({s: (scale, out[s].form if isinstance(out[s], _Lin) else {})
-                              for s in live})
-            v = [0] * n
-            for s in live:
-                v[s] = sum(c * fv[~k] for k, c in ints[s].items())
-        result: list = [0] * n
-        for i, marker in undef.items():
-            result[i] = marker
-        for s in live:  # the last check ran on these rows: no marker is met
-            result[s] = sum(c * f[~k] for k, c in ints[s].items())
-        return _Vec(result, den * d)
+        exits = [f[i] for i in self.exits]
+        undef = self.undef
+        if any(x.__class__ is _Undef for x in exits):  # met after the loop
+            undef = _undefined(self.step, self.n, exits)
+        d, ints = _solve(self.step, self.m, self.n, self.stuck, undef, exits, f.den)
+        out: list = [0] * self.frame.n
+        for p, states in zip(self.places, self.frame.members(self.key)):
+            if p is None:
+                for i in states:
+                    out[i] = f[i] * d
+            elif p in undef:
+                for i, marker in zip(states, undef[p].placed(states)):
+                    out[i] = marker
+            elif p not in self.stuck:  # the end check ran on its row: no marker
+                value = sum(c * exits[~k] for k, c in ints[p].items())
+                for i in states:
+                    out[i] = value
+        return _Vec(out, f.den * d)
+
+
+def _states_loop(gate: _CPick, body) -> _CLoop:
+    """A loop whose positions are the states: the step runs the body, and
+    the gate reads its output (slot 0) and the exits (slot 1)."""
+    frame = gate.frame
+
+    def step(x, exits, den):
+        return gate.apply(_stacked([body.run(_Vec(x, den)), _Vec(exits, den)]))
+
+    return _CLoop(frame, tuple(range(len(frame.sizes))), range(frame.n), step,
+                  [0] * frame.n, 0, (gate, body))
+
+
+def _stuck(step, n: int, exits: int) -> set:
+    """The positions where the demon can keep the loop going forever: the
+    greatest Z with step([not Z]) = 0 on Z, exits scored 1, that is where
+    some option keeps all its mass in Z; their value is 0."""
+    stuck = set(range(n))
+    while stuck:
+        out = step([0 if i in stuck else 1 for i in range(n)], [1] * exits, 1)
+        kept = {i for i in stuck if out[i].__class__ is not _Undef and out[i] == 0}
+        if kept == stuck:
+            break
+        stuck = kept
+    return stuck
+
+
+def _undefined(step, n: int, exits: list) -> dict:
+    """The positions that turn undefined on the way up from 0, given the
+    markers at the exits: the least marker set the step maps to itself.
+    Markers ignore values."""
+    exits = [x if x.__class__ is _Undef else 0 for x in exits]
+    undef: dict = {}
+    while True:
+        out = step([undef.get(i, 0) for i in range(n)], exits, 1)
+        grown = {i: v for i, v in enumerate(out) if v.__class__ is _Undef}
+        if grown.keys() == undef.keys():
+            return undef
+        undef = grown
+
+
+def _solve(step, m: int, n: int, stuck: set, undef: dict, exits: list, den: int) -> tuple:
+    """(d, per live position below m its value as {~exit: int} over d), by
+    policy iteration over memoryless demon choices; exits holds ints over
+    den, _Lin values or markers, and position m + e holds exit e."""
+    live = [i for i in range(m) if i not in undef and i not in stuck]
+    fv = [x if x.__class__ is _Undef else _value(x) for x in exits]
+    d, v, rows, ceiling = 1, [0] * m, None, None  # v: the policy's values, over den * d
+    while True:
+        # the step at v, run on _Lin values: its values, and its forms,
+        # which are the improved policy
+        ex = [x if x.__class__ is _Undef else _Lin(x * d, {~e: 1}) for e, x in enumerate(fv)]
+        x = [undef.get(i) or (0 if i in stuck else _Lin(v[i], {i: 1})) for i in range(m)]
+        out = step(x + ex[:n - m], ex, den * d)
+        scale = out.den // (den * d)
+        now = [_value(y) for y in out]
+        if rows is not None:
+            # policy iteration descends: step(v) <= v, and each policy's
+            # values lie below the step that chose it; a fixpoint ends it
+            if any(now[s] > v[s] * scale or (ceiling is not None and
+                   v[s] * ceiling.den > ceiling[s] * den * d) for s in live):
+                raise WpError(_FIXPOINT_BUG)
+            if all(now[s] == v[s] * scale for s in live):
+                break
+            ceiling = _Vec(now, out.den)
+        rows = {s: (scale, out[s].form if out[s].__class__ is _Lin else {}) for s in live}
+        d, ints = absorb(rows)
+        v = [0] * m
+        for s in live:
+            v[s] = sum(c * fv[~k] for k, c in ints[s].items())
+    # the end check: the last policy's rows map its solved values to
+    # themselves as forms over the exits, so for every post
+    for s, (w, row) in rows.items():
+        want: dict = {}
+        for t, c in row.items():
+            for e, y in (ints[t] if t >= 0 else {t: d}).items():
+                want[e] = want.get(e, 0) + c * y
+        if ({e: y for e, y in want.items() if y}
+                != {e: y * w for e, y in ints[s].items() if y}):
+            raise WpError(_FIXPOINT_BUG)
+    return d, ints
 
 
 _FIXPOINT_BUG = ("exact loop solve failed its fixpoint check; "
@@ -813,22 +862,128 @@ def _choice(gate: _CPick, branches: list) -> _CPick:
 
 
 def _loop(prog: While, frame: _Frame, after: tuple):
-    """A WHILE, summarised when its composed step has one option per
-    class; the markers that the statements `after` it meet at the exits
-    count then, as they would when run."""
+    """A WHILE over the positions of its step: summarised into a flat pick
+    where the step has one option per class, with the markers that the
+    statements `after` it meet at the exits, as they would when run; else
+    a _CLoop."""
     kind = static_kind(prog.guard, frame.space)
     if kind not in ("bool", "num"):
         raise WpError("loop condition must be boolean or numeric")
     gate = _CPick(frame, *_either(frame, *_eval_guarded(
         frame, prog.guard, "bool" if kind == "bool" else "prob")))
     body = _compile(prog.body, frame)
-    if _flat(body):
-        # slot 0 goes round again through the body, slot 1 exits
-        step = _compose(_union(gate.key, body.key), gate, lambda at, a: _point(a) if a
-                        else body.entries[frame.index(body.key, at)], body.single)
-        if _one_option(step):
-            return _summary(step, body, _exits(after, frame))
-    return _CWhile(gate, body)
+    # slot 0 goes round again through the body, slot 1 exits
+    step = _flat(body) and _compose(_union(gate.key, body.key), gate, lambda at, a: _point(
+        a) if a else body.entries[frame.index(body.key, at)], body.single)
+    if not step:
+        return _states_loop(gate, body)
+    may, must = body.writes
+    out_at, every = frame.slots, range(len(frame.sizes))
+    key = _union(step.key, may - must)
+    if any(e != _point(out_at) and out_at in o[1] for e in step.entries for o in e):
+        key = _union(key, may)  # stops mid-round: keep what rounds write
+    if not step.single:
+        # the demon chooses by the post at the exits, so every exit is a state
+        key = _union(key, set(every) - may)
+        places, run, atoms, marks = _positions(frame, step, key, lambda at: None)
+        loop = _CLoop(frame, key, places, run, marks, len(atoms), (step,))
+        loop.exits = [frame.cells(a, [0])[0] for a in atoms]
+        return loop
+    marks_key, after_marks = _exits(after, frame)
+    key = _union(key, marks_key)
+
+    def mark(at):
+        return after_marks[frame.index(marks_key, at)]
+
+    places, run, atoms, marks = _positions(frame, step, key, mark)
+    loop = _CLoop(frame, key, places, run, marks, len(atoms), (step,))
+    stuck, undef = loop.stuck, loop.undef
+    d, ints = _solve(run, loop.m, loop.n, stuck, undef, marks, 1)  # one policy
+    entries = []
+    for p, at in zip(places, frame.classes(key)):
+        if p is None:
+            entries.append(_point(mark(at) or 0))
+        elif p in undef:
+            entries.append(_point(undef[p]))
+        elif p in stuck:
+            entries.append(_ABORT)
+        else:
+            # every exit writes the same variables, so in the order of their
+            # atoms they reach states in order, as a run meets them
+            exits = sorted((atoms[~e], c) for e, c in ints[p].items() if c)
+            entries.append((_option({frame.atom(0, frame.digits(e)[1], at): Fraction(c, d)
+                                     for e, c in exits}),))
+    return _CPick(frame, key, entries)
+
+
+def _positions(frame: _Frame, step: _CPick, key: tuple, mark) -> tuple:
+    """(places, run, atoms, marks): a loop's composed step (an atom of slot
+    0 goes round again, slot 1 exits) over the classes of key.  Class k is
+    at position places[k], or None where the guard is false; an atom that
+    reaches such a class is an exit, held at a position of its own from m
+    on, as a run holds a state where the guard is false.  Exit e goes to
+    atoms[e], key's values where the loop stops and the last round's values
+    of the variables every round writes; marks[e] is mark(class it leaves
+    from), the marker that what follows meets there, or 0.  run(x, exits,
+    den) is the step over the positions."""
+    classes, out_at = frame.classes(key), frame.slots
+    entries = [step.entries[frame.index(step.key, at)] for at in classes]
+    places, m = [], 0
+    for e in entries:
+        places.append(None if e == _point(out_at) else m)
+        m += places[-1] is not None
+    w = lcm(*{x.denominator for e in entries for o in e for x in o[0]})
+    found: dict = {}  # exit atom -> its index
+    marks = []
+
+    def exit_of(j, a):
+        ds = frame.digits(a)[1]
+        e = frame.atom(0, [classes[j][v] + 1 if v in classes[j] else d
+                           for v, d in enumerate(ds)], {})
+        if e not in found:
+            found[e] = len(found)
+            marks.append(mark(classes[j]) or 0)
+        return found[e]
+
+    plan = []  # per position, its options, each parts (c, t, a): c / w times
+    for k, at in enumerate(classes):  # x[t] read through atom a, or exits[~t]
+        if places[k] is None:
+            continue
+        options = []
+        for ws, atoms in entries[k]:
+            parts = []
+            for x, a in zip(ws, atoms):
+                c = x.numerator * (w // x.denominator)
+                if a.__class__ is _Undef:
+                    parts.append((None, a, 0))
+                elif a == out_at:  # exits here
+                    parts.append((c, ~exit_of(k, 0), 0))
+                else:
+                    j = frame.reach(key, a, at)
+                    parts.append((c, m + exit_of(j, a) if places[j] is None else places[j], a))
+            options.append(parts)
+        plan.append((at, options))
+    plan += [({}, [[(w, ~e, 0)]]) for e in range(len(found))]
+
+    def run(x, exits, den):
+        out = []
+        for at, options in plan:
+            best = None
+            for parts in options:
+                col = 0
+                for c, t, a in parts:
+                    if c is None:  # a marker
+                        col = col + t
+                    elif t < 0:
+                        col = col + c * exits[~t]
+                    else:  # a marker there is read from this class
+                        y = x[t]
+                        col = col + (y.after(a, at) if y.__class__ is _Undef else c * y)
+                best = col if best is None else _least(best, col)
+            out.append(best)
+        return _Vec(out, den * w)
+
+    return places, run, list(found), marks
 
 
 def _exits(after: tuple, frame: _Frame) -> tuple:
@@ -857,117 +1012,6 @@ def _exits(after: tuple, frame: _Frame) -> tuple:
 def _first_mark(e: tuple) -> Optional[_Undef]:
     """The marker an entry meets on the post 0, or None."""
     return next((o[1][-1] for o in e if _meets(o)), None)
-
-
-def _one_option(step: Optional[_CPick]) -> bool:
-    """Whether a composed step exists and has one option per class."""
-    return step is not None and step.single
-
-
-def _summary(step: _CPick, body: _CPick, exits: tuple) -> _CPick:
-    """A loop whose composed step (a flat pick: an atom of slot 0 goes
-    round again, slot 1 exits) has one option per class, solved once,
-    with linear.absorb, over the classes of the loop's key.
-
-    The undefined classes, given the markers that what follows meets at
-    the exits (see _exits), and the stuck classes, which become ABORT, are
-    set aside as _CWhile sets its states aside.  A class where the guard is false exits
-    at once.  The rest get their exit sub-distribution, checked to satisfy
-    the step exactly.
-    """
-    frame = step.frame
-    may, must = body.writes
-    out_at = frame.slots  # the exit atom: slot 1, nothing written
-    out = _point(out_at)
-    # what follows reads its markers at the exit state
-    key = _union(step.key, may - must, exits[0])
-    if any(e != out and out_at in e[0][1] for e in step.entries):
-        key = _union(key, may)  # stops mid-round: keep what rounds write
-    classes = frame.classes(key)
-    # per class, its one option
-    opts = [step.entries[frame.index(step.key, at)][0] for at in classes]
-
-    def go(k, a):
-        return frame.reach(key, a, classes[k])
-
-    stuck = set(range(len(classes)))
-    while stuck:
-        kept = {k for k in stuck if all(
-            a.__class__ is int and a < out_at and go(k, a) in stuck
-            for a in opts[k][1])}
-        if kept == stuck:
-            break
-        stuck = kept
-
-    def met(k, a, undef):
-        """The marker that atom a meets from class k, or None."""
-        if a.__class__ is _Undef:
-            return a
-        if a == out_at:
-            return exits[1][frame.index(exits[0], classes[k])]
-        m = undef.get(go(k, a))
-        return m.after(a, classes[k]) if m is not None else None
-
-    undef: dict = {}
-    while True:
-        grown = {}
-        for k, (_, atoms) in enumerate(opts):
-            m = next((m for m in (met(k, a, undef) for a in atoms) if m is not None), None)
-            if m is not None:
-                grown[k] = m
-        if grown.keys() == undef.keys():
-            break
-        undef = grown
-
-    def exit_of(j, a):
-        # key's values at class j, and what the last round wrote elsewhere
-        ds = frame.digits(a)[1]
-        return ~frame.atom(0, [classes[j][v] + 1 if v in classes[j] else d
-                               for v, d in enumerate(ds)], {})
-
-    done = {k for k, o in enumerate(opts) if (o,) == out}  # the guard is false
-    rows = {}  # per class its row, ints over the lcm of its weights
-    for k, (weights, atoms) in enumerate(opts):
-        if k in undef or k in stuck or k in done:
-            continue
-        w = lcm(*(x.denominator for x in weights))
-        row: dict = {}
-        for x, a in zip(weights, atoms):
-            if a == out_at:
-                t = exit_of(k, 0)
-            else:
-                j = go(k, a)
-                if j in stuck:
-                    continue
-                t = exit_of(j, a) if j in done else j
-            row[t] = row.get(t, 0) + x.numerator * (w // x.denominator)
-        rows[k] = (w, row)
-    d, solved = absorb(rows)
-    # the fixpoint check: row k is its step applied to the rows, in ints
-    # over d times the step's w
-    for k, (w, row) in rows.items():
-        want: dict = {}
-        for t, c in row.items():
-            for e, y in (solved[t] if t >= 0 else {t: d}).items():
-                want[e] = want.get(e, 0) + c * y
-        if ({e: y for e, y in want.items() if y}
-                != {e: y * w for e, y in solved[k].items() if y}):
-            raise WpError(_FIXPOINT_BUG)
-    entries = []
-    for k, at in enumerate(classes):
-        if k in undef:
-            entries.append(_point(undef[k]))
-        elif k in stuck:
-            entries.append(_ABORT)
-        elif k in done:
-            entries.append(_point(0))
-        else:
-            # every exit writes the same variables, so in the order of their
-            # atoms they reach states in order, as a _CWhile meets them
-            exits_k = sorted((~t, c) for t, c in solved[k].items() if c)
-            entries.append((_option({frame.atom(0, frame.digits(e)[1], at): Fraction(c, d)
-                                     for e, c in exits_k}),))
-    return _CPick(frame, key, entries)
 
 
 def _eval_guarded(frame: _Frame, expr, want: str) -> tuple:

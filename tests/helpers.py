@@ -42,12 +42,12 @@ def pqr_space(grid=EIGHTHS):
 
 
 def one_state_loop(body):
-    """A _CWhile over a one-state space whose guard always holds, with
-    `body` (anything with a run method) as its body."""
-    from pgclkit.wp import _CPick, _CWhile, _Frame, _point  # engine internals
+    """A loop over a one-state space whose guard always holds, with `body`
+    (anything with a run method) as its body, solved state by state."""
+    from pgclkit.wp import _CPick, _Frame, _point, _states_loop  # engine internals
 
     frame = _Frame(space_of(("c", ("H",))))
-    return _CWhile(_CPick(frame, (), [_point(0)]), body)
+    return _states_loop(_CPick(frame, (), [_point(0)]), body)
 
 
 def prog(text, space, **params):
@@ -81,6 +81,14 @@ HALVING_BODY = (
 
 # program (8): the loop plus the final assignment
 HALVING_LOOP = f"WHILE 0 < p & p < 1 DO {HALVING_BODY} OD; x := p"
+
+# the loop before its split is refined: the demon picks any q, r averaging
+# to p, and q = r = p keeps it going forever at every interior p
+FREE_SPLIT_LOOP = "WHILE 0 < p & p < 1 DO q,r :suchthat (q+r)/2 = p; p :in q <1/2> r OD"
+
+# the split constrained to an endpoint, as the halving body makes it
+ENDPOINT_SPLIT_LOOP = ("WHILE 0 < p & p < 1 DO q,r :suchthat (q+r)/2 = p & (q = 0 | r = 1); "
+                       "p :in q <1/2> r OD")
 
 
 def corpus(space_small=None):
@@ -454,3 +462,116 @@ def over_vars_by_state(space, names, seed=0, extra=16, programs=()):
         add(lambda s, t=table: t[tuple(s.values[p] for p in positions)],
             f"random probe {k} over {', '.join(names)}")
     return probes
+
+
+# --- the loop solver state by state, as a reference ---------------------------
+#
+# The engine's loop solver before it worked on classes: every loop with a
+# demonic choice left was solved on every run over all states, finding its
+# stuck and undefined states itself.  Kept unchanged as the oracle that the
+# engine's loops must agree with, values, undefined states and reasons alike.
+
+from pgclkit.errors import WpError  # noqa: E402
+from pgclkit.linear import absorb  # noqa: E402
+from pgclkit.wp import _FIXPOINT_BUG, _Lin, _stacked, _Undef, _value, _Vec  # noqa: E402
+
+
+class CWhile:
+    """A loop with a demonic choice left, solved exactly on every run; see
+    the notes above.  The gate is a pick over the body's output (slot 0)
+    and the exits (slot 1)."""
+
+    def __init__(self, gate, body):
+        self.gate = gate
+        self.body = body
+        self.stuck = self._stuck_states(gate.frame.n)
+
+    def _step(self, x: list, exits: list, den: int) -> _Vec:
+        """The gate over the body's output at x and the exits, both over den."""
+        out = self.body.run(_Vec(x, den))
+        return self.gate.apply(_stacked([out, _Vec(exits, den)]))
+
+    def _stuck_states(self, n):
+        """States where the demon can keep the loop going forever: the
+        greatest Z with step([not Z]) = 0 on Z, exits scored 1."""
+        stuck = set(range(n))
+        while stuck:
+            out = self._step([0 if i in stuck else 1 for i in range(n)], [1] * n, 1)
+            kept = {i for i in stuck
+                    if out[i].__class__ is not _Undef and out[i] == 0}
+            if kept == stuck:
+                break
+            stuck = kept
+        return stuck
+
+    def _undefined(self, f):
+        """The states that turn undefined on the way up from 0: the least
+        marker set the step maps to itself.  Markers ignore values."""
+        exits = [x if x.__class__ is _Undef else 0 for x in f]
+        undef: dict[int, _Undef] = {}
+        while True:
+            out = self._step([undef.get(i, 0) for i in range(len(f))], exits, 1)
+            grown = {i: v for i, v in enumerate(out) if v.__class__ is _Undef}
+            if grown.keys() == undef.keys():
+                return undef
+            undef = grown
+
+    def run(self, f):
+        n, stuck, den = len(f), self.stuck, f.den
+        undef, ints, ceiling = self._undefined(f), None, None
+        live = [i for i in range(n) if i not in undef and i not in stuck]
+        fv = [x if x.__class__ is _Undef else _value(x) for x in f]
+        d, v = 1, [0] * n  # the values of the current policy, over den * d
+        while True:
+            # the step at v, run on _Lin values: its values, and its forms,
+            # which are the improved policy
+            x = [undef.get(i) or (0 if i in stuck else _Lin(v[i], {i: 1}))
+                 for i in range(n)]
+            exits = [x if x.__class__ is _Undef else _Lin(x * d, {~i: 1})
+                     for i, x in enumerate(fv)]
+            out = self._step(x, exits, den * d)
+            scale = out.den // (den * d)
+            step = [_value(y) for y in out]
+            if ints is not None:
+                # policy iteration descends: step(v) <= v, and each policy's
+                # values lie below the step that chose it; a fixpoint ends it
+                if any(step[s] > v[s] * scale or (ceiling is not None and
+                       v[s] * ceiling.den > ceiling[s] * den * d) for s in live):
+                    raise WpError(_FIXPOINT_BUG)
+                if all(step[s] == v[s] * scale for s in live):
+                    break
+                ceiling = _Vec(step, out.den)
+            d, ints = absorb({s: (scale, out[s].form if isinstance(out[s], _Lin) else {})
+                              for s in live})
+            v = [0] * n
+            for s in live:
+                v[s] = sum(c * fv[~k] for k, c in ints[s].items())
+        result: list = [0] * n
+        for i, marker in undef.items():
+            result[i] = marker
+        for s in live:  # the last check ran on these rows: no marker is met
+            result[s] = sum(c * f[~k] for k, c in ints[s].items())
+        return _Vec(result, den * d)
+
+
+def reference_loops(monkeypatch, only=None):
+    """From now on, the engine compiles every WHILE (or only the one `only`)
+    as a CWhile; its own compiler still raises what it raises."""
+    import importlib
+
+    from pgclkit.exprs import static_kind
+
+    engine = importlib.import_module("pgclkit.wp")  # not the function pgclkit.wp
+
+    compile_loop = engine._loop
+
+    def reference(prog, frame, after):
+        node = compile_loop(prog, frame, after)
+        if only is not None and prog is not only:
+            return node
+        kind = "bool" if static_kind(prog.guard, frame.space) == "bool" else "prob"
+        gate = engine._CPick(frame, *engine._either(frame, *engine._eval_guarded(
+            frame, prog.guard, kind)))
+        return CWhile(gate, engine._compile(prog.body, frame))
+
+    monkeypatch.setattr(engine, "_loop", reference)

@@ -2,6 +2,7 @@
 demon-free loops are solved once, and the values agree with independent
 oracles."""
 
+import collections
 import gc
 import importlib
 import itertools
@@ -26,7 +27,7 @@ from pgclkit import (
 from pgclkit.errors import EvalError
 from pgclkit.expectations import Expectation
 from pgclkit.programs import Seq, While, children, loop_free
-from pgclkit.wp import _CPick, _CSeq, _CWhile, _flat, _Undef, _Vec, compile_program
+from pgclkit.wp import _CLoop, _CPick, _CSeq, _flat, _Undef, _Vec, compile_program
 
 F = Fraction
 
@@ -133,8 +134,8 @@ def _picks(node):
         yield from _picks(node.first)
         yield from _picks(node.second)
     else:
-        yield from _picks(node.gate)
-        yield from _picks(node.body)
+        for part in node.parts:
+            yield from _picks(part)
 
 
 def test_every_entry_is_a_tuple_of_weights_and_atoms_options():
@@ -191,11 +192,17 @@ def test_a_fully_built_pick_lets_go_of_its_parts():
     assert all(part() is None for part in parts)
 
 
+RUIN_DEMONIC = ("WHILE 0 < i & i < 12 DO (i := i + 1 <1/2> i := i - 1) "
+                "|^| (i := i + 1 <1/3> i := i - 1) OD")
+
+
 def test_demonic_loop_stays_a_while():
     space = space_of(("i", tuple(range(13))))
-    node = root("WHILE 0 < i & i < 12 DO (i := i + 1 <1/2> i := i - 1) "
-                "|^| (i := i + 1 <1/3> i := i - 1) OD", space)
-    assert isinstance(node, _CWhile)
+    node = root(RUIN_DEMONIC, space)
+    assert isinstance(node, _CLoop)
+    # its step composes, so it runs over the 13 classes of i, of which 11
+    # go round again; the two exits are held at positions of their own
+    assert node.key == (0,) and node.m == 11 and node.n == 13
 
 
 def test_a_flat_pick_holds_its_markers_inline():
@@ -290,39 +297,91 @@ def test_a_long_demonic_chain_keeps_the_denominator_of_its_values():
 
 
 def test_policy_iteration_runs_the_body_once_per_round(monkeypatch):
-    # the demonic ruin loop of the benchmark: one body run per policy solved
-    # plus one for the check that ends the iteration, besides the runs that
-    # find the undefined states
+    # the demonic ruin loop of the benchmark: its stuck and undefined
+    # positions are found when it is compiled, so a run evaluates the step
+    # once per policy solved plus once for the check that ends the iteration
     space = space_of(("i", tuple(range(13))))
-    compiled = compile_program(helpers.prog(
-        "WHILE 0 < i & i < 12 DO (i := i + 1 <1/2> i := i - 1) "
-        "|^| (i := i + 1 <1/3> i := i - 1) OD", space), space)
+    compiled = compile_program(helpers.prog(RUIN_DEMONIC, space), space)
     loop = compiled._root
-    assert isinstance(loop, _CWhile)
-    runs, solves, finding = [], [], []
-    body_run, undefined, solve = loop.body.run, loop._undefined, wp_module.absorb
+    assert isinstance(loop, _CLoop)
+    steps, solves, found = [], [], []
+    step, undefined, solve = loop.step, wp_module._undefined, wp_module.absorb
 
-    def run(f):
-        runs.append(bool(finding))
-        return body_run(f)
-
-    def find(f):
-        finding.append(True)
-        try:
-            return undefined(f)
-        finally:
-            finding.pop()
+    def counting(*args):
+        steps.append(True)
+        return step(*args)
 
     def absorb(rows):
         solves.append(rows)
         return solve(rows)
 
-    monkeypatch.setattr(loop.body, "run", run)
-    monkeypatch.setattr(loop, "_undefined", find)
+    monkeypatch.setattr(loop, "step", counting)
+    monkeypatch.setattr(wp_module, "_undefined", lambda *args: found.append(args))
+    monkeypatch.setattr(wp_module, "_stuck", lambda *args: found.append(args))
     monkeypatch.setattr(wp_module, "absorb", absorb)
     pre = compiled.wp(helpers.bracket_post(space, "i = 12")).pre
-    assert pre.values[12] == 1 and len(solves) > 1 and True in runs
-    assert runs.count(False) == len(solves) + 1
+    assert pre.values[12] == 1 and len(solves) > 1 and not found
+    assert len(steps) == len(solves) + 1
+
+
+def _free_split(denominator):
+    space = helpers.pqr_space(tuple(F(k, denominator) for k in range(denominator + 1)))
+    return helpers.prog(helpers.FREE_SPLIT_LOOP, space), space
+
+
+@pytest.mark.parametrize("denominator", [8, 16])
+def test_free_split_loop_solves_over_the_classes_of_p_and_x(denominator, monkeypatch):
+    # the body reads p alone and writes p, q and r on every round, so the
+    # demon's choices are solved over p and x, 2 * (d + 1) classes, where a
+    # run over the states solved one row per state where the guard is
+    # false: 324 rows on eighths, 1 156 on sixteenths
+    prog, space = _free_split(denominator)
+    compiled = compile_program(prog, space)
+    calls = _absorbed_rows(monkeypatch)
+    rng = random.Random(denominator)
+    posts = [helpers.bracket_post(space, "x = 1"), Expectation(
+        space, tuple(F(rng.randrange(1, 9), 4) for _ in range(space.size)))]
+    for post in posts:
+        pre = compiled.wp(post).pre
+        # every interior p is stuck, since the demon can pick q = r = p;
+        # at p = 0 and p = 1 the loop exits at once
+        for i, state in enumerate(space.states()):
+            assert pre.values[i] == (post.values[i] if state["p"] in (0, 1) else 0)
+    assert calls and all(rows <= 2 * (denominator + 1) for rows in calls)
+
+
+# the free split made proper, q < r: the demon still picks the split, but
+# p moves every round, so the loop stops almost surely and every interior
+# class of p and x is solved.  (The free split itself solves no system: all
+# its interior classes are stuck, and the rest exit at once.)
+PROPER_SPLIT_LOOP = ("WHILE 0 < p & p < 1 DO q,r :suchthat (q+r)/2 = p & q < r; "
+                     "p :in q <1/2> r OD")
+
+
+@pytest.mark.parametrize("text, space", [
+    (RUIN_DEMONIC, space_of(("i", tuple(range(13))))),
+    (PROPER_SPLIT_LOOP, helpers.pqr_space()),
+])
+def test_perturbed_solve_fails_the_fixpoint_check_on_a_demonic_loop(text, space, monkeypatch):
+    compiled = compile_program(helpers.prog(text, space), space)
+    absorb = wp_module.absorb
+
+    def perturbed(rows):
+        d, out = absorb(rows)
+        if out:
+            row = out[max(out)]
+            row[next(iter(row))] += 1
+        return d, out
+
+    monkeypatch.setattr(wp_module, "absorb", perturbed)
+    for post in (helpers.bracket_post(space, "true"), constant(space, 2)):
+        with pytest.raises(WpError, match="fixpoint check"):
+            compiled.wp(post)
+    if text == PROPER_SPLIT_LOOP:  # it does solve a row per interior class
+        monkeypatch.setattr(wp_module, "absorb", absorb)
+        calls = _absorbed_rows(monkeypatch)
+        compiled.wp(constant(space, 2))
+        assert calls[0] == 2 * 7
 
 
 def test_summarised_loop_solves_once_at_compile_time(monkeypatch):
@@ -412,7 +471,7 @@ def test_random_programs_match_the_oracles():
     assert summarised > RANDOM_PROGRAMS // 2
 
 
-# --- a summarised loop against the same loop run as a _CWhile ------------------
+# --- each loop against the same loop run by the reference solver ---------------
 
 
 def _loop_parts(prog) -> list:
@@ -455,45 +514,36 @@ def _outputs(prog, space, posts) -> list:
     return outs
 
 
-def _loop_agrees(prog, loop, space, posts, monkeypatch) -> bool:
-    """Whether prog gives the same values, undefined states and reasons with
-    `loop`, a WHILE in it, summarised and with that loop left a _CWhile;
-    False when the loop is not summarised."""
-    if not _flat(compile_program(loop.body, space)._root):
-        return False
-    one_option, compile_loop, calls, own = wp_module._one_option, wp_module._loop, [], []
+def _kind(node) -> str:
+    """How the engine compiled a loop: summarised into a flat pick, or a
+    _CLoop over the classes of its step or over the states."""
+    return "summary" if _flat(node) else "classes" if len(node.parts) == 1 else "states"
 
-    def recording(step):
-        calls.append(one_option(step))
-        return calls[-1]
 
-    def tracking(prog, *args):
+def _loop_agrees(prog, loop, space, posts, monkeypatch) -> str:
+    """Assert that prog gives the same values, undefined states and reasons
+    with `loop`, a WHILE in it, compiled by the engine and compiled as the
+    reference helpers.CWhile; returns how the engine compiled it."""
+    kinds, compile_loop = [], wp_module._loop
+
+    def recording(prog, *args):
         node = compile_loop(prog, *args)
-        if prog is loop:  # its own test is the last one made compiling it
-            own.append(len(calls))
+        if prog is loop:
+            kinds.append(_kind(node))
         return node
 
-    monkeypatch.setattr(wp_module, "_one_option", recording)
-    monkeypatch.setattr(wp_module, "_loop", tracking)
-    summarised = _outputs(prog, space, posts)
-    if not calls[own[0] - 1]:
-        return False
-
-    def all_but_own(step):
-        calls.append(None)
-        return len(calls) != own[0] and one_option(step)
-
-    calls.clear()
-    monkeypatch.setattr(wp_module, "_one_option", all_but_own)
-    assert _outputs(prog, space, posts) == summarised
-    monkeypatch.setattr(wp_module, "_one_option", one_option)
-    monkeypatch.setattr(wp_module, "_loop", compile_loop)
-    return True
+    with monkeypatch.context() as m:
+        m.setattr(wp_module, "_loop", recording)
+        engine = _outputs(prog, space, posts)
+    with monkeypatch.context() as m:
+        helpers.reference_loops(m, only=loop)
+        assert _outputs(prog, space, posts) == engine
+    return kinds[0]
 
 
 # a summarised loop followed by a part that stays unfused: the loop must
-# report the marker that part meets first, as the _CWhile does, not the one
-# at its lowest exit state
+# report the marker that part meets first, as the reference does, not the
+# one at its lowest exit state
 UNFUSED_REST = (
     "WHILE 1/3 DO y :in 0 |^| 0 OD; IF 1 / x THEN (IF false THEN y :suchthat x = 0 "
     "ELSE x :in {1, 1}) ELSE (y := x - 1 |^| x :dist [x / 2: 1/3, 2: 2/3])"
@@ -501,8 +551,8 @@ UNFUSED_REST = (
 
 
 # a summarised loop in a branch of a choice that more statements follow:
-# the loop must read their markers as the _CWhile does, not in the order of
-# its exit states
+# the loop must read their markers as the reference does, not in the order
+# of its exit states
 BRANCH_LOOP = (
     "((WHILE 1/2 DO y := 0 OD) |^| (IF x THEN SKIP ELSE {x > y})); "
     "(IF 1/2 THEN y := 2 * y ELSE (y :suchthat x < 2; y :in {1/x, x/2}))"
@@ -538,15 +588,49 @@ def test_summarised_loops_agree_with_cwhile(monkeypatch):
         text = (f"(({loop}) {gen.choice(('|^|', '<1/2>'))} "
                 f"({helpers.random_program(gen, depth=1)})); {helpers.random_program(gen)}")
         programs.append((helpers.prog(text, space), space))
-    compared = in_branch = 0
+    kinds, in_branch = collections.Counter(), 0
     for prog, space in programs:
         posts = [[1] * space.size] + [[rng.randrange(0, 9) for _ in range(space.size)]
                                       for _ in range(2)]
         for part, loop in _loop_parts(prog):
             try:
-                agrees = _loop_agrees(part, loop, space, posts, monkeypatch)
+                kind = _loop_agrees(part, loop, space, posts, monkeypatch)
             except AssertionError as exc:
                 raise AssertionError(f"{part}: {exc}") from exc
-            compared += agrees
-            in_branch += agrees and part is not loop and part.first is not loop
-    assert compared > 100 and in_branch > 25
+            kinds[kind] += 1
+            in_branch += kind == "summary" and part is not loop and part.first is not loop
+    assert kinds["summary"] > 100 and in_branch > 25, (kinds, in_branch)
+    assert kinds["classes"] > 10 and kinds["states"] > 30, kinds
+
+
+def _results(prog, space, posts) -> list:
+    """wp of each post in both undefined modes, or the error's text."""
+    compiled = compile_program(prog, space)
+    out = []
+    for post in posts:
+        for cfg in (None, WpConfig(undefined="mask")):
+            try:
+                out.append(compiled.wp(post, cfg))
+            except WpError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_every_result_agrees_with_the_reference_solver(monkeypatch):
+    # every loop of each program run by the engine, and every loop run by
+    # the reference; the seeds give 18 programs with a demonic loop whose
+    # step composes and 44 with a body that does not, nested loops among
+    # them, so an outer loop passes its markers into an inner one
+    rng, space = random.Random(14), helpers.random_space()
+    programs = helpers.corpus() + helpers.loop_corpus() + [
+        (helpers.prog(helpers.random_program(random.Random(seed)), space), space)
+        for seed in range(400)]
+    cases = [(prog, space, list(_posts(space, rng))) for prog, space in programs]
+    eighths = helpers.pqr_space()
+    cases.append((helpers.prog(helpers.FREE_SPLIT_LOOP, eighths), eighths, [
+        helpers.bracket_post(eighths, "x = 1"), constant(eighths, 3), Expectation(
+            eighths, tuple(F(rng.randrange(0, 9), 8) for _ in range(eighths.size)))]))
+    engine = [_results(*case) for case in cases]
+    helpers.reference_loops(monkeypatch)
+    for case, got in zip(cases, engine):
+        assert _results(*case) == got, case[0]

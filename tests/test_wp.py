@@ -21,7 +21,7 @@ from pgclkit import (
 )
 from pgclkit.exprs import Var
 from pgclkit.programs import Skip, While
-from pgclkit.wp import _CWhile, _Vec, compile_program
+from pgclkit.wp import _CLoop, _Vec, compile_program
 
 # the module, not the function pgclkit.wp that the package exports
 wp_module = importlib.import_module("pgclkit.wp")
@@ -408,7 +408,7 @@ def test_demonic_ruin_on_coprime_posts_matches_every_policy_exactly():
     space = space_of(("i", tuple(range(n + 1))))
     p = helpers.prog(f"WHILE 0 < i & i < {n} DO (i := i + 1 <1/2> i := i - 1) "
                      f"|^| (i := i + 1 <1/3> i := i - 1) OD", space)
-    assert isinstance(compile_program(p, space)._root, _CWhile)
+    assert isinstance(compile_program(p, space)._root, _CLoop)
     for shift in range(len(COPRIME)):
         f = coprime_post(space, shift)
         # the demon's best memoryless policy is best at every state at once
