@@ -7,7 +7,7 @@ distributions over outcomes, and wp takes the least expected value over
 that set: a coin averages, a demonic choice takes the pointwise minimum,
 assertion failure and a guarded IF with no enabled branch contribute 0.
 A program compiles to three node kinds: _CPick for every statement but
-`;` and WHILE (see the compiled-form notes), _CSeq and _CWhile.  A part
+`;` and WHILE (see the compiled-form notes), _CSeq and _CLoop.  A part
 of the program with no demonic choice left means one fixed
 sub-distribution per state, whatever the post, so it is composed at
 compile time into one flat _CPick (weights may sum to less than 1: the
@@ -21,28 +21,14 @@ Scaling by a positive W keeps the order of values, so every demonic
 minimum picks the option it would pick over Fractions.
 
 Loops are least fixpoints, solved exactly with the compiled body as the
-only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10).  A loop
-first finds two sets, one way for both kinds of loop below:
-
-- undefined states: the least marker set the step maps to itself;
-- stuck states, where the demon can keep the loop going forever: the
-  greatest set Z with step([not Z]) = 0 on Z; their value is 0;
-
-The other states are solved by one of two rules:
-
-- a demon-free loop, whose composed step has one option per class, is
-  summarised once at compile time (_summary): it finds both sets over the
-  classes of its key, and linear.absorb gives each class where the loop
-  runs its sub-distribution over the exits, checked against the step
-  exactly;
-- a loop with a demonic choice (_CWhile) finds both sets over the states
-  and is solved on every run by policy iteration over memoryless demon
-  choices.  Each round runs the body once, on _Lin values: that gives the
-  step at the current values, which the descent and fixpoint checks read,
-  and the policy that attains it.  linear.absorb solves that policy's
-  chain, and the loop ends when the step maps the solved values to
-  themselves exactly.  Outside the stuck states every policy is
-  absorbing, so that fixpoint is unique.
+only oracle (McIver & Morgan 2005; Baier & Katoen 2008, ch. 10), by one
+solver over the positions of a loop's step: the classes of what it reads
+where the body composes into one flat step, else the states.  It finds
+the stuck positions, where the demon can keep the loop going forever, and
+the undefined ones, and runs policy iteration over memoryless demon
+choices (Puterman 1994), which ends with an exact check.  A loop with no
+demonic choice left has one policy and is solved once, at compile time,
+into a flat pick; any other is solved on every run (see the Loops notes).
 
 States whose live execution paths are undefined (division by zero, an
 assignment leaving the variable's domain, a probability outside [0, 1])
@@ -188,26 +174,61 @@ class WpResult:
 # loop body), a loop's step and the markers after a loop read every class
 # of what they read, and so force them all.
 #
-# Loops.  A WHILE whose composed step (the guard over the body, whose
-# atoms go round again in slot 0, and the exit, in slot 1) has one option
-# per class is solved once, here, into a flat pick over its exits
-# (_summary).  Its key K is the step's key plus the variables the body may
-# write but need not, so one absorbing chain runs over the classes of K,
-# and an exit is a partial assignment: K's values where the loop stops,
-# and the last round's values of the variables every round writes.  (A
-# loop that may stop in the middle of a round, under a numeric guard, adds
-# those variables to K too.)  The classes where the guard is false exit at
-# once and stay out of the chain: HALVING_LOOP's chain is its 7 interior
-# values of p on eighths.  A loop with a demonic choice left stays a
-# _CWhile, a gate over the full chain of states, solved by policy
-# iteration on every run.  A sequence is compiled from its last statement
-# back, and every statement is compiled knowing the compiled statements
-# that follow it, so a summarised loop finds its undefined classes, and
-# their reasons, with the markers that what follows it meets at its exits
-# (one run of it on 0), flat or not, whether the loop is followed directly
-# or sits in a branch of a choice that more statements follow: it meets
-# them in the order a _CWhile does.  Those markers may read any variable,
-# so a loop followed by one keys on every variable.
+# Loops.  One solver serves every WHILE.  It works on the loop's step (the
+# guard over the body, whose atoms go round again in slot 0, and the exit,
+# in slot 1) over positions, with one stuck fixpoint, one undefined
+# fixpoint and one policy iteration:
+#
+# - stuck positions (_stuck): where some option keeps all its mass in the
+#   set, so the demon can keep the loop going forever; the greatest Z with
+#   step([not Z]) = 0 on Z, exits scored 1.  Their value is 0.
+# - undefined positions (_undefined): the least marker set the step maps
+#   to itself, each with the first marker met, in option order, then atom
+#   order.
+# - policy iteration (_solve): each round runs the step once, on _Lin
+#   values, which gives the step at the current values, read by the
+#   descent checks, and the policy that attains it; linear.absorb solves
+#   that policy's chain.  The rounds end when the step maps the solved
+#   values to themselves; outside the stuck positions every policy is
+#   absorbing, so that fixpoint is unique.  The end check is exact: the
+#   last policy's rows map its solved values to themselves as forms over
+#   the exits, whatever the post.
+#
+# Where the body is a flat pick and the step composes (under a bool guard
+# it always does; under a numeric one where the body has one option per
+# class), a position is a class of the loop's key K (_positions): the
+# step's key plus the variables the body may write but need not, and all
+# it may write where the loop can stop in the middle of a round, under a
+# numeric guard.  A class where the guard is false exits at once and is no
+# position; an atom that reaches one is an exit, K's values where the loop
+# stops and the last round's values of the variables every round writes,
+# held at a position of its own, as a run over states holds a state where
+# the guard is false.  Elsewhere (a demonic loop in the body, a demon after
+# a coin, a numeric guard over a body with several options), a position is
+# a state, and the step runs the body (_states_loop).
+#
+# A step with one option per class has one policy, so it is solved here,
+# once, into a flat pick over its exits (a summary): HALVING_LOOP's chain
+# is its 7 interior values of p on eighths.  A sequence is compiled from
+# its last statement back, and every statement is compiled knowing the
+# compiled statements that follow it, so a summary finds its undefined
+# classes, and their reasons, with the markers that what follows it meets
+# at its exits (one run of it on 0, _exits), flat or not, whether the loop
+# is followed directly or sits in a branch of a choice that more
+# statements follow: it meets them in the order a run would.  K then
+# includes what those markers read, and a loop followed by a part that is
+# not flat keys on every variable.
+#
+# Any other loop stays a _CLoop, solved on every run.  Its K also takes the
+# variables the body never writes, so every exit is a state and the demon
+# chooses by the post there; states of one class have isomorphic futures,
+# so one memoryless choice per class is optimal (Puterman 1994).  The
+# free-split loop, `q,r :suchthat (q+r)/2 = p; p :in q <1/2> r` under
+# 0 < p < 1, runs on the 34 classes of p and x on sixteenths, not on the
+# 9 826 states.  Its stuck and undefined positions are found when it is
+# compiled, so a run is one policy iteration, unless markers reach its
+# exits (those of an enclosing loop's undefined positions); then its
+# undefined positions are found again with them.
 #
 # Compile cost follows the number of classes built, not the number of
 # states: HALVING_LOOP compiles 9 classes of p on eighths, where the space
@@ -225,10 +246,11 @@ class WpResult:
 # placed markers.  The pick then runs class by class, a column at a time.
 # A vector (_Vec) carries its common denominator; branch outputs are
 # brought to the lcm of theirs before a pick reads them stacked, and so are
-# a loop body's output and the exits.  A _CWhile runs its body on
-# _Lin values through the same columns, once per policy-iteration round,
-# and its output is over the input's denominator times the lcm of its
-# solved rows' denominators.
+# a loop body's output and the exits.  A _CLoop over states runs its body
+# on _Lin values through the same columns, and one over classes its own
+# plan of (weight, position) parts, once per policy-iteration round; its
+# output is over the input's denominator times the lcm of its solved rows'
+# denominators.
 
 _ABORT = (((), ()),)
 _SURE = (ONE,)
@@ -589,19 +611,16 @@ class _CSeq:
 
 
 class _CLoop:
-    """A loop solved on every run, over the positions of its step (see
-    Loops): class k of key is at places[k], or nowhere where the loop exits
-    at once, and a position from m on holds an exit.  step(x, exits, den)
-    runs the step on x over the positions and the exits, both over den;
-    parts are the compiled nodes it runs.  The stuck positions, and the
-    undefined ones when no marker reaches the exits, are found here."""
+    """A loop solved on every run (see Loops): class k of key is at position
+    places[k], None where the loop exits at once; step(x, exits, den) runs
+    the step, and parts are the nodes it runs."""
 
     def __init__(self, frame: _Frame, key: tuple, places, step, marks: list,
                  held: int, parts: tuple):
-        self.frame, self.key, self.places, self.step = frame, key, places, step
-        self.parts = parts
+        self.frame, self.key, self.places, self.step, self.parts = (
+            frame, key, places, step, parts)
         self.m = sum(p is not None for p in places)
-        self.n = self.m + held
+        self.n = self.m + held  # position m + e holds exit e
         self.exits = range(frame.n)  # per exit, the state it reaches
         self.stuck = _stuck(step, self.n, len(marks))
         self.undef = _undefined(step, self.n, marks)
@@ -615,21 +634,19 @@ class _CLoop:
         out: list = [0] * self.frame.n
         for p, states in zip(self.places, self.frame.members(self.key)):
             if p is None:
-                for i in states:
-                    out[i] = f[i] * d
+                values = [f[i] * d for i in states]
             elif p in undef:
-                for i, marker in zip(states, undef[p].placed(states)):
-                    out[i] = marker
-            elif p not in self.stuck:  # the end check ran on its row: no marker
-                value = sum(c * exits[~k] for k, c in ints[p].items())
-                for i in states:
-                    out[i] = value
+                values = undef[p].placed(states)
+            else:  # a live row passed the end check: it meets no marker
+                values = [0 if p in self.stuck else
+                          sum(c * exits[~k] for k, c in ints[p].items())] * len(states)
+            for i, v in zip(states, values):
+                out[i] = v
         return _Vec(out, f.den * d)
 
 
 def _states_loop(gate: _CPick, body) -> _CLoop:
-    """A loop whose positions are the states: the step runs the body, and
-    the gate reads its output (slot 0) and the exits (slot 1)."""
+    """A loop over the states: its step runs the body."""
     frame = gate.frame
 
     def step(x, exits, den):
@@ -640,9 +657,7 @@ def _states_loop(gate: _CPick, body) -> _CLoop:
 
 
 def _stuck(step, n: int, exits: int) -> set:
-    """The positions where the demon can keep the loop going forever: the
-    greatest Z with step([not Z]) = 0 on Z, exits scored 1, that is where
-    some option keeps all its mass in Z; their value is 0."""
+    """The stuck positions (see Loops) of a step over n positions."""
     stuck = set(range(n))
     while stuck:
         out = step([0 if i in stuck else 1 for i in range(n)], [1] * exits, 1)
@@ -654,9 +669,8 @@ def _stuck(step, n: int, exits: int) -> set:
 
 
 def _undefined(step, n: int, exits: list) -> dict:
-    """The positions that turn undefined on the way up from 0, given the
-    markers at the exits: the least marker set the step maps to itself.
-    Markers ignore values."""
+    """The undefined positions (see Loops), given the markers at the exits,
+    each with its marker; markers ignore values."""
     exits = [x if x.__class__ is _Undef else 0 for x in exits]
     undef: dict = {}
     while True:
@@ -668,9 +682,9 @@ def _undefined(step, n: int, exits: list) -> dict:
 
 
 def _solve(step, m: int, n: int, stuck: set, undef: dict, exits: list, den: int) -> tuple:
-    """(d, per live position below m its value as {~exit: int} over d), by
-    policy iteration over memoryless demon choices; exits holds ints over
-    den, _Lin values or markers, and position m + e holds exit e."""
+    """(d, per live position its value as {~exit: int} over d), by policy
+    iteration (see Loops); exits holds ints over den, _Lin values or
+    markers, and position m + e holds exit e."""
     live = [i for i in range(m) if i not in undef and i not in stuck]
     fv = [x if x.__class__ is _Undef else _value(x) for x in exits]
     d, v, rows, ceiling = 1, [0] * m, None, None  # v: the policy's values, over den * d
@@ -862,10 +876,9 @@ def _choice(gate: _CPick, branches: list) -> _CPick:
 
 
 def _loop(prog: While, frame: _Frame, after: tuple):
-    """A WHILE over the positions of its step: summarised into a flat pick
-    where the step has one option per class, with the markers that the
-    statements `after` it meet at the exits, as they would when run; else
-    a _CLoop."""
+    """A WHILE: a summary where its step has one option per class, with the
+    markers that the statements `after` it meet at the exits, else a
+    _CLoop (see Loops)."""
     kind = static_kind(prog.guard, frame.space)
     if kind not in ("bool", "num"):
         raise WpError("loop condition must be boolean or numeric")
@@ -878,31 +891,23 @@ def _loop(prog: While, frame: _Frame, after: tuple):
     if not step:
         return _states_loop(gate, body)
     may, must = body.writes
-    out_at, every = frame.slots, range(len(frame.sizes))
     key = _union(step.key, may - must)
-    if any(e != _point(out_at) and out_at in o[1] for e in step.entries for o in e):
+    if any(e != _point(frame.slots) and frame.slots in o[1] for e in step.entries for o in e):
         key = _union(key, may)  # stops mid-round: keep what rounds write
-    if not step.single:
-        # the demon chooses by the post at the exits, so every exit is a state
-        key = _union(key, set(every) - may)
-        places, run, atoms, marks = _positions(frame, step, key, lambda at: None)
-        loop = _CLoop(frame, key, places, run, marks, len(atoms), (step,))
+    single = step.single
+    exits = _exits(after, frame) if single else ((), [None])
+    key = _union(key, exits[0] if single else set(range(len(frame.sizes))) - may)
+    places, run, atoms, marks = _positions(frame, step, key, exits)
+    loop = _CLoop(frame, key, places, run, marks, len(atoms), (step,))
+    if not single:  # every exit is a state, whose post the demon reads
         loop.exits = [frame.cells(a, [0])[0] for a in atoms]
         return loop
-    marks_key, after_marks = _exits(after, frame)
-    key = _union(key, marks_key)
-
-    def mark(at):
-        return after_marks[frame.index(marks_key, at)]
-
-    places, run, atoms, marks = _positions(frame, step, key, mark)
-    loop = _CLoop(frame, key, places, run, marks, len(atoms), (step,))
     stuck, undef = loop.stuck, loop.undef
     d, ints = _solve(run, loop.m, loop.n, stuck, undef, marks, 1)  # one policy
     entries = []
     for p, at in zip(places, frame.classes(key)):
         if p is None:
-            entries.append(_point(mark(at) or 0))
+            entries.append(_point(exits[1][frame.index(exits[0], at)] or 0))
         elif p in undef:
             entries.append(_point(undef[p]))
         elif p in stuck:
@@ -910,59 +915,49 @@ def _loop(prog: While, frame: _Frame, after: tuple):
         else:
             # every exit writes the same variables, so in the order of their
             # atoms they reach states in order, as a run meets them
-            exits = sorted((atoms[~e], c) for e, c in ints[p].items() if c)
+            out = sorted((atoms[~e], c) for e, c in ints[p].items() if c)
             entries.append((_option({frame.atom(0, frame.digits(e)[1], at): Fraction(c, d)
-                                     for e, c in exits}),))
+                                     for e, c in out}),))
     return _CPick(frame, key, entries)
 
 
-def _positions(frame: _Frame, step: _CPick, key: tuple, mark) -> tuple:
-    """(places, run, atoms, marks): a loop's composed step (an atom of slot
-    0 goes round again, slot 1 exits) over the classes of key.  Class k is
-    at position places[k], or None where the guard is false; an atom that
-    reaches such a class is an exit, held at a position of its own from m
-    on, as a run holds a state where the guard is false.  Exit e goes to
-    atoms[e], key's values where the loop stops and the last round's values
-    of the variables every round writes; marks[e] is mark(class it leaves
-    from), the marker that what follows meets there, or 0.  run(x, exits,
-    den) is the step over the positions."""
-    classes, out_at = frame.classes(key), frame.slots
+def _positions(frame: _Frame, step: _CPick, key: tuple, exits: tuple) -> tuple:
+    """(places, run, atoms, marks): a composed step over the classes of key
+    (see Loops).  Exit e reaches atoms[e], and marks[e] is the marker of
+    exits (as _exits gives them) that it meets, or 0; run is the step."""
+    classes = frame.classes(key)
     entries = [step.entries[frame.index(step.key, at)] for at in classes]
     places, m = [], 0
     for e in entries:
-        places.append(None if e == _point(out_at) else m)
+        places.append(None if e == _point(frame.slots) else m)
         m += places[-1] is not None
     w = lcm(*{x.denominator for e in entries for o in e for x in o[0]})
     found: dict = {}  # exit atom -> its index
     marks = []
 
     def exit_of(j, a):
+        # key's values at class j, and what the last round wrote elsewhere
         ds = frame.digits(a)[1]
         e = frame.atom(0, [classes[j][v] + 1 if v in classes[j] else d
                            for v, d in enumerate(ds)], {})
         if e not in found:
             found[e] = len(found)
-            marks.append(mark(classes[j]) or 0)
+            marks.append(exits[1][frame.index(exits[0], classes[j])] or 0)
         return found[e]
 
-    plan = []  # per position, its options, each parts (c, t, a): c / w times
-    for k, at in enumerate(classes):  # x[t] read through atom a, or exits[~t]
-        if places[k] is None:
-            continue
-        options = []
-        for ws, atoms in entries[k]:
-            parts = []
-            for x, a in zip(ws, atoms):
-                c = x.numerator * (w // x.denominator)
-                if a.__class__ is _Undef:
-                    parts.append((None, a, 0))
-                elif a == out_at:  # exits here
-                    parts.append((c, ~exit_of(k, 0), 0))
-                else:
-                    j = frame.reach(key, a, at)
-                    parts.append((c, m + exit_of(j, a) if places[j] is None else places[j], a))
-            options.append(parts)
-        plan.append((at, options))
+    def part(k, x, a):
+        # (c, t, a): c / w times x[t] read through atom a, or exits[~t];
+        # or (None, marker, 0)
+        if a.__class__ is _Undef:
+            return None, a, 0
+        c = x.numerator * (w // x.denominator)
+        if a == frame.slots:  # exits here
+            return c, ~exit_of(k, 0), 0
+        j = frame.reach(key, a, classes[k])
+        return c, m + exit_of(j, a) if places[j] is None else places[j], a
+
+    plan = [(at, [[part(k, x, a) for x, a in zip(*o)] for o in entries[k]])
+            for k, at in enumerate(classes) if places[k] is not None]
     plan += [({}, [[(w, ~e, 0)]]) for e in range(len(found))]
 
     def run(x, exits, den):
@@ -997,16 +992,14 @@ def _exits(after: tuple, frame: _Frame) -> tuple:
         node = _seq(node, later)
     if _flat(node):
         return node.key, [_first_mark(e) for e in node.entries]
-    # run them: a marker's state may then depend on every variable, and
-    # class i of that key is state i
+    # run them: whether a marker is met may then depend on every variable,
+    # class i of that key is state i, and a placed marker reads alike
+    # from anywhere
     vec = _Vec([0] * frame.n, 1)
     for node in reversed(after):
         vec = node.run(vec)
-    key = tuple(range(len(frame.sizes)))
-    every = frame.classes(key)
-    return key, [None if x.__class__ is not _Undef else _Undef(
-        x.what, frame.atom(0, [d + 1 for d in every[x.index].values()], at), frame)
-        for x, at in zip(vec, every)]
+    return tuple(range(len(frame.sizes))), [
+        x if x.__class__ is _Undef else None for x in vec]
 
 
 def _first_mark(e: tuple) -> Optional[_Undef]:
