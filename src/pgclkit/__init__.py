@@ -35,7 +35,6 @@ from .machine import (
     TrialsResult,
     analyze,
     build_machine,
-    crosscheck,
     load_machine,
     machine_to_text,
     run_trials,
@@ -43,12 +42,6 @@ from .machine import (
 )
 from .parser import parse_expression, parse_program, parse_rational, parse_source
 from .programs import Program, VariantSpec, pretty_print
-from .resolutions import (
-    Dist,
-    enumerate_resolutions,
-    min_expected,
-    resolutions_by_state,
-)
 from .sampler import (
     CumulativeDist,
     SampleTrace,
@@ -63,21 +56,19 @@ from .wp import WpConfig, WpResult, compile_program, wp
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitsExhaustedError", "Counterexample",
-    "CumulativeDist", "Dist", "DistError", "EvalError", "Expectation",
-    "Expr", "Machine", "MachineAnalysis",
-    "MachineAnalysisError", "MachineFormatError", "MachineNode", "PgclError",
-    "PgclSyntaxError", "ProbeFamily", "Program", "RandomBitSource",
-    "ResolutionLimitError", "SampleTrace", "ScriptedBitSource", "SpaceError",
-    "State", "StateSpace", "TrialsResult", "UndefinedStateError",
-    "VarDomain", "VariantError", "VariantSpec", "Verdict", "WeightedDist",
-    "WindowInvariantError", "WpConfig", "WpError", "WpResult",
-    "analyze", "build_machine", "check_equal", "check_refines",
-    "check_variant", "compile_program", "constant", "crosscheck",
-    "dyadic_grid", "enumerate_resolutions", "eval_expr", "free_vars",
-    "from_expr", "indicator", "load_machine", "machine_to_text",
-    "min_expected", "parse_expression", "parse_program", "parse_rational",
-    "parse_source", "pretty_expr", "pretty_print", "read_trials_file",
-    "resolutions_by_state", "run_trials", "sample_binary", "sample_discrete",
-    "space_of", "to_dot", "wp",
+    "BitsExhaustedError", "Counterexample", "CumulativeDist", "DistError",
+    "EvalError", "Expectation", "Expr", "Machine", "MachineAnalysis",
+    "MachineAnalysisError", "MachineFormatError", "MachineNode",
+    "PgclError", "PgclSyntaxError", "ProbeFamily", "Program",
+    "RandomBitSource", "ResolutionLimitError", "SampleTrace",
+    "ScriptedBitSource", "SpaceError", "State", "StateSpace",
+    "TrialsResult", "UndefinedStateError", "VarDomain", "VariantError",
+    "VariantSpec", "Verdict", "WeightedDist", "WindowInvariantError",
+    "WpConfig", "WpError", "WpResult", "analyze", "build_machine",
+    "check_equal", "check_refines", "check_variant", "compile_program",
+    "constant", "dyadic_grid", "eval_expr", "free_vars", "from_expr",
+    "indicator", "load_machine", "machine_to_text", "parse_expression",
+    "parse_program", "parse_rational", "parse_source", "pretty_expr",
+    "pretty_print", "read_trials_file", "run_trials", "sample_binary",
+    "sample_discrete", "space_of", "to_dot", "wp",
 ]

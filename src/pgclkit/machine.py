@@ -32,7 +32,6 @@ the machine's interior nodes are its configurations.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,40 +354,3 @@ def run_trials(d: WeightedDist, runs: int, seed: int) -> TrialsResult:
         total_flips_sq += flips * flips
     return TrialsResult(d.weights, runs, seed, tuple(tallies),
                         total_flips, total_flips_sq)
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    """Exact analysis against an empirical run, with z-scores."""
-
-    analysis: MachineAnalysis
-    trials: TrialsResult
-    outcome_z: tuple[float, ...]
-    flips_z: float
-
-    def max_outcome_z(self) -> float:
-        return max(abs(z) for z in self.outcome_z)
-
-
-def crosscheck(d: WeightedDist, runs: int, seed: int) -> CrosscheckReport:
-    """Run trials and score them against the exact analysis of the
-    machine built from `d`."""
-    trials = run_trials(d, runs, seed)
-    analysis = analyze(build_machine(d))
-    zs = []
-    for i in range(d.size):
-        p = float(analysis.outcome_prob[i])
-        mean = runs * p
-        sigma = math.sqrt(runs * p * (1 - p)) if 0 < p < 1 else 0.0
-        if sigma == 0:
-            zs.append(0.0 if trials.tallies[i] == round(mean) else math.inf)
-        else:
-            zs.append((trials.tallies[i] - mean) / sigma)
-    var = float(trials.flip_variance())
-    if var <= 0:
-        flips_z = 0.0 if trials.avg_flips == analysis.expected_flips else math.inf
-    else:
-        flips_z = (float(trials.avg_flips) - float(analysis.expected_flips)) / math.sqrt(
-            var / runs
-        )
-    return CrosscheckReport(analysis, trials, tuple(zs), flips_z)

@@ -227,8 +227,8 @@ class WpResult:
 # 0 < p < 1, runs on the 34 classes of p and x on sixteenths, not on the
 # 9 826 states.  Its stuck and undefined positions are found when it is
 # compiled, so a run is one policy iteration, unless markers reach its
-# exits (those of an enclosing loop's undefined positions); then its
-# undefined positions are found again with them.
+# exits (met by what follows it, or passed in by an enclosing loop); then
+# its undefined positions are found again with them.
 #
 # Compile cost follows the number of classes built, not the number of
 # states: HALVING_LOOP compiles 9 classes of p on eighths, where the space

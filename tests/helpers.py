@@ -90,6 +90,10 @@ FREE_SPLIT_LOOP = "WHILE 0 < p & p < 1 DO q,r :suchthat (q+r)/2 = p; p :in q <1/
 ENDPOINT_SPLIT_LOOP = ("WHILE 0 < p & p < 1 DO q,r :suchthat (q+r)/2 = p & (q = 0 | r = 1); "
                        "p :in q <1/2> r OD")
 
+# gambler's ruin over i in 0..12 where the demon picks the coin each round
+DEMONIC_RUIN = ("WHILE 0 < i & i < 12 DO (i := i + 1 <1/2> i := i - 1) "
+                "|^| (i := i + 1 <1/3> i := i - 1) OD")
+
 
 def corpus(space_small=None):
     """Loop-free programs with spaces, for exhaustive property sweeps."""

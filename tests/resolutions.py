@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import EvalError, ResolutionLimitError
-from .expectations import Expectation
-from .exprs import eval_expr
-from .programs import (
+from pgclkit.errors import EvalError, ResolutionLimitError
+from pgclkit.expectations import Expectation
+from pgclkit.exprs import eval_expr
+from pgclkit.programs import (
     Abort,
     Assign,
     DemonChoice,
@@ -37,7 +37,7 @@ from .programs import (
     While,
     loop_free,
 )
-from .states import State, StateSpace
+from pgclkit.states import State, StateSpace
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -30,9 +30,7 @@ from pgclkit import (
     from_expr,
     indicator,
     load_machine,
-    min_expected,
     parse_expression,
-    resolutions_by_state,
     run_trials,
     sample_binary,
     sample_discrete,
@@ -40,6 +38,7 @@ from pgclkit import (
     wp,
 )
 from pgclkit.wp import _Vec
+from resolutions import min_expected, resolutions_by_state
 
 F = Fraction
 

@@ -14,7 +14,6 @@ from pgclkit import (
     WindowInvariantError,
     analyze,
     build_machine,
-    crosscheck,
     load_machine,
     machine_to_text,
     run_trials,
@@ -289,29 +288,3 @@ def test_absorb_small_system():
     # 1 and 2 feed each other forever: never absorbed
     with pytest.raises(ZeroDivisionError, match="singular"):
         absorb({1: (1, {2: 1}), 2: (2, {1: 1, 2: 1})})
-
-
-def test_crosscheck_agrees_within_noise(monkeypatch):
-    import pgclkit.machine
-
-    builds = []
-    real = pgclkit.machine.build_machine
-
-    def counting(d, max_nodes=pgclkit.machine.DEFAULT_MAX_NODES):
-        builds.append(d)
-        return real(d, max_nodes)
-
-    monkeypatch.setattr(pgclkit.machine, "build_machine", counting)
-    d = WeightedDist((1, 2, 3))
-    report = crosscheck(d, runs=4000, seed=11)
-    assert len(builds) == 1  # only the exact side builds a machine
-    assert report.analysis.outcome_prob == (F(1, 6), F(2, 6), F(3, 6))
-    assert report.max_outcome_z() < 4.0
-    assert abs(report.flips_z) < 4.0
-    assert report.trials == run_trials(d, 4000, 11)
-
-
-def test_crosscheck_fair_coin_edge_case():
-    # constant one-flip runs give zero variance; only exact agreement passes
-    report = crosscheck(WeightedDist((1, 1)), runs=100, seed=5)
-    assert report.flips_z == 0.0

@@ -12,11 +12,10 @@ from pgclkit import (
     constant,
     from_expr,
     indicator,
-    min_expected,
-    resolutions_by_state,
     wp,
 )
 from pgclkit.exprs import Bracket
+from resolutions import min_expected, resolutions_by_state
 
 F = Fraction
 

@@ -4,15 +4,12 @@ import pytest
 
 import helpers
 from pgclkit import (
-    Dist,
     ResolutionLimitError,
-    enumerate_resolutions,
     from_expr,
     indicator,
-    min_expected,
-    resolutions_by_state,
     wp,
 )
+from resolutions import Dist, enumerate_resolutions, min_expected, resolutions_by_state
 
 F = Fraction
 

@@ -19,8 +19,6 @@ from pgclkit import (
     WpConfig,
     WpError,
     constant,
-    min_expected,
-    resolutions_by_state,
     space_of,
     wp,
 )
@@ -28,6 +26,7 @@ from pgclkit.errors import EvalError
 from pgclkit.expectations import Expectation
 from pgclkit.programs import Seq, While, children, loop_free
 from pgclkit.wp import _CLoop, _CPick, _CSeq, _flat, _Undef, _Vec, compile_program
+from resolutions import min_expected, resolutions_by_state
 
 F = Fraction
 
@@ -192,13 +191,9 @@ def test_a_fully_built_pick_lets_go_of_its_parts():
     assert all(part() is None for part in parts)
 
 
-RUIN_DEMONIC = ("WHILE 0 < i & i < 12 DO (i := i + 1 <1/2> i := i - 1) "
-                "|^| (i := i + 1 <1/3> i := i - 1) OD")
-
-
 def test_demonic_loop_stays_a_while():
     space = space_of(("i", tuple(range(13))))
-    node = root(RUIN_DEMONIC, space)
+    node = root(helpers.DEMONIC_RUIN, space)
     assert isinstance(node, _CLoop)
     # its step composes, so it runs over the 13 classes of i, of which 11
     # go round again; the two exits are held at positions of their own
@@ -301,7 +296,7 @@ def test_policy_iteration_runs_the_body_once_per_round(monkeypatch):
     # positions are found when it is compiled, so a run evaluates the step
     # once per policy solved plus once for the check that ends the iteration
     space = space_of(("i", tuple(range(13))))
-    compiled = compile_program(helpers.prog(RUIN_DEMONIC, space), space)
+    compiled = compile_program(helpers.prog(helpers.DEMONIC_RUIN, space), space)
     loop = compiled._root
     assert isinstance(loop, _CLoop)
     steps, solves, found = [], [], []
@@ -359,7 +354,7 @@ PROPER_SPLIT_LOOP = ("WHILE 0 < p & p < 1 DO q,r :suchthat (q+r)/2 = p & q < r; 
 
 
 @pytest.mark.parametrize("text, space", [
-    (RUIN_DEMONIC, space_of(("i", tuple(range(13))))),
+    (helpers.DEMONIC_RUIN, space_of(("i", tuple(range(13))))),
     (PROPER_SPLIT_LOOP, helpers.pqr_space()),
 ])
 def test_perturbed_solve_fails_the_fixpoint_check_on_a_demonic_loop(text, space, monkeypatch):

@@ -14,14 +14,13 @@ from pgclkit import (
     WpError,
     constant,
     from_expr,
-    min_expected,
-    resolutions_by_state,
     space_of,
     wp,
 )
 from pgclkit.exprs import Var
 from pgclkit.programs import Skip, While
 from pgclkit.wp import _CLoop, _Vec, compile_program
+from resolutions import min_expected, resolutions_by_state
 
 # the module, not the function pgclkit.wp that the package exports
 wp_module = importlib.import_module("pgclkit.wp")
