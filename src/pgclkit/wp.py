@@ -611,24 +611,23 @@ class _CSeq:
 
 
 class _CLoop:
-    """A loop solved on every run (see Loops): class k of key is at position
-    places[k], None where the loop exits at once; step(x, exits, den) runs
-    the step, and parts are the nodes it runs."""
+    """A loop over the positions of its step (see Loops), solved on every
+    run: class k of key is at position places[k], None where the loop
+    exits at once; step(x, exits, den) runs the step, exits[e] is the state
+    exit e reaches, and parts are the nodes the step runs."""
 
-    def __init__(self, frame: _Frame, key: tuple, places, step, marks: list,
-                 held: int, parts: tuple):
-        self.frame, self.key, self.places, self.step, self.parts = (
-            frame, key, places, step, parts)
-        self.m = sum(p is not None for p in places)
-        self.n = self.m + held  # position m + e holds exit e
-        self.exits = range(frame.n)  # per exit, the state it reaches
+    def __init__(self, frame: _Frame, key: tuple, places, step, exits, marks: list,
+                 m: int, held: int, parts: tuple):
+        self.frame, self.key, self.places, self.step, self.exits, self.parts = (
+            frame, key, places, step, exits, parts)
+        self.m, self.n = m, m + held  # position m + e holds exit e
         self.stuck = _stuck(step, self.n, len(marks))
         self.undef = _undefined(step, self.n, marks)
 
     def run(self, f):
         exits = [f[i] for i in self.exits]
         undef = self.undef
-        if any(x.__class__ is _Undef for x in exits):  # met after the loop
+        if any(x.__class__ is _Undef for x in exits):  # markers reach the exits
             undef = _undefined(self.step, self.n, exits)
         d, ints = _solve(self.step, self.m, self.n, self.stuck, undef, exits, f.den)
         out: list = [0] * self.frame.n
@@ -652,8 +651,9 @@ def _states_loop(gate: _CPick, body) -> _CLoop:
     def step(x, exits, den):
         return gate.apply(_stacked([body.run(_Vec(x, den)), _Vec(exits, den)]))
 
-    return _CLoop(frame, tuple(range(len(frame.sizes))), range(frame.n), step,
-                  [0] * frame.n, 0, (gate, body))
+    every = range(frame.n)
+    return _CLoop(frame, tuple(range(len(frame.sizes))), every, step, every,
+                  [0] * frame.n, frame.n, 0, (gate, body))
 
 
 def _stuck(step, n: int, exits: int) -> set:
@@ -895,19 +895,19 @@ def _loop(prog: While, frame: _Frame, after: tuple):
     if any(e != _point(frame.slots) and frame.slots in o[1] for e in step.entries for o in e):
         key = _union(key, may)  # stops mid-round: keep what rounds write
     single = step.single
-    exits = _exits(after, frame) if single else ((), [None])
-    key = _union(key, exits[0] if single else set(range(len(frame.sizes))) - may)
-    places, run, atoms, marks = _positions(frame, step, key, exits)
-    loop = _CLoop(frame, key, places, run, marks, len(atoms), (step,))
+    follow = _exits(after, frame) if single else ((), [None])
+    key = _union(key, follow[0] if single else set(range(len(frame.sizes))) - may)
+    places, m, run, atoms, marks = _positions(frame, step, key, follow)
     if not single:  # every exit is a state, whose post the demon reads
-        loop.exits = [frame.cells(a, [0])[0] for a in atoms]
-        return loop
-    stuck, undef = loop.stuck, loop.undef
-    d, ints = _solve(run, loop.m, loop.n, stuck, undef, marks, 1)  # one policy
+        return _CLoop(frame, key, places, run, [frame.cells(a, [0])[0] for a in atoms],
+                      marks, m, len(atoms), (step,))
+    n = m + len(atoms)
+    stuck, undef = _stuck(run, n, len(atoms)), _undefined(run, n, marks)
+    d, ints = _solve(run, m, n, stuck, undef, marks, 1)  # one policy
     entries = []
     for p, at in zip(places, frame.classes(key)):
         if p is None:
-            entries.append(_point(exits[1][frame.index(exits[0], at)] or 0))
+            entries.append(_point(follow[1][frame.index(follow[0], at)] or 0))
         elif p in undef:
             entries.append(_point(undef[p]))
         elif p in stuck:
@@ -921,10 +921,11 @@ def _loop(prog: While, frame: _Frame, after: tuple):
     return _CPick(frame, key, entries)
 
 
-def _positions(frame: _Frame, step: _CPick, key: tuple, exits: tuple) -> tuple:
-    """(places, run, atoms, marks): a composed step over the classes of key
-    (see Loops).  Exit e reaches atoms[e], and marks[e] is the marker of
-    exits (as _exits gives them) that it meets, or 0; run is the step."""
+def _positions(frame: _Frame, step: _CPick, key: tuple, follow: tuple) -> tuple:
+    """(places, m, run, atoms, marks): a composed step over the classes of
+    key (see Loops), m positions of classes and one per exit.  Exit e
+    reaches atoms[e], where what follows meets marks[e] (read off follow,
+    as _exits gives it), or 0; run is the step."""
     classes = frame.classes(key)
     entries = [step.entries[frame.index(step.key, at)] for at in classes]
     places, m = [], 0
@@ -942,7 +943,7 @@ def _positions(frame: _Frame, step: _CPick, key: tuple, exits: tuple) -> tuple:
                            for v, d in enumerate(ds)], {})
         if e not in found:
             found[e] = len(found)
-            marks.append(exits[1][frame.index(exits[0], classes[j])] or 0)
+            marks.append(follow[1][frame.index(follow[0], classes[j])] or 0)
         return found[e]
 
     def part(k, x, a):
@@ -978,7 +979,7 @@ def _positions(frame: _Frame, step: _CPick, key: tuple, exits: tuple) -> tuple:
             out.append(best)
         return _Vec(out, den * w)
 
-    return places, run, list(found), marks
+    return places, m, run, list(found), marks
 
 
 def _exits(after: tuple, frame: _Frame) -> tuple:
