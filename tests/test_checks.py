@@ -188,6 +188,20 @@ def test_constrained_split_refines_free_split():
     assert v.status == "fails"
 
 
+def test_endpoint_split_loop_refines_free_split_loop():
+    # the same step one layer up, around the loop: the free split's demon
+    # can keep p where it is, so the free-split loop guarantees nothing
+    # inside (0, 1), and the loop that splits to an endpoint refines it
+    s = helpers.pqr_space()
+    spec = helpers.prog(helpers.FREE_SPLIT_LOOP + "; x := p", s)
+    impl = helpers.prog(helpers.ENDPOINT_SPLIT_LOOP + "; x := p", s)
+    fam = ProbeFamily.over_vars(s, ("x",))
+    v = check_refines(spec, impl, fam, s)
+    assert v.holds and v.method == "probes"  # a demonic loop is no flat pick
+    v = check_refines(impl, spec, fam, s)
+    assert v.status == "fails" and v.counterexample.rhs == 0
+
+
 def test_refinement_of_choice_to_branch():
     s = helpers.bit_space()
     spec = helpers.prog("x :in {0, 1}", s)
