@@ -228,7 +228,9 @@ class WpResult:
 # 9 826 states.  Its stuck and undefined positions are found when it is
 # compiled, so a run is one policy iteration, unless markers reach its
 # exits (met by what follows it, or passed in by an enclosing loop); then
-# its undefined positions are found again with them.
+# its undefined positions are found again with them.  The run ends with the
+# flat pick of the policy the post makes the demon choose, the summary of
+# that policy, run on the post (_CLoop.pick serves both).
 #
 # Compile cost follows the number of classes built, not the number of
 # states: HALVING_LOOP compiles 9 classes of p on eighths, where the space
@@ -248,9 +250,8 @@ class WpResult:
 # brought to the lcm of theirs before a pick reads them stacked, and so are
 # a loop body's output and the exits.  A _CLoop over states runs its body
 # on _Lin values through the same columns, and one over classes its own
-# plan of (weight, position) parts, once per policy-iteration round; its
-# output is over the input's denominator times the lcm of its solved rows'
-# denominators.
+# plan of (weight, position) parts, once per policy-iteration round; it
+# then runs the pick of the policy found, built as a summary is.
 
 _ABORT = (((), ()),)
 _SURE = (ONE,)
@@ -611,49 +612,66 @@ class _CSeq:
 
 
 class _CLoop:
-    """A loop over the positions of its step (see Loops), solved on every
-    run: class k of key is at position places[k], None where the loop
-    exits at once; step(x, exits, den) runs the step, exits[e] is the state
-    exit e reaches, and parts are the nodes the step runs."""
+    """A loop over the positions of its step (see Loops): class k of key is
+    at position places[k], None where the loop exits at once, and position
+    m + e holds exit e, which reaches atoms[e].  step(x, exits, den) runs
+    the step, parts are the nodes it runs, and follow is what _exits gives
+    for the statements after it."""
 
-    def __init__(self, frame: _Frame, key: tuple, places, step, exits, marks: list,
-                 m: int, held: int, parts: tuple):
-        self.frame, self.key, self.places, self.step, self.exits, self.parts = (
-            frame, key, places, step, exits, parts)
-        self.m, self.n = m, m + held  # position m + e holds exit e
+    def __init__(self, frame: _Frame, key: tuple, places, step, atoms: list,
+                 follow: tuple, marks: list, m: int, held: int, parts: tuple):
+        self.frame, self.key, self.places, self.step = frame, key, places, step
+        self.atoms, self.follow, self.parts = atoms, follow, parts
+        self.m, self.n = m, m + held
         self.stuck = _stuck(step, self.n, len(marks))
         self.undef = _undefined(step, self.n, marks)
 
+    @cached_property
+    def states(self) -> list:
+        """Per exit, the state it reaches: where the demon chooses, every
+        exit writes every variable."""
+        return [self.frame.cells(a, [0])[0] for a in self.atoms]
+
     def run(self, f):
-        exits = [f[i] for i in self.exits]
+        """The pick of the policy that the post f makes the demon choose,
+        run on f."""
+        exits = [f[i] for i in self.states]
         undef = self.undef
         if any(x.__class__ is _Undef for x in exits):  # markers reach the exits
             undef = _undefined(self.step, self.n, exits)
         d, ints = _solve(self.step, self.m, self.n, self.stuck, undef, exits, f.den)
-        out: list = [0] * self.frame.n
-        for p, states in zip(self.places, self.frame.members(self.key)):
+        return self.pick(undef, d, ints).apply(f)
+
+    def pick(self, undef: dict, d: int, ints: dict) -> _CPick:
+        """The solved loop as a flat pick over its exits."""
+        frame, (after_key, after_marks), entries = self.frame, self.follow, []
+        for p, at in zip(self.places, frame.classes(self.key)):
             if p is None:
-                values = [f[i] * d for i in states]
+                entries.append(_point(after_marks[frame.index(after_key, at)] or 0))
             elif p in undef:
-                values = undef[p].placed(states)
-            else:  # a live row passed the end check: it meets no marker
-                values = [0 if p in self.stuck else
-                          sum(c * exits[~k] for k, c in ints[p].items())] * len(states)
-            for i, v in zip(states, values):
-                out[i] = v
-        return _Vec(out, f.den * d)
+                entries.append(_point(undef[p]))
+            elif p in self.stuck:
+                entries.append(_ABORT)
+            else:
+                # every exit writes the same variables, so in the order of
+                # their atoms they reach states in order, as a run meets them
+                out = sorted((self.atoms[~e], c) for e, c in ints[p].items() if c)
+                entries.append((_option({frame.atom(0, frame.digits(e)[1], at): Fraction(
+                    c, d) for e, c in out}),))
+        return _CPick(frame, self.key, entries)
 
 
 def _states_loop(gate: _CPick, body) -> _CLoop:
-    """A loop over the states: its step runs the body."""
+    """A loop over the states: its step runs the body, and exit i is state i."""
     frame = gate.frame
 
     def step(x, exits, den):
         return gate.apply(_stacked([body.run(_Vec(x, den)), _Vec(exits, den)]))
 
-    every = range(frame.n)
-    return _CLoop(frame, tuple(range(len(frame.sizes))), every, step, every,
-                  [0] * frame.n, frame.n, 0, (gate, body))
+    every = tuple(range(len(frame.sizes)))
+    atoms = [frame.atom(0, [d + 1 for d in at.values()], {}) for at in frame.classes(every)]
+    return _CLoop(frame, every, range(frame.n), step, atoms, ((), [None]), [0] * frame.n,
+                  frame.n, 0, (gate, body))
 
 
 def _stuck(step, n: int, exits: int) -> set:
@@ -898,27 +916,11 @@ def _loop(prog: While, frame: _Frame, after: tuple):
     follow = _exits(after, frame) if single else ((), [None])
     key = _union(key, follow[0] if single else set(range(len(frame.sizes))) - may)
     places, m, run, atoms, marks = _positions(frame, step, key, follow)
+    loop = _CLoop(frame, key, places, run, atoms, follow, marks, m, len(atoms), (step,))
     if not single:  # every exit is a state, whose post the demon reads
-        return _CLoop(frame, key, places, run, [frame.cells(a, [0])[0] for a in atoms],
-                      marks, m, len(atoms), (step,))
-    n = m + len(atoms)
-    stuck, undef = _stuck(run, n, len(atoms)), _undefined(run, n, marks)
-    d, ints = _solve(run, m, n, stuck, undef, marks, 1)  # one policy
-    entries = []
-    for p, at in zip(places, frame.classes(key)):
-        if p is None:
-            entries.append(_point(follow[1][frame.index(follow[0], at)] or 0))
-        elif p in undef:
-            entries.append(_point(undef[p]))
-        elif p in stuck:
-            entries.append(_ABORT)
-        else:
-            # every exit writes the same variables, so in the order of their
-            # atoms they reach states in order, as a run meets them
-            out = sorted((atoms[~e], c) for e, c in ints[p].items() if c)
-            entries.append((_option({frame.atom(0, frame.digits(e)[1], at): Fraction(c, d)
-                                     for e, c in out}),))
-    return _CPick(frame, key, entries)
+        return loop
+    # one policy: exit values, which only choose between options, are 0
+    return loop.pick(loop.undef, *_solve(run, m, loop.n, loop.stuck, loop.undef, marks, 1))
 
 
 def _positions(frame: _Frame, step: _CPick, key: tuple, follow: tuple) -> tuple:
