@@ -32,12 +32,9 @@ from .machine import (
     Machine,
     MachineAnalysis,
     MachineNode,
-    TrialsResult,
     analyze,
-    build_machine,
     load_machine,
     machine_to_text,
-    run_trials,
     to_dot,
 )
 from .parser import parse_expression, parse_program, parse_rational, parse_source
@@ -45,8 +42,11 @@ from .programs import Program, VariantSpec, pretty_print
 from .sampler import (
     CumulativeDist,
     SampleTrace,
+    TrialsResult,
     WeightedDist,
+    build_machine,
     read_trials_file,
+    run_trials,
     sample_binary,
     sample_discrete,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,20 +31,20 @@ from .checks import (
     dyadic_grid,
 )
 from .errors import DistError, PgclError, PgclSyntaxError
-from .machine import (
-    DEFAULT_MAX_NODES,
-    analyze,
-    build_machine,
-    load_machine,
-    machine_to_text,
-    run_trials,
-    to_dot,
-)
+from .machine import analyze, load_machine, machine_to_text, to_dot
 from .bits import RandomBitSource, ScriptedBitSource
-from .parser import ProgramText, parse_expression, parse_rational, parse_source
+from .parser import ProgramText, parse_expression, parse_rational
+from .parser import parse_source  # noqa: F401  (a parse site bench/tracing.py wraps)
 from .programs import VariantSpec, While
 from .expectations import from_expr
-from .sampler import WeightedDist, _weight_lines, read_trials_file, sample_discrete
+from .sampler import (
+    DEFAULT_MAX_NODES,
+    WeightedDist,
+    build_machine,
+    read_dist,
+    run_trials,
+    sample_discrete,
+)
 from .states import StateSpace
 from .wp import WpConfig, wp
 
@@ -83,11 +84,6 @@ def _named(path: str, fn, *args):
         raise
 
 
-def _load_program(path: str, params):
-    """Parse a program file, `var` declarations first."""
-    return _named(path, parse_source, _read_text(path), params)
-
-
 def _program_file(path: str):
     """parse(params, space=None) -> (space, program) for the program file
     at path.  The first call reads the file, tokenizes it and reads its
@@ -106,20 +102,11 @@ def _program_file(path: str):
 
 
 def _load_dist(value: str) -> tuple[Optional[int], WeightedDist]:
-    """A --dist argument is a file path or an inline weight list.
-
-    A file whose first non-comment line is a single integer followed by
-    more lines is a trials file carrying its own run count.  A `#` starts
-    a comment anywhere on a line.
-    """
-    text = _read_text(value) if value != "-" and Path(value).exists() else (
-        sys.stdin.read() if value == "-" else value
-    )
-    lines = _weight_lines(text)
-    if len(lines) > 1 and len(lines[0].split()) == 1:
-        runs, dist = read_trials_file(text)
-        return runs, dist
-    return None, WeightedDist.parse(" ".join(lines) if lines else text)
+    """A --dist argument is - for stdin, a file, or an inline weight list,
+    holding weights or a trials file (sampler.read_dist).  Anything but a
+    regular file is inline text: '' is no path, and a long weight list is
+    no file name."""
+    return read_dist(_read_text(value) if value == "-" or os.path.isfile(value) else value)
 
 
 def _verdict_json(v: Verdict) -> dict:
@@ -146,7 +133,7 @@ def _verdict_exit(v: Verdict) -> int:
 
 def _cmd_wp(args) -> int:
     params = _parse_params(args.param)
-    space, prog = _load_program(args.program, params)
+    space, prog = _program_file(args.program)(params)
     post = from_expr(space, parse_expression(args.post, space, params))
     result = wp(prog, post, space, WpConfig(undefined=args.undefined))
     if args.json:
@@ -216,7 +203,7 @@ def _run_check(args, kind: str) -> int:
 
 def _cmd_check_variant(args) -> int:
     params = _parse_params(args.param)
-    space, prog = _load_program(args.program, params)
+    space, prog = _program_file(args.program)(params)
     if not isinstance(prog, While):
         print("check-variant expects the program to be a single loop",
               file=sys.stderr)

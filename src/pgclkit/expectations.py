@@ -85,16 +85,14 @@ def evaluate(space: StateSpace, expr) -> tuple:
     """expr evaluated once per value of its free variables: (positions,
     results), the positions of those variables in order, and per
     combination of their values, numbered as in StateSpace.projection,
-    the result or the EvalError.  Each is evaluated at the first state
-    with that combination."""
+    the result or the EvalError.  Each is evaluated at the {name: value}
+    mapping of that combination, as eval_expr reads only free variables."""
     positions = tuple(sorted(space.var_pos(v) for v in free_vars(expr)))
-    first = [d.values[0] for d in space.domains]
+    names = [space.domains[p].name for p in positions]
     results = []
     for combo in itertools.product(*(space.domains[p].values for p in positions)):
-        for p, v in zip(positions, combo):
-            first[p] = v
         try:
-            results.append(eval_expr(expr, State(space, tuple(first))))
+            results.append(eval_expr(expr, dict(zip(names, combo))))
         except EvalError as exc:
             results.append(exc)
     return positions, results

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import EvalError
-from .states import State, StateSpace
+from .states import StateSpace
 
 Value = Union[Fraction, str, bool]
 
@@ -124,8 +124,9 @@ def _kind_name(v: Value) -> str:
     return f"token {v}"
 
 
-def eval_expr(e: Expr, state: State) -> Value:
-    """Evaluate an expression at a state.  Total over well-typed inputs."""
+def eval_expr(e: Expr, state) -> Value:
+    """Evaluate an expression at a State, or at any {name: value} mapping
+    of its free variables.  Total over well-typed inputs."""
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, TokenLit):

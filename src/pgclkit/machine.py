@@ -1,12 +1,10 @@
-"""Finite flip machines: the sampler's reachable configurations as a graph.
+"""Finite flip machines: graphs of fair flips that end in outcomes.
 
 An interior node consumes one fair flip and routes to its heads/tails
-successors; a leaf emits an outcome.  Building the machine walks
-the successor table of the WeightedDist (see sampler) breadth first,
-deriving the entries that no draw has reached yet.  The table identifies
-configurations by (low, window slice, high), so revisited configurations
-become back-edges and every outcome gets a single shared leaf.  Cycles are
-expected: a machine need not be a tree, only absorbing.
+successors; a leaf emits an outcome.  A machine comes from the line format
+(load_machine) or from a distribution (sampler.build_machine, which reads
+the sampler's reachable configurations).  Cycles are expected: a machine
+need not be a tree, only absorbing.
 
 Analysis solves the absorption equations exactly over the rationals:
 
@@ -19,15 +17,6 @@ with the sparse elimination of linear.absorb, the solver the loop fixpoints
 of wp.py use too; each row has at most two successors, which keeps the
 elimination sparse.  A vanishing pivot means some interior node is never
 absorbed; the machine is rejected loudly.
-
-Bulk trials do not build a machine: run_trials walks the same successor
-table, one table lookup per flip, deriving only the configurations that
-draws reach; sampler.sample_discrete walks it too.  Every draw of a run
-reads one seeded stream, RandomBitSource(seed), so a run returns the same
-outcomes and flip counts as that many sample_discrete draws from the
-stream.  The table is the only place configurations are derived and
-checked, once per distribution, by whichever of these reaches one first;
-the machine's interior nodes are its configurations.
 """
 
 from __future__ import annotations
@@ -37,15 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bits import RandomBitSource
-from .errors import DistError, MachineAnalysisError, MachineFormatError
+from .errors import MachineAnalysisError, MachineFormatError
 from .linear import absorb
-from .sampler import WeightedDist
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-DEFAULT_MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -119,43 +104,6 @@ class MachineAnalysis:
 
     def probability(self, outcome: int) -> Fraction:
         return self.outcome_prob[outcome - 1]
-
-
-def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machine:
-    """The sampler's configurations reachable from the initial one, read
-    breadth first from the successor table of `d`; an entry that no draw
-    has reached yet is derived, and checked, on the way.
-
-    Node ids are assigned in discovery order (root is 0), so the result is
-    reproducible.  Leaves are shared per outcome: the table names a leaf
-    by its outcome alone.
-    """
-    table = d._successor_table()
-    succ, underived = table.succ, table.underived
-    order = [table.start]  # entries in discovery order: node i is order[i]
-    ids = {table.start: 0}
-    nodes: list[MachineNode] = []
-    for entry in order:  # order grows as the walk discovers entries
-        if entry < 0:  # a leaf, -outcome
-            nodes.append(MachineNode(len(nodes), "leaf", outcome=-entry))
-            continue
-        succ_ids = []
-        for e in (entry, entry + 1):
-            nxt = succ[e] if succ[e] > underived else table.derive(succ[e])
-            if nxt not in ids:
-                if len(ids) >= max_nodes:
-                    raise MachineFormatError(
-                        f"machine construction exceeded {max_nodes} nodes"
-                    )
-                ids[nxt] = len(ids)
-                order.append(nxt)
-            succ_ids.append(ids[nxt])
-        c = table.configs[entry >> 1]
-        window = " ".join(str(v) for v in c.window())
-        nodes.append(MachineNode(len(nodes), "interior", heads=succ_ids[0],
-                                 tails=succ_ids[1],
-                                 label=f"{c.low} | {window} | {c.high}"))
-    return Machine(tuple(nodes), root=0, outcomes=d.size)
 
 
 def analyze(m: Machine) -> MachineAnalysis:
@@ -282,75 +230,3 @@ def to_dot(m: Machine) -> str:
             lines.append(f"  n{node.id} -> n{node.tails} [label=\"T\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class TrialsResult:
-    """Aggregated tallies of repeated sampling."""
-
-    weights: tuple[int, ...]
-    runs: int
-    seed: int
-    tallies: tuple[int, ...]  # tallies[i] counts outcome i+1
-    total_flips: int
-    total_flips_sq: int  # sum of squared per-run flip counts
-
-    @property
-    def avg_flips(self) -> Fraction:
-        return Fraction(self.total_flips, self.runs)
-
-    @property
-    def rel_freq(self) -> tuple[Fraction, ...]:
-        """Per outcome: tally/runs normalised by w_i/total, so near 1."""
-        total = sum(self.weights)
-        return tuple(
-            Fraction(t * total, self.runs * w)
-            for t, w in zip(self.tallies, self.weights)
-        )
-
-    def flip_variance(self) -> Fraction:
-        mean = self.avg_flips
-        return Fraction(self.total_flips_sq, self.runs) - mean * mean
-
-    def format_table(self) -> str:
-        lines = ["Relative frequencies of the sampled outcomes:"]
-        for i, f in enumerate(self.rel_freq, start=1):
-            lines.append(f"  outcome {i}: {float(f):.6f} (tally {self.tallies[i - 1]})")
-        lines.append(
-            f"realised over {self.runs} runs, using {float(self.avg_flips):.6f} "
-            "flips on average."
-        )
-        return "\n".join(lines)
-
-
-def run_trials(d: WeightedDist, runs: int, seed: int) -> TrialsResult:
-    """Sample `runs` times and tally outcomes and flip counts.
-
-    Every draw reads the one bit stream RandomBitSource(seed), so the
-    result equals `runs` successive sample_discrete(d, source) draws and a
-    given seed is fully reproducible.  Draws walk the successor table of
-    `d`, as sample_discrete does, but count flips instead of recording them.
-    """
-    if runs < 1:
-        raise DistError("need at least one run")
-    table = d._successor_table()
-    succ, underived, start = table.succ, table.underived, table.start
-    next_bit = RandomBitSource(seed).next_bit
-    tallies = [0] * d.size
-    total_flips = 0
-    total_flips_sq = 0
-    for _ in range(runs):
-        node = start
-        flips = 0
-        while True:
-            while node >= 0:
-                node = succ[node + next_bit()]
-                flips += 1
-            if node > underived:  # a leaf, -outcome
-                break
-            node = table.derive(node)
-        tallies[-node - 1] += 1
-        total_flips += flips
-        total_flips_sq += flips * flips
-    return TrialsResult(d.weights, runs, seed, tuple(tallies),
-                        total_flips, total_flips_sq)

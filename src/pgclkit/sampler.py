@@ -16,19 +16,28 @@ that side.  The window narrows by at least one entry on at least one side
 of every flip, and sampling ends when low == high with outcome low
 (reported 1-based).  No arithmetic ever leaves the integers.
 
-Each WeightedDist derives its sampler configurations once.  Its successor
-table is a flat list: entry 2*i + bit holds where flipping `bit` at
-interior configuration i leads, as 2*j for interior configuration j, as
--outcome for a leaf, or as a code below -N for a successor not yet
-derived.  A draw walks the table one lookup per flip and derives a
-successor only when it steps onto such a code: it splits the parent,
-checks the window invariant of the result, and stores the entry only once
-the check has passed, so no configuration is used unchecked and the table
-holds only the configurations that draws reach.  sample_discrete walks it
-for single traced draws, scripted bit streams and `pgcl sample`;
-machine.run_trials walks the same table for bulk trials, and
-machine.build_machine reads all of it, deriving what draws have not
-reached, and numbers its entries breadth first.  sample_binary keeps its
+Each WeightedDist derives its sampler configurations once, and this
+module is the only reader of the result.  Its successor table is a flat
+list: entry 2*i + bit holds where flipping `bit` at interior
+configuration i leads, as 2*j for interior configuration j, as -outcome
+for a leaf, or as a code below -N for a successor not yet derived.  A
+walk looks one entry up per flip and derives a successor only when it
+steps onto such a code: it splits the parent, checks the window invariant
+of the result, and stores the entry only once the check has passed, so no
+configuration is used unchecked and the table holds only the
+configurations that walks reach, whichever reaches one first.  The table
+identifies configurations by (low, window slice, high), so a revisited
+configuration is the same entry.
+
+Three walks read it.  sample_discrete draws one outcome and records its
+bits, for single traced draws, scripted bit streams and `pgcl sample`.
+run_trials draws in bulk and counts flips instead: every draw of a run
+reads one seeded stream, RandomBitSource(seed), so a run returns the same
+outcomes and flip counts as that many sample_discrete draws from the
+stream.  build_machine reads the whole table breadth first, deriving what
+draws have not reached, and numbers its entries into a machine.Machine:
+interior nodes are the configurations, a revisited one is a back-edge,
+and every outcome gets a single shared leaf.  sample_binary keeps its
 bias as a pair of integers too.
 """
 
@@ -36,8 +45,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from .errors import DistError, WindowInvariantError
+from .bits import RandomBitSource
+from .errors import DistError, MachineFormatError, WindowInvariantError
+from .machine import Machine, MachineNode
+
+DEFAULT_MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +82,8 @@ class WeightedDist:
         return Fraction(self.weights[outcome - 1], self.total)
 
     def _successor_table(self) -> "_SuccessorTable":
-        """The successor table that sample_discrete and machine.run_trials
-        walk: made on first use, then grown by the draws."""
+        """The successor table that sample_discrete, run_trials and
+        build_machine walk: made on first use, then grown by the walks."""
         try:
             return self._table
         except AttributeError:
@@ -250,6 +264,115 @@ def sample_discrete(d: WeightedDist, bits) -> SampleTrace:
         node = table.derive(node)
 
 
+@dataclass(frozen=True)
+class TrialsResult:
+    """Aggregated tallies of repeated sampling."""
+
+    weights: tuple[int, ...]
+    runs: int
+    seed: int
+    tallies: tuple[int, ...]  # tallies[i] counts outcome i+1
+    total_flips: int
+    total_flips_sq: int  # sum of squared per-run flip counts
+
+    @property
+    def avg_flips(self) -> Fraction:
+        return Fraction(self.total_flips, self.runs)
+
+    @property
+    def rel_freq(self) -> tuple[Fraction, ...]:
+        """Per outcome: tally/runs normalised by w_i/total, so near 1."""
+        total = sum(self.weights)
+        return tuple(
+            Fraction(t * total, self.runs * w)
+            for t, w in zip(self.tallies, self.weights)
+        )
+
+    def flip_variance(self) -> Fraction:
+        mean = self.avg_flips
+        return Fraction(self.total_flips_sq, self.runs) - mean * mean
+
+    def format_table(self) -> str:
+        lines = ["Relative frequencies of the sampled outcomes:"]
+        for i, f in enumerate(self.rel_freq, start=1):
+            lines.append(f"  outcome {i}: {float(f):.6f} (tally {self.tallies[i - 1]})")
+        lines.append(
+            f"realised over {self.runs} runs, using {float(self.avg_flips):.6f} "
+            "flips on average."
+        )
+        return "\n".join(lines)
+
+
+def run_trials(d: WeightedDist, runs: int, seed: int) -> TrialsResult:
+    """Sample `runs` times and tally outcomes and flip counts.
+
+    Every draw reads the one bit stream RandomBitSource(seed), so the
+    result equals `runs` successive sample_discrete(d, source) draws and a
+    given seed is fully reproducible.  Draws walk the successor table of
+    `d`, as sample_discrete does, but count flips instead of recording them.
+    """
+    if runs < 1:
+        raise DistError("need at least one run")
+    table = d._successor_table()
+    succ, underived, start = table.succ, table.underived, table.start
+    next_bit = RandomBitSource(seed).next_bit
+    tallies = [0] * d.size
+    total_flips = 0
+    total_flips_sq = 0
+    for _ in range(runs):
+        node = start
+        flips = 0
+        while True:
+            while node >= 0:
+                node = succ[node + next_bit()]
+                flips += 1
+            if node > underived:  # a leaf, -outcome
+                break
+            node = table.derive(node)
+        tallies[-node - 1] += 1
+        total_flips += flips
+        total_flips_sq += flips * flips
+    return TrialsResult(d.weights, runs, seed, tuple(tallies),
+                        total_flips, total_flips_sq)
+
+
+def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machine:
+    """The sampler's configurations reachable from the initial one, read
+    breadth first from the successor table of `d`; an entry that no draw
+    has reached yet is derived, and checked, on the way.
+
+    Node ids are assigned in discovery order (root is 0), so the result is
+    reproducible.  Leaves are shared per outcome: the table names a leaf
+    by its outcome alone.
+    """
+    table = d._successor_table()
+    succ, underived = table.succ, table.underived
+    order = [table.start]  # entries in discovery order: node i is order[i]
+    ids = {table.start: 0}
+    nodes: list[MachineNode] = []
+    for entry in order:  # order grows as the walk discovers entries
+        if entry < 0:  # a leaf, -outcome
+            nodes.append(MachineNode(len(nodes), "leaf", outcome=-entry))
+            continue
+        succ_ids = []
+        for e in (entry, entry + 1):
+            nxt = succ[e] if succ[e] > underived else table.derive(succ[e])
+            if nxt not in ids:
+                if len(ids) >= max_nodes:
+                    raise MachineFormatError(
+                        f"machine construction exceeded {max_nodes} nodes"
+                    )
+                ids[nxt] = len(ids)
+                order.append(nxt)
+            succ_ids.append(ids[nxt])
+        c = table.configs[entry >> 1]
+        window = " ".join(str(v) for v in c.window())
+        nodes.append(MachineNode(len(nodes), "interior", heads=succ_ids[0],
+                                 tails=succ_ids[1],
+                                 label=f"{c.low} | {window} | {c.high}"))
+    return Machine(tuple(nodes), root=0, outcomes=d.size)
+
+
 def sample_binary(p: Fraction, bits) -> SampleTrace:
     """Bernoulli(p) from fair flips: outcome 1 with probability exactly p.
 
@@ -298,3 +421,14 @@ def read_trials_file(text: str) -> tuple[int, WeightedDist]:
         raise DistError(f"bad run count {lines[0]!r}") from None
     dist = WeightedDist.parse(" ".join(lines[1:]))
     return runs, dist
+
+
+def read_dist(text: str) -> tuple[Optional[int], WeightedDist]:
+    """A weight list, or a trials file with its own run count: (runs or
+    None, dist).  Text whose first line that holds anything is a single
+    token, with more such lines after it, is a trials file.  A `#` starts
+    a comment anywhere on a line."""
+    lines = _weight_lines(text)
+    if len(lines) > 1 and len(lines[0].split()) == 1:
+        return read_trials_file(text)
+    return None, WeightedDist.parse(" ".join(lines))

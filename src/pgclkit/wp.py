@@ -234,12 +234,8 @@ class WpResult:
 #
 # Compile cost follows the number of classes built, not the number of
 # states: HALVING_LOOP compiles 9 classes of p on eighths, where the space
-# has 1 458 states.  Best of three compile_program calls of it (Python
-# 3.11, 2 cores) took 60 ms on eighths and 399 ms on sixteenths with one
-# entry per state, and 2-5 ms and 5-12 ms with one per class.
-# SPLIT_THEN_COIN at p = 3/8 over x, q, r (162 states) took 3.9 ms with
-# every class of every pick built, and 0.7 ms with its classes built as
-# they are read.
+# has 1 458 states, and SPLIT_THEN_COIN at a fixed p builds only the
+# classes of its coin that the split reaches.
 #
 # Running.  A pick derives its run form on its first run and keeps it
 # (_CPick.ints, built by _ints): every weight becomes an int over its W,
@@ -322,21 +318,25 @@ class _Frame:
                 for ds in itertools.product(*(range(self.sizes[v]) for v in key))]
         return got
 
+    def radices(self, key: tuple) -> tuple:
+        """Per variable of key, its place value in the number of a class."""
+        got = self._radices.get(key)
+        if got is None:
+            got, r = [], 1
+            for v in reversed(key):
+                got.append(r)
+                r *= self.sizes[v]
+            got = self._radices[key] = tuple(reversed(got))
+        return got
+
     def index(self, key: tuple, at: dict) -> int:
         """The class of key that `at` (values of key's variables) is."""
-        radices = self._radices.get(key)
-        if radices is None:
-            radices, r = [], 1
-            for v in reversed(key):
-                radices.append(r)
-                r *= self.sizes[v]
-            radices = self._radices[key] = tuple(reversed(radices))
-        return sum(at[v] * r for v, r in zip(key, radices))
+        return sum(at[v] * r for v, r in zip(key, self.radices(key)))
 
     def reach(self, key: tuple, a: int, at: dict) -> int:
         """The class of key of the state atom a reaches from the class `at`."""
         ds = self.digits(a)[1]
-        return self.index(key, {v: ds[v] - 1 if ds[v] else at[v] for v in key})
+        return sum((ds[v] - 1 if ds[v] else at[v]) * r for v, r in zip(key, self.radices(key)))
 
     def members(self, key: tuple) -> list:
         """Per class of key, its states in order."""
@@ -615,13 +615,12 @@ class _CLoop:
     """A loop over the positions of its step (see Loops): class k of key is
     at position places[k], None where the loop exits at once, and position
     m + e holds exit e, which reaches atoms[e].  step(x, exits, den) runs
-    the step, parts are the nodes it runs, and follow is what _exits gives
-    for the statements after it."""
+    the step, and parts are the nodes it runs."""
 
     def __init__(self, frame: _Frame, key: tuple, places, step, atoms: list,
-                 follow: tuple, marks: list, m: int, held: int, parts: tuple):
+                 marks: list, m: int, held: int, parts: tuple):
         self.frame, self.key, self.places, self.step = frame, key, places, step
-        self.atoms, self.follow, self.parts = atoms, follow, parts
+        self.atoms, self.parts = atoms, parts
         self.m, self.n = m, m + held
         self.stuck = _stuck(step, self.n, len(marks))
         self.undef = _undefined(step, self.n, marks)
@@ -644,10 +643,10 @@ class _CLoop:
 
     def pick(self, undef: dict, d: int, ints: dict) -> _CPick:
         """The solved loop as a flat pick over its exits."""
-        frame, (after_key, after_marks), entries = self.frame, self.follow, []
+        frame, entries = self.frame, []
         for p, at in zip(self.places, frame.classes(self.key)):
-            if p is None:
-                entries.append(_point(after_marks[frame.index(after_key, at)] or 0))
+            if p is None:  # what follows meets its markers itself
+                entries.append(_point(0))
             elif p in undef:
                 entries.append(_point(undef[p]))
             elif p in self.stuck:
@@ -670,8 +669,8 @@ def _states_loop(gate: _CPick, body) -> _CLoop:
 
     every = tuple(range(len(frame.sizes)))
     atoms = [frame.atom(0, [d + 1 for d in at.values()], {}) for at in frame.classes(every)]
-    return _CLoop(frame, every, range(frame.n), step, atoms, ((), [None]), [0] * frame.n,
-                  frame.n, 0, (gate, body))
+    return _CLoop(frame, every, range(frame.n), step, atoms, [0] * frame.n, frame.n, 0,
+                  (gate, body))
 
 
 def _stuck(step, n: int, exits: int) -> set:
@@ -916,7 +915,7 @@ def _loop(prog: While, frame: _Frame, after: tuple):
     follow = _exits(after, frame) if single else ((), [None])
     key = _union(key, follow[0] if single else set(range(len(frame.sizes))) - may)
     places, m, run, atoms, marks = _positions(frame, step, key, follow)
-    loop = _CLoop(frame, key, places, run, atoms, follow, marks, m, len(atoms), (step,))
+    loop = _CLoop(frame, key, places, run, atoms, marks, m, len(atoms), (step,))
     if not single:  # every exit is a state, whose post the demon reads
         return loop
     # one policy: exit values, which only choose between options, are 0
@@ -1211,11 +1210,7 @@ class Compiled:
         root = self._root
         if not _flat(root):
             return None
-        frame = root.frame
-        steps, step = [], 1  # the combination is sum value * step
-        for p in reversed(positions):
-            steps.append((p, step))
-            step *= frame.sizes[p]
+        frame, observed = root.frame, tuple(positions)
         key = _union(root.key, positions)
         sets = []
         for at in frame.classes(key):
@@ -1225,8 +1220,7 @@ class Compiled:
                     return None
                 mass: dict = {}
                 for w, a in zip(*o):
-                    ds = frame.digits(a)[1]
-                    c = sum((ds[p] - 1 if ds[p] else at[p]) * s for p, s in steps)
+                    c = frame.reach(observed, a, at)
                     mass[c] = mass[c] + w if c in mass else w
                 options.append(frozenset(mass.items()))
             sets.append(frozenset(options))

@@ -1,5 +1,6 @@
 import io
 import json
+import runpy
 import subprocess
 import sys
 
@@ -83,6 +84,18 @@ def test_wp_with_params(tmp_path, capsys):
     rc = main(["wp", "--program", prog, "--post", "[x = 1]", "--param", "p=3/8"])
     assert rc == 0
     assert all(ln.endswith("3/8") for ln in capsys.readouterr().out.strip().splitlines())
+
+
+@pytest.mark.parametrize("param, error", [
+    ("p", "error: 1:1: bad --param 'p', expected name=value\n"),
+    ("=1/2", "error: 1:1: bad --param '=1/2', expected name=value\n"),
+    ("p=abc", "error: 1:1: bad rational 'abc': Invalid literal for Fraction: 'abc'\n"),
+])
+def test_wp_bad_param_exits_2(tmp_path, capsys, param, error):
+    prog = write(tmp_path, "bias.pgcl", "var x in {0, 1}\nx :in 1 <p> 0\n")
+    rc = main(["wp", "--program", prog, "--param", param])
+    assert rc == 2
+    assert capsys.readouterr().err == error
 
 
 def test_wp_syntax_error_exits_2(tmp_path, capsys):
@@ -487,6 +500,24 @@ def test_inline_dist_comment_runs_to_the_end_of_the_line(capsys):
         assert capsys.readouterr().out.strip() == "outcome=2 flips=3 bits=011"
 
 
+@pytest.mark.parametrize("dist", ["", "# no weights"])
+def test_empty_inline_dist_has_no_outcome(dist, capsys):
+    # '' names the current directory, which is no file to read weights from
+    rc = main(["trials", "--dist", dist, "--runs", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need at least one outcome\n"
+
+
+def test_a_long_inline_dist_is_no_file_name(capsys):
+    # 200 weights make an argument longer than a file name may be
+    weights = " ".join(["1"] * 200)
+    rc = main(["trials", "--dist", weights, "--runs", "3", "--seed", "1", "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["weights"] == [1] * 200
+    assert sum(payload["tallies"]) == 3
+
+
 def test_trials_without_runs_exits_2(capsys):
     rc = main(["trials", "--dist", "1 2 3"])
     assert rc == 2
@@ -500,6 +531,26 @@ def test_machine_build_text(capsys):
     assert "outcomes 2" in out
     assert "root 0" in out
     assert "node 0 interior 1 2" in out
+
+
+def test_machine_build_json(capsys):
+    rc = main(["machine-build", "--dist", "1 2", "--json"])
+    assert rc == 0
+
+    def node(id, kind, heads=None, tails=None, outcome=None, label=""):
+        return {"id": id, "kind": kind, "heads": heads, "tails": tails,
+                "outcome": outcome, "label": label}
+
+    assert json.loads(capsys.readouterr().out) == {
+        "outcomes": 2,
+        "root": 0,
+        "nodes": [
+            node(0, "interior", 1, 2, label="0 | 1 | 1"),
+            node(1, "interior", 3, 0, label="0 | 2 | 1"),
+            node(2, "leaf", outcome=2),
+            node(3, "leaf", outcome=1),
+        ],
+    }
 
 
 def test_machine_analyze_die(capsys):
@@ -553,6 +604,16 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "outcome=2 flips=1 bits=1"
+
+
+@pytest.mark.filterwarnings("ignore:'pgclkit.cli' found in sys.modules:RuntimeWarning")
+def test_module_entry_point_exits_with_mains_code(monkeypatch, capsys):
+    # `python -m pgclkit.cli`, run in this process
+    monkeypatch.setattr("sys.argv", ["pgclkit.cli", "trials", "--dist", "1 2 3"])
+    with pytest.raises(SystemExit) as ei:
+        runpy.run_module("pgclkit.cli", run_name="__main__")
+    assert ei.value.code == 2
+    assert capsys.readouterr().err == "run count missing: pass --runs or use a trials file\n"
 
 
 def test_usage_error_exits_2():

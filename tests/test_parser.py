@@ -154,6 +154,9 @@ def test_dist_statement_checks_total():
         parse_program("x :dist [0: 1/4, 1: 1/4]", s)
     with pytest.raises(DistError, match=r"^negative probability in distribution$"):
         parse_program("x :dist [0: -1/4, 1: 1/4, 2: 1]", s)
+    with pytest.raises(PgclSyntaxError,
+                       match=r"^1:3: distribution probabilities must be constants$"):
+        parse_program("x :dist [0: x / 2, 1: 1 - x / 2]", s)
 
 
 def test_dist_drops_zero_items_and_a_single_item_is_an_assignment():

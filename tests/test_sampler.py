@@ -21,7 +21,7 @@ from pgclkit import (
     sample_binary,
     sample_discrete,
 )
-from pgclkit.machine import build_machine
+from pgclkit.sampler import build_machine
 
 F = Fraction
 
