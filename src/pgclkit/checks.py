@@ -26,14 +26,16 @@ last probe, so its counterexample is the first probe that refutes.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import DistError, EvalError, UndefinedStateError, VariantError, WpError
-from .expectations import Expectation, evaluate, from_expr
+from .expectations import Expectation, evaluate, from_column, from_expr
 from .exprs import Bracket, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
 from .states import State, StateSpace
@@ -93,35 +95,18 @@ class ProbeFamily:
     `observed` names the variables every probe is a function of, so that
     a check may decide from the compiled rows over them.  Only `default`
     and `over_vars` set it, since only they know what their probes read;
-    they build their probes when `probes` is first read, so a check that
-    the rows decide as `holds` builds none.  A family built from a tuple
-    of probes has no observed variables and always runs its probes."""
+    their families build the probes when `probes`, a cached_property, is
+    first read, so a check that the rows decide as `holds` builds none.
+    A family built from a tuple of probes has no observed variables and
+    always runs its probes."""
 
     probes: tuple[Expectation, ...]
     seed: Optional[int] = None
     observed: Optional[tuple[str, ...]] = field(default=None, init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "space", self.probes[0].space if self.probes else None)
-
-    @classmethod
-    def _deferred(cls, space: StateSpace, observed: tuple[str, ...],
-                  seed: int, build) -> "ProbeFamily":
-        """A family whose probes build() makes when first read; the
-        builder hangs off the frozen dataclass, out of its fields."""
-        family = object.__new__(cls)
-        for name, value in (("seed", seed), ("observed", observed), ("space", space),
-                            ("_build", build)):
-            object.__setattr__(family, name, value)
-        return family
-
-    def __getattr__(self, name):
-        # reached only for an attribute not set: a deferred family's probes
-        build = self.__dict__.get("_build")
-        if name != "probes" or build is None:
-            raise AttributeError(name)
-        object.__setattr__(self, "probes", tuple(build()))
-        return self.probes
+    @property
+    def space(self) -> Optional[StateSpace]:
+        return self.probes[0].space if self.probes else None
 
     def __iter__(self):
         return iter(self.probes)
@@ -136,9 +121,7 @@ class ProbeFamily:
         boolean guard or assertion in the given programs, placed before
         the random probes (a loop guard may be a probability instead, and
         a bracket undefined at some state is skipped)."""
-        programs = tuple(programs)
-        return ProbeFamily._deferred(space, space.names, seed, lambda: _probes(
-            space, space.names, programs, seed, extra))
+        return _Built(seed, space.names, space, tuple(programs), extra)
 
     @staticmethod
     def over_vars(space: StateSpace, names: Iterable[str], seed: int = 0,
@@ -153,8 +136,26 @@ class ProbeFamily:
         names = tuple(names)
         for n in names:
             space.var_pos(n)  # an undeclared name fails here, not on first use
-        return ProbeFamily._deferred(space, names, seed, lambda: _probes(
-            space, names, (), seed, extra))
+        return _Built(seed, names, space, (), extra)
+
+
+@dataclass(frozen=True, eq=False)
+class _Built(ProbeFamily):
+    """The family that `default` and `over_vars` return: its probes are
+    `_probes` of its fields, built when `probes` is first read, as
+    `_CPick.ints` is on its first run; it compares as ProbeFamily does."""
+
+    def _build(self) -> tuple:
+        return tuple(_probes(self.space, self.observed, self.programs, self.seed,
+                             self.extra))
+
+    # a descriptor as the field's default stays on the class, out of
+    # __init__, and caches the probes in the instance on first read
+    probes: tuple = field(init=False, repr=False, default=cached_property(_build))
+    observed: tuple[str, ...] = ()
+    space: Optional[StateSpace] = None
+    programs: tuple = ()
+    extra: int = PROBE_COUNT
 
 
 def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
@@ -168,9 +169,7 @@ def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
     probes: list[Expectation] = []
     seen = set()
 
-    combos: list[tuple] = [()]
-    for p in positions:
-        combos = [c + (v,) for c in combos for v in space.domains[p].values]
+    combos = list(itertools.product(*(space.domains[p].values for p in positions)))
     # per state its combination, by stride arithmetic; a probe is a
     # column over the combinations, and two probes are equal exactly
     # when their columns agree on the combinations some state has
@@ -181,13 +180,12 @@ def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
         key = tuple(column[c] for c in present)
         if key not in seen:
             seen.add(key)
-            probes.append(Expectation.proven(
-                space, tuple(map(column.__getitem__, index)), label=label))
+            probes.append(from_column(space, index, column, label))
 
     for k, combo in enumerate(combos):
         column = [ZERO] * len(combos)
         column[k] = ONE
-        add(column, f"[{', '.join(f'{n}={v}' for n, v in zip(names, combo))}]")
+        add(column, _point_label(names, combo))
     # programs come with every variable named, in order: there a state is
     # its own combination, so a bracket's values are its column.  A loop
     # guard may be a probability, and a bracket undefined somewhere is no
@@ -206,6 +204,11 @@ def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
                            PROBE_DENOMINATOR) for _ in combos]
         add(column, f"random probe {k} over {', '.join(names)}")
     return probes
+
+
+def _point_label(names, values) -> str:
+    """The label [n=v, ...] of the indicator of one combination."""
+    return f"[{', '.join(f'{n}={v}' for n, v in zip(names, values))}]"
 
 
 def dyadic_grid(denominator: int = 8) -> tuple[Fraction, ...]:
@@ -325,10 +328,10 @@ def _witness(space: StateSpace, positions: list, names, c: int,
         label = "1"
     else:
         at = space.state_at(firsts[c])
-        label = f"[{', '.join(f'{n}={at[n]}' for n in names)}]"
+        label = _point_label(names, (at[n] for n in names))
         label = f"1 - {label}" if flip else label
-    values = tuple(ONE if (k == c) != flip else ZERO for k in index)
-    return Expectation.proven(space, values, label=label)
+    column = [ONE if (k == c) != flip else ZERO for k in range(len(firsts))]
+    return from_column(space, index, column, label)
 
 
 def check_equal(left: Program, right: Program, probes: ProbeFamily,
@@ -382,7 +385,7 @@ def check_variant(loop: Program, spec: VariantSpec,
     guard_at, guards = evaluate(space, loop.guard)
     variant_at, variants = evaluate(space, spec.variant)
     guard_index, variant_index = space.projection(guard_at)[0], space.projection(variant_at)[0]
-    guard_states: list[tuple[int, Fraction]] = []
+    by_value: dict[Fraction, list[int]] = {}  # the guard states, by variant value
     for i in range(space.size):
         g = guards[guard_index[i]]
         if isinstance(g, EvalError):
@@ -402,35 +405,32 @@ def check_variant(loop: Program, spec: VariantSpec,
         if v > spec.upper_bound:
             column = [x if isinstance(x, Fraction) and x >= 0 else ZERO
                       for x in variants]
-            probe = Expectation.proven(space, tuple(map(column.__getitem__, variant_index)),
-                                       label=str(spec.variant))
+            probe = from_column(space, variant_index, column, str(spec.variant))
             return Verdict(
                 "fails",
                 counterexample=Counterexample(
                     probe, space.state_at(i), v, Fraction(spec.upper_bound)),
                 detail="variant exceeds its bound",
             )
-        guard_states.append((i, v))
+        by_value.setdefault(v, []).append(i)
 
-    if not guard_states:
+    if not by_value:
         return Verdict("holds", detail="loop guard nowhere satisfied")
 
     # the body's wp outside the guard is irrelevant; mask it, then surface
     # undefinedness only where the loop actually iterates
     body = compile_program(loop.body, space)
-    for cut in sorted({v for _, v in guard_states}):
+    for cut in sorted(by_value):
         # [variant < cut]: 0 where the variant is undefined or not a
         # number, which counts as no decrease and so never over-claims
         column = [ONE if isinstance(x, Fraction) and x < cut else ZERO
                   for x in variants]
-        decrease = Expectation.proven(space, tuple(map(column.__getitem__, variant_index)),
-                                      label=f"[{spec.variant} < {cut}]")
+        decrease = from_column(space, variant_index, column,
+                               f"[{spec.variant} < {cut}]")
         result = body.wp(decrease, WpConfig(undefined="mask"))
         masked = {st.index: why for st, why in zip(result.undefined_states,
                                                    result.undefined_reasons)}
-        for i, v in guard_states:
-            if v != cut:
-                continue
+        for i in by_value[cut]:
             if i in masked:
                 raise UndefinedStateError(
                     f"loop body wp is undefined at guard state {space.state_at(i)}: "

@@ -124,7 +124,9 @@ def _verdict_json(v: Verdict) -> dict:
     return out
 
 
-def _verdict_exit(v: Verdict) -> int:
+def _report(args, v: Verdict) -> int:
+    """Print one verdict, as --json asks, and return its exit code."""
+    print(json.dumps(_verdict_json(v), indent=2) if args.json else v)
     return 0 if v.holds else 1
 
 
@@ -142,13 +144,14 @@ def _cmd_wp(args) -> int:
             "pre": {str(s): rat(result.pre[s]) for s in space.states()},
             "loop_residual": rat(result.loop_residual),
             "undefined_states": [str(s) for s in result.undefined_states],
+            "undefined_reasons": list(result.undefined_reasons),
         }
         print(json.dumps(payload, indent=2))
     else:
         for s in space.states():
             print(f"{s}  {rat(result.pre[s])}")
-        for s in result.undefined_states:
-            print(f"undefined at {s}", file=sys.stderr)
+        for s, why in zip(result.undefined_states, result.undefined_reasons):
+            print(f"undefined at {s}: {why}", file=sys.stderr)
     return 0
 
 
@@ -174,14 +177,13 @@ def _run_check(args, kind: str) -> int:
         return fn(lhs, rhs, probes, space)
 
     if args.grid:
-        grid = dyadic_grid(args.grid_denominator)
         results = []
-        for value in grid:
+        for value in dyadic_grid(args.grid_denominator):
             v = one({args.grid: value})
             results.append((value, v))
             if not args.json:
                 print(f"{args.grid} = {rat(value)}: {v}")
-        worst = max(results, key=lambda r: _verdict_exit(r[1]))
+        holds = all(v.holds for _, v in results)
         if args.json:
             print(json.dumps({
                 "parameter": args.grid,
@@ -191,14 +193,9 @@ def _run_check(args, kind: str) -> int:
                 ],
             }, indent=2))
         else:
-            print(f"overall: {worst[1].status}")
-        return _verdict_exit(worst[1])
-    v = one({})
-    if args.json:
-        print(json.dumps(_verdict_json(v), indent=2))
-    else:
-        print(v)
-    return _verdict_exit(v)
+            print(f"overall: {'holds' if holds else 'fails'}")
+        return 0 if holds else 1
+    return _report(args, one({}))
 
 
 def _cmd_check_variant(args) -> int:
@@ -213,12 +210,7 @@ def _cmd_check_variant(args) -> int:
         upper_bound=args.bound,
         epsilon=parse_rational(args.epsilon),
     )
-    v = check_variant(prog, spec, space)
-    if args.json:
-        print(json.dumps(_verdict_json(v), indent=2))
-    else:
-        print(v)
-    return _verdict_exit(v)
+    return _report(args, check_variant(prog, spec, space))
 
 
 def _cmd_sample(args) -> int:

@@ -77,8 +77,7 @@ def from_expr(space: StateSpace, expr: Expr, label: str = "") -> Expectation:
         if not isinstance(v, Fraction):
             raise EvalError(f"expectation is non-numeric at {state}")
         raise EvalError(f"expectation is negative at {state}")
-    return Expectation.proven(space, tuple(map(results.__getitem__, index)),
-                              label=label or str(expr))
+    return from_column(space, index, results, label or str(expr))
 
 
 def evaluate(space: StateSpace, expr) -> tuple:
@@ -96,6 +95,13 @@ def evaluate(space: StateSpace, expr) -> tuple:
         except EvalError as exc:
             results.append(exc)
     return positions, results
+
+
+def from_column(space: StateSpace, index: list, column: list, label: str) -> Expectation:
+    """The expectation that is column[c] at every state whose combination
+    StateSpace.projection numbers c (index, its per-state list); the
+    entries must be non-negative Fractions, as nothing is checked."""
+    return Expectation.proven(space, tuple(map(column.__getitem__, index)), label=label)
 
 
 def _exact(value) -> Fraction:

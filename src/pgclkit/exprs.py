@@ -245,6 +245,8 @@ def _level(e: Expr) -> int:
         return _ADD if e.op in "+-" else _MUL
     if isinstance(e, Neg):
         return _UNARY
+    if isinstance(e, Lit) and e.value.denominator != 1:
+        return _MUL  # prints as num/den, so a product: x / (1/2) is not x / 1/2
     return _ATOM
 
 

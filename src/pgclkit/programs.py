@@ -197,15 +197,9 @@ def _operand(p: Program) -> str:
 def _chain(p: Program) -> str:
     # flatten the left spine of a probabilistic/demonic choice chain
     if isinstance(p, ProbChoice):
-        return f"{_chain_left(p.left)} <{pretty_expr(p.prob)}> {_operand(p.right)}"
+        return f"{_chain(p.left)} <{pretty_expr(p.prob)}> {_operand(p.right)}"
     if isinstance(p, DemonChoice):
-        return f"{_chain_left(p.left)} |^| {_operand(p.right)}"
-    return _operand(p)
-
-
-def _chain_left(p: Program) -> str:
-    if isinstance(p, (ProbChoice, DemonChoice)):
-        return _chain(p)
+        return f"{_chain(p.left)} |^| {_operand(p.right)}"
     return _operand(p)
 
 

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import operator
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,21 @@ def test_a_check_the_rows_decide_builds_no_probe(monkeypatch):
     v = check_refines(spec, helpers.prog("x := 0", s), fam, s)
     assert (v.status, v.method) == ("fails", "rows") and built == [("x",)]
     assert len(fam) == len(fam.probes) and built == [("x",)]  # built once
+
+
+def test_factory_families_compare_by_value_and_are_frozen():
+    s = helpers.pqr_space(helpers.THIRDS)
+    fam = ProbeFamily.over_vars(s, ("x",), seed=3)
+    assert fam == ProbeFamily.over_vars(s, ("x",), seed=3)
+    assert hash(fam) == hash(ProbeFamily.over_vars(s, ("x",), seed=3))
+    assert fam != ProbeFamily.over_vars(s, ("x",), seed=4)
+    assert fam != ProbeFamily(fam.probes, seed=3)  # no observed variables
+    assert ProbeFamily.default(s) == ProbeFamily.over_vars(s, s.names)
+    for family in (ProbeFamily.default(s), fam):
+        for name in ("probes", "seed", "observed", "space", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(family, name, None)
+    assert fam.space is s and len(fam) == len(fam.probes) > 0
 
 
 def test_a_family_of_bare_probes_runs_them():

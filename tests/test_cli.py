@@ -188,6 +188,22 @@ def test_wp_undefined_state_raise_and_mask(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "undefined at {x=1}" in captured.err
+    # mask mode prints the reason the raise mode reports, and --json lists it
+    prog = write(tmp_path, "div.pgcl", "var x in {0, 1, 2}\nx := 2 / x\n")
+    rc = main(["wp", "--program", prog])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: wp is undefined at {x=0}: division by zero at {x=0}\n")
+    rc = main(["wp", "--program", prog, "--undefined", "mask"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == "undefined at {x=0}: division by zero at {x=0}\n"
+    assert captured.out.splitlines() == ["{x=0}  0/1", "{x=1}  1/1", "{x=2}  1/1"]
+    rc = main(["wp", "--program", prog, "--undefined", "mask", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["undefined_states"] == ["{x=0}"]
+    assert payload["undefined_reasons"] == ["division by zero at {x=0}"]
 
 
 def test_wp_post_undefined_names_the_state(tmp_path, capsys):
@@ -516,6 +532,12 @@ def test_a_long_inline_dist_is_no_file_name(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["weights"] == [1] * 200
     assert sum(payload["tallies"]) == 3
+
+
+def test_trials_with_no_run_exits_1(capsys):
+    rc = main(["trials", "--dist", "1 1", "--runs", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need at least one run\n"
 
 
 def test_trials_without_runs_exits_2(capsys):

@@ -89,6 +89,10 @@ def test_pretty_round_trip_preserves_tree():
         "x - y - 1",
         "x - (y - 1)",
         "3/4 * x",
+        # a fractional literal after * or / keeps its parentheses
+        "x / (1/2)",
+        "x * (1/2)",
+        "x * (-1/2)",
     ]
     for text in texts:
         e = parse_expression(text, s)

@@ -199,6 +199,22 @@ def test_error_carries_line_and_column():
     assert str(err).startswith("2:")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x @ 1", "1:3: unexpected character '@'"),
+    ("IF c THEN SKIP ELSE ABORT", "1:1: IF condition must be boolean or numeric"),
+    ("x, y := 1", "1:6: 2 variables but 1 expressions"),
+    ("x, y :in {0, 1}", "1:6: only := and :suchthat take several variables"),
+    ("x + 1", "1:3: expected an assignment operator, found '+'"),
+    ("x :dist [0: true, 1: 0]", "1:3: probability must be numeric"),
+    ("x :dist [0: 1 / (1 - 1), 1: 1]", "1:3: bad probability: division by zero"),
+])
+def test_statement_errors_carry_their_position(text, message):
+    s = space_of(("x", (0, 1, 2, 3)), ("y", (0, 1)), ("c", ("H", "T")))
+    with pytest.raises(PgclSyntaxError) as ei:
+        parse_program(text, s)
+    assert str(ei.value) == message
+
+
 def test_comments_and_blank_lines_ignored():
     s = coin()
     p = parse_program("# setup\n\nx := H  # choose heads\n", s)

@@ -17,8 +17,8 @@ from pgclkit import (
     space_of,
     wp,
 )
-from pgclkit.exprs import Var
-from pgclkit.programs import Skip, While
+from pgclkit.exprs import BinOp, Lit, Var
+from pgclkit.programs import Skip, SuchThat, While
 from pgclkit.wp import _CLoop, _Vec, compile_program
 from resolutions import min_expected, resolutions_by_state
 
@@ -185,6 +185,23 @@ def test_out_of_domain_assignment_raises_or_masks():
     r = wp(p, constant(s, 1), cfg=WpConfig(undefined="mask"))
     assert r.pre.values == (F(1), F(0))
     assert len(r.undefined_states) == 1
+
+
+def test_unary_minus_on_a_variable():
+    s = space_of(("x", (0, 1, 2, 3)), ("y", (0, 1)))
+    p = helpers.prog("x := -y + 2", s)
+    assert str(p) == "x := -y + 2"
+    r = wp(p, from_expr(s, Var("x")))
+    assert r.pre.values == tuple(F(2 - st["y"]) for st in s.states())
+
+
+def test_a_suchthat_predicate_that_is_not_boolean_is_undefined():
+    # the parser refuses y + 1 as a predicate; built through the API, wp
+    # names it at the first state
+    s = space_of(("x", (0, 1, 2, 3)), ("y", (0, 1)))
+    prog = SuchThat(("x",), BinOp("+", Var("y"), Lit(F(1))))
+    with pytest.raises(UndefinedStateError, match="suchthat predicate is not boolean"):
+        wp(prog, constant(s, 1))
 
 
 def test_probability_outside_unit_interval_is_undefined():
