@@ -98,9 +98,10 @@ def evaluate(space: StateSpace, expr) -> tuple:
 
 
 def from_column(space: StateSpace, index: list, column: list, label: str) -> Expectation:
-    """The expectation that is column[c] at every state whose combination
-    StateSpace.projection numbers c (index, its per-state list); the
-    entries must be non-negative Fractions, as nothing is checked."""
+    """The expectation whose value at state i is column[index[i]]: a
+    column over the combinations that StateSpace.projection numbers, and
+    index its per-state list.  The entries must be non-negative
+    Fractions; nothing is checked."""
     return Expectation.proven(space, tuple(map(column.__getitem__, index)), label=label)
 
 
