@@ -19,7 +19,6 @@ from .errors import (
     MachineFormatError,
     PgclError,
     PgclSyntaxError,
-    ResolutionLimitError,
     SpaceError,
     UndefinedStateError,
     VariantError,
@@ -60,7 +59,7 @@ __all__ = [
     "EvalError", "Expectation", "Expr", "Machine", "MachineAnalysis",
     "MachineAnalysisError", "MachineFormatError", "MachineNode",
     "PgclError", "PgclSyntaxError", "ProbeFamily", "Program",
-    "RandomBitSource", "ResolutionLimitError", "SampleTrace",
+    "RandomBitSource", "SampleTrace",
     "ScriptedBitSource", "SpaceError", "State", "StateSpace",
     "TrialsResult", "UndefinedStateError", "VarDomain", "VariantError",
     "VariantSpec", "Verdict", "WeightedDist", "WindowInvariantError",

@@ -47,6 +47,7 @@ ONE = Fraction(1)
 PROBE_COUNT = 16
 PROBE_BOUND = 4
 PROBE_DENOMINATOR = 8
+GRID_DENOMINATOR = 8
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,11 @@ class _Built(ProbeFamily):
     programs: tuple = ()
     extra: int = PROBE_COUNT
 
+    def __post_init__(self):
+        # random.Random seeds with the absolute value, so -3 would replay 3
+        if self.seed < 0:
+            raise DistError("seed must be non-negative")
+
 
 def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
             extra: int) -> list:
@@ -211,7 +217,7 @@ def _point_label(names, values) -> str:
     return f"[{', '.join(f'{n}={v}' for n, v in zip(names, values))}]"
 
 
-def dyadic_grid(denominator: int = 8) -> tuple[Fraction, ...]:
+def dyadic_grid(denominator: int = GRID_DENOMINATOR) -> tuple[Fraction, ...]:
     """The grid {0, 1/d, 2/d, ..., 1} used to instantiate parameters."""
     if denominator < 1:
         raise DistError(f"grid denominator must be at least 1, got {denominator}")

@@ -23,6 +23,8 @@ from pathlib import Path
 from typing import Optional
 
 from .checks import (
+    GRID_DENOMINATOR,
+    PROBE_COUNT,
     ProbeFamily,
     Verdict,
     check_equal,
@@ -318,10 +320,12 @@ def _add_check_flags(p: argparse.ArgumentParser):
     p.add_argument("--probe-vars", metavar="X,Y",
                    help="compare only on functions of these variables")
     p.add_argument("--seed", type=int, default=0, help="probe seed")
-    p.add_argument("--extra-probes", type=int, default=16)
+    p.add_argument("--extra-probes", type=int, default=PROBE_COUNT,
+                   help="seeded random probes (default %(default)s)")
     p.add_argument("--grid", metavar="NAME",
                    help="check once per grid value of this parameter")
-    p.add_argument("--grid-denominator", type=int, default=8)
+    p.add_argument("--grid-denominator", type=int, default=GRID_DENOMINATOR,
+                   help="the grid is 0, 1/d, ..., 1 (default %(default)s)")
     p.add_argument("--json", action="store_true")
 
 

@@ -38,10 +38,6 @@ class UndefinedStateError(WpError):
         self.state = state
 
 
-class ResolutionLimitError(PgclError):
-    """Demonic strategy enumeration exceeded the configured bound."""
-
-
 class VariantError(PgclError):
     """Variant expression is not natural-number-valued where required."""
 

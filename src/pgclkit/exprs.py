@@ -9,6 +9,7 @@ point anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -103,6 +104,12 @@ class Bracket(Expr):
 
 # --- evaluation ----------------------------------------------------------
 
+# the meaning of each operator, by its spelling in program text
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
 
 def _num(v: Value, what: str) -> Fraction:
     if isinstance(v, Fraction):
@@ -127,12 +134,10 @@ def _kind_name(v: Value) -> str:
 def eval_expr(e: Expr, state) -> Value:
     """Evaluate an expression at a State, or at any {name: value} mapping
     of its free variables.  Total over well-typed inputs."""
-    if isinstance(e, Lit):
+    if isinstance(e, (Lit, BoolLit)):
         return e.value
     if isinstance(e, TokenLit):
         return e.name
-    if isinstance(e, BoolLit):
-        return e.value
     if isinstance(e, Var):
         return state[e.name]
     if isinstance(e, Neg):
@@ -140,17 +145,12 @@ def eval_expr(e: Expr, state) -> Value:
     if isinstance(e, BinOp):
         a = _num(eval_expr(e.left, state), f"operator {e.op}")
         b = _num(eval_expr(e.right, state), f"operator {e.op}")
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise EvalError("division by zero")
-            return a / b
-        raise EvalError(f"unknown operator {e.op}")
+        try:
+            return ARITHMETIC[e.op](a, b)
+        except KeyError:
+            raise EvalError(f"unknown operator {e.op}") from None
+        except ZeroDivisionError:
+            raise EvalError("division by zero") from None
     if isinstance(e, Cmp):
         a = eval_expr(e.left, state)
         b = eval_expr(e.right, state)
@@ -160,21 +160,12 @@ def eval_expr(e: Expr, state) -> Value:
             raise EvalError(
                 f"type mismatch (comparing {_kind_name(a)} to {_kind_name(b)})"
             )
-        if e.op == "=":
-            return a == b
-        if e.op == "!=":
-            return a != b
-        if isinstance(a, str):
+        if isinstance(a, str) and e.op not in ("=", "!="):
             raise EvalError("tokens admit only = and !=")
-        if e.op == "<":
-            return a < b
-        if e.op == "<=":
-            return a <= b
-        if e.op == ">":
-            return a > b
-        if e.op == ">=":
-            return a >= b
-        raise EvalError(f"unknown comparison {e.op}")
+        try:
+            return COMPARISONS[e.op](a, b)
+        except KeyError:
+            raise EvalError(f"unknown comparison {e.op}") from None
     if isinstance(e, Not):
         return not _bool(eval_expr(e.operand, state), "negation")
     if isinstance(e, And):
@@ -203,6 +194,10 @@ def free_vars(e: Expr) -> frozenset[str]:
     raise EvalError(f"unknown expression node {type(e).__name__}")
 
 
+_KINDS = {Cmp: "bool", Not: "bool", And: "bool", Or: "bool", BoolLit: "bool",
+          Lit: "num", Neg: "num", BinOp: "num", Bracket: "num", TokenLit: "token"}
+
+
 def static_kind(e: Expr, space: StateSpace) -> str:
     """Coarse type of an expression: 'bool', 'num', 'token' or 'mixed'.
 
@@ -210,44 +205,31 @@ def static_kind(e: Expr, space: StateSpace) -> str:
     time.  Variables over all-numeric domains count as numeric; a domain
     mixing tokens and numbers yields 'mixed'.
     """
-    if isinstance(e, (Cmp, Not, And, Or, BoolLit)):
-        return "bool"
-    if isinstance(e, (Lit, Neg, BinOp, Bracket)):
-        return "num"
-    if isinstance(e, TokenLit):
-        return "token"
     if isinstance(e, Var):
-        dom = space.domain(e.name)
-        kinds = {isinstance(v, str) for v in dom.values}
+        kinds = {isinstance(v, str) for v in space.domain(e.name).values}
         if kinds == {True}:
             return "token"
         if kinds == {False}:
             return "num"
         return "mixed"
-    raise EvalError(f"unknown expression node {type(e).__name__}")
+    try:
+        return _KINDS[type(e)]
+    except KeyError:
+        raise EvalError(f"unknown expression node {type(e).__name__}") from None
 
 
 # --- pretty printing ------------------------------------------------------
 
 _OR, _AND, _NOT, _CMP, _ADD, _MUL, _UNARY, _ATOM = range(8)
+_LEVELS = {Or: _OR, And: _AND, Not: _NOT, Cmp: _CMP, Neg: _UNARY}
 
 
 def _level(e: Expr) -> int:
-    if isinstance(e, Or):
-        return _OR
-    if isinstance(e, And):
-        return _AND
-    if isinstance(e, Not):
-        return _NOT
-    if isinstance(e, Cmp):
-        return _CMP
     if isinstance(e, BinOp):
         return _ADD if e.op in "+-" else _MUL
-    if isinstance(e, Neg):
-        return _UNARY
     if isinstance(e, Lit) and e.value.denominator != 1:
         return _MUL  # prints as num/den, so a product: x / (1/2) is not x / 1/2
-    return _ATOM
+    return _LEVELS.get(type(e), _ATOM)
 
 
 def _wrap(e: Expr, minimum: int) -> str:
@@ -256,7 +238,11 @@ def _wrap(e: Expr, minimum: int) -> str:
 
 
 def pretty_expr(e: Expr) -> str:
-    """Render an expression; parse(pretty_expr(e)) rebuilds an equal tree."""
+    """Render an expression.  Parsing the text rebuilds an equal tree for
+    any tree the parser built, but not for every tree built through the
+    API: the parser folds a minus on a literal, and a `/` between two
+    literals, into one Lit, so Neg(Lit(1/2)) comes back as Lit(-1/2), and
+    BinOp("/", Lit(1), Lit(0)) prints as `1 / 0`, which it refuses."""
     if isinstance(e, Lit):
         v = e.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"

@@ -20,19 +20,21 @@ programs), as `x, y := e1, e2` becomes a sequence of assignments.
 
 Newlines and semicolons both sequence statements.  Rational literals may
 be written a/b or as exact decimals (0.25 means 1/4, converted without
-rounding).  `#` starts a comment.
+rounding).  `#` starts a comment that runs to the end of its line.
 
-Named parameters can be substituted at parse time: occurrences of the
-parameter name become rational literals before any semantic analysis.
+Named parameters are substituted at parse time: a parameter reads as its
+rational literal, and may not share its name with a declared variable.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DistError, PgclError, PgclSyntaxError
 from .exprs import (
+    COMPARISONS,
     And,
     BinOp,
     BoolLit,
@@ -69,16 +71,28 @@ KEYWORDS = {
     "var", "in", "true", "false",
 }
 
-# longest first, so `:=` is not read as `:` then `=`; `:in` also needs no
-# letter or digit after it, or `:index` would read as `:in` then `dex`
+# longest first, so `:=` is not read as `:` then `=`
 _OPERATORS = (
     ":suchthat", ":dist", ":in", "|^|", ":=", "[]", "->", "<=", ">=", "!=",
     *";,(){}[]<>=!&|+-*/:",
 )
-# the operators a character can start, so a scan reads only those; each
-# group ends with the character itself, so the scan always finds one
-_OPERATORS_AT = {op[0]: tuple(o for o in _OPERATORS if o[0] == op[0])
-                 for op in _OPERATORS}
+
+# after any blanks, one alternative per kind of token, tried in order; the
+# last takes any other character but a blank, so only blanks at the end of
+# the text are left unmatched
+_TOKEN = re.compile(r"[ \t\r]*(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("COMMENT", r"#[^\n]*"),
+    ("NEWLINE", r"\n"),
+    ("NUMBER", r"\d+(?:\.\d+)?"),  # decimal digits, which Fraction reads
+    # \w also takes digits and numerals that are no letters (², ½, Ⅻ);
+    # tokenize refuses a word that starts with one
+    ("WORD", r"[^\W\d]\w*"),
+    # `:in` needs no letter or digit after it, or `:index` would read as
+    # `:in` then `dex`
+    ("OPERATOR", "|".join(re.escape(op) + r"(?![^\W_])" * (op == ":in")
+                          for op in _OPERATORS)),
+    ("UNEXPECTED", r"[^ \t\r]"),
+)) + ")")
 
 
 class Token:
@@ -96,65 +110,31 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
+    line, line_start = 1, 0  # line_start: the index of column 1
     depth = 0  # newlines inside (), [], {} do not separate statements
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
-                tokens.append(Token("NEWLINE", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(Token("NUMBER", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPERATORS_AT:
-            for op in _OPERATORS_AT[ch]:
-                if source.startswith(op, i) and not (
-                    op == ":in" and source[i + 3 : i + 4].isalnum()
-                ):
-                    break
-            if op in ("(", "[", "{"):
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text = m[kind]
+        col = m.start(kind) - line_start + 1
+        if kind == "WORD" and (text[0].isalpha() or text[0] == "_"):
+            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, line, col))
+        elif kind == "OPERATOR":
+            if text in ("(", "[", "{"):
                 depth += 1
-            elif op in (")", "]", "}"):
+            elif text in (")", "]", "}"):
                 depth = max(0, depth - 1)
-            tokens.append(Token(op, op, line, col))
-            i += len(op)
-            col += len(op)
-            continue
-        raise PgclSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            tokens.append(Token(text, text, line, col))
+        elif kind == "NUMBER":
+            tokens.append(Token("NUMBER", text, line, col))
+        elif kind == "NEWLINE":
+            if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
+                tokens.append(Token("NEWLINE", text, line, col))
+            line, line_start = line + 1, m.end()
+        elif kind == "COMMENT":
+            line_start += len(text)  # a comment takes no columns
+        else:  # UNEXPECTED, or a WORD that ², ½ or Ⅻ starts
+            raise PgclSyntaxError(f"unexpected character {text[0]!r}", line, col)
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -461,7 +441,7 @@ class _Parser:
     def parse_cmp(self) -> Expr:
         e = self.parse_arith()
         kind = self.peek().kind
-        if kind in ("=", "!=", "<", "<=", ">", ">="):
+        if kind in COMPARISONS:
             self.next()
             return Cmp(kind, e, self.parse_arith())
         return e
@@ -500,12 +480,9 @@ class _Parser:
         if tok.kind == "NUMBER":
             self.next()
             return Lit(Fraction(tok.text))
-        if tok.kind == "true":
+        if tok.kind in ("true", "false"):
             self.next()
-            return BoolLit(True)
-        if tok.kind == "false":
-            self.next()
-            return BoolLit(False)
+            return BoolLit(tok.kind == "true")
         if tok.kind == "(":
             self.next()
             e = self.parse_expr()
@@ -519,10 +496,13 @@ class _Parser:
         if tok.kind == "IDENT":
             self.next()
             name = tok.text
+            if self.space.has_var(name):
+                if name in self.params:
+                    raise PgclSyntaxError(f"{name} is a declared variable, not a "
+                                          "parameter", tok.line, tok.col)
+                return Var(name)
             if name in self.params:
                 return Lit(self.params[name])
-            if self.space.has_var(name):
-                return Var(name)
             if name in self.space.tokens():
                 return TokenLit(name)
             raise PgclSyntaxError(f"undeclared variable {name}", tok.line, tok.col)

@@ -204,7 +204,8 @@ def _chain(p: Program) -> str:
 
 
 def pretty_print(p: Program) -> str:
-    """Canonical one-line rendering; reparsing yields an equal tree."""
+    """Canonical one-line rendering; reparsing yields an equal tree for
+    any program the parser built (pretty_expr says which others not)."""
     if isinstance(p, Skip):
         return "SKIP"
     if isinstance(p, Abort):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from pgclkit.errors import EvalError, ResolutionLimitError
+from pgclkit.errors import EvalError, PgclError
 from pgclkit.expectations import Expectation
 from pgclkit.exprs import eval_expr
 from pgclkit.programs import (
@@ -38,6 +38,11 @@ from pgclkit.programs import (
     loop_free,
 )
 from pgclkit.states import State, StateSpace
+
+
+class ResolutionLimitError(PgclError):
+    """Demonic strategy enumeration exceeded the configured bound."""
+
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

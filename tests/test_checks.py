@@ -9,6 +9,7 @@ import pytest
 
 import helpers
 from pgclkit import (
+    DistError,
     EvalError,
     ProbeFamily,
     UndefinedStateError,
@@ -84,6 +85,16 @@ def test_over_vars_matches_the_family_built_state_by_state(names):
         assert fam.seed == seed
         assert ([(p.label, p.values) for p in fam]
                 == helpers.over_vars_by_state(space, names, seed, extra))
+
+
+@pytest.mark.parametrize("build", [
+    lambda space: ProbeFamily.default(space, seed=-3),
+    lambda space: ProbeFamily.over_vars(space, ("x",), seed=-3),
+], ids=["default", "over_vars"])
+def test_a_negative_probe_seed_is_refused_when_the_family_is_built(build):
+    # random.Random seeds with the absolute value: -3 would replay 3
+    with pytest.raises(DistError, match="seed must be non-negative"):
+        build(space_of(("x", (0, 1))))
 
 
 def test_default_is_over_vars_on_every_variable_plus_the_brackets():

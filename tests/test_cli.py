@@ -158,6 +158,8 @@ def test_expression_and_read_errors_name_no_file(tmp_path, capsys):
     prog = write(tmp_path, "ok.pgcl", "var x in {0, 1}\nx := 1\n")
     assert main(["wp", "--program", prog, "--post", "[y = 1]"]) == 2
     assert capsys.readouterr().err == "error: 1:2: undeclared variable y\n"
+    assert main(["wp", "--program", prog, "--post", "1 + ²"]) == 2
+    assert capsys.readouterr().err == "error: 1:5: unexpected character '²'\n"
     missing = str(tmp_path / "missing.pgcl")
     assert main(["wp", "--program", missing]) == 2
     assert capsys.readouterr().err.startswith(f"error: 1:1: cannot read {missing}: ")
@@ -300,6 +302,23 @@ def test_check_equal_grid_reads_stdin_once(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == [
         "p = 0/1: holds", "p = 1/2: holds", "p = 1/1: holds", "overall: holds"]
+
+
+def test_a_param_that_names_a_declared_variable_exits_2(tmp_path, capsys):
+    prog = write(tmp_path, "copy.pgcl", "var x in {0, 1}\nvar y in {0, 1}\ny := x\n")
+    rc = main(["wp", "--program", prog, "--post", "y", "--param", "x=1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {prog}:3:6: x is a declared variable, not a parameter\n")
+
+
+def test_a_negative_probe_seed_exits_1(tmp_path, capsys):
+    # random.Random seeds with the absolute value: -1 would replay 1
+    left = write(tmp_path, "zero.pgcl", "var x in {0, 1}\nx := 0\n")
+    right = write(tmp_path, "one.pgcl", "x := 1\n")
+    rc = main(["check-equal", "--left", left, "--right", right, "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
 @pytest.mark.parametrize("denominator", ["0", "-2"])

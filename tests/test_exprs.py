@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgclkit import EvalError, eval_expr, free_vars, parse_expression, pretty_expr, space_of
-from pgclkit.exprs import Bracket, Lit, Var
+from pgclkit.exprs import COMPARISONS, Bracket, Lit, Var
 
 F = Fraction
 
@@ -96,6 +97,43 @@ def test_pretty_round_trip_preserves_tree():
     ]
     for text in texts:
         e = parse_expression(text, s)
+        assert parse_expression(pretty_expr(e), s) == e
+
+
+def test_pretty_round_trip_on_random_texts():
+    # seeded texts from a small grammar: unary minus, brackets, fractional
+    # and negative literals, every comparison, !, &, | and tokens; no
+    # literal is 0, since the parser refuses a literal divided by 0
+    s = space_of(("x", (0, 1, 2, 3)), ("y", (0, 1)), ("c", ("H", "T")))
+    rng = random.Random(24)
+
+    def num(depth):
+        pick = rng.randrange(6 if depth else 2)
+        if pick == 0:
+            return rng.choice(("x", "y"))
+        if pick == 1:
+            return rng.choice(("1", "3", "1/2", "-3/4", "0.25", "-2"))
+        if pick == 2:
+            return f"[{cond(depth - 1)}]"
+        if pick == 3:
+            return f"-{num(depth - 1)}"
+        text = f"{num(depth - 1)} {rng.choice('+-*/')} {num(depth - 1)}"
+        return f"({text})" if pick == 4 else text
+
+    def cond(depth):
+        pick = rng.randrange(5 if depth else 2)
+        if pick == 0:
+            return f"{num(depth)} {rng.choice(tuple(COMPARISONS))} {num(depth)}"
+        if pick == 1:
+            return rng.choice(("c = H", "c != T", "true", "false"))
+        if pick == 2:
+            return f"!{cond(depth - 1)}"
+        if pick == 3:
+            return f"({cond(depth - 1)})"
+        return f"{cond(depth - 1)} {rng.choice('&|')} {cond(depth - 1)}"
+
+    for _ in range(2000):
+        e = parse_expression(cond(4), s)
         assert parse_expression(pretty_expr(e), s) == e
 
 

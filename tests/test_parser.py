@@ -201,6 +201,10 @@ def test_error_carries_line_and_column():
 
 @pytest.mark.parametrize("text, message", [
     ("x @ 1", "1:3: unexpected character '@'"),
+    # ² is a digit to str.isdigit, but not a decimal one that Fraction reads
+    ("x := ²", "1:6: unexpected character '²'"),
+    # a comment takes no columns: the end of input sits at its `#`
+    ("x := # no value", "1:6: expected an expression, found ''"),
     ("IF c THEN SKIP ELSE ABORT", "1:1: IF condition must be boolean or numeric"),
     ("x, y := 1", "1:6: 2 variables but 1 expressions"),
     ("x, y :in {0, 1}", "1:6: only := and :suchthat take several variables"),
@@ -286,6 +290,16 @@ def test_params_substitute_as_literals():
     assert p.prob.value == F(3, 8)
     with pytest.raises(PgclSyntaxError):
         parse_program("p := 1", s, {"p": F(3, 8)})
+
+
+def test_a_parameter_may_not_name_a_declared_variable():
+    s = space_of(("x", (0, 1)), ("y", (0, 1)))
+    with pytest.raises(PgclSyntaxError) as ei:
+        parse_program("y := x", s, params={"x": F(1)})
+    assert str(ei.value) == "1:6: x is a declared variable, not a parameter"
+    with pytest.raises(PgclSyntaxError) as ei:
+        parse_program("x := 1", s, params={"x": F(1)})
+    assert str(ei.value) == "1:1: x is a parameter, not an assignable variable"
 
 
 def test_a_bool_parameter_is_refused_not_read_as_one():

@@ -4,12 +4,17 @@ import pytest
 
 import helpers
 from pgclkit import (
-    ResolutionLimitError,
     from_expr,
     indicator,
     wp,
 )
-from resolutions import Dist, enumerate_resolutions, min_expected, resolutions_by_state
+from resolutions import (
+    Dist,
+    ResolutionLimitError,
+    enumerate_resolutions,
+    min_expected,
+    resolutions_by_state,
+)
 
 F = Fraction
 

@@ -14,7 +14,6 @@ import pytest
 
 import helpers
 from pgclkit import (
-    ResolutionLimitError,
     UndefinedStateError,
     WpConfig,
     WpError,
@@ -26,7 +25,7 @@ from pgclkit.errors import EvalError
 from pgclkit.expectations import Expectation
 from pgclkit.programs import Seq, While, children, loop_free
 from pgclkit.wp import _CLoop, _CPick, _CSeq, _flat, _Undef, _Vec, compile_program
-from resolutions import min_expected, resolutions_by_state
+from resolutions import ResolutionLimitError, min_expected, resolutions_by_state
 
 F = Fraction
 
