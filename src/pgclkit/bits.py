@@ -9,16 +9,22 @@ from typing import Iterable
 from .errors import BitsExhaustedError, DistError
 
 
-class RandomBitSource:
-    """Seeded PRNG bit stream; identical seeds give identical streams.
+def check_seed(seed) -> None:
+    """Refuse a seed that random.Random would read as another one: it
+    seeds with the absolute value of an int, so -1 would replay 1, and
+    True and 2.0 would replay 1 and 2.  A seed is a non-negative int."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise DistError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise DistError("seed must be non-negative")
 
-    Seeds must be non-negative: random.Random seeds with the absolute value
-    of an int, so seed -1 would replay seed 1.
-    """
+
+class RandomBitSource:
+    """Seeded PRNG bit stream; identical seeds give identical streams,
+    and distinct seeds distinct ones (see check_seed)."""
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise DistError("seed must be non-negative")
+        check_seed(seed)
         self.seed = seed
         self._rng = random.Random(seed)
         # next_bit() is getrandbits(1) bound once: the same stream, and

@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
+from .bits import check_seed
 from .errors import DistError, EvalError, UndefinedStateError, VariantError, WpError
 from .expectations import Expectation, evaluate, from_column, from_expr
 from .exprs import Bracket, static_kind
@@ -159,9 +160,7 @@ class _Built(ProbeFamily):
     extra: int = PROBE_COUNT
 
     def __post_init__(self):
-        # random.Random seeds with the absolute value, so -3 would replay 3
-        if self.seed < 0:
-            raise DistError("seed must be non-negative")
+        check_seed(self.seed)
 
 
 def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,

@@ -35,7 +35,7 @@ from .checks import (
 from .errors import DistError, PgclError, PgclSyntaxError
 from .machine import analyze, load_machine, machine_to_text, to_dot
 from .bits import RandomBitSource, ScriptedBitSource
-from .parser import ProgramText, parse_expression, parse_rational
+from .parser import ProgramText, identifiers, parse_expression, parse_rational, tokenize
 from .parser import parse_source  # noqa: F401  (a parse site bench/tracing.py wraps)
 from .programs import VariantSpec, While
 from .expectations import from_expr
@@ -86,21 +86,21 @@ def _named(path: str, fn, *args):
         raise
 
 
-def _program_file(path: str):
-    """parse(params, space=None) -> (space, program) for the program file
-    at path.  The first call reads the file, tokenizes it and reads its
-    `var` header, which may be left out when a space from a sibling file
-    is supplied, and must match it if not; each call then parses the
-    program with its params, as they may change its literals."""
-    source = None
+def _program_text(path: str, space: Optional[StateSpace] = None) -> ProgramText:
+    """The program file at path, read, tokenized and its `var` header read
+    once; the header may be left out when a space from a sibling file is
+    supplied, and must match it if not.  Parse its program with
+    _named(path, source.program, params), as params may change its
+    literals."""
+    return _named(path, ProgramText, _read_text(path), space)
 
-    def parse(params, space: Optional[StateSpace] = None):
-        nonlocal source
-        if source is None:
-            source = _named(path, ProgramText, _read_text(path), space)
-        return source.space, _named(path, source.program, params)
 
-    return parse
+def _refuse_unread(read: frozenset, params: dict, grid: Optional[str] = None) -> None:
+    """A --param or --grid name that no text of the command reads would
+    change nothing, so it is refused, as a misspelt name would be."""
+    for flag, name in [*(("--param", n) for n in params), ("--grid", grid)]:
+        if name is not None and name not in read:
+            raise PgclSyntaxError(f"{flag} {name} names nothing the command reads", 1, 1)
 
 
 def _load_dist(value: str) -> tuple[Optional[int], WeightedDist]:
@@ -112,7 +112,7 @@ def _load_dist(value: str) -> tuple[Optional[int], WeightedDist]:
 
 
 def _verdict_json(v: Verdict) -> dict:
-    out = {"status": v.status, "residual": rat(v.residual)}
+    out = {"status": v.status}
     if v.detail:
         out["detail"] = v.detail
     if v.counterexample is not None:
@@ -137,14 +137,15 @@ def _report(args, v: Verdict) -> int:
 
 def _cmd_wp(args) -> int:
     params = _parse_params(args.param)
-    space, prog = _program_file(args.program)(params)
+    source = _program_text(args.program)
+    space, prog = source.space, _named(args.program, source.program, params)
     post = from_expr(space, parse_expression(args.post, space, params))
+    _refuse_unread(source.names | identifiers(tokenize(args.post)), params)
     result = wp(prog, post, space, WpConfig(undefined=args.undefined))
     if args.json:
         payload = {
             "post": args.post,
             "pre": {str(s): rat(result.pre[s]) for s in space.states()},
-            "loop_residual": rat(result.loop_residual),
             "undefined_states": [str(s) for s in result.undefined_states],
             "undefined_reasons": list(result.undefined_reasons),
         }
@@ -168,12 +169,15 @@ def _probes_for(args, space, progs) -> ProbeFamily:
 
 def _run_check(args, kind: str) -> int:
     params = _parse_params(args.param)
-    left, right = _program_file(args.lhs), _program_file(args.rhs)
+    left = _program_text(args.lhs)
+    right = _program_text(args.rhs, left.space)
+    _refuse_unread(left.names | right.names, params, args.grid)
+    space = left.space
 
     def one(extra_params) -> Verdict:
         merged = {**params, **extra_params}
-        space, lhs = left(merged)
-        space, rhs = right(merged, space)
+        lhs = _named(args.lhs, left.program, merged)
+        rhs = _named(args.rhs, right.program, merged)
         probes = _probes_for(args, space, (lhs, rhs))
         fn = check_equal if kind == "equal" else check_refines
         return fn(lhs, rhs, probes, space)
@@ -202,7 +206,8 @@ def _run_check(args, kind: str) -> int:
 
 def _cmd_check_variant(args) -> int:
     params = _parse_params(args.param)
-    space, prog = _program_file(args.program)(params)
+    source = _program_text(args.program)
+    space, prog = source.space, _named(args.program, source.program, params)
     if not isinstance(prog, While):
         print("check-variant expects the program to be a single loop",
               file=sys.stderr)
@@ -212,6 +217,7 @@ def _cmd_check_variant(args) -> int:
         upper_bound=args.bound,
         epsilon=parse_rational(args.epsilon),
     )
+    _refuse_unread(source.names | identifiers(tokenize(args.variant)), params)
     return _report(args, check_variant(prog, spec, space))
 
 

@@ -89,12 +89,6 @@ class Machine:
     def size(self) -> int:
         return len(self.nodes)
 
-    def interior_count(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == "interior")
-
-    def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == "leaf")
-
 
 @dataclass(frozen=True)
 class MachineAnalysis:

@@ -23,13 +23,15 @@ be written a/b or as exact decimals (0.25 means 1/4, converted without
 rounding).  `#` starts a comment that runs to the end of its line.
 
 Named parameters are substituted at parse time: a parameter reads as its
-rational literal, and may not share its name with a declared variable.
+rational literal, and may not share its name with a declared variable or
+a token.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import DistError, PgclError, PgclSyntaxError
@@ -496,15 +498,15 @@ class _Parser:
         if tok.kind == "IDENT":
             self.next()
             name = tok.text
-            if self.space.has_var(name):
+            is_var = self.space.has_var(name)
+            if is_var or name in self.space.tokens():
                 if name in self.params:
-                    raise PgclSyntaxError(f"{name} is a declared variable, not a "
-                                          "parameter", tok.line, tok.col)
-                return Var(name)
+                    what = "declared variable" if is_var else "token"
+                    raise PgclSyntaxError(f"{name} is a {what}, not a parameter",
+                                          tok.line, tok.col)
+                return Var(name) if is_var else TokenLit(name)
             if name in self.params:
                 return Lit(self.params[name])
-            if name in self.space.tokens():
-                return TokenLit(name)
             raise PgclSyntaxError(f"undeclared variable {name}", tok.line, tok.col)
         raise self.fail(f"expected an expression, found {tok.text!r}")
 
@@ -538,6 +540,11 @@ def parse_rational(text: str) -> Fraction:
         raise PgclSyntaxError(f"bad rational {text!r}: {exc}", 1, 1) from None
 
 
+def identifiers(tokens: list[Token]) -> frozenset[str]:
+    """The names that tokens read: variables, tokens and parameters."""
+    return frozenset(t.text for t in tokens if t.kind == "IDENT")
+
+
 class ProgramText:
     """Program text, tokenized and its `var` header read once (with no
     space given the header declares it; with one it may be left out, and
@@ -550,6 +557,11 @@ class ProgramText:
         parser.parse_header()
         self.space = parser.space
         self._tokens, self._start = parser.tokens, parser.pos
+
+    @cached_property
+    def names(self) -> frozenset[str]:
+        """The identifiers of the program after the header."""
+        return identifiers(self._tokens[self._start:])
 
     def program(self, params: Optional[dict[str, Fraction]] = None) -> Program:
         """The program after the header, up to the end of input."""
@@ -570,11 +582,8 @@ def parse_program(text: str, space: StateSpace,
 def parse_expression(text: str, space: StateSpace,
                      params: Optional[dict[str, Fraction]] = None) -> Expr:
     parser = _Parser(tokenize(text), space, params)
-    while parser.accept("NEWLINE"):
-        pass
     e = parser.parse_expr()
-    while parser.accept("NEWLINE"):
-        pass
+    parser.accept("NEWLINE")  # tokenize never emits two in a row
     parser.expect("EOF", "end of expression")
     return e
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .bits import RandomBitSource
@@ -81,16 +82,12 @@ class WeightedDist:
         """Exact probability of a 1-based outcome."""
         return Fraction(self.weights[outcome - 1], self.total)
 
+    @cached_property
     def _successor_table(self) -> "_SuccessorTable":
         """The successor table that sample_discrete, run_trials and
-        build_machine walk: made on first use, then grown by the walks."""
-        try:
-            return self._table
-        except AttributeError:
-            table = _SuccessorTable(self)
-            # not a field, so it stays out of __eq__, __hash__ and __repr__
-            object.__setattr__(self, "_table", table)
-            return table
+        build_machine walk: made on first use, then grown by the walks.
+        Not a field, so it stays out of __eq__, __hash__ and __repr__."""
+        return _SuccessorTable(self)
 
     @staticmethod
     def parse(text: str) -> "WeightedDist":
@@ -136,11 +133,6 @@ class CumulativeDist:
                     f"{prev} and total {self.total}"
                 )
             prev = v
-
-    @property
-    def support_size(self) -> int:
-        """Number of outcomes still possible: window entries plus one."""
-        return self.high - self.low + 1
 
     @property
     def is_terminal(self) -> bool:
@@ -234,12 +226,11 @@ class SampleTrace:
     """One completed sample: 1-based outcome plus the bits that drove it."""
 
     outcome: int
-    flips: int
     bits: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.flips != len(self.bits):
-            raise DistError("flip count disagrees with recorded bits")
+    @property
+    def flips(self) -> int:
+        return len(self.bits)
 
 
 def sample_discrete(d: WeightedDist, bits) -> SampleTrace:
@@ -250,7 +241,7 @@ def sample_discrete(d: WeightedDist, bits) -> SampleTrace:
     the first time is derived and its window invariant checked, and a
     violation is a bug, not bad input.
     """
-    table = d._successor_table()
+    table = d._successor_table
     succ, underived, next_bit = table.succ, table.underived, bits.next_bit
     consumed: list[int] = []
     node = table.start
@@ -260,7 +251,7 @@ def sample_discrete(d: WeightedDist, bits) -> SampleTrace:
             consumed.append(b)
             node = succ[node + b]
         if node > underived:  # a leaf, -outcome
-            return SampleTrace(-node, len(consumed), tuple(consumed))
+            return SampleTrace(-node, tuple(consumed))
         node = table.derive(node)
 
 
@@ -273,7 +264,6 @@ class TrialsResult:
     seed: int
     tallies: tuple[int, ...]  # tallies[i] counts outcome i+1
     total_flips: int
-    total_flips_sq: int  # sum of squared per-run flip counts
 
     @property
     def avg_flips(self) -> Fraction:
@@ -287,10 +277,6 @@ class TrialsResult:
             Fraction(t * total, self.runs * w)
             for t, w in zip(self.tallies, self.weights)
         )
-
-    def flip_variance(self) -> Fraction:
-        mean = self.avg_flips
-        return Fraction(self.total_flips_sq, self.runs) - mean * mean
 
     def format_table(self) -> str:
         lines = ["Relative frequencies of the sampled outcomes:"]
@@ -313,27 +299,22 @@ def run_trials(d: WeightedDist, runs: int, seed: int) -> TrialsResult:
     """
     if runs < 1:
         raise DistError("need at least one run")
-    table = d._successor_table()
+    table = d._successor_table
     succ, underived, start = table.succ, table.underived, table.start
     next_bit = RandomBitSource(seed).next_bit
     tallies = [0] * d.size
     total_flips = 0
-    total_flips_sq = 0
     for _ in range(runs):
         node = start
-        flips = 0
         while True:
             while node >= 0:
                 node = succ[node + next_bit()]
-                flips += 1
+                total_flips += 1
             if node > underived:  # a leaf, -outcome
                 break
             node = table.derive(node)
         tallies[-node - 1] += 1
-        total_flips += flips
-        total_flips_sq += flips * flips
-    return TrialsResult(d.weights, runs, seed, tuple(tallies),
-                        total_flips, total_flips_sq)
+    return TrialsResult(d.weights, runs, seed, tuple(tallies), total_flips)
 
 
 def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machine:
@@ -345,7 +326,7 @@ def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machin
     reproducible.  Leaves are shared per outcome: the table names a leaf
     by its outcome alone.
     """
-    table = d._successor_table()
+    table = d._successor_table
     succ, underived = table.succ, table.underived
     order = [table.start]  # entries in discovery order: node i is order[i]
     ids = {table.start: 0}
@@ -400,7 +381,7 @@ def sample_binary(p: Fraction, bits) -> SampleTrace:
         bit = next_bit()
         consumed.append(bit)
         a = q if bit == 0 else r
-    return SampleTrace(a // b, len(consumed), tuple(consumed))
+    return SampleTrace(a // b, tuple(consumed))
 
 
 def _weight_lines(text: str) -> list[str]:

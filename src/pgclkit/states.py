@@ -11,6 +11,7 @@ expression once per value of its free variables (see projection).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -51,7 +52,9 @@ class VarDomain:
         object.__setattr__(self, "values", normal)
         if not normal:
             raise SpaceError(f"variable {self.name} has an empty domain")
-        if len(set(normal)) != len(normal):
+        # not a field, so it stays out of __eq__, __hash__ and __repr__
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(normal)})
+        if len(self._index) != len(normal):
             raise SpaceError(f"variable {self.name} has duplicate domain values")
 
     @property
@@ -60,10 +63,7 @@ class VarDomain:
 
     def index_of(self, value: Scalar) -> int:
         """Position of a value in the domain, or -1 when absent."""
-        try:
-            return self.values.index(value)
-        except ValueError:
-            return -1
+        return self._index.get(value, -1)
 
 
 class StateSpace:
@@ -78,19 +78,16 @@ class StateSpace:
         self.domains: tuple[VarDomain, ...] = tuple(domains)
         if not self.domains:
             raise SpaceError("state space needs at least one variable")
-        names = [d.name for d in self.domains]
-        if len(set(names)) != len(names):
+        self.names: tuple[str, ...] = tuple(d.name for d in self.domains)
+        if len(set(self.names)) != len(self.names):
             raise SpaceError("duplicate variable names")
-        self._pos = {d.name: i for i, d in enumerate(self.domains)}
-        self._value_pos = [
-            {v: i for i, v in enumerate(d.values)} for d in self.domains
-        ]
-        # stride[i] = number of states spanned by one step of variable i
-        strides = [1] * len(self.domains)
-        for i in range(len(self.domains) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.domains[i + 1].size
-        self._strides = strides
-        self.size = strides[0] * self.domains[0].size
+        self._pos = {n: i for i, n in enumerate(self.names)}
+        self._tokens = frozenset(
+            v for d in self.domains for v in d.values if isinstance(v, str))
+        self._radices: dict = {}  # positions -> radices(positions)
+        # per variable, the number of states one step of its value spans
+        self.strides: tuple[int, ...] = self.radices(tuple(range(len(self.domains))))
+        self.size = self.strides[0] * self.domains[0].size
 
     def __eq__(self, other):
         return isinstance(other, StateSpace) and self.domains == other.domains
@@ -101,15 +98,6 @@ class StateSpace:
     def __repr__(self):
         inner = ", ".join(f"{d.name}[{d.size}]" for d in self.domains)
         return f"StateSpace({inner})"
-
-    @property
-    def strides(self) -> tuple[int, ...]:
-        """Per variable, the number of states one step of its value spans."""
-        return tuple(self._strides)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.domains)
 
     def has_var(self, name: str) -> bool:
         return name in self._pos
@@ -128,10 +116,7 @@ class StateSpace:
 
     def tokens(self) -> frozenset[str]:
         """All symbolic tokens appearing in any domain."""
-        out = set()
-        for d in self.domains:
-            out.update(v for v in d.values if isinstance(v, str))
-        return frozenset(out)
+        return self._tokens
 
     # --- state indexing -------------------------------------------------
 
@@ -140,15 +125,15 @@ class StateSpace:
             raise SpaceError(f"state index {index} out of range")
         values = []
         rest = index
-        for d, stride in zip(self.domains, self._strides):
+        for d, stride in zip(self.domains, self.strides):
             q, rest = divmod(rest, stride)
             values.append(d.values[q])
         return State(self, tuple(values))
 
     def index_of(self, values) -> int:
         idx = 0
-        for d, stride, v in zip(self.domains, self._strides, values):
-            pos = self._value_pos[self._pos[d.name]].get(as_scalar(v), -1)
+        for d, stride, v in zip(self.domains, self.strides, values):
+            pos = d.index_of(as_scalar(v))
             if pos < 0:
                 raise SpaceError(f"value {v!r} not in domain of {d.name}")
             idx += pos * stride
@@ -160,29 +145,41 @@ class StateSpace:
         Returns -1 when the value is outside the variable's domain; the
         caller decides whether that is an error.
         """
-        pos = self._value_pos[var_pos].get(value, -1)
+        d = self.domains[var_pos]
+        pos = d.index_of(value)
         if pos < 0:
             return -1
-        stride = self._strides[var_pos]
-        size = self.domains[var_pos].size
-        old = (index // stride) % size
+        stride = self.strides[var_pos]
+        old = (index // stride) % d.size
         return index + (pos - old) * stride
 
+    def radices(self, positions: tuple) -> tuple[int, ...]:
+        """Per entry of `positions` (repeats allowed), its place value in
+        the number of a combination of those variables' values: the
+        combinations are numbered row-major, the last position fastest."""
+        got = self._radices.get(positions)
+        if got is None:
+            got, r = [], 1
+            for p in reversed(positions):
+                got.append(r)
+                r *= self.domains[p].size
+            got = self._radices[positions] = tuple(reversed(got))
+        return got
+
     def projection(self, positions) -> tuple[list[int], list[int]]:
-        """Per state, the index of its values at `positions` (repeats
-        allowed) among the row-major combinations of those variables'
-        values; and per combination, the first state that has it, or -1
-        when none does (a repeated variable with two different values).
+        """Per state, the number (see radices) of its values at
+        `positions` (repeats allowed); and per combination, the first
+        state that has it, or -1 when none does (a repeated variable with
+        two different values).
         """
+        positions = tuple(positions)
         weights = [0] * len(self.domains)
-        step = 1
-        for p in reversed(positions):
-            weights[p] += step
-            step *= self.domains[p].size
+        for p, r in zip(positions, self.radices(positions)):
+            weights[p] += r
         index = [0]
         for d, w in zip(self.domains, weights):
             index = [a + k * w for a in index for k in range(d.size)]
-        firsts = [-1] * step
+        firsts = [-1] * math.prod(self.domains[p].size for p in positions)
         for i, c in enumerate(index):
             if firsts[c] < 0:
                 firsts[c] = i
@@ -216,15 +213,6 @@ class State:
     @property
     def index(self) -> int:
         return self.space.index_of(self.values)
-
-    def assign(self, name: str, value: Scalar) -> "State":
-        pos = self.space.var_pos(name)
-        value = as_scalar(value)
-        if self.space.domains[pos].index_of(value) < 0:
-            raise SpaceError(f"value {value!r} not in domain of {name}")
-        vals = list(self.values)
-        vals[pos] = value
-        return State(self.space, tuple(vals))
 
     def __str__(self):
         pairs = ", ".join(

@@ -279,7 +279,6 @@ class _Frame:
         self.slots = r
         self._digits: dict = {}  # atom -> (slot, per variable digit)
         self._classes: dict = {}  # key -> per class {variable: value index}
-        self._radices: dict = {}  # key -> per variable of key, its radix
         self._members: dict = {}  # key -> per class its states
         self._bases: dict = {}  # written variables -> per state, i without them
 
@@ -318,32 +317,22 @@ class _Frame:
                 for ds in itertools.product(*(range(self.sizes[v]) for v in key))]
         return got
 
-    def radices(self, key: tuple) -> tuple:
-        """Per variable of key, its place value in the number of a class."""
-        got = self._radices.get(key)
-        if got is None:
-            got, r = [], 1
-            for v in reversed(key):
-                got.append(r)
-                r *= self.sizes[v]
-            got = self._radices[key] = tuple(reversed(got))
-        return got
-
     def index(self, key: tuple, at: dict) -> int:
         """The class of key that `at` (values of key's variables) is."""
-        return sum(at[v] * r for v, r in zip(key, self.radices(key)))
+        return sum(at[v] * r for v, r in zip(key, self.space.radices(key)))
 
     def reach(self, key: tuple, a: int, at: dict) -> int:
         """The class of key of the state atom a reaches from the class `at`."""
         ds = self.digits(a)[1]
-        return sum((ds[v] - 1 if ds[v] else at[v]) * r for v, r in zip(key, self.radices(key)))
+        return sum((ds[v] - 1 if ds[v] else at[v]) * r
+                   for v, r in zip(key, self.space.radices(key)))
 
     def members(self, key: tuple) -> list:
         """Per class of key, its states in order."""
         got = self._members.get(key)
         if got is None:
             got = [[] for _ in self.classes(key)]
-            for i, c in enumerate(self.space.projection(list(key))[0]):
+            for i, c in enumerate(self.space.projection(key)[0]):
                 got[c].append(i)
             self._members[key] = got
         return got
@@ -1224,7 +1213,7 @@ class Compiled:
                     mass[c] = mass[c] + w if c in mass else w
                 options.append(frozenset(mass.items()))
             sets.append(frozenset(options))
-        index, _ = frame.space.projection(list(key))
+        index, _ = frame.space.projection(key)
         return [sets[c] for c in index]
 
 

@@ -70,7 +70,7 @@ def test_over_vars_probes_ignore_scratch_variables():
     fam = ProbeFamily.over_vars(s, ("c1",))
     for probe in fam:
         for st in s.states():
-            twin = st.assign("c2", "H" if st["c2"] == "T" else "T")
+            twin = s.state(c1=st["c1"], c2="H" if st["c2"] == "T" else "T")
             assert probe[st] == probe[twin]
 
 
@@ -95,6 +95,17 @@ def test_a_negative_probe_seed_is_refused_when_the_family_is_built(build):
     # random.Random seeds with the absolute value: -3 would replay 3
     with pytest.raises(DistError, match="seed must be non-negative"):
         build(space_of(("x", (0, 1))))
+
+
+@pytest.mark.parametrize("seed", [True, 1.0])
+@pytest.mark.parametrize("factory", ["default", "over_vars"])
+def test_a_probe_seed_that_is_no_int_is_refused(factory, seed):
+    # random.Random seeds True and 1.0 as 1: the family would equal the
+    # one of seed 1, though it prints another seed
+    space = space_of(("x", (0, 1)))
+    args = (space,) if factory == "default" else (space, ("x",))
+    with pytest.raises(DistError, match="seed must be an int"):
+        getattr(ProbeFamily, factory)(*args, seed=seed)
 
 
 def test_default_is_over_vars_on_every_variable_plus_the_brackets():

@@ -67,7 +67,7 @@ def test_wp_json_output(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["post"] == "1"
-    assert payload["loop_residual"] == "0/1"
+    assert "loop_residual" not in payload
     assert payload["pre"]["{c=H}"] == "1/1"
     assert payload["undefined_states"] == []
 
@@ -230,7 +230,7 @@ def test_check_equal_json_on_slow_coin_loop(tmp_path, capsys):
     right = write(tmp_path, "exit.pgcl", "var c in {H, T}\nc := T\n")
     rc = main(["check-equal", "--left", left, "--right", right, "--json"])
     assert rc == 0
-    assert json.loads(capsys.readouterr().out) == {"status": "holds", "residual": "0/1"}
+    assert json.loads(capsys.readouterr().out) == {"status": "holds"}
 
 
 def test_check_equal_grid_holds(tmp_path, capsys):
@@ -310,6 +310,60 @@ def test_a_param_that_names_a_declared_variable_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: {prog}:3:6: x is a declared variable, not a parameter\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    # a parameter named like a token would replace it
+    (["wp", "--program", "{coin}", "--post", "[c = H]", "--param", "H=1"],
+     "error: {coin}:2:6: H is a token, not a parameter\n"),
+    # a name that no text of the command reads would change nothing
+    (["wp", "--program", "{zero}", "--param", "zz=1"],
+     "error: 1:1: --param zz names nothing the command reads\n"),
+    (["check-equal", "--left", "{zero}", "--right", "{zero}", "--grid", "zz",
+      "--grid-denominator", "2"],
+     "error: 1:1: --grid zz names nothing the command reads\n"),
+    (["check-variant", "--program", "{loop}", "--variant", "x", "--bound", "1",
+      "--epsilon", "1/2", "--param", "p=1/2"],
+     "error: 1:1: --param p names nothing the command reads\n"),
+], ids=["token", "unread-param", "unread-grid", "unread-param-of-variant"])
+def test_a_param_or_grid_name_must_be_read_and_no_token(tmp_path, capsys, argv, error):
+    files = {"coin": write(tmp_path, "coin.pgcl", "var c in {H, T}\nc := H\n"),
+             "zero": write(tmp_path, "zero.pgcl", "var x in {0, 1}\nx := 0\n"),
+             "loop": write(tmp_path, "loop.pgcl",
+                           "var x in {0, 1}\nWHILE x = 1 DO x := 0 OD\n")}
+    rc = main([a.format(**files) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""  # refused before any grid line
+    assert captured.err == error.format(**files)
+
+
+def test_a_param_read_only_by_the_post_or_the_variant_is_read(tmp_path, capsys):
+    prog = write(tmp_path, "loop.pgcl", "var x in {0, 1}\nWHILE x = 1 DO x := 0 OD\n")
+    assert main(["wp", "--program", prog, "--post", "k * x", "--param", "k=2"]) == 0
+    assert capsys.readouterr().out == "{x=0}  0/1\n{x=1}  0/1\n"
+    assert main(["check-variant", "--program", prog, "--variant", "k * x", "--bound", "1",
+                 "--epsilon", "1/2", "--param", "k=1"]) == 0
+
+
+@pytest.mark.parametrize("text, post, code, out, err", [
+    # a boolean post reads as its bracket
+    ("var x in {0, 1}\nx := 1 - x\n", "x=1", 0, "{x=0}  1/1\n{x=1}  0/1\n", ""),
+    ("var x in {0, 1}\nSKIP\n", "[(x=0)=(x=1)]", 1, "",
+     "error: expectation [(x = 0) = (x = 1)] is undefined at {x=0}: "
+     "comparisons over booleans are not supported\n"),
+    ("var c in {H, T}\nSKIP\n", "c", 1, "", "error: expectation is non-numeric at {c=H}\n"),
+    ("var x in {0, 1}\nSKIP\n", "x-1", 1, "", "error: expectation is negative at {x=0}\n"),
+    # a condition over a token and a number has the `mixed` kind
+    ("var v in {H, 1}\nIF v THEN SKIP ELSE ABORT\n", "1", 2, "",
+     "error: PROG:2:1: IF condition must be boolean or numeric\n"),
+], ids=["bool-post", "bool-comparison", "token-post", "negative-post", "mixed-condition"])
+def test_wp_reports_what_post_or_condition_it_cannot_read(tmp_path, capsys, text, post,
+                                                           code, out, err):
+    prog = write(tmp_path, "p.pgcl", text)
+    rc = main(["wp", "--program", prog, "--post", post])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (code, out, err.replace("PROG", prog))
 
 
 def test_a_negative_probe_seed_exits_1(tmp_path, capsys):

@@ -94,6 +94,8 @@ def test_pretty_round_trip_preserves_tree():
         "x / (1/2)",
         "x * (1/2)",
         "x * (-1/2)",
+        # a trailing newline ends the expression
+        "x\n",
     ]
     for text in texts:
         e = parse_expression(text, s)

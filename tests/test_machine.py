@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -28,8 +29,7 @@ def test_one_third_machine_structure_and_values():
     # [1, 2] needs a retry loop: the heads branch of the second flip
     # re-enters the root
     m = build_machine(WeightedDist((1, 2)))
-    assert m.interior_count() == 2
-    assert m.leaf_count() == 2
+    assert Counter(n.kind for n in m.nodes) == {"interior": 2, "leaf": 2}
     root = m.node(m.root)
     assert root.kind == "interior"
     assert m.node(root.tails).kind == "leaf"
@@ -58,8 +58,7 @@ def test_fair_coin_machine_is_minimal():
 def test_die_machine_reproduces_published_shape():
     m = build_machine(WeightedDist((1, 1, 1, 1, 1, 1)))
     assert m.size == 17
-    assert m.interior_count() == 11
-    assert m.leaf_count() == 6
+    assert Counter(n.kind for n in m.nodes) == {"interior": 11, "leaf": 6}
     a = analyze(m)
     assert a.outcome_prob == (F(1, 6),) * 6
     assert a.expected_flips == F(4)
@@ -149,9 +148,10 @@ def test_machine_reads_the_successor_table_draws_left_partly_derived():
         fresh = machine_to_text(build_machine(WeightedDist(weights)))
         d = WeightedDist(weights)
         run_trials(d, 3, 1)
-        reached = len(d._successor_table())
+        reached = len(d._successor_table)
         m = build_machine(d)
-        assert reached < m.interior_count() == len(d._successor_table())
+        interior = sum(n.kind == "interior" for n in m.nodes)
+        assert reached < interior == len(d._successor_table)
         assert machine_to_text(m) == fresh
         # built again, from the full table
         assert machine_to_text(build_machine(d)) == fresh

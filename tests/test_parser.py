@@ -201,6 +201,7 @@ def test_error_carries_line_and_column():
 
 @pytest.mark.parametrize("text, message", [
     ("x @ 1", "1:3: unexpected character '@'"),
+    (")", "1:1: expected a statement, found ')'"),
     # ² is a digit to str.isdigit, but not a decimal one that Fraction reads
     ("x := ²", "1:6: unexpected character '²'"),
     # a comment takes no columns: the end of input sits at its `#`
@@ -300,6 +301,13 @@ def test_a_parameter_may_not_name_a_declared_variable():
     with pytest.raises(PgclSyntaxError) as ei:
         parse_program("x := 1", s, params={"x": F(1)})
     assert str(ei.value) == "1:1: x is a parameter, not an assignable variable"
+
+
+def test_a_parameter_may_not_name_a_token():
+    s = space_of(("c", ("H", "T")))
+    with pytest.raises(PgclSyntaxError) as ei:
+        parse_program("c := H", s, params={"H": F(1)})
+    assert str(ei.value) == "1:6: H is a token, not a parameter"
 
 
 def test_a_bool_parameter_is_refused_not_read_as_one():

@@ -48,7 +48,6 @@ def test_initial_cumulative_list():
     assert c.dL == (2, 3, 6)
     assert c.total == 10
     assert (c.low, c.high) == (0, 3)
-    assert c.support_size == 4
     c.check_invariant()
 
 
@@ -197,6 +196,16 @@ def test_trials_repeat_per_seed_and_reject_negative_seeds():
         RandomBitSource(-1)
 
 
+@pytest.mark.parametrize("seed", [True, False, 2.0, "1"])
+def test_a_seed_that_is_no_int_is_refused(seed):
+    # random.Random seeds True as 1 and 2.0 as 2, so either would replay
+    # the stream of an int seed
+    with pytest.raises(DistError, match="seed must be an int"):
+        RandomBitSource(seed)
+    with pytest.raises(DistError, match="seed must be an int"):
+        run_trials(WeightedDist((1, 2, 3)), 200, seed)
+
+
 def _per_flip_sample(d, bits):
     # the independent oracle: derive every configuration afresh on every
     # flip and check the window invariant after each one
@@ -208,21 +217,19 @@ def _per_flip_sample(d, bits):
         consumed.append(b)
         c = c.split_left() if b == 0 else c.split_right()
         c.check_invariant()
-    return SampleTrace(c.outcome, len(consumed), tuple(consumed))
+    return SampleTrace(c.outcome, tuple(consumed))
 
 
 def _reference_trials(d, runs, seed):
     # one per-flip draw per run, all on the one stream of the seed
     tallies = [0] * d.size
-    total_flips = total_flips_sq = 0
+    total_flips = 0
     source = RandomBitSource(seed)
     for _ in range(runs):
         trace = _per_flip_sample(d, source)
         tallies[trace.outcome - 1] += 1
         total_flips += trace.flips
-        total_flips_sq += trace.flips * trace.flips
-    return TrialsResult(d.weights, runs, seed, tuple(tallies),
-                        total_flips, total_flips_sq)
+    return TrialsResult(d.weights, runs, seed, tuple(tallies), total_flips)
 
 
 WEIGHTS = [
@@ -235,9 +242,14 @@ WEIGHTS = [
 @pytest.mark.parametrize("weights", WEIGHTS)
 def test_trials_walk_matches_per_flip_sampling_bit_for_bit(weights):
     d = WeightedDist(weights)
-    for runs in (1, 7, 3000):
-        for seed in (0, 1, 2**31 - 1):
+    for seed in (0, 1, 2**31 - 1):
+        for runs in (1, 7, 3000):
             assert run_trials(d, runs, seed) == _reference_trials(d, runs, seed)
+        # per draw, its flip count: what the total grows by with one more run
+        source = RandomBitSource(seed)
+        flips = [_per_flip_sample(d, source).flips for _ in range(60)]
+        totals = [0] + [run_trials(d, runs, seed).total_flips for runs in range(1, 61)]
+        assert [b - a for a, b in zip(totals, totals[1:])] == flips
 
 
 @pytest.mark.parametrize("weights", WEIGHTS)
@@ -290,11 +302,11 @@ def test_every_derived_configuration_is_checked_before_use(monkeypatch):
     d = WeightedDist((1,) * 6)
     with pytest.raises(WindowInvariantError, match="planted"):
         sample_discrete(d, ScriptedBitSource((0, 0, 0)))
-    derived = len(d._successor_table())
+    derived = len(d._successor_table)
     # a failed derivation is never stored, so the retry checks and fails again
     with pytest.raises(WindowInvariantError, match="planted"):
         sample_discrete(d, ScriptedBitSource((0, 0, 0)))
-    assert len(d._successor_table()) == derived
+    assert len(d._successor_table) == derived
     with pytest.raises(WindowInvariantError, match="planted"):
         run_trials(d, 1, _seed_starting_with(0, 0))
     # draws whose bits avoid it succeed
@@ -316,7 +328,7 @@ def test_table_holds_only_the_configurations_draws_reach(weights):
     d = WeightedDist(weights)
     draws = 100_000
     run_trials(d, draws, seed=5)
-    assert len(d._successor_table()) <= (d.size - 1) * (math.log2(draws) + 8)
+    assert len(d._successor_table) <= (d.size - 1) * (math.log2(draws) + 8)
 
 
 def test_trials_with_fewer_runs_than_nodes_match_per_flip_sampling():
@@ -344,7 +356,6 @@ def test_random_bits_are_getrandbits_1():
 def test_fair_coin_statistics_are_sane():
     r = run_trials(WeightedDist((1, 1)), 2000, seed=1)
     assert r.total_flips == 2000  # one flip per run, always
-    assert r.flip_variance() == 0
     assert all(F(9, 10) < f < F(11, 10) for f in r.rel_freq)
 
 

@@ -69,14 +69,11 @@ def test_reindex_out_of_domain_is_negative():
     assert s.reindex(0, 0, "H") == -1
 
 
-def test_state_lookup_assign_and_str():
+def test_state_lookup_and_str():
     s = space_of(("c1", ("H", "T")), ("c2", ("H", "T")))
     st = s.state(c1="H", c2="T")
     assert st["c1"] == "H"
     assert str(st) == "{c1=H, c2=T}"
-    st2 = st.assign("c2", "H")
-    assert st2["c2"] == "H"
-    assert st["c2"] == "T"
     with pytest.raises(SpaceError):
         st["nope"]
 
