@@ -21,6 +21,7 @@ from .errors import (
     PgclSyntaxError,
     SpaceError,
     UndefinedStateError,
+    UsageError,
     VariantError,
     WindowInvariantError,
     WpError,
@@ -61,7 +62,7 @@ __all__ = [
     "PgclError", "PgclSyntaxError", "ProbeFamily", "Program",
     "RandomBitSource", "SampleTrace",
     "ScriptedBitSource", "SpaceError", "State", "StateSpace",
-    "TrialsResult", "UndefinedStateError", "VarDomain", "VariantError",
+    "TrialsResult", "UndefinedStateError", "UsageError", "VarDomain", "VariantError",
     "VariantSpec", "Verdict", "WeightedDist", "WindowInvariantError",
     "WpConfig", "WpError", "WpResult", "analyze", "build_machine",
     "check_equal", "check_refines", "check_variant", "compile_program",

@@ -36,8 +36,8 @@ from typing import Iterable, Optional
 
 from .bits import check_seed
 from .errors import DistError, EvalError, UndefinedStateError, VariantError, WpError
-from .expectations import Expectation, evaluate, from_column, from_expr
-from .exprs import Bracket, static_kind
+from .expectations import Expectation, from_column, from_expr
+from .exprs import Bracket, as_value, evaluate, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
 from .states import State, StateSpace
 from .wp import WpConfig, compile_program
@@ -385,69 +385,75 @@ def check_variant(loop: Program, spec: VariantSpec,
     if static_kind(loop.guard, space) != "bool":
         raise VariantError("variant checking expects a boolean loop guard")
 
-    # each evaluated once per value of its free variables; an error is
-    # raised at the first state that reads it, as in a state-by-state walk
-    guard_at, guards = evaluate(space, loop.guard)
-    variant_at, variants = evaluate(space, spec.variant)
-    guard_index, variant_index = space.projection(guard_at)[0], space.projection(variant_at)[0]
-    by_value: dict[Fraction, list[int]] = {}  # the guard states, by variant value
-    for i in range(space.size):
-        g = guards[guard_index[i]]
+    # each evaluated once per value of its free variables, and read per
+    # class of what either reads; classes are numbered in the order of
+    # their first states, so the first class that stops the check holds
+    # the first state that does, as in a state-by-state walk
+    guard_at, guards, _ = evaluate(space, loop.guard)
+    variant_at, variants, den = evaluate(space, spec.variant)
+    key = tuple(sorted({*guard_at, *variant_at}))
+    index, firsts = space.projection(key)
+    guards = list(map(guards.__getitem__, space.restrict(key, guard_at)))
+    variants = list(map(variants.__getitem__, space.restrict(key, variant_at)))
+    top = spec.upper_bound * den
+    cuts = []  # per class, the variant's value where the guard holds, else None
+    for g, v in zip(guards, variants):
+        if g is False:
+            cuts.append(None)
+        elif g is True and v.__class__ is int and 0 <= v <= top and v % den == 0:
+            cuts.append(v // den)
+        else:
+            break
+    if len(cuts) < len(guards):
+        stop = len(cuts)
+        g, v, state = guards[stop], variants[stop], space.state_at(firsts[stop])
         if isinstance(g, EvalError):
-            raise EvalError(f"loop guard {loop.guard} is undefined at "
-                            f"{space.state_at(i)}: {g}") from g
-        if not g:
-            continue
-        v = variants[variant_index[i]]
+            raise EvalError(f"loop guard {loop.guard} is undefined at {state}: {g}") from g
         if isinstance(v, EvalError):
-            raise EvalError(f"variant {spec.variant} is undefined at "
-                            f"{space.state_at(i)}: {v}") from v
-        if not isinstance(v, Fraction) or v.denominator != 1 or v < 0:
-            raise VariantError(
-                f"variant {spec.variant} = {v!r} at {space.state_at(i)} "
-                "is not a natural number"
-            )
-        if v > spec.upper_bound:
-            column = [x if isinstance(x, Fraction) and x >= 0 else ZERO
-                      for x in variants]
-            probe = from_column(space, variant_index, column, str(spec.variant))
-            return Verdict(
-                "fails",
-                counterexample=Counterexample(
-                    probe, space.state_at(i), v, Fraction(spec.upper_bound)),
-                detail="variant exceeds its bound",
-            )
-        by_value.setdefault(v, []).append(i)
-
-    if not by_value:
+            raise EvalError(f"variant {spec.variant} is undefined at {state}: {v}") from v
+        if v.__class__ is not int or v < 0 or v % den:
+            raise VariantError(f"variant {spec.variant} = {as_value(v, den)!r} at {state} "
+                               "is not a natural number")
+        column = [Fraction(x, den) if x.__class__ is int and x >= 0 else ZERO
+                  for x in variants]
+        return Verdict(
+            "fails",
+            counterexample=Counterexample(
+                from_column(space, index, column, str(spec.variant)), state,
+                Fraction(v, den), Fraction(spec.upper_bound)),
+            detail="variant exceeds its bound",
+        )
+    values = sorted(set(cuts) - {None})
+    if not values:
         return Verdict("holds", detail="loop guard nowhere satisfied")
 
     # the body's wp outside the guard is irrelevant; mask it, then surface
     # undefinedness only where the loop actually iterates
     body = compile_program(loop.body, space)
-    for cut in sorted(by_value):
+    bar = spec.epsilon
+    for cut in values:
         # [variant < cut]: 0 where the variant is undefined or not a
         # number, which counts as no decrease and so never over-claims
-        column = [ONE if isinstance(x, Fraction) and x < cut else ZERO
-                  for x in variants]
-        decrease = from_column(space, variant_index, column,
-                               f"[{spec.variant} < {cut}]")
+        top = cut * den
+        column = [ONE if x.__class__ is int and x < top else ZERO for x in variants]
+        decrease = from_column(space, index, column, f"[{spec.variant} < {cut}]")
         result = body.wp(decrease, WpConfig(undefined="mask"))
         masked = {st.index: why for st, why in zip(result.undefined_states,
                                                    result.undefined_reasons)}
-        for i in by_value[cut]:
+        achieved = result.pre.values
+        for i in [i for i, c in enumerate(index) if cuts[c] == cut]:
             if i in masked:
                 raise UndefinedStateError(
                     f"loop body wp is undefined at guard state {space.state_at(i)}: "
                     f"{masked[i]}",
                     state=space.state_at(i),
                 )
-            achieved = result.pre.values[i]
-            if achieved < spec.epsilon:
+            x = achieved[i]
+            if x.numerator * bar.denominator < bar.numerator * x.denominator:  # x < bar
                 return Verdict(
                     "fails",
                     counterexample=Counterexample(
-                        decrease, space.state_at(i), achieved, spec.epsilon
+                        decrease, space.state_at(i), x, spec.epsilon
                     ),
                     detail="variant may fail to decrease often enough",
                 )

@@ -15,6 +15,7 @@ each grid value, as a parameter's value may change it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .checks import (
     check_variant,
     dyadic_grid,
 )
-from .errors import DistError, PgclError, PgclSyntaxError
+from .errors import DistError, PgclError, PgclSyntaxError, UsageError
 from .machine import analyze, load_machine, machine_to_text, to_dot
 from .bits import RandomBitSource, ScriptedBitSource
 from .parser import ProgramText, identifiers, parse_expression, parse_rational, tokenize
@@ -61,7 +62,7 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise PgclSyntaxError(f"cannot read {path}: {exc}", 1, 1) from None
+        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_params(pairs) -> dict[str, Fraction]:
@@ -69,7 +70,7 @@ def _parse_params(pairs) -> dict[str, Fraction]:
     for pair in pairs or ():
         name, sep, value = pair.partition("=")
         if not sep or not name:
-            raise PgclSyntaxError(f"bad --param {pair!r}, expected name=value", 1, 1)
+            raise UsageError(f"bad --param {pair!r}, expected name=value")
         params[name] = parse_rational(value)
     return params
 
@@ -100,7 +101,7 @@ def _refuse_unread(read: frozenset, params: dict, grid: Optional[str] = None) ->
     change nothing, so it is refused, as a misspelt name would be."""
     for flag, name in [*(("--param", n) for n in params), ("--grid", grid)]:
         if name is not None and name not in read:
-            raise PgclSyntaxError(f"{flag} {name} names nothing the command reads", 1, 1)
+            raise UsageError(f"{flag} {name} names nothing the command reads")
 
 
 def _load_dist(value: str) -> tuple[Optional[int], WeightedDist]:
@@ -270,7 +271,7 @@ def _machine_from_args(args):
     if getattr(args, "machine", None):
         return load_machine(_read_text(args.machine))
     if args.dist is None:
-        raise PgclSyntaxError("pass --dist or --machine", 1, 1)
+        raise UsageError("pass --dist or --machine")
     _, dist = _load_dist(args.dist)
     return build_machine(dist, max_nodes=args.max_nodes)
 
@@ -335,6 +336,7 @@ def _add_check_flags(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pgcl",
@@ -410,7 +412,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PgclSyntaxError as exc:
+    except (PgclSyntaxError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PgclError as exc:

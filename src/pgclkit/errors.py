@@ -14,6 +14,11 @@ class PgclSyntaxError(PgclError):
         self.column = column
 
 
+class UsageError(PgclError):
+    """A bad command-line argument, or a file that cannot be read: no
+    position in program text is at fault."""
+
+
 class EvalError(PgclError):
     """Expression evaluation failed (division by zero, type mismatch, ...)."""
 

@@ -6,12 +6,11 @@ space, which makes pointwise arithmetic and comparisons exact and cheap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvalError
-from .exprs import Bracket, Expr, eval_expr, free_vars, static_kind
+from .exprs import Bracket, Expr, evaluate, static_kind
 from .states import State, StateSpace
 
 ZERO = Fraction(0)
@@ -65,36 +64,20 @@ def from_expr(space: StateSpace, expr: Expr, label: str = "") -> Expectation:
     guards can be used as expectations directly."""
     if static_kind(expr, space) == "bool":
         expr = Bracket(expr)
-    positions, results = evaluate(space, expr)
+    positions, column, den = evaluate(space, expr)
     index, _ = space.projection(positions)
-    ok = [isinstance(v, Fraction) and v >= 0 for v in results]
+    ok = [v.__class__ is int and v >= 0 for v in column]
     if not all(ok):
         # the first state that reads a bad value, as a state-by-state walk
         i = next(i for i, c in enumerate(index) if not ok[c])
-        v, state = results[index[i]], space.state_at(i)
+        v, state = column[index[i]], space.state_at(i)
         if isinstance(v, EvalError):
             raise EvalError(f"expectation {expr} is undefined at {state}: {v}") from v
-        if not isinstance(v, Fraction):
+        if v.__class__ is not int:
             raise EvalError(f"expectation is non-numeric at {state}")
         raise EvalError(f"expectation is negative at {state}")
-    return from_column(space, index, results, label or str(expr))
-
-
-def evaluate(space: StateSpace, expr) -> tuple:
-    """expr evaluated once per value of its free variables: (positions,
-    results), the positions of those variables in order, and per
-    combination of their values, numbered as in StateSpace.projection,
-    the result or the EvalError.  Each is evaluated at the {name: value}
-    mapping of that combination, as eval_expr reads only free variables."""
-    positions = tuple(sorted(space.var_pos(v) for v in free_vars(expr)))
-    names = [space.domains[p].name for p in positions]
-    results = []
-    for combo in itertools.product(*(space.domains[p].values for p in positions)):
-        try:
-            results.append(eval_expr(expr, dict(zip(names, combo))))
-        except EvalError as exc:
-            results.append(exc)
-    return positions, results
+    exact = {v: Fraction(v, den) for v in set(column)}  # one per distinct value
+    return from_column(space, index, list(map(exact.__getitem__, column)), label or str(expr))
 
 
 def from_column(space: StateSpace, index: list, column: list, label: str) -> Expectation:

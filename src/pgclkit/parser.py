@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import DistError, PgclError, PgclSyntaxError
+from .errors import DistError, PgclError, PgclSyntaxError, UsageError
 from .exprs import (
     COMPARISONS,
     And,
@@ -537,7 +537,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise PgclSyntaxError(f"bad rational {text!r}: {exc}", 1, 1) from None
+        raise UsageError(f"bad rational {text!r}: {exc}") from None
 
 
 def identifiers(tokens: list[Token]) -> frozenset[str]:

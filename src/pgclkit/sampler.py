@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bits import RandomBitSource
 from .errors import DistError, MachineFormatError, WindowInvariantError
@@ -221,8 +221,7 @@ class _SuccessorTable:
         return position
 
 
-@dataclass(frozen=True)
-class SampleTrace:
+class SampleTrace(NamedTuple):
     """One completed sample: 1-based outcome plus the bits that drove it."""
 
     outcome: int

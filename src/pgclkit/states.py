@@ -4,8 +4,9 @@ A domain value is either an exact rational (integers included) or a
 symbolic token such as H or T, stored as a plain string.  Floats are
 rejected everywhere.  Values, probabilities and expectations are exact:
 fractions.Fraction at the API, while the wp engine carries its vectors as
-Python ints over one common denominator, and its compiler evaluates each
-expression once per value of its free variables (see projection).
+Python ints over one common denominator, and an expression is evaluated
+once per value of its free variables (see projection), as int columns over
+a common denominator (see exprs.evaluate).
 """
 
 from __future__ import annotations
@@ -173,17 +174,26 @@ class StateSpace:
         two different values).
         """
         positions = tuple(positions)
-        weights = [0] * len(self.domains)
-        for p, r in zip(positions, self.radices(positions)):
-            weights[p] += r
-        index = [0]
-        for d, w in zip(self.domains, weights):
-            index = [a + k * w for a in index for k in range(d.size)]
+        index = self.restrict(range(len(self.domains)), positions)
         firsts = [-1] * math.prod(self.domains[p].size for p in positions)
         for i, c in enumerate(index):
             if firsts[c] < 0:
                 firsts[c] = i
         return index, firsts
+
+    def restrict(self, key, positions) -> list[int]:
+        """Per combination of the values at `key` (distinct positions,
+        numbered as radices numbers them), the number of its values at
+        `positions` (repeats allowed), each of which key holds."""
+        positions = tuple(positions)
+        weights = [0] * len(self.domains)
+        for p, r in zip(positions, self.radices(positions)):
+            weights[p] += r
+        index = [0]
+        for p in key:
+            w = weights[p]
+            index = [a + k * w for a in index for k in range(self.domains[p].size)]
+        return index
 
     def states(self) -> Iterator["State"]:
         for combo in itertools.product(*(d.values for d in self.domains)):

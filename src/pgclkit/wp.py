@@ -50,8 +50,8 @@ from operator import add
 from typing import Optional
 
 from .errors import EvalError, UndefinedStateError, WpError
-from .expectations import Expectation, evaluate
-from .exprs import static_kind
+from .expectations import Expectation
+from .exprs import as_value, evaluate, static_kind
 from .linear import absorb
 from .programs import (
     Abort,
@@ -1000,19 +1000,24 @@ def _first_mark(e: tuple) -> Optional[_Undef]:
 
 def _eval_guarded(frame: _Frame, expr, want: str) -> tuple:
     """(key, per class): a guard (want "bool") or a probability (want
-    "prob"), with errors downgraded to _Undef markers."""
-    key, results = evaluate(frame.space, expr)
+    "prob", as a Fraction), with errors downgraded to _Undef markers."""
+    key, column, den = evaluate(frame.space, expr)
+    exact: dict = {}  # each probability becomes one Fraction
     out = []
-    for v in results:
+    for v in column:
         if isinstance(v, EvalError):
-            reason = str(v)
+            out.append(_Undef(str(v), 0, frame))
         elif want == "bool":
-            reason = None if isinstance(v, bool) else f"guard {expr} is not boolean"
-        elif isinstance(v, Fraction) and 0 <= v <= 1:
-            reason = None
+            out.append(v if v.__class__ is bool else
+                       _Undef(f"guard {expr} is not boolean", 0, frame))
+        elif v.__class__ is int and 0 <= v <= den:
+            q = exact.get(v)
+            if q is None:
+                q = exact[v] = Fraction(v, den)
+            out.append(q)
         else:
-            reason = f"probability {expr} = {v} outside [0, 1]"
-        out.append(v if reason is None else _Undef(reason, 0, frame))
+            out.append(_Undef(f"probability {expr} = {as_value(v, den)} outside [0, 1]",
+                              0, frame))
     return key, out
 
 
@@ -1020,18 +1025,28 @@ def _assign_targets(frame: _Frame, var: str, expr) -> tuple:
     """(key, entries) of `var := expr`."""
     space = frame.space
     pos = space.var_pos(var)
-    key, results = evaluate(space, expr)
+    key, column, den = evaluate(space, expr)
+    # the domain's index by the value's entry in the column: a number as
+    # an int over den (a value not a multiple of 1/den is no entry), or
+    # a token
+    index = {}
+    for k, x in enumerate(space.domains[pos].values):
+        if isinstance(x, str):
+            index[x] = k
+        elif den % x.denominator == 0:
+            index[x.numerator * (den // x.denominator)] = k
     digits = [0] * len(frame.sizes)
     entries = []
-    for at, v in zip(frame.classes(key), results):
+    for at, v in zip(frame.classes(key), column):
         k = -1
         if isinstance(v, EvalError):
             reason = str(v)
-        elif isinstance(v, bool):
+        elif v.__class__ is bool:
             reason = f"cannot assign a boolean to {var}"
         else:
-            k = space.domains[pos].index_of(v)
-            reason = None if k >= 0 else f"{var} := {v} leaves the domain of {var}"
+            k = index.get(v, -1)
+            reason = None if k >= 0 else (
+                f"{var} := {as_value(v, den)} leaves the domain of {var}")
         if reason is None:
             digits[pos] = k + 1
             entries.append(_point(frame.atom(0, digits, at)))
@@ -1117,23 +1132,27 @@ def _suchthat_options(frame: _Frame, prog: SuchThat) -> tuple:
     is made at)."""
     space = frame.space
     positions = [space.var_pos(v) for v in prog.vars]
-    pred_key, verdicts = evaluate(space, prog.pred)
+    pred_key, verdicts, _ = evaluate(space, prog.pred)
     key = tuple(p for p in pred_key if p not in positions)
+    radix = dict(zip(pred_key, space.radices(pred_key)))
     candidates = [{}]
     for p in positions:
         candidates = [{**c, p: k} for c in candidates for k in range(frame.sizes[p])]
+    # a candidate's and a class's parts of the number of a verdict
+    offsets = [sum(k * radix.get(p, 0) for p, k in c.items()) for c in candidates]
     atoms = [frame.atom(0, [c[v] + 1 if v in c else 0 for v in range(len(frame.sizes))], {})
              for c in candidates]
     unsatisfied = f"no values of {', '.join(prog.vars)} satisfy {prog.pred}"
     entries = []
     for at in frame.classes(key):
+        base = sum(at[p] * radix[p] for p in key)
         ok, entry = [], None
-        for c, a in zip(candidates, atoms):
-            v = verdicts[frame.index(pred_key, {**at, **c})]
+        for off, a in zip(offsets, atoms):
+            v = verdicts[base + off]
             if isinstance(v, EvalError):
                 entry = _point(_Undef(str(v), 0, frame))
                 break
-            if not isinstance(v, bool):
+            if v.__class__ is not bool:
                 entry = _point(_Undef("suchthat predicate is not boolean", a, frame))
                 break
             if v:

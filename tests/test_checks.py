@@ -446,6 +446,43 @@ def test_variant_errors_name_the_state():
     assert str(ei.value) == "variant 1 / (x - 1) is undefined at {x=1}: division by zero"
 
 
+def test_variant_errors_come_at_the_first_state_in_space_order():
+    # the variant is undefined at {a=0, b=2}, the guard only later, at a=1
+    s = space_of(("a", (0, 1)), ("b", (0, 1, 2)))
+    loop = helpers.prog("WHILE 1/(a - 1) < 5 DO a := 1 OD", s)
+    with pytest.raises(EvalError) as ei:
+        check_variant(loop, variant(s, "2/(2 - b)", 3, "1/2"), s)
+    assert str(ei.value) == "variant 2 / (2 - b) is undefined at {a=0, b=2}: division by zero"
+
+
+def test_a_variant_that_is_no_natural_number_names_its_first_state():
+    # -1 at {x=0, c=T} comes before the value 2, above the bound, at x=2
+    s = space_of(("x", (0, 1, 2, 3)), ("c", ("H", "T")))
+    loop = helpers.prog("WHILE x >= 0 DO x := x - 1 OD", s)
+    with pytest.raises(VariantError) as ei:
+        check_variant(loop, variant(s, "x - [c = T]", 1, "1/2"), s)
+    assert str(ei.value) == ("variant x - [c = T] = Fraction(-1, 1) at {x=0, c=T} "
+                             "is not a natural number")
+    s = space_of(("m", (1, "H")))
+    loop = helpers.prog("WHILE true DO SKIP OD", s)
+    with pytest.raises(VariantError) as ei:
+        check_variant(loop, variant(s, "m", 1, "1/2"), s)
+    assert str(ei.value) == "variant m = 'H' at {m=H} is not a natural number"
+
+
+def test_a_variant_above_its_bound_fails_at_its_first_state():
+    # above the bound at {y=1, x=1}; the guard and the variant are
+    # undefined only at later states, and the guard is false where y = 0
+    s = space_of(("y", (0, 1)), ("x", (0, 1, 2, 3)))
+    loop = helpers.prog("WHILE y = 1 & 1/(2 - x) > -5 DO y := 0 OD", s)
+    v = check_variant(loop, variant(s, "6/(3 - x)", 2, "1/2"), s)
+    assert v.status == "fails" and v.detail == "variant exceeds its bound"
+    cx = v.counterexample
+    assert (cx.state, cx.lhs, cx.rhs) == (s.state(y=1, x=1), 3, 2)
+    assert cx.probe.values == tuple(map(F, (2, 3, 6, 0) * 2))
+    assert str(cx.probe) == "6 / (3 - x)"
+
+
 def test_an_undefined_body_names_its_reason():
     s = helpers.random_space()
     loop = helpers.prog("WHILE x < 2 DO y :dist [x + 1: 1/3, 0: 2/3] OD", s)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgclkit import EvalError, eval_expr, free_vars, parse_expression, pretty_expr, space_of
-from pgclkit.exprs import COMPARISONS, Bracket, Lit, Var
+from pgclkit.exprs import (
+    COMPARISONS, BinOp, BoolLit, Bracket, Cmp, Lit, Neg, TokenLit, Var, as_value, evaluate,
+)
 
 F = Fraction
 
@@ -102,17 +105,15 @@ def test_pretty_round_trip_preserves_tree():
         assert parse_expression(pretty_expr(e), s) == e
 
 
-def test_pretty_round_trip_on_random_texts():
-    # seeded texts from a small grammar: unary minus, brackets, fractional
-    # and negative literals, every comparison, !, &, | and tokens; no
-    # literal is 0, since the parser refuses a literal divided by 0
-    s = space_of(("x", (0, 1, 2, 3)), ("y", (0, 1)), ("c", ("H", "T")))
-    rng = random.Random(24)
+def random_condition(rng, nums, conds, depth=4):
+    """A seeded text from a small grammar: unary minus, brackets, the
+    numeric atoms `nums` and the conditions `conds`, every comparison, !,
+    & and |."""
 
     def num(depth):
         pick = rng.randrange(6 if depth else 2)
         if pick == 0:
-            return rng.choice(("x", "y"))
+            return rng.choice(nums)
         if pick == 1:
             return rng.choice(("1", "3", "1/2", "-3/4", "0.25", "-2"))
         if pick == 2:
@@ -127,16 +128,61 @@ def test_pretty_round_trip_on_random_texts():
         if pick == 0:
             return f"{num(depth)} {rng.choice(tuple(COMPARISONS))} {num(depth)}"
         if pick == 1:
-            return rng.choice(("c = H", "c != T", "true", "false"))
+            return rng.choice(conds)
         if pick == 2:
             return f"!{cond(depth - 1)}"
         if pick == 3:
             return f"({cond(depth - 1)})"
         return f"{cond(depth - 1)} {rng.choice('&|')} {cond(depth - 1)}"
 
+    return cond(depth)
+
+
+def test_pretty_round_trip_on_random_texts():
+    # fractional and negative literals and tokens; no literal is 0, since
+    # the parser refuses a literal divided by 0
+    s = space_of(("x", (0, 1, 2, 3)), ("y", (0, 1)), ("c", ("H", "T")))
+    rng = random.Random(24)
     for _ in range(2000):
-        e = parse_expression(cond(4), s)
+        text = random_condition(rng, ("x", "y"), ("c = H", "c != T", "true", "false"))
+        e = parse_expression(text, s)
         assert parse_expression(pretty_expr(e), s) == e
+
+
+def test_columns_agree_with_eval_expr_on_random_texts():
+    # m mixes tokens and numbers, x and m are 0 somewhere, and a token or
+    # a condition where a number belongs is a type error at every state
+    s = space_of(("x", (0, 1, 2, 3)), ("y", (0, 1)), ("c", ("H", "T")),
+                 ("m", (F(1, 2), "H", 0)))
+    rng = random.Random(26)
+    texts = [random_condition(rng, ("x", "y", "m", "m", "H"),
+                              ("c = H", "c != T", "true", "false", "m = H", "m < 1",
+                               "c < H", "c = 1", "!x", "y & c = H"))
+             for _ in range(1500)]
+    trees = [parse_expression(text, s) for text in texts] + [
+        BinOp("%", Var("x"), Lit(1)), Cmp("~", Var("x"), Lit(1)),
+        Cmp("~", Var("c"), TokenLit("H")), Cmp("<", BoolLit(True), Lit(1)),
+        BinOp("/", Var("y"), Var("y")), Lit(F(3, 4)), Neg(Var("m")), Var("m"), TokenLit("T")]
+    seen = set()
+    for e in trees:
+        positions, column, den = evaluate(s, e)
+        domains = [s.domains[p] for p in positions]
+        combos = list(itertools.product(*(d.values for d in domains)))
+        assert len(column) == len(combos)
+        for combo, got in zip(combos, column):
+            try:
+                want = eval_expr(e, {d.name: v for d, v in zip(domains, combo)})
+            except EvalError as exc:
+                assert isinstance(got, EvalError) and str(got) == str(exc), (str(e), combo)
+                seen.add(str(exc).split(",")[0])
+                continue
+            value = as_value(got, den)
+            assert type(value) is type(want) and value == want, (str(e), combo)
+            seen.add(type(want))
+    assert {bool, F, str, "division by zero", "comparisons over booleans are not supported",
+            "tokens admit only = and !=", "unknown operator %", "unknown comparison ~",
+            "operator + needs a number", "conjunction needs a boolean", "negation needs a boolean",
+            "type mismatch (comparing token H to number)"} <= seen
 
 
 def test_pretty_prints_rationals_as_num_slash_den():

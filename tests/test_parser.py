@@ -8,6 +8,7 @@ from pgclkit import (
     DistError,
     EvalError,
     PgclSyntaxError,
+    UsageError,
     parse_expression,
     parse_program,
     parse_rational,
@@ -88,6 +89,8 @@ def test_decimals_are_exact():
     assert p.prob.value == F(1, 4)
     assert parse_rational("0.125") == F(1, 8)
     assert parse_rational("2/3") == F(2, 3)
+    with pytest.raises(UsageError, match="^bad rational 'abc': "):
+        parse_rational("abc")
 
 
 def test_if_then_else_dispatches_on_condition_kind():

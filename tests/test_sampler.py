@@ -83,6 +83,13 @@ def test_single_outcome_needs_no_flips():
     assert trace.outcome == 1
 
 
+def test_a_sample_trace_is_a_pair_with_named_fields():
+    trace = sample_discrete(WeightedDist((1, 1)), ScriptedBitSource((1,)))
+    assert repr(trace) == "SampleTrace(outcome=2, bits=(1,))"
+    assert (trace.outcome, trace.bits, trace.flips) == (2, (1,), 1)
+    assert trace == SampleTrace(2, (1,)) == (2, (1,))
+
+
 DIE = WeightedDist((1, 1, 1, 1, 1, 1))
 
 
