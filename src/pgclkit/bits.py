@@ -1,10 +1,17 @@
-"""Fair-bit sources: the only randomness the samplers ever consume."""
+"""Fair-bit sources: the only randomness the samplers ever consume.
+
+The seeded stream of a seed is the sequence whose bit i is the top bit of
+the i-th 32-bit output of random.Random(seed).  It has two readers, which
+agree bit for bit: RandomBitSource, one bit per call, and
+random_bit_blocks, which hands out the same bits BLOCK_BITS at a time.
+"""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import BitsExhaustedError, DistError
 
@@ -17,6 +24,21 @@ def check_seed(seed) -> None:
         raise DistError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise DistError("seed must be non-negative")
+
+
+BLOCK_BITS = 4096
+_TOP = bytes(128) + b"\x01" * 128  # a byte to its top bit
+
+
+def random_bit_blocks(seed: int) -> Iterator[bytes]:
+    """The seeded stream of `seed` as bytes objects of BLOCK_BITS bytes,
+    each 0 or 1.  getrandbits(32*k) lays its k outputs out lowest first,
+    so byte 4*i + 3 of its little-endian bytes is the top byte of output i.
+    The seed is checked here, not at the first block."""
+    check_seed(seed)
+    getrandbits = random.Random(seed).getrandbits
+    return (getrandbits(32 * BLOCK_BITS).to_bytes(4 * BLOCK_BITS, "little")[3::4]
+            .translate(_TOP) for _ in itertools.count())
 
 
 class RandomBitSource:

@@ -32,9 +32,14 @@ configuration is the same entry.
 Three walks read it.  sample_discrete draws one outcome and records its
 bits, for single traced draws, scripted bit streams and `pgcl sample`.
 run_trials draws in bulk and counts flips instead: every draw of a run
-reads one seeded stream, RandomBitSource(seed), so a run returns the same
-outcomes and flip counts as that many sample_discrete draws from the
-stream.  build_machine reads the whole table breadth first, deriving what
+reads one seeded stream, the stream of RandomBitSource(seed), so a run
+returns the same outcomes and flip counts as that many sample_discrete
+draws from it.  It reads that stream in blocks (bits.random_bit_blocks),
+and a draw's first 8 flips as one byte, which it looks up in the table's
+root row: per byte, where those flips lead from the root and how many of
+them the draw uses, filled by a walk of the table the first time the
+byte comes up.  Past them a draw walks the table bit by bit.
+build_machine reads the whole table breadth first, deriving what
 draws have not reached, and numbers its entries into a machine.Machine:
 interior nodes are the configurations, a revisited one is a back-edge,
 and every outcome gets a single shared leaf.  sample_binary keeps its
@@ -48,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .bits import RandomBitSource
+from .bits import random_bit_blocks
 from .errors import DistError, MachineFormatError, WindowInvariantError
 from .machine import Machine, MachineNode
 
@@ -181,7 +186,8 @@ class _SuccessorTable:
     `succ` is the table and `start` the root's entry in the same form.
     Entry e, while not yet derived, holds underived - e, where underived is
     -N - 1; any code at or below underived names the one entry it stands
-    for.
+    for.  `root_row` is run_trials' lookup of a draw's first 8 flips: see
+    root_entry.
     """
 
     def __init__(self, d: WeightedDist):
@@ -189,6 +195,7 @@ class _SuccessorTable:
         self.succ: list[int] = []
         self.configs: list[CumulativeDist] = []  # interior configuration i
         self._positions: dict[tuple, int] = {}  # key() -> 2*i
+        self.root_row: list[Optional[tuple[int, int]]] = [None] * 256
         root = CumulativeDist.initial(d)
         root.check_invariant()
         self.start = self._entry(root)
@@ -205,6 +212,20 @@ class _SuccessorTable:
         c = parent.split_right() if e & 1 else parent.split_left()
         c.check_invariant()
         self.succ[e] = entry = self._entry(c)
+        return entry
+
+    def root_entry(self, window: int) -> tuple[int, int]:
+        """Fill and return root_row[window]: (entry, bits used) after the
+        first flips of a draw, at most 8, whose next bits are `window`,
+        first bit lowest.  The walk stops at a leaf, so it derives only
+        what the draw reaches, and nothing is stored when a check fails."""
+        node, used = self.start, 0
+        while node >= 0 and used < 8:
+            node = self.succ[node + (window >> used & 1)]
+            used += 1
+            if node <= self.underived:
+                node = self.derive(node)
+        self.root_row[window] = entry = (node, used)
         return entry
 
     def _entry(self, c: CumulativeDist) -> int:
@@ -250,7 +271,7 @@ def sample_discrete(d: WeightedDist, bits) -> SampleTrace:
             consumed.append(b)
             node = succ[node + b]
         if node > underived:  # a leaf, -outcome
-            return SampleTrace(-node, tuple(consumed))
+            return tuple.__new__(SampleTrace, (-node, tuple(consumed)))
         node = table.derive(node)
 
 
@@ -293,27 +314,51 @@ def run_trials(d: WeightedDist, runs: int, seed: int) -> TrialsResult:
 
     Every draw reads the one bit stream RandomBitSource(seed), so the
     result equals `runs` successive sample_discrete(d, source) draws and a
-    given seed is fully reproducible.  Draws walk the successor table of
-    `d`, as sample_discrete does, but count flips instead of recording them.
+    given seed is fully reproducible.  It reads the stream in blocks, and
+    a draw's first 8 flips with one lookup (see the module docstring); a
+    draw that runs off a block starts again from its first bit in the
+    next one, which carries the tail over.
     """
+    if isinstance(runs, bool) or not isinstance(runs, int):
+        raise DistError(f"run count must be an int, got {runs!r}")
     if runs < 1:
         raise DistError("need at least one run")
     table = d._successor_table
-    succ, underived, start = table.succ, table.underived, table.start
-    next_bit = RandomBitSource(seed).next_bit
-    tallies = [0] * d.size
-    total_flips = 0
-    for _ in range(runs):
-        node = start
-        while True:
-            while node >= 0:
-                node = succ[node + next_bit()]
-                total_flips += 1
-            if node > underived:  # a leaf, -outcome
-                break
-            node = table.derive(node)
-        tallies[-node - 1] += 1
-    return TrialsResult(d.weights, runs, seed, tuple(tallies), total_flips)
+    succ, underived, row = table.succ, table.underived, table.root_row
+    tallies = [0] * d.size  # tallies[-k] counts outcome k
+    total_flips, left, tail = 0, runs, b""
+    for block in random_bit_blocks(seed):
+        block = tail + block
+        n, x = len(block), int.from_bytes(block, "little")
+        # byte i of windows holds bits i..i+7 of the block, bit i lowest:
+        # each step adds, shifted past the bits byte i holds, the byte 1,
+        # 2 and then 4 places on
+        x += x >> 7
+        x += x >> 14
+        windows = (x + (x >> 28)).to_bytes(n, "little")
+        pos, last = 0, n - 8
+        while pos <= last:
+            node, used = row[windows[pos]] or table.root_entry(windows[pos])
+            if node >= 0:  # interior after 8 flips: go on bit by bit
+                end = pos + 8
+                while True:
+                    while node >= 0 and end < n:
+                        node = succ[node + block[end]]
+                        end += 1
+                    if node > underived:  # a leaf, or off the block
+                        break
+                    node = table.derive(node)
+                if node >= 0:  # off the block: start again in the next one
+                    break
+                used = end - pos
+            pos += used
+            tallies[node] += 1
+            left -= 1
+            if not left:
+                return TrialsResult(d.weights, runs, seed, tuple(tallies[::-1]),
+                                    total_flips + pos)
+        total_flips += pos
+        tail = block[pos:]
 
 
 def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machine:
@@ -362,25 +407,24 @@ def sample_binary(p: Fraction, bits) -> SampleTrace:
     keeps q, tails keeps r.  Endpoint biases never flip at all.
     """
     if isinstance(p, Fraction):
-        x = p
+        a, b = p.as_integer_ratio()  # b > 0
     elif isinstance(p, (float, bool)):
         raise DistError(f"bias {p!r} is not exact; use an int or a Fraction")
     else:
-        x = Fraction(p)
-    a, b = x.numerator, x.denominator  # b > 0
+        a, b = Fraction(p).as_integer_ratio()
     if not 0 <= a <= b:
         raise DistError(f"bias {p} outside [0, 1]")
     next_bit = bits.next_bit
     consumed: list[int] = []
     while 0 < a < b:
-        if 2 * a <= b:
-            q, r = 0, 2 * a
-        else:
-            q, r = 2 * a - b, b
         bit = next_bit()
         consumed.append(bit)
-        a = q if bit == 0 else r
-    return SampleTrace(a // b, tuple(consumed))
+        a += a  # 2x, then r = min(2x, 1) on tails, q = max(2x - 1, 0) on heads
+        if a > b:
+            a = b if bit else a - b
+        elif not bit:
+            a = 0
+    return tuple.__new__(SampleTrace, (a // b, tuple(consumed)))
 
 
 def _weight_lines(text: str) -> list[str]:

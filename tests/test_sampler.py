@@ -21,6 +21,7 @@ from pgclkit import (
     sample_binary,
     sample_discrete,
 )
+from pgclkit.bits import BLOCK_BITS, random_bit_blocks
 from pgclkit.sampler import build_machine
 
 F = Fraction
@@ -213,6 +214,39 @@ def test_a_seed_that_is_no_int_is_refused(seed):
         run_trials(WeightedDist((1, 2, 3)), 200, seed)
 
 
+@pytest.mark.parametrize("runs", [True, 2.5, 3.0, "3"])
+def test_a_run_count_that_is_no_int_is_refused(runs):
+    # True would run once and report runs=True; 2.5 has no count of draws
+    with pytest.raises(DistError, match="run count must be an int"):
+        run_trials(WeightedDist((1, 2, 3)), runs, 0)
+
+
+def test_trials_repeat_the_results_pinned_before_the_block_walk():
+    # taken with the bit-by-bit walk over RandomBitSource(seed).next_bit
+    assert run_trials(WeightedDist((1, 2, 3)), 3000, 11) == \
+        TrialsResult((1, 2, 3), 3000, 11, (521, 1009, 1470), 6073)
+    die = WeightedDist((1,) * 6)
+    for seed, tallies, flips in (
+            (0, (3308, 3362, 3421, 3268, 3347, 3294), 79885),
+            (1, (3328, 3387, 3242, 3315, 3376, 3352), 80229),
+            (2**31 - 1, (3267, 3417, 3395, 3339, 3317, 3265), 80260)):
+        assert run_trials(die, 20_000, seed) == \
+            TrialsResult(die.weights, 20_000, seed, tallies, flips)
+
+
+def test_bit_blocks_are_the_stream_of_next_bit():
+    for seed in (0, 1, 2**31 - 1):
+        source, blocks = RandomBitSource(seed), random_bit_blocks(seed)
+        for _ in range(3):
+            block = next(blocks)
+            assert len(block) == BLOCK_BITS
+            assert list(block) == [source.next_bit() for _ in range(BLOCK_BITS)]
+    # the seed is checked when the blocks are asked for, not at the first
+    for seed in (-1, True, 2.0):
+        with pytest.raises(DistError):
+            random_bit_blocks(seed)
+
+
 def _per_flip_sample(d, bits):
     # the independent oracle: derive every configuration afresh on every
     # flip and check the window invariant after each one
@@ -283,6 +317,58 @@ def test_sample_discrete_matches_per_flip_sampling_bit_for_bit(weights):
                 _reference_trials(d, runs, seed + runs)
 
 
+def _discrete_trials(d, runs, seed):
+    # `runs` sample_discrete draws from the stream of the seed, which the
+    # tests above pin to the per-flip oracle: their result, and the
+    # (first bit, end) of each draw on the stream
+    source, tallies, spans, pos = RandomBitSource(seed), [0] * d.size, [], 0
+    for _ in range(runs):
+        trace = sample_discrete(d, source)
+        tallies[trace.outcome - 1] += 1
+        spans.append((pos, pos + trace.flips))
+        pos += trace.flips
+    return TrialsResult(d.weights, runs, seed, tuple(tallies), pos), spans
+
+
+@pytest.mark.parametrize("weights, kinds", [
+    # over seeds 0..19, the die's draws that run off a block all start in
+    # its last 8 bits, which no window of 8 bits covers; a 300-outcome
+    # ramp's draws, of 9 flips and more, also start before them and run
+    # past the 8 bits of their window
+    ((1,) * 6, {True}),
+    (tuple(range(1, 301)), {True, False}),
+])
+def test_trials_match_single_draws_across_block_ends(weights, kinds):
+    d, k, seen = WeightedDist(weights), BLOCK_BITS, set()
+    for seed in range(20):
+        expected, spans = _discrete_trials(d, 3000, seed)
+        assert run_trials(d, 3000, seed) == expected
+        # per draw that runs off a block: whether it starts in the last 8 bits
+        seen |= {a % k > k - 8 for a, b in spans if a // k < (b - 1) // k}
+    assert seen == kinds
+    assert run_trials(d, 3000, 0) == _reference_trials(d, 3000, 0)
+
+
+def test_windows_of_8_bits_never_read_past_a_block():
+    # 128 equal weights: every draw takes 7 flips; the block length is not
+    # a multiple of 7, so draws start at each of the last 7 bits of one
+    # block or another, where a window would hold bits of the next block
+    d, k = WeightedDist((1,) * 128), BLOCK_BITS
+    for seed in range(4):
+        expected, spans = _discrete_trials(d, 8400, seed)
+        assert {b - a for a, b in spans} == {7}
+        assert {k - a % k for a, _ in spans if a % k > k - 8} == set(range(1, 8))
+        assert run_trials(d, 8400, seed) == expected
+
+
+def test_trials_match_per_flip_sampling_past_the_root_row():
+    d = WeightedDist((1, 999999936))
+    for seed in (0, 1):
+        # the root row resolves a draw's first 8 flips; these go on
+        assert sum(b - a > 8 for a, b in _discrete_trials(d, 20_000, seed)[1]) > 20
+        assert run_trials(d, 20_000, seed) == _reference_trials(d, 20_000, seed)
+
+
 def test_exhausted_scripted_bits_leave_the_table_usable():
     for weights in ((1,) * 6, (54, 25, 64), (1, 999999936)):
         rng = random.Random(sum(weights))
@@ -319,6 +405,36 @@ def test_every_derived_configuration_is_checked_before_use(monkeypatch):
     # draws whose bits avoid it succeed
     assert sample_discrete(d, ScriptedBitSource((0, 1, 1))).outcome == 3
     assert sample_discrete(d, ScriptedBitSource((1, 1, 1))).outcome == 6
+
+
+@pytest.mark.parametrize("weights, planted, unfilled", [
+    # the die after heads, heads: inside the root row, so no window that
+    # starts with two heads gets an entry
+    ((1,) * 6, (0, (4,), 1), range(0, 256, 4)),
+    # after 9 heads: past the root row
+    ((1, 999999936), (0, (512,), 1), ()),
+])
+def test_a_failed_check_inside_bulk_trials_stores_nothing(monkeypatch, weights,
+                                                         planted, unfilled):
+    real = CumulativeDist.check_invariant
+
+    def check(c):
+        if c.key() == planted:
+            raise WindowInvariantError("planted")
+        real(c)
+
+    monkeypatch.setattr(CumulativeDist, "check_invariant", check)
+    d = WeightedDist(weights)
+    with pytest.raises(WindowInvariantError, match="planted"):
+        run_trials(d, 20_000, 1)
+    table = d._successor_table
+    derived, row = len(table), list(table.root_row)
+    assert all(row[w] is None for w in unfilled)
+    # a failed derivation is never stored, so the retry checks and fails again
+    with pytest.raises(WindowInvariantError, match="planted"):
+        run_trials(d, 20_000, 1)
+    assert len(table) == derived
+    assert table.root_row == row
 
 
 def _seed_starting_with(*bits):
