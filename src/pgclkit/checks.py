@@ -35,7 +35,8 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .bits import check_seed
-from .errors import DistError, EvalError, UndefinedStateError, VariantError, WpError
+from .errors import (DistError, EvalError, SpaceError, UndefinedStateError, VariantError,
+                     WpError)
 from .expectations import Expectation, from_column, from_expr
 from .exprs import Bracket, as_value, evaluate, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
@@ -136,8 +137,10 @@ class ProbeFamily:
         variables but use scratch variables differently.
         """
         names = tuple(names)
-        for n in names:
+        for k, n in enumerate(names):
             space.var_pos(n)  # an undeclared name fails here, not on first use
+            if n in names[:k]:
+                raise SpaceError(f"variable {n!r} is named twice")
         return _Built(seed, names, space, (), extra)
 
 
@@ -169,32 +172,30 @@ def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
     values, the bracket of each boolean guard or assertion in `programs`,
     and `extra` seeded random columns with values in [0, PROBE_BOUND];
     a probe equal to an earlier one is dropped."""
-    positions = [space.var_pos(n) for n in names]
+    positions = tuple(space.var_pos(n) for n in names)
     rng = random.Random(seed)
     probes: list[Expectation] = []
     seen = set()
 
+    # a probe is a column over the combinations of the named variables,
+    # which are distinct, so two probes are equal exactly when their
+    # columns are
     combos = list(itertools.product(*(space.domains[p].values for p in positions)))
-    # per state its combination, by stride arithmetic; a probe is a
-    # column over the combinations, and two probes are equal exactly
-    # when their columns agree on the combinations some state has
-    index, firsts = space.projection(positions)
-    present = [c for c, first in enumerate(firsts) if first >= 0]
 
     def add(column, label):
-        key = tuple(column[c] for c in present)
+        key = tuple(column)
         if key not in seen:
             seen.add(key)
-            probes.append(from_column(space, index, column, label))
+            probes.append(from_column(space, positions, column, label))
 
     for k, combo in enumerate(combos):
         column = [ZERO] * len(combos)
         column[k] = ONE
         add(column, _point_label(names, combo))
     # programs come with every variable named, in order: there a state is
-    # its own combination, so a bracket's values are its column.  A loop
-    # guard may be a probability, and a bracket undefined somewhere is no
-    # probe.
+    # its own combination, so a bracket's values are its column, and the
+    # bracket keeps the column of what it reads.  A loop guard may be a
+    # probability, and a bracket undefined somewhere is no probe.
     for prog in programs:
         for pred in collect_predicates(prog):
             if static_kind(pred, space) != "bool":
@@ -203,7 +204,9 @@ def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
                 exp = from_expr(space, Bracket(pred))
             except EvalError:
                 continue
-            add(exp.values, exp.label)
+            if exp.values not in seen:
+                seen.add(exp.values)
+                probes.append(exp)
     for k in range(extra):
         column = [Fraction(rng.randrange(0, PROBE_BOUND * PROBE_DENOMINATOR + 1),
                            PROBE_DENOMINATOR) for _ in combos]
@@ -328,7 +331,7 @@ def _point_gap(spec: frozenset, impl: frozenset):
 def _witness(space: StateSpace, positions: list, names, c: int,
              flip: bool) -> Expectation:
     """The post [c] over the observed combinations, or 1 - [c] if flip."""
-    index, firsts = space.projection(positions)
+    firsts = space.projection(positions)[1]
     if c < 0:
         label = "1"
     else:
@@ -336,7 +339,7 @@ def _witness(space: StateSpace, positions: list, names, c: int,
         label = _point_label(names, (at[n] for n in names))
         label = f"1 - {label}" if flip else label
     column = [ONE if (k == c) != flip else ZERO for k in range(len(firsts))]
-    return from_column(space, index, column, label)
+    return from_column(space, positions, column, label)
 
 
 def check_equal(left: Program, right: Program, probes: ProbeFamily,
@@ -419,7 +422,7 @@ def check_variant(loop: Program, spec: VariantSpec,
         return Verdict(
             "fails",
             counterexample=Counterexample(
-                from_column(space, index, column, str(spec.variant)), state,
+                from_column(space, key, column, str(spec.variant)), state,
                 Fraction(v, den), Fraction(spec.upper_bound)),
             detail="variant exceeds its bound",
         )
@@ -436,7 +439,7 @@ def check_variant(loop: Program, spec: VariantSpec,
         # number, which counts as no decrease and so never over-claims
         top = cut * den
         column = [ONE if x.__class__ is int and x < top else ZERO for x in variants]
-        decrease = from_column(space, index, column, f"[{spec.variant} < {cut}]")
+        decrease = from_column(space, key, column, f"[{spec.variant} < {cut}]")
         result = body.wp(decrease, WpConfig(undefined="mask"))
         masked = {st.index: why for st, why in zip(result.undefined_states,
                                                    result.undefined_reasons)}

@@ -160,8 +160,12 @@ def _cmd_wp(args) -> int:
 
 
 def _probes_for(args, space, progs) -> ProbeFamily:
-    if args.probe_vars:
+    if args.probe_vars is not None:
         names = [n.strip() for n in args.probe_vars.split(",") if n.strip()]
+        if not names:
+            raise UsageError(f"--probe-vars {args.probe_vars!r} names no variable")
+        if len(set(names)) < len(names):
+            raise UsageError(f"--probe-vars {args.probe_vars!r} names a variable twice")
         return ProbeFamily.over_vars(space, names, seed=args.seed,
                                      extra=args.extra_probes)
     return ProbeFamily.default(space, progs, seed=args.seed,

@@ -86,6 +86,7 @@ class StateSpace:
         self._tokens = frozenset(
             v for d in self.domains for v in d.values if isinstance(v, str))
         self._radices: dict = {}  # positions -> radices(positions)
+        self._projections: dict = {}  # positions -> projection(positions)
         # per variable, the number of states one step of its value spans
         self.strides: tuple[int, ...] = self.radices(tuple(range(len(self.domains))))
         self.size = self.strides[0] * self.domains[0].size
@@ -171,15 +172,19 @@ class StateSpace:
         """Per state, the number (see radices) of its values at
         `positions` (repeats allowed); and per combination, the first
         state that has it, or -1 when none does (a repeated variable with
-        two different values).
+        two different values).  Built once per positions and kept, so
+        callers read both lists and never change them.
         """
         positions = tuple(positions)
-        index = self.restrict(range(len(self.domains)), positions)
-        firsts = [-1] * math.prod(self.domains[p].size for p in positions)
-        for i, c in enumerate(index):
-            if firsts[c] < 0:
-                firsts[c] = i
-        return index, firsts
+        got = self._projections.get(positions)
+        if got is None:
+            index = self.restrict(range(len(self.domains)), positions)
+            firsts = [-1] * math.prod(self.domains[p].size for p in positions)
+            for i, c in enumerate(index):
+                if firsts[c] < 0:
+                    firsts[c] = i
+            got = self._projections[positions] = index, firsts
+        return got
 
     def restrict(self, key, positions) -> list[int]:
         """Per combination of the values at `key` (distinct positions,

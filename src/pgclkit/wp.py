@@ -14,8 +14,8 @@ compile time into one flat _CPick (weights may sum to less than 1: the
 rest is mass lost to ABORT or to a loop that runs forever).
 
 Arithmetic is exact and integer: Fractions appear only at the API.
-Compiled.wp scales the post to ints over D, the lcm of its denominators;
-each pick holds its weights as ints over W, the lcm of theirs, so its
+Compiled.wp reads the post as ints over D, a common denominator of its
+values; each pick holds its weights as ints over W, the lcm of theirs, so its
 output is over D * W, and the result becomes Fractions once, at the end.
 Scaling by a positive W keeps the order of values, so every demonic
 minimum picks the option it would pick over Fractions.
@@ -42,6 +42,7 @@ with their reasons in WpResult.undefined_reasons.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -248,6 +249,25 @@ class WpResult:
 # on _Lin values through the same columns, and one over classes its own
 # plan of (weight, position) parts, once per policy-iteration round; it
 # then runs the pick of the policy found, built as a summary is.
+#
+# At the boundary.  A post is a column over the combinations of the
+# variables it reads (Expectation.column), as ints over its denominator.
+# Where the root is one flat pick, Compiled.wp and Compiled.rows run it
+# over the classes of K: its key, plus the variables the post (or the
+# observed set) reads that some atom keeps; a variable every atom writes
+# takes its value from the atom, whatever the class.  The same form as a
+# run, built once per pick and read set and kept (_CPick.pushed), lists
+# per class of the key its classes of K, and per atom the combination of
+# the read variables it reaches from each.  wp is then per class the least
+# dot product of the options with the post's column, and rows the
+# frozensets of the options' mass per combination.  An option that meets a
+# marker is that marker, placed at a state only when an undefined state is
+# reported.  Classes of K are numbered in the order of their first states,
+# so the first class that stops a run holds the first state that does, and
+# the result becomes states once, at the end, with one Fraction per
+# distinct value.  Any other root runs on the post's values per state: the
+# halving summary's wp of x reads the 9 classes of p on eighths, not the
+# 1 458 states.
 
 _ABORT = (((), ()),)
 _SURE = (ONE,)
@@ -270,17 +290,17 @@ class _Frame:
         self.space = space
         self.n = space.size
         self.sizes = tuple(d.size for d in space.domains)
-        self.strides = space.strides
         radix, r = [], 1
         for size in reversed(self.sizes):
             radix.append(r)
             r *= size + 1
         self.radix = tuple(reversed(radix))
         self.slots = r
+        self.every = tuple(range(len(self.sizes)))
         self._digits: dict = {}  # atom -> (slot, per variable digit)
         self._classes: dict = {}  # key -> per class {variable: value index}
-        self._members: dict = {}  # key -> per class its states
-        self._bases: dict = {}  # written variables -> per state, i without them
+        self._members: dict = {}  # (key, over) -> members(key, over)
+        self._bases: dict = {}  # (over, weights) -> per class of over, its number
 
     def digits(self, atom: int) -> tuple:
         got = self._digits.get(atom)
@@ -327,30 +347,45 @@ class _Frame:
         return sum((ds[v] - 1 if ds[v] else at[v]) * r
                    for v, r in zip(key, self.space.radices(key)))
 
-    def members(self, key: tuple) -> list:
-        """Per class of key, its states in order."""
-        got = self._members.get(key)
+    def members(self, key: tuple, over: Optional[tuple] = None) -> list:
+        """Per class of key, its states in order; or, given over (which
+        holds key's variables), the classes of over in it."""
+        got = self._members.get((key, over))
         if got is None:
-            got = [[] for _ in self.classes(key)]
-            for i, c in enumerate(self.space.projection(key)[0]):
+            got = [[] for _ in range(math.prod(self.sizes[v] for v in key))]
+            space = self.space
+            for i, c in enumerate(space.projection(key)[0] if over is None
+                                  else space.restrict(over, key)):
                 got[c].append(i)
-            self._members[key] = got
+            self._members[key, over] = got
         return got
 
-    def cells(self, a: int, states: list) -> list:
-        """The positions atom a reaches from each of `states`."""
+    def cells(self, a: int, states: list, over: Optional[tuple] = None,
+              reads: Optional[tuple] = None) -> list:
+        """The positions atom a reaches from each of `states`; or, given
+        over and reads, where over holds the variables of reads that a
+        keeps, the combination of reads (numbered as radices numbers them)
+        that it reaches from each of `states`, classes of over."""
         slot, ds = self.digits(a)
-        off = slot * self.n + sum((d - 1) * s for d, s in zip(ds, self.strides) if d)
-        written = tuple(v for v, d in enumerate(ds) if d)
-        if not written:
+        if over is None:
+            over = reads = self.every
+        radices = self.space.radices(reads)
+        off = slot * radices[0] * self.sizes[reads[0]] if slot else 0
+        weight = dict.fromkeys(over, 0)
+        for v, r in zip(reads, radices):
+            if ds[v]:
+                off += (ds[v] - 1) * r
+            else:
+                weight[v] += r
+        weights = tuple(weight.values())
+        if weights == self.space.radices(over):
             return [i + off for i in states]
-        base = self._bases.get(written)
+        base = self._bases.get((over, weights))
         if base is None:
             base = [0]
-            for v, (size, stride) in enumerate(zip(self.sizes, self.strides)):
-                w = 0 if v in written else stride
-                base = [b + k * w for b in base for k in range(size)]
-            self._bases[written] = base
+            for v, w in zip(over, weights):
+                base = [b + k * w for b in base for k in range(self.sizes[v])]
+            self._bases[over, weights] = base
         return [base[i] + off for i in states]
 
 
@@ -448,17 +483,35 @@ def _value(v):
     return v.value if isinstance(v, _Lin) else v
 
 
-def _ints(frame: _Frame, key: tuple, entries: list) -> tuple:
+def _ints(frame: _Frame, key: tuple, entries, over: Optional[tuple] = None,
+          reads: Optional[tuple] = None) -> tuple:
     """(w, plan), the run form of entries: every weight an int over w, the
     lcm of the weights' denominators, and per class its states with its
     options, each a list of parts (x, column): x times the values at the
-    positions in column, or, where x is None, the placed markers in it."""
+    positions in column, or, where x is None, the placed markers in it.
+    Given over and reads (see _Frame.cells), a class lists its classes of
+    over instead of its states, a column holds combinations of reads, and
+    a marker is read alike from every class of over."""
     w = lcm(*{x.denominator for e in entries for o in e for x in o[0]})
-    plan = [(states, [[(None, a.placed(states)) if a.__class__ is _Undef
-                       else (x.numerator * (w // x.denominator), frame.cells(a, states))
-                       for x, a in zip(*o)] for o in e])
-            for states, e in zip(frame.members(key), entries)]
+    plan = [(members, [[(None, a.placed(members) if over is None else [a] * len(members))
+                        if a.__class__ is _Undef
+                        else (x.numerator * (w // x.denominator),
+                              frame.cells(a, members, over, reads))
+                        for x, a in zip(*o)] for o in e])
+            for members, e in zip(frame.members(key, over), entries)]
     return w, plan
+
+
+def _run(plan: list, vec, size: int) -> list:
+    """Per position of the plan's classes (states, or classes of over),
+    its value on vec (see _column)."""
+    if len(plan) == 1:
+        return _column(plan[0][1], vec, size)
+    out = [0] * size
+    for members, options in plan:
+        for i, v in zip(members, _column(options, vec, len(members))):
+            out[i] = v
+    return out
 
 
 def _column(options: list, vec, size: int) -> list:
@@ -523,6 +576,7 @@ class _CPick:
         self.key = key  # the variables it reads, in order
         self.entries = entries  # per class of key: an entry, as above
         self.branches = branches  # compiled branches; none: reads the post
+        self._pushed: dict = {}  # reads -> pushed(reads)
         if single is not None:
             self.single = single
 
@@ -543,7 +597,7 @@ class _CPick:
             w = frozenset(v for v, d in enumerate(self.frame.digits(a)[1]) if d)
             may |= w
             must = w if must is None else must & w
-        return may, frozenset(range(len(self.frame.sizes))) if must is None else must
+        return may, frozenset(self.frame.every) if must is None else must
 
     @cached_property
     def ints(self) -> tuple:
@@ -552,17 +606,21 @@ class _CPick:
         replaces never build it."""
         return _ints(self.frame, self.key, self.entries)
 
+    def pushed(self, reads: tuple) -> tuple:
+        """(over, w, plan): the run form over the classes of over, the key
+        plus the variables of reads that some atom keeps, whose columns
+        hold combinations of reads (_ints); built once per reads and kept."""
+        got = self._pushed.get(reads)
+        if got is None:
+            over = _union(self.key, set(reads) - self.writes[1])
+            got = self._pushed[reads] = (over, *_ints(
+                self.frame, self.key, self.entries, over, reads))
+        return got
+
     def apply(self, vec) -> _Vec:
         """Run the entries on vec, the post or the stacked branch outputs."""
         w, plan = self.ints
-        if len(plan) == 1:
-            out = _column(plan[0][1], vec, self.frame.n)
-        else:
-            out = [0] * self.frame.n
-            for states, options in plan:
-                for i, v in zip(states, _column(options, vec, len(states))):
-                    out[i] = v
-        return _reduced(_Vec(out, vec.den * w))
+        return _reduced(_Vec(_run(plan, vec, self.frame.n), vec.den * w))
 
     def run(self, f):
         if self.branches:
@@ -656,7 +714,7 @@ def _states_loop(gate: _CPick, body) -> _CLoop:
     def step(x, exits, den):
         return gate.apply(_stacked([body.run(_Vec(x, den)), _Vec(exits, den)]))
 
-    every = tuple(range(len(frame.sizes)))
+    every = frame.every
     atoms = [frame.atom(0, [d + 1 for d in at.values()], {}) for at in frame.classes(every)]
     return _CLoop(frame, every, range(frame.n), step, atoms, [0] * frame.n, frame.n, 0,
                   (gate, body))
@@ -902,7 +960,7 @@ def _loop(prog: While, frame: _Frame, after: tuple):
         key = _union(key, may)  # stops mid-round: keep what rounds write
     single = step.single
     follow = _exits(after, frame) if single else ((), [None])
-    key = _union(key, follow[0] if single else set(range(len(frame.sizes))) - may)
+    key = _union(key, follow[0] if single else set(frame.every) - may)
     places, m, run, atoms, marks = _positions(frame, step, key, follow)
     loop = _CLoop(frame, key, places, run, atoms, marks, m, len(atoms), (step,))
     if not single:  # every exit is a state, whose post the demon reads
@@ -989,7 +1047,7 @@ def _exits(after: tuple, frame: _Frame) -> tuple:
     vec = _Vec([0] * frame.n, 1)
     for node in reversed(after):
         vec = node.run(vec)
-    return tuple(range(len(frame.sizes))), [
+    return frame.every, [
         x if x.__class__ is _Undef else None for x in vec]
 
 
@@ -1170,43 +1228,52 @@ class Compiled:
 
     def wp(self, post: Expectation, cfg: Optional[WpConfig] = None) -> WpResult:
         """Pre-expectation of `post`; see wp() for what it raises."""
-        space = self.space
+        space, root = self.space, self._root
         if post.space != space:
             raise WpError("post-expectation lives on a different state space")
         cfg = cfg or WpConfig()
-        # the post as ints over den; the result comes back over vec.den
-        den = lcm(*{v.denominator for v in post.values})
-        scaled = [v.numerator * (den // v.denominator) for v in post.values]
-        vec = self._root.run(_Vec(scaled, den))
-        top = max(scaled) * vec.den  # v / vec.den <= max post iff v * den <= top
-        undefined: list[State] = []
-        reasons: list[str] = []
-        values = []
+        reads, column, den = post.column
+        every = tuple(range(len(space.domains)))
+        if _flat(root):  # per class of what the root and the post read
+            over, w, plan = root.pushed(reads)
+            vals = _run(plan, column, math.prod(space.domains[v].size for v in over))
+            out = den * w
+        else:
+            over = every
+            vals = root.run(_Vec(column if reads == every else
+                                 map(column.__getitem__, space.projection(reads)[0]), den))
+            out = vals.den
+        index, firsts = space.projection(over)  # per state, its class of over
+        top = max(column) * out  # v / out <= max post iff v * den <= top
         exact: dict = {}  # each distinct value becomes one Fraction
-        for i, v in enumerate(vec):
+        values = []  # per class
+        undefined = False
+        # classes are numbered in the order of their first states, so the
+        # first class that stops the run holds the first state that does
+        for c, v in enumerate(vals):
             if v.__class__ is _Undef:
-                undefined.append(space.state_at(i))
-                reasons.append(v.reason)
                 if cfg.undefined == "raise":
+                    i = firsts[c]
                     raise UndefinedStateError(
-                        f"wp is undefined at {space.state_at(i)}: {v.reason}",
-                        state=space.state_at(i),
-                    )
+                        f"wp is undefined at {space.state_at(i)}: {v.placed([i])[0].reason}",
+                        state=space.state_at(i))
+                undefined = True
                 values.append(ZERO)
                 continue
             q = exact.get(v)
             if q is None:
                 if v < 0 or v * den > top:
                     raise WpError(
-                        f"feasibility violated at {space.state_at(i)}: "
-                        f"{Fraction(v, vec.den)} outside [0, {post.max_value()}]"
-                    )
-                q = exact[v] = Fraction(v, vec.den)
+                        f"feasibility violated at {space.state_at(firsts[c])}: "
+                        f"{Fraction(v, out)} outside [0, {post.max_value()}]")
+                q = exact[v] = Fraction(v, out)
             values.append(q)
+        states = [i for i, c in enumerate(index) if vals[c].__class__ is _Undef] if undefined else []
         return WpResult(
-            pre=Expectation.proven(space, tuple(values)),
-            undefined_states=tuple(undefined),
-            undefined_reasons=tuple(reasons),
+            pre=Expectation.proven(space, tuple(values) if over == every else
+                                   tuple(map(values.__getitem__, index))),
+            undefined_states=tuple(map(space.state_at, states)),
+            undefined_reasons=tuple(vals[index[i]].placed([i])[0].reason for i in states),
         )
 
     def rows(self, positions) -> Optional[list]:
@@ -1218,22 +1285,29 @@ class Compiled:
         root = self._root
         if not _flat(root):
             return None
-        frame, observed = root.frame, tuple(positions)
-        key = _union(root.key, positions)
-        sets = []
-        for at in frame.classes(key):
-            options = []
-            for o in root.entries[frame.index(root.key, at)]:
-                if _meets(o):
-                    return None
-                mass: dict = {}
-                for w, a in zip(*o):
-                    c = frame.reach(observed, a, at)
-                    mass[c] = mass[c] + w if c in mass else w
-                options.append(frozenset(mass.items()))
-            sets.append(frozenset(options))
-        index, _ = frame.space.projection(key)
-        return [sets[c] for c in index]
+        over, w, plan = root.pushed(tuple(positions))
+        sets = [None] * math.prod(root.frame.sizes[v] for v in over)
+        exact: dict = {}  # each distinct weight becomes one Fraction
+
+        def weight(x):
+            q = exact.get(x)
+            if q is None:
+                q = exact[x] = Fraction(x, w)
+            return q
+
+        for members, options in plan:
+            for j, k in enumerate(members):
+                row = []
+                for parts in options:
+                    mass: dict = {}
+                    for x, cells in parts:
+                        if x is None:  # meets a marker
+                            return None
+                        c = cells[j]
+                        mass[c] = mass[c] + x if c in mass else x
+                    row.append(frozenset(zip(mass, map(weight, mass.values()))))
+                sets[k] = frozenset(row)
+        return list(map(sets.__getitem__, self.space.projection(over)[0]))
 
 
 def compile_program(prog: Program, space: StateSpace) -> Compiled:

@@ -193,16 +193,23 @@ def _target(space: StateSpace, index: int, var: str, expr) -> int:
     return t
 
 
-def resolutions_by_state(prog: Program, space: StateSpace,
-                         limit: int = DEFAULT_LIMIT) -> dict[State, list[Dist]]:
-    """Achievable output subdistributions from every initial state."""
+def resolutions_by_state(prog: Program, space: StateSpace, limit: int = DEFAULT_LIMIT,
+                         undefined: str = "raise") -> dict[State, Optional[list[Dist]]]:
+    """Achievable output subdistributions from every initial state.  An
+    evaluation error raises, or with undefined="mask" maps its initial
+    state to None."""
     if not loop_free(prog):
         raise ResolutionLimitError("policy enumeration handles loop-free programs only")
     budget = _Budget(limit)
-    return {
-        space.state_at(i): _resolve(prog, i, space, budget)
-        for i in range(space.size)
-    }
+    out: dict[State, Optional[list[Dist]]] = {}
+    for i in range(space.size):
+        try:
+            out[space.state_at(i)] = _resolve(prog, i, space, budget)
+        except EvalError:
+            if undefined == "raise":
+                raise
+            out[space.state_at(i)] = None
+    return out
 
 
 def enumerate_resolutions(prog: Program, space: StateSpace,

@@ -12,6 +12,7 @@ from pgclkit import (
     DistError,
     EvalError,
     ProbeFamily,
+    SpaceError,
     UndefinedStateError,
     VariantError,
     VariantSpec,
@@ -74,17 +75,25 @@ def test_over_vars_probes_ignore_scratch_variables():
             assert probe[st] == probe[twin]
 
 
-@pytest.mark.parametrize("names", [("x",), ("q", "r"), ("x", "x")])
+@pytest.mark.parametrize("names", [("x",), ("q", "r"), ("r", "x")])
 def test_over_vars_matches_the_family_built_state_by_state(names):
-    # same probes, labels, order and seeded draws; with x twice, the
-    # combinations x=0, x=1 and x=1, x=0 meet no state and their
-    # indicator is the zero probe, kept once
+    # same probes, labels, order and seeded draws, also where the names
+    # are not in declaration order
     space = helpers.pqr_space(helpers.THIRDS)
     for seed, extra in ((0, 16), (7, 4)):
         fam = ProbeFamily.over_vars(space, names, seed=seed, extra=extra)
         assert fam.seed == seed
         assert ([(p.label, p.values) for p in fam]
                 == helpers.over_vars_by_state(space, names, seed, extra))
+
+
+@pytest.mark.parametrize("names, message", [
+    (("x", "zz"), "undeclared variable 'zz'"),
+    (("x", "q", "x"), "variable 'x' is named twice"),
+], ids=["undeclared", "repeated"])
+def test_over_vars_refuses_an_undeclared_or_repeated_name(names, message):
+    with pytest.raises(SpaceError, match=f"^{message}$"):
+        ProbeFamily.over_vars(helpers.pqr_space(helpers.THIRDS), names)
 
 
 @pytest.mark.parametrize("build", [
@@ -594,3 +603,57 @@ def test_rows_compare_each_distinct_pair_of_row_objects_once(monkeypatch):
     calls.clear()
     assert checks._by_rows([abort, sure, abort, sure], [sure, half] * 2, True) == (1, 1, False)
     assert len(calls) == 2
+
+
+def _derivation_steps(seed: int) -> list:
+    """The derivation steps the benchmark's `reasoning` workload checks,
+    with its inputs, each as (name, str(verdict), method)."""
+    quarters = tuple(F(k, 4) for k in range(5))
+    out = []
+    for pv in dyadic_grid():
+        space = space_of(("x", (0, 1)), ("q", helpers.EIGHTHS), ("r", helpers.EIGHTHS))
+        v = check_equal(helpers.prog(helpers.BIAS_SPEC, space, p=pv),
+                        helpers.prog(helpers.SPLIT_THEN_COIN, space, p=pv),
+                        ProbeFamily.over_vars(space, ("x",), seed=seed), space)
+        out.append((f"split step at p = {pv}", str(v), v.method))
+    for label, grid in (("quarters", quarters), ("thirds", helpers.THIRDS)):
+        space = helpers.pqr_space(grid)
+        v = check_equal(helpers.prog(helpers.BIAS_SPEC, space),
+                        helpers.prog(helpers.HALVING_LOOP, space),
+                        ProbeFamily.over_vars(space, ("x",), seed=seed), space)
+        out.append((f"halving loop on {label}", str(v), v.method))
+    space = space_of(("p", quarters), ("q", quarters), ("r", quarters))
+    free = helpers.prog("q,r :suchthat (q+r)/2 = p", space)
+    endpoint = helpers.prog("q,r :suchthat (q+r)/2 = p & (q = 0 | r = 1)", space)
+    for label, spec, impl in (("free below endpoint", free, endpoint),
+                              ("endpoint below free", endpoint, free)):
+        v = check_refines(spec, impl, ProbeFamily.over_vars(space, ("q", "r"), seed=seed,
+                                                            extra=4), space)
+        out.append((label, str(v), v.method))
+    coin = space_of(("c", ("H", "T")))
+    for label, on, text, variant in (
+            ("coin", coin, "WHILE c = H DO c :in H <1/2> T OD", "[c = H]"),
+            ("halving", helpers.pqr_space(),
+             f"WHILE 0 < p & p < 1 DO {helpers.HALVING_BODY} OD", "[0 < p & p < 1]"),
+            ("spin", coin, "WHILE true DO SKIP OD", "1")):
+        v = check_variant(helpers.prog(text, on),
+                          VariantSpec(parse_expression(variant, on), 1, F(1, 2)), on)
+        out.append((f"{label} variant", str(v), v.method))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_benchmarked_derivation_steps_keep_their_verdicts(seed):
+    # pinned as the per-state run of the compiled rows and posts gave them
+    assert _derivation_steps(seed) == [
+        *((f"split step at p = {pv}", "holds", "rows") for pv in dyadic_grid()),
+        ("halving loop on quarters", "holds", "rows"),
+        ("halving loop on thirds", "holds", "rows"),
+        ("free below endpoint", "holds", "rows"),
+        ("endpoint below free",
+         "fails [probe [q=0, r=1/2]: at {p=1/4, q=0, r=0} lhs = 1, rhs = 0]", "rows"),
+        ("coin variant", "holds", "probes"),
+        ("halving variant", "holds", "probes"),
+        ("spin variant", "fails (variant may fail to decrease often enough) "
+         "[probe [1 < 1]: at {c=H} lhs = 0, rhs = 1/2]", "probes"),
+    ]

@@ -375,6 +375,22 @@ def test_a_negative_probe_seed_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
+@pytest.mark.parametrize("probe_vars, err", [
+    ("", "error: --probe-vars '' names no variable\n"),
+    (" , ", "error: --probe-vars ' , ' names no variable\n"),
+    ("x,x", "error: --probe-vars 'x,x' names a variable twice\n"),
+], ids=["empty", "blanks", "repeated"])
+def test_a_probe_vars_list_naming_no_variable_or_one_twice_exits_2(tmp_path, capsys,
+                                                                 probe_vars, err):
+    # over every variable the spec fails, over none it would hold: the two
+    # spellings of "no variable" must not give opposite verdicts
+    spec = write(tmp_path, "s.pgcl", "var x in {0, 1, 2}\nx := 0 <1/2> x := 2\n")
+    impl = write(tmp_path, "i.pgcl", "x := 1\n")
+    rc = main(["check-refines", "--spec", spec, "--impl", impl, "--probe-vars", probe_vars])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", err)
+
+
 @pytest.mark.parametrize("denominator", ["0", "-2"])
 def test_check_equal_grid_denominator_below_1_exits_1(tmp_path, capsys,
                                                       denominator):

@@ -1,9 +1,16 @@
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
 
 import helpers
 from pgclkit import (
+    Expectation,
+    UndefinedStateError,
+    WpConfig,
+    compile_program,
+    constant,
     from_expr,
     indicator,
     wp,
@@ -17,6 +24,8 @@ from resolutions import (
 )
 
 F = Fraction
+
+wp_module = importlib.import_module("pgclkit.wp")
 
 
 def test_demon_choice_yields_two_point_outcomes():
@@ -139,3 +148,35 @@ def test_suchthat_enumerates_satisfying_assignments():
         for d in outs
     )
     assert pairs == [(F(0), F(1)), (F(1, 2), F(1, 2)), (F(1), F(0))]
+
+
+@pytest.mark.parametrize("undefined", ["raise", "mask"])
+def test_compiled_wp_is_the_least_expected_value_over_resolutions(undefined):
+    # an oracle that shares no code with the engine, on loop-free random
+    # programs, with posts that read no variable, one, and every one, the
+    # last also as a bare tuple of values: a flat root runs per class of
+    # what it and the post read, any other root per state
+    space, rng = helpers.random_space(), random.Random(29)
+    posts = [constant(space, 2), from_expr(space, helpers.expr("2 * y + 1", space)),
+             from_expr(space, helpers.expr("[x = 1]", space)),
+             from_expr(space, helpers.expr("x + y", space)), indicator(space, 4),
+             Expectation(space, tuple(F(rng.randrange(9), rng.randrange(1, 4))
+                                      for _ in range(space.size)))]
+    roots = {True: 0, False: 0}
+    for _ in range(150):
+        prog = helpers.prog(helpers.random_program(rng, loops=0), space)
+        by_state = resolutions_by_state(prog, space, undefined="mask")
+        gaps = tuple(s for s, outs in by_state.items() if outs is None)
+        compiled = compile_program(prog, space)
+        roots[wp_module._flat(compiled._root)] += 1
+        for post in posts:
+            if undefined == "raise" and gaps:
+                with pytest.raises(UndefinedStateError) as info:
+                    compiled.wp(post)
+                assert info.value.state == gaps[0]
+                continue
+            r = compiled.wp(post, WpConfig(undefined=undefined))
+            assert r.undefined_states == gaps
+            for state, outs in by_state.items():
+                assert r.pre[state] == (0 if outs is None else min_expected(outs, post))
+    assert min(roots.values()) >= 10, roots

@@ -14,9 +14,11 @@ import pytest
 
 import helpers
 from pgclkit import (
+    ProbeFamily,
     UndefinedStateError,
     WpConfig,
     WpError,
+    check_refines,
     constant,
     space_of,
     wp,
@@ -626,3 +628,22 @@ def test_every_result_agrees_with_the_reference_solver(monkeypatch):
     helpers.reference_loops(monkeypatch)
     for case, got in zip(cases, engine):
         assert _results(*case) == got, case[0]
+
+
+def test_the_split_refinement_reads_the_classes_of_p_alone(monkeypatch):
+    # every option writes q and r, so the rows over (q, r) are keyed on p:
+    # 5 classes on quarters, not the 125 of p, q and r
+    quarters = tuple(F(k, 4) for k in range(5))
+    space = space_of(("p", quarters), ("q", quarters), ("r", quarters))
+    keys, classes = [], wp_module._Frame.classes
+
+    def spying(self, key):
+        keys.append(key)
+        return classes(self, key)
+
+    monkeypatch.setattr(wp_module._Frame, "classes", spying)
+    v = check_refines(helpers.prog("q,r :suchthat (q+r)/2 = p", space),
+                      helpers.prog("q,r :suchthat (q+r)/2 = p & (q = 0 | r = 1)", space),
+                      ProbeFamily.over_vars(space, ("q", "r"), extra=4), space)
+    assert (v.status, v.method) == ("holds", "rows")
+    assert set(keys) == {(space.var_pos("p"),)}

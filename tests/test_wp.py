@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import importlib
 import itertools
+import re
 
 import pytest
 
@@ -440,9 +441,9 @@ def test_demonic_ruin_on_coprime_posts_matches_every_policy_exactly():
 def test_a_bad_weight_fails_the_feasibility_check(monkeypatch):
     ints = wp_module._ints
 
-    def heavier(frame, key, entries):
+    def heavier(*args):
         # the first atom of the first option of the first class weighs 2/w more
-        w, plan = ints(frame, key, entries)
+        w, plan = ints(*args)
         states, options = plan[0]
         (x, cells), *rest = options[0]
         options[0] = [(x + 2, cells)] + rest
@@ -456,3 +457,28 @@ def test_a_bad_weight_fails_the_feasibility_check(monkeypatch):
     with pytest.raises(WpError, match=r"^feasibility violated at \{x=0\}: "
                                       r"3/7 outside \[0, 1/3\]$"):
         wp(p, f)
+
+
+@pytest.mark.parametrize("text, reads", [
+    ("3", ()), ("2 * y + 1", (1,)), ("[x = y]", (0, 1)), ("x / 2", (0,))])
+def test_a_post_keeps_the_column_it_was_built_from(text, reads):
+    # the column changes how a run reads the post, never the post itself:
+    # the same values from a bare tuple compare, hash and print alike, and
+    # run to the same wp, on a flat root and on one that is not
+    space = helpers.random_space()
+    f = from_expr(space, helpers.expr(text, space))
+    g = Expectation(space, f.values, f.label)
+    assert (f, hash(f), repr(f)) == (g, hash(g), repr(g))
+    assert f.column[0] == reads and g.column[0] == (0, 1)
+    for prog in ("x :in 0 <1/3> 2; y := 1 - y", "x := x - 1 |^| y := 0",
+                 "(y := 1 <1/2> y := 0); (x := 1 |^| x := 0)"):
+        compiled = compile_program(helpers.prog(prog, space), space)
+        for cfg in (None, WpConfig(undefined="mask")):
+            try:
+                want = compiled.wp(g, cfg)
+            except UndefinedStateError as exc:
+                with pytest.raises(UndefinedStateError, match=f"^{re.escape(str(exc))}$"):
+                    compiled.wp(f, cfg)
+            else:
+                assert compiled.wp(f, cfg) == want
+    assert constant(space, 3).column == ((), [3], 1)
