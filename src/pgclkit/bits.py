@@ -16,14 +16,21 @@ from typing import Iterable, Iterator
 from .errors import BitsExhaustedError, DistError
 
 
+def check_count(what: str, count, least: int = 0) -> None:
+    """Refuse a count that is not an int, or is below least: a bool would
+    count as 0 or 1, and a float fail later, or not at all."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise DistError(f"{what} must be an int, got {count!r}")
+    if count < least:
+        raise DistError(f"{what} must be non-negative" if least == 0 else
+                        f"{what} must be at least {least}, got {count}")
+
+
 def check_seed(seed) -> None:
     """Refuse a seed that random.Random would read as another one: it
     seeds with the absolute value of an int, so -1 would replay 1, and
     True and 2.0 would replay 1 and 2.  A seed is a non-negative int."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise DistError(f"seed must be an int, got {seed!r}")
-    if seed < 0:
-        raise DistError("seed must be non-negative")
+    check_count("seed", seed)
 
 
 BLOCK_BITS = 4096

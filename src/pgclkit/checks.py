@@ -3,10 +3,11 @@
 Two programs are compared over the posts that are functions of the
 family's observed variables.  When each program compiles to one flat pick
 with no marker, the check is decided from the compiled rows (method
-"rows"): per state the demonic set of sub-distributions, pushed forward
-onto the observed variables.  Equal sets agree on every post.  Otherwise
-the rows decide when each side has one option there (equality needs
-equal weights, refinement the spec's weight at most the
+"rows"): per class of what it and the observed variables read, the
+demonic set of sub-distributions pushed forward onto those variables, one
+comparison per pair of the two sides' classes.  Equal sets agree on every
+post.  Otherwise the rows decide when each side has one option there
+(equality needs equal weights, refinement the spec's weight at most the
 implementation's on every combination), or when every option is a single
 point or ABORT (refinement needs each implementation target to be a spec
 target, or the spec to have ABORT; McIver & Morgan 2005).  A `holds` from
@@ -34,9 +35,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .bits import check_seed
-from .errors import (DistError, EvalError, SpaceError, UndefinedStateError, VariantError,
-                     WpError)
+from .bits import check_count, check_seed
+from .errors import EvalError, SpaceError, UndefinedStateError, VariantError, WpError
 from .expectations import Expectation, from_column, from_expr
 from .exprs import Bracket, as_value, evaluate, static_kind
 from .programs import Program, VariantSpec, While, collect_predicates
@@ -148,7 +148,7 @@ class ProbeFamily:
 class _Built(ProbeFamily):
     """The family that `default` and `over_vars` return: its probes are
     `_probes` of its fields, built when `probes` is first read, as
-    `_CPick.ints` is on its first run; it compares as ProbeFamily does."""
+    `_CPick.pushed` is on its first run; it compares as ProbeFamily does."""
 
     def _build(self) -> tuple:
         return tuple(_probes(self.space, self.observed, self.programs, self.seed,
@@ -164,6 +164,7 @@ class _Built(ProbeFamily):
 
     def __post_init__(self):
         check_seed(self.seed)
+        check_count("extra probes", self.extra)
 
 
 def _probes(space: StateSpace, names: tuple, programs: tuple, seed: int,
@@ -221,8 +222,7 @@ def _point_label(names, values) -> str:
 
 def dyadic_grid(denominator: int = GRID_DENOMINATOR) -> tuple[Fraction, ...]:
     """The grid {0, 1/d, 2/d, ..., 1} used to instantiate parameters."""
-    if denominator < 1:
-        raise DistError(f"grid denominator must be at least 1, got {denominator}")
+    check_count("grid denominator", denominator, 1)
     return tuple(Fraction(k, denominator) for k in range(denominator + 1))
 
 
@@ -239,7 +239,7 @@ def _compare(left: Program, right: Program, probes: ProbeFamily,
     decided = None
     if probes.observed is not None and probes.space == space:
         positions = [space.var_pos(n) for n in probes.observed]
-        decided = _by_rows(left_c.rows(positions), right_c.rows(positions), refines)
+        decided = _by_rows(space, left_c.rows(positions), right_c.rows(positions), refines)
     if decided is None:
         return _by_probes(left_c, right_c, probes, space, cfg, violates)
     if decided is _HOLDS:
@@ -272,28 +272,30 @@ _HOLDS = object()
 _UNDECIDED = object()
 
 
-def _by_rows(left: Optional[list], right: Optional[list], refines: bool):
-    """The relation decided from both sides' rows: _HOLDS, or (i, c, flip)
-    at the first state i where it fails, with the witness post
-    [combination c] (1 - [c] if flip, and 1 where c is -1); None when a
-    side has no rows, or when no state fails and some state cannot be
-    decided.  Rows are shared by the states of a class, so each distinct
-    pair of row objects is compared once, at its first state."""
+def _by_rows(space: StateSpace, left: Optional[tuple], right: Optional[tuple],
+             refines: bool):
+    """The relation decided from both sides' rows (Compiled.rows): _HOLDS,
+    or (i, c, flip) at the first state i where it fails, with the witness
+    post [combination c] (1 - [c] if flip, and 1 where c is -1); None when
+    a side has no rows, or when no state fails and some state cannot be
+    decided.  Each distinct pair of a left and a right class is compared
+    once, at the first class of the union of their keys that holds it."""
     if left is None or right is None:
         return None
+    key = tuple(sorted({*left[0], *right[0]}))
     undecided, seen = False, set()
-    for i, (a, b) in enumerate(zip(left, right)):
-        pair = id(a), id(b)
+    for k, pair in enumerate(zip(space.restrict(key, left[0]), space.restrict(key, right[0]))):
         if pair in seen:
             continue
         seen.add(pair)
+        a, b = left[1][pair[0]], right[1][pair[1]]
         if a == b:
             continue
         gap = _row_gap(a, b, refines)
         if gap is _UNDECIDED:
             undecided = True
         elif gap is not None:
-            return (i,) + gap
+            return (space.projection(key)[1][k],) + gap
     return None if undecided else _HOLDS
 
 

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .bits import random_bit_blocks
+from .bits import check_count, random_bit_blocks
 from .errors import DistError, MachineFormatError, WindowInvariantError
 from .machine import Machine, MachineNode
 
@@ -370,6 +370,7 @@ def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machin
     reproducible.  Leaves are shared per outcome: the table names a leaf
     by its outcome alone.
     """
+    check_count("max_nodes", max_nodes, 1)
     table = d._successor_table
     succ, underived = table.succ, table.underived
     order = [table.start]  # entries in discovery order: node i is order[i]

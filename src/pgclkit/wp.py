@@ -238,33 +238,39 @@ class WpResult:
 # has 1 458 states, and SPLIT_THEN_COIN at a fixed p builds only the
 # classes of its coin that the split reaches.
 #
-# Running.  A pick derives its run form on its first run and keeps it
-# (_CPick.ints, built by _ints): every weight becomes an int over its W,
-# each class lists its states, and each atom of a class becomes the column
-# of positions it reaches from them; a marker becomes the column of its
-# placed markers.  The pick then runs class by class, a column at a time.
-# A vector (_Vec) carries its common denominator; branch outputs are
-# brought to the lcm of theirs before a pick reads them stacked, and so are
-# a loop body's output and the exits.  A _CLoop over states runs its body
-# on _Lin values through the same columns, and one over classes its own
-# plan of (weight, position) parts, once per policy-iteration round; it
-# then runs the pick of the policy found, built as a summary is.
+# Running.  A pick has one run form, built the first time a read set is
+# read and kept (_CPick.pushed, by _ints).  It works over the classes of
+# K: the pick's key, plus the variables of the read set that some atom
+# keeps; a variable every atom writes takes its value from the atom,
+# whatever the class.  Every weight becomes an int over its W, each class
+# of the key lists its classes of K, and each atom of a class becomes the
+# column of the combinations of the read variables it reaches from them;
+# a marker stays one marker, read alike from every class of K.  A run goes
+# class by class, a column at a time (_run).  Inside a program a pick
+# reads every variable, its input a vector over states, slot by slot, so
+# its columns hold positions; its result is per class of K, and becomes
+# states once, through StateSpace.projection, where a pick whose entries
+# meet a marker (known once per pick, _CPick.marked) places each marker
+# that its result holds at the state it stops.  A vector (_Vec) carries
+# its common denominator; branch outputs are brought to the lcm of theirs
+# before a pick reads them stacked, and so are a loop body's output and
+# the exits.  A _CLoop over states runs its body on _Lin values through
+# the same columns, and one over classes its own plan of (weight,
+# position) parts, once per policy-iteration round; it then runs the pick
+# of the policy found, built as a summary is.
 #
 # At the boundary.  A post is a column over the combinations of the
 # variables it reads (Expectation.column), as ints over its denominator.
-# Where the root is one flat pick, Compiled.wp and Compiled.rows run it
-# over the classes of K: its key, plus the variables the post (or the
-# observed set) reads that some atom keeps; a variable every atom writes
-# takes its value from the atom, whatever the class.  The same form as a
-# run, built once per pick and read set and kept (_CPick.pushed), lists
-# per class of the key its classes of K, and per atom the combination of
-# the read variables it reaches from each.  wp is then per class the least
-# dot product of the options with the post's column, and rows the
-# frozensets of the options' mass per combination.  An option that meets a
+# Where the root is one flat pick, Compiled.wp and Compiled.rows run the
+# same form with the post's (or the observed) variables as the read set.
+# wp is per class of K the least dot product of the options with the
+# post's column, and rows per class of K the frozensets of the options'
+# mass per combination, returned with K and never expanded to states (the
+# checkers pair two sides' classes themselves).  An option that meets a
 # marker is that marker, placed at a state only when an undefined state is
 # reported.  Classes of K are numbered in the order of their first states,
 # so the first class that stops a run holds the first state that does, and
-# the result becomes states once, at the end, with one Fraction per
+# wp's result becomes states once, at the end, with one Fraction per
 # distinct value.  Any other root runs on the post's values per state: the
 # halving summary's wp of x reads the 9 classes of p on eighths, not the
 # 1 458 states.
@@ -347,28 +353,23 @@ class _Frame:
         return sum((ds[v] - 1 if ds[v] else at[v]) * r
                    for v, r in zip(key, self.space.radices(key)))
 
-    def members(self, key: tuple, over: Optional[tuple] = None) -> list:
-        """Per class of key, its states in order; or, given over (which
-        holds key's variables), the classes of over in it."""
+    def members(self, key: tuple, over: tuple) -> list:
+        """Per class of key, the classes of over (which holds key's
+        variables) in it."""
         got = self._members.get((key, over))
         if got is None:
             got = [[] for _ in range(math.prod(self.sizes[v] for v in key))]
-            space = self.space
-            for i, c in enumerate(space.projection(key)[0] if over is None
-                                  else space.restrict(over, key)):
+            for i, c in enumerate(self.space.restrict(over, key)):
                 got[c].append(i)
             self._members[key, over] = got
         return got
 
-    def cells(self, a: int, states: list, over: Optional[tuple] = None,
-              reads: Optional[tuple] = None) -> list:
-        """The positions atom a reaches from each of `states`; or, given
-        over and reads, where over holds the variables of reads that a
-        keeps, the combination of reads (numbered as radices numbers them)
-        that it reaches from each of `states`, classes of over."""
+    def cells(self, a: int, states: list, over: tuple, reads: tuple) -> list:
+        """The combination of reads (numbered as radices numbers them) that
+        atom a reaches from each of `states`, classes of over, which holds
+        the variables of reads that a keeps; over and reads every variable,
+        the positions it reaches from states."""
         slot, ds = self.digits(a)
-        if over is None:
-            over = reads = self.every
         radices = self.space.radices(reads)
         off = slot * radices[0] * self.sizes[reads[0]] if slot else 0
         weight = dict.fromkeys(over, 0)
@@ -411,12 +412,12 @@ class _Undef:
             return self
         return _Undef(self.what, self.frame.then(a, self.at, at), self.frame)
 
-    def placed(self, states: list) -> list:
-        """The marker read at each of `states`."""
+    def placed(self, i: int) -> "_Undef":
+        """The marker read at state i."""
         if self.index is not None:
-            return [self] * len(states)
-        return [_Undef(self.what, 0, self.frame, t)
-                for t in self.frame.cells(self.at, states)]
+            return self
+        every = self.frame.every
+        return _Undef(self.what, 0, self.frame, self.frame.cells(self.at, [i], every, every)[0])
 
     @property
     def reason(self) -> str:
@@ -483,18 +484,15 @@ def _value(v):
     return v.value if isinstance(v, _Lin) else v
 
 
-def _ints(frame: _Frame, key: tuple, entries, over: Optional[tuple] = None,
-          reads: Optional[tuple] = None) -> tuple:
-    """(w, plan), the run form of entries: every weight an int over w, the
-    lcm of the weights' denominators, and per class its states with its
-    options, each a list of parts (x, column): x times the values at the
-    positions in column, or, where x is None, the placed markers in it.
-    Given over and reads (see _Frame.cells), a class lists its classes of
-    over instead of its states, a column holds combinations of reads, and
-    a marker is read alike from every class of over."""
+def _ints(frame: _Frame, key: tuple, entries, over: tuple, reads: tuple) -> tuple:
+    """(w, plan), the run form of entries over the classes of over, which
+    holds key's variables: every weight an int over w, the lcm of the
+    weights' denominators, and per class of key its classes of over with
+    its options, each a list of parts (x, column): x times the values at
+    the combinations of reads in column (see _Frame.cells), or, where x is
+    None, the entry's marker, read alike from every class of over."""
     w = lcm(*{x.denominator for e in entries for o in e for x in o[0]})
-    plan = [(members, [[(None, a.placed(members) if over is None else [a] * len(members))
-                        if a.__class__ is _Undef
+    plan = [(members, [[(None, [a] * len(members)) if a.__class__ is _Undef
                         else (x.numerator * (w // x.denominator),
                               frame.cells(a, members, over, reads))
                         for x, a in zip(*o)] for o in e])
@@ -502,12 +500,12 @@ def _ints(frame: _Frame, key: tuple, entries, over: Optional[tuple] = None,
     return w, plan
 
 
-def _run(plan: list, vec, size: int) -> list:
-    """Per position of the plan's classes (states, or classes of over),
-    its value on vec (see _column)."""
+def _run(plan: list, vec) -> list:
+    """Per class of the plan's over (see _CPick.pushed), its value on vec
+    (see _column)."""
     if len(plan) == 1:
-        return _column(plan[0][1], vec, size)
-    out = [0] * size
+        return _column(plan[0][1], vec, len(plan[0][0]))
+    out = [0] * sum(len(members) for members, _ in plan)
     for members, options in plan:
         for i, v in zip(members, _column(options, vec, len(members))):
             out[i] = v
@@ -568,7 +566,7 @@ class _CPick:
     """A demonic choice of distributions at every state: entries holds an
     entry per class of key, the form that composition reads and writes
     (a list, or a _Lazy table where a composition builds it as it is
-    read), and ints the run form derived from it."""
+    read), and pushed the run form derived from it."""
 
     def __init__(self, frame: _Frame, key: tuple, entries, branches=(),
                  single: Optional[bool] = None):
@@ -600,11 +598,9 @@ class _CPick:
         return may, frozenset(self.frame.every) if must is None else must
 
     @cached_property
-    def ints(self) -> tuple:
-        """(w, plan): the entries with int weights and columns (_ints),
-        built on the first run and kept, so the picks that composition
-        replaces never build it."""
-        return _ints(self.frame, self.key, self.entries)
+    def marked(self) -> bool:
+        """Whether some entry meets a marker."""
+        return any(map(_first_mark, self.entries))
 
     def pushed(self, reads: tuple) -> tuple:
         """(over, w, plan): the run form over the classes of over, the key
@@ -618,9 +614,17 @@ class _CPick:
         return got
 
     def apply(self, vec) -> _Vec:
-        """Run the entries on vec, the post or the stacked branch outputs."""
-        w, plan = self.ints
-        return _reduced(_Vec(_run(plan, vec, self.frame.n), vec.den * w))
+        """Run the entries on vec, the post or the stacked branch outputs,
+        per class of what they read, then per state, where the entries'
+        markers are placed."""
+        frame = self.frame
+        over, w, plan = self.pushed(frame.every)
+        vals = _run(plan, vec)
+        if over != frame.every:
+            vals = list(map(vals.__getitem__, frame.space.projection(over)[0]))
+        if self.marked:
+            vals = [v.placed(i) if v.__class__ is _Undef else v for i, v in enumerate(vals)]
+        return _reduced(_Vec(vals, vec.den * w))
 
     def run(self, f):
         if self.branches:
@@ -676,7 +680,8 @@ class _CLoop:
     def states(self) -> list:
         """Per exit, the state it reaches: where the demon chooses, every
         exit writes every variable."""
-        return [self.frame.cells(a, [0])[0] for a in self.atoms]
+        every = self.frame.every
+        return [self.frame.cells(a, [0], every, every)[0] for a in self.atoms]
 
     def run(self, f):
         """The pick of the policy that the post f makes the demon choose,
@@ -1034,7 +1039,7 @@ def _exits(after: tuple, frame: _Frame) -> tuple:
     """(key, marks) for the compiled statements `after` a loop, nearest
     first: per class of key, the first marker they meet on the post 0,
     read at the state the loop exits at, else None."""
-    if all(_flat(node) and not any(map(_first_mark, node.entries)) for node in after):
+    if all(_flat(node) and not node.marked for node in after):
         return (), [None]
     node = after[0]
     for later in after[1:]:
@@ -1236,7 +1241,7 @@ class Compiled:
         every = tuple(range(len(space.domains)))
         if _flat(root):  # per class of what the root and the post read
             over, w, plan = root.pushed(reads)
-            vals = _run(plan, column, math.prod(space.domains[v].size for v in over))
+            vals = _run(plan, column)
             out = den * w
         else:
             over = every
@@ -1255,7 +1260,7 @@ class Compiled:
                 if cfg.undefined == "raise":
                     i = firsts[c]
                     raise UndefinedStateError(
-                        f"wp is undefined at {space.state_at(i)}: {v.placed([i])[0].reason}",
+                        f"wp is undefined at {space.state_at(i)}: {v.placed(i).reason}",
                         state=space.state_at(i))
                 undefined = True
                 values.append(ZERO)
@@ -1273,17 +1278,18 @@ class Compiled:
             pre=Expectation.proven(space, tuple(values) if over == every else
                                    tuple(map(values.__getitem__, index))),
             undefined_states=tuple(map(space.state_at, states)),
-            undefined_reasons=tuple(vals[index[i]].placed([i])[0].reason for i in states),
+            undefined_reasons=tuple(vals[index[i]].placed(i).reason for i in states),
         )
 
-    def rows(self, positions) -> Optional[list]:
-        """Per state, the set of its options, each pushed forward onto the
-        variables at `positions`: a frozenset of (combination, weight)
-        pairs, combinations numbered as in StateSpace.projection, and
-        ABORT the empty one.  wp is the least expected value over them.
-        None when the root is not one flat pick, or meets a marker."""
+    def rows(self, positions) -> Optional[tuple]:
+        """(over, per class of over the set of its options), as pushed
+        gives over, each option pushed forward onto the variables at
+        `positions`: a frozenset of (combination, weight) pairs,
+        combinations numbered as in StateSpace.projection, and ABORT the
+        empty one.  wp is the least expected value over a set.  None when
+        the root is not one flat pick, or meets a marker."""
         root = self._root
-        if not _flat(root):
+        if not _flat(root) or root.marked:
             return None
         over, w, plan = root.pushed(tuple(positions))
         sets = [None] * math.prod(root.frame.sizes[v] for v in over)
@@ -1301,13 +1307,11 @@ class Compiled:
                 for parts in options:
                     mass: dict = {}
                     for x, cells in parts:
-                        if x is None:  # meets a marker
-                            return None
                         c = cells[j]
                         mass[c] = mass[c] + x if c in mass else x
                     row.append(frozenset(zip(mass, map(weight, mass.values()))))
                 sets[k] = frozenset(row)
-        return list(map(sets.__getitem__, self.space.projection(over)[0]))
+        return over, sets
 
 
 def compile_program(prog: Program, space: StateSpace) -> Compiled:

@@ -37,6 +37,16 @@ def test_dyadic_grid_contents():
     assert dyadic_grid(2) == (F(0), F(1, 2), F(1))
 
 
+@pytest.mark.parametrize("denominator, match", [
+    (2.0, "grid denominator must be an int, got 2.0"),
+    (True, "grid denominator must be an int, got True"),
+    (0, "grid denominator must be at least 1, got 0")])
+def test_a_grid_denominator_that_is_no_count_is_refused(denominator, match):
+    # True would make the grid (0, 1), and 2.0 fail inside range
+    with pytest.raises(DistError, match=f"^{match}$"):
+        dyadic_grid(denominator)
+
+
 def test_default_probes_cover_states_and_guards():
     s = helpers.coin_space()
     p = helpers.prog("IF c1 = H THEN c2 := H ELSE c2 := T", s)
@@ -115,6 +125,21 @@ def test_a_probe_seed_that_is_no_int_is_refused(factory, seed):
     args = (space,) if factory == "default" else (space, ("x",))
     with pytest.raises(DistError, match="seed must be an int"):
         getattr(ProbeFamily, factory)(*args, seed=seed)
+
+
+@pytest.mark.parametrize("extra, match", [
+    (-2, "extra probes must be non-negative"),
+    (True, "extra probes must be an int, got True"),
+    (2.0, "extra probes must be an int, got 2.0")])
+@pytest.mark.parametrize("factory", ["default", "over_vars"])
+def test_a_probe_count_that_is_no_count_is_refused_when_the_family_is_built(
+        factory, extra, match):
+    # -2 would build no random probe and True one, and 2.0 would fail only
+    # when the probes are first built
+    space = space_of(("x", (0, 1)))
+    args = (space,) if factory == "default" else (space, ("x",))
+    with pytest.raises(DistError, match=f"^{match}$"):
+        getattr(ProbeFamily, factory)(*args, extra=extra)
 
 
 def test_default_is_over_vars_on_every_variable_plus_the_brackets():
@@ -592,16 +617,20 @@ def test_rows_compare_each_distinct_pair_of_row_objects_once(monkeypatch):
         return gap(*args)
 
     monkeypatch.setattr(checks, "_row_gap", counting)
-    # the spec may ABORT, or reach combination 1 with mass 1/2; the
-    # implementation surely reaches it: a refinement, two distinct pairs
+    # the spec may ABORT, or reach combination 1 with mass 1/2, by the
+    # class of b; the implementation surely reaches it, from the one class
+    # of its empty key: a refinement, two distinct pairs over six states
     abort = frozenset({frozenset()})
     half = frozenset({frozenset({(1, F(1, 2))})})
     sure = frozenset({frozenset({(1, F(1))})})
-    assert checks._by_rows([abort, half] * 3, [sure] * 6, True) is checks._HOLDS
+    space = space_of(("a", (0, 1, 2)), ("b", (0, 1)))
+    assert checks._by_rows(space, ((1,), [abort, half]), ((), [sure]), True) is checks._HOLDS
     assert len(calls) == 2
     # the first state of a failing pair is the first state where it fails
     calls.clear()
-    assert checks._by_rows([abort, sure, abort, sure], [sure, half] * 2, True) == (1, 1, False)
+    space = space_of(("a", (0, 1)), ("b", (0, 1)))
+    assert checks._by_rows(space, ((1,), [abort, sure]), ((1,), [sure, half]),
+                           True) == (1, 1, False)
     assert len(calls) == 2
 
 

@@ -375,6 +375,15 @@ def test_a_negative_probe_seed_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
+def test_a_negative_extra_probe_count_exits_1(tmp_path, capsys):
+    # refused as --seed -1 is, before any probe is built
+    spec = write(tmp_path, "zero.pgcl", "var x in {0, 1}\nx := 0\n")
+    impl = write(tmp_path, "one.pgcl", "x := 1\n")
+    rc = main(["check-refines", "--spec", spec, "--impl", impl, "--extra-probes", "-3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: extra probes must be non-negative\n"
+
+
 @pytest.mark.parametrize("probe_vars, err", [
     ("", "error: --probe-vars '' names no variable\n"),
     (" , ", "error: --probe-vars ' , ' names no variable\n"),

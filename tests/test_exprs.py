@@ -159,6 +159,7 @@ def test_columns_agree_with_eval_expr_on_random_texts():
                               ("c = H", "c != T", "true", "false", "m = H", "m < 1",
                                "c < H", "c = 1", "!x", "y & c = H"))
              for _ in range(1500)]
+    texts += ["x + (y = 1)", "-(y = 1)"]  # a condition where a number belongs
     trees = [parse_expression(text, s) for text in texts] + [
         BinOp("%", Var("x"), Lit(1)), Cmp("~", Var("x"), Lit(1)),
         Cmp("~", Var("c"), TokenLit("H")), Cmp("<", BoolLit(True), Lit(1)),
@@ -174,7 +175,7 @@ def test_columns_agree_with_eval_expr_on_random_texts():
                 want = eval_expr(e, {d.name: v for d, v in zip(domains, combo)})
             except EvalError as exc:
                 assert isinstance(got, EvalError) and str(got) == str(exc), (str(e), combo)
-                seen.add(str(exc).split(",")[0])
+                seen.update((str(exc), str(exc).split(",")[0]))
                 continue
             value = as_value(got, den)
             assert type(value) is type(want) and value == want, (str(e), combo)
@@ -182,7 +183,9 @@ def test_columns_agree_with_eval_expr_on_random_texts():
     assert {bool, F, str, "division by zero", "comparisons over booleans are not supported",
             "tokens admit only = and !=", "unknown operator %", "unknown comparison ~",
             "operator + needs a number", "conjunction needs a boolean", "negation needs a boolean",
-            "type mismatch (comparing token H to number)"} <= seen
+            "type mismatch (comparing token H to number)",
+            "operator + needs a number, got boolean",
+            "unary minus needs a number, got boolean"} <= seen
 
 
 def test_pretty_prints_rationals_as_num_slash_den():

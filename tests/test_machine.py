@@ -7,6 +7,7 @@ import pytest
 
 from pgclkit import (
     CumulativeDist,
+    DistError,
     Machine,
     MachineAnalysisError,
     MachineFormatError,
@@ -141,6 +142,16 @@ def test_single_outcome_machine_is_one_leaf():
 def test_build_budget_is_enforced():
     with pytest.raises(MachineFormatError):
         build_machine(WeightedDist((1, 1, 1, 1, 1, 1)), max_nodes=5)
+
+
+@pytest.mark.parametrize("max_nodes, match", [
+    (True, "max_nodes must be an int, got True"),
+    (2.0, "max_nodes must be an int, got 2.0"),
+    (0, "max_nodes must be at least 1, got 0")])
+def test_a_node_budget_that_is_no_count_is_refused(max_nodes, match):
+    # True would read as a budget of one node, and fail as exceeding True
+    with pytest.raises(DistError, match=f"^{match}$"):
+        build_machine(WeightedDist((1, 2)), max_nodes=max_nodes)
 
 
 def test_machine_reads_the_successor_table_draws_left_partly_derived():

@@ -212,19 +212,21 @@ def test_a_flat_pick_holds_its_markers_inline():
     assert node.key == () and len(node.entries) == 1
     ((_, (marker,)),) = node.entries[0]  # one option, meeting the marker
     assert isinstance(marker, _Undef) and marker.index is None
-    assert [m.reason for m in marker.placed([0, 1])] == ["division by zero at {x=0}"] * 2
+    assert [marker.placed(i).reason for i in (0, 1)] == ["division by zero at {x=0}"] * 2
     with pytest.raises(UndefinedStateError, match=r"^wp is undefined at \{x=0\}: "
                                                   r"division by zero at \{x=0\}$"):
         compiled.wp(Expectation(space, (F(1), F(2))))  # x + 1
     # a marker inside an option stays there; the run form, built on the
-    # first run, places it at each state of the class
+    # first run, holds it once for the one class, and a run places it at
+    # each state of the class
     node = root("x :in {1, 0}; x := 1/x", space)
     ((_, (one,)), (_, (marker,))), = node.entries  # two options
     assert isinstance(marker, _Undef) and node.frame.digits(one) == (0, (2,))  # x := 1
-    w, ((states, options),) = node.ints
-    assert w == 1 and states == [0, 1] and options[0] == [(1, [1, 1])]
-    (x, placed), = options[1]
-    assert x is None and [m.reason for m in placed] == ["division by zero at {x=0}"] * 2
+    over, w, ((classes, options),) = node.pushed(node.frame.every)
+    assert over == () and w == 1 and classes == [0] and options[0] == [(1, [1])]
+    assert options[1] == [(None, [marker])]
+    placed = node.apply(_Vec([0, 1], 1))
+    assert [m.reason for m in placed] == ["division by zero at {x=0}"] * 2
 
 
 def _absorbed_rows(monkeypatch) -> list:
@@ -249,11 +251,12 @@ def test_halving_loop_solves_one_row_per_interior_value_of_p(
     # the space has 2 * (d + 1) ** 3 states
     assert calls == [interior]
     # and x = 1 with probability exactly p, the closed form
-    rows = compiled.rows([space.var_pos("x")])
+    over, rows = compiled.rows([space.var_pos("x")])
+    index = space.projection(over)[0]  # per state, its class of over
     pre = compiled.wp(helpers.bracket_post(space, "x = 1")).pre
     for i, state in enumerate(space.states()):
         pv = state["p"]
-        assert rows[i] == {frozenset((c, w) for c, w in ((0, 1 - pv), (1, pv)) if w)}
+        assert rows[index[i]] == {frozenset((c, w) for c, w in ((0, 1 - pv), (1, pv)) if w)}
         assert pre.values[i] == pv
 
 
