@@ -271,24 +271,23 @@ def _column(e: Expr, space: StateSpace, radices: dict, n: int) -> tuple:
         return _arithmetic(e.op, *of(e.left), *of(e.right))
     if isinstance(e, Cmp):
         return _comparison(e.op, *of(e.left), *of(e.right))
-    if isinstance(e, (And, Or)):
-        a, _, ka = of(e.left)
-        b, _, kb = of(e.right)
-        if ka is bool and kb is bool:
-            return list(map(operator.or_ if isinstance(e, Or) else operator.and_, a, b)), 1, bool
-        # short-circuit: the left value that decides is the result
-        what, decides = ("disjunction", True) if isinstance(e, Or) else ("conjunction", False)
+    # And or Or: evaluate called free_vars first, which refuses any other node
+    a, _, ka = of(e.left)
+    b, _, kb = of(e.right)
+    if ka is bool and kb is bool:
+        return list(map(operator.or_ if isinstance(e, Or) else operator.and_, a, b)), 1, bool
+    # short-circuit: the left value that decides is the result
+    what, decides = ("disjunction", True) if isinstance(e, Or) else ("conjunction", False)
 
-        def junction(x, y):
-            if x.__class__ is not bool:
-                return _needs(x, what, "boolean")
-            if x is decides:
-                return x
-            return y if y.__class__ is bool else _needs(y, what, "boolean")
+    def junction(x, y):
+        if x.__class__ is not bool:
+            return _needs(x, what, "boolean")
+        if x is decides:
+            return x
+        return y if y.__class__ is bool else _needs(y, what, "boolean")
 
-        column = list(map(junction, a, b))
-        return column, 1, _kind_of(column)
-    raise EvalError(f"unknown expression node {type(e).__name__}")
+    column = list(map(junction, a, b))
+    return column, 1, _kind_of(column)
 
 
 def _arithmetic(op: str, a: list, da: int, ka, b: list, db: int, kb) -> tuple:

@@ -1,20 +1,22 @@
 """Sampling finite weighted distributions with fair coin flips only.
 
-The discrete sampler keeps the distribution as a cumulative list of
-integer partial sums dL (length N-1 for N outcomes; the total is carried
-separately) plus a half-open active window [low, high) into it.  One fair
-flip splits the remaining probability mass in half:
+The discrete sampler reads the distribution through its cumulative
+integer partial sums dL[0..N-2] (the total is carried separately) and a
+half-open active window [low, high) of them.  A configuration
+(CumulativeDist) stores low and the sums inside the window, and nothing
+outside it: a split never reads those again.  The window's sums are
+strictly increasing, and one fair flip splits the remaining probability
+mass in half:
 
-  heads sweeps left to right doubling entries while 2*dL[n] < total,
-  then shrinks the window to [low, n);
-  tails sweeps right to left replacing entries by 2*dL[n] - total while
-  2*dL[n] > total, then shrinks the window to [n+1, high).
+  heads keeps the sums v with 2*v < total, a prefix of the window, as
+  2*v, and shrinks the window to end after them;
+  tails keeps the sums v with 2*v > total, a suffix of the window, as
+  2*v - total, and shrinks the window to start at them.
 
-An entry with 2*dL[n] == total stops both sweeps: the halved mass splits
-exactly at an outcome boundary and the window needs no further trimming on
-that side.  The window narrows by at least one entry on at least one side
-of every flip, and sampling ends when low == high with outcome low
-(reported 1-based).  No arithmetic ever leaves the integers.
+A sum with 2*v == total is kept by neither: the halved mass splits exactly
+at an outcome boundary.  Either way the window loses at least one sum, and
+sampling ends when it is empty, with outcome low (reported 1-based).  No
+arithmetic ever leaves the integers.
 
 Each WeightedDist derives its sampler configurations once, and this
 module is the only reader of the result.  Its successor table is a flat
@@ -26,8 +28,8 @@ steps onto such a code: it splits the parent, checks the window invariant
 of the result, and stores the entry only once the check has passed, so no
 configuration is used unchecked and the table holds only the
 configurations that walks reach, whichever reaches one first.  The table
-identifies configurations by (low, window slice, high), so a revisited
-configuration is the same entry.
+identifies a configuration by (low, window), so a revisited configuration
+is the same entry.
 
 Three walks read it.  sample_discrete draws one outcome and records its
 bits, for single traced draws, scripted bit streams and `pgcl sample`.
@@ -48,9 +50,11 @@ bias as a pair of integers too.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .bits import check_count, random_bit_blocks
@@ -103,35 +107,39 @@ class WeightedDist:
         return WeightedDist(ws)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CumulativeDist:
-    """Cumulative partial sums with the active window; see module docstring."""
+    """One sampler configuration: the live partial sums and nothing else.
 
-    dL: tuple[int, ...]
-    total: int
+    `window` holds dL[low], ..., dL[high - 1], the partial sums inside the
+    window [low, high), so high = low + len(window); `total` is the sum of
+    every weight, and `n_sums` the length N - 1 of the whole cumulative
+    list, which bounds every window.  See the module docstring.
+    """
+
     low: int
-    high: int
+    window: tuple[int, ...]
+    total: int
+    n_sums: int
 
     @staticmethod
     def initial(d: WeightedDist) -> "CumulativeDist":
-        sums = []
-        acc = 0
-        for w in d.weights[:-1]:
-            acc += w
-            sums.append(acc)
-        return CumulativeDist(tuple(sums), d.total, 0, d.size - 1)
+        return CumulativeDist(0, tuple(accumulate(d.weights[:-1])), d.total, d.size - 1)
+
+    @property
+    def high(self) -> int:
+        return self.low + len(self.window)
 
     def check_invariant(self):
-        """Window entries must be strictly increasing and strictly inside
-        (0, total); anything else means the split bookkeeping broke."""
-        n = len(self.dL)
-        if not (0 <= self.low <= self.high <= n):
+        """The window must lie in 0..N-1, and its sums be strictly
+        increasing and strictly inside (0, total); anything else means the
+        split bookkeeping broke."""
+        if not (0 <= self.low and self.high <= self.n_sums):
             raise WindowInvariantError(
-                f"window [{self.low}, {self.high}) outside 0..{n}"
+                f"window [{self.low}, {self.high}) outside 0..{self.n_sums}"
             )
         prev = 0
-        for k in range(self.low, self.high):
-            v = self.dL[k]
+        for k, v in enumerate(self.window, self.low):
             if v <= prev or v >= self.total:
                 raise WindowInvariantError(
                     f"window entry dL[{k}] = {v} not strictly between "
@@ -141,7 +149,7 @@ class CumulativeDist:
 
     @property
     def is_terminal(self) -> bool:
-        return self.low == self.high
+        return not self.window
 
     @property
     def outcome(self) -> int:
@@ -149,35 +157,22 @@ class CumulativeDist:
             raise WindowInvariantError("outcome read before the window closed")
         return self.low + 1
 
-    def window(self) -> tuple[int, ...]:
-        return self.dL[self.low : self.high]
-
-    def key(self) -> tuple:
-        """Identity of a configuration in the successor table, and so of a
-        machine node: stale entries outside the window are ignored."""
-        return (self.low, self.window(), self.high)
-
     def split_left(self) -> "CumulativeDist":
-        """Condition on heads: keep the lower half of the mass."""
+        """Condition on heads: keep the sums below total/2, doubled."""
         if self.is_terminal:
             raise WindowInvariantError("split of a terminal configuration")
-        dL = list(self.dL)
-        n = self.low
-        while n < self.high and 2 * dL[n] < self.total:
-            dL[n] = 2 * dL[n]
-            n += 1
-        return CumulativeDist(tuple(dL), self.total, self.low, n)
+        w, t = self.window, self.total
+        kept = w[:bisect_left(w, (t + 1) // 2)]  # the v with 2v < t
+        return CumulativeDist(self.low, tuple([v + v for v in kept]), t, self.n_sums)
 
     def split_right(self) -> "CumulativeDist":
-        """Condition on tails: keep the upper half of the mass."""
+        """Condition on tails: keep the sums above total/2, as 2v - total."""
         if self.is_terminal:
             raise WindowInvariantError("split of a terminal configuration")
-        dL = list(self.dL)
-        n = self.high - 1
-        while self.low <= n and 2 * dL[n] > self.total:
-            dL[n] = 2 * dL[n] - self.total
-            n -= 1
-        return CumulativeDist(tuple(dL), self.total, n + 1, self.high)
+        w, t = self.window, self.total
+        n = bisect_right(w, t // 2)  # the v with 2v > t start at n
+        return CumulativeDist(self.low + n, tuple([v + v - t for v in w[n:]]), t,
+                              self.n_sums)
 
 
 class _SuccessorTable:
@@ -194,7 +189,7 @@ class _SuccessorTable:
         self.underived = -d.size - 1
         self.succ: list[int] = []
         self.configs: list[CumulativeDist] = []  # interior configuration i
-        self._positions: dict[tuple, int] = {}  # key() -> 2*i
+        self._positions: dict[tuple, int] = {}  # (low, window) -> 2*i
         self.root_row: list[Optional[tuple[int, int]]] = [None] * 256
         root = CumulativeDist.initial(d)
         root.check_invariant()
@@ -233,7 +228,7 @@ class _SuccessorTable:
         interior configuration gets two underived entries."""
         if c.is_terminal:
             return -c.outcome
-        key = c.key()
+        key = (c.low, c.window)
         position = self._positions.get(key)
         if position is None:
             position = self._positions[key] = len(self.succ)
@@ -392,7 +387,7 @@ def build_machine(d: WeightedDist, max_nodes: int = DEFAULT_MAX_NODES) -> Machin
                 order.append(nxt)
             succ_ids.append(ids[nxt])
         c = table.configs[entry >> 1]
-        window = " ".join(str(v) for v in c.window())
+        window = " ".join(map(str, c.window))
         nodes.append(MachineNode(len(nodes), "interior", heads=succ_ids[0],
                                  tails=succ_ids[1],
                                  label=f"{c.low} | {window} | {c.high}"))

@@ -172,7 +172,7 @@ def test_machine_configurations_are_checked_when_derived(monkeypatch):
     real = CumulativeDist.check_invariant
 
     def check(c):
-        if c.key() == (0, (4,), 1):  # the die after heads, heads
+        if (c.low, c.window, c.high) == (0, (4,), 1):  # the die after heads, heads
             raise WindowInvariantError("planted")
         real(c)
 

@@ -90,9 +90,11 @@ CASES = [
      "node 0 has unknown kind 'branch'"),
     ("machine-root", lambda: Machine((LEAF,), root=1, outcomes=1), MachineFormatError,
      "root 1 is not a node"),
-    ("window-bounds", lambda: CumulativeDist((1, 2), 3, 0, 3).check_invariant(),
+    ("window-bounds", lambda: CumulativeDist(0, (1, 2, 3), 4, 2).check_invariant(),
      WindowInvariantError, "window [0, 3) outside 0..2"),
-    ("window-entries", lambda: CumulativeDist((2, 1), 3, 0, 2).check_invariant(),
+    ("window-low", lambda: CumulativeDist(-1, (1,), 3, 2).check_invariant(),
+     WindowInvariantError, "window [-1, 0) outside 0..2"),
+    ("window-entries", lambda: CumulativeDist(0, (2, 1), 3, 2).check_invariant(),
      WindowInvariantError, "window entry dL[1] = 1 not strictly between 2 and total 3"),
     ("empty-probe-family", lambda: check_equal(Skip(), Skip(), ProbeFamily(())),
      VariantError, "empty probe family"),

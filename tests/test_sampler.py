@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -46,16 +48,16 @@ def test_weighted_dist_parse():
 
 def test_initial_cumulative_list():
     c = CumulativeDist.initial(WeightedDist((2, 1, 3, 4)))
-    assert c.dL == (2, 3, 6)
+    assert c.window == (2, 3, 6)
     assert c.total == 10
-    assert (c.low, c.high) == (0, 3)
+    assert (c.low, c.high, c.n_sums) == (0, 3, 3)
     c.check_invariant()
 
 
 def test_heads_doubles_until_past_half():
     c = CumulativeDist.initial(WeightedDist((2, 1, 3, 4)))
     h = c.split_left()
-    assert (h.low, h.window(), h.high) == (0, (4, 6), 2)
+    assert (h.low, h.window, h.high) == (0, (4, 6), 2)
     h.check_invariant()
 
 
@@ -63,7 +65,7 @@ def test_tails_mirrors_heads():
     c = CumulativeDist.initial(WeightedDist((2, 1, 3, 4)))
     t = c.split_right()
     assert t.high == 3
-    assert all(0 < v < 10 for v in t.window())
+    assert all(0 < v < 10 for v in t.window)
     t.check_invariant()
 
 
@@ -109,11 +111,11 @@ def test_die_traces_match_hand_runs():
 
 def test_die_intermediate_configurations():
     c = CumulativeDist.initial(DIE)
-    assert c.dL == (1, 2, 3, 4, 5)
+    assert c.window == (1, 2, 3, 4, 5)
     h = c.split_left()
-    assert h.key() == (0, (2, 4), 2)
+    assert (h.low, h.window, h.high) == (0, (2, 4), 2)
     hh = h.split_left()
-    assert hh.key() == (0, (4,), 1)
+    assert (hh.low, hh.window, hh.high) == (0, (4,), 1)
     assert not hh.is_terminal
 
 
@@ -247,27 +249,32 @@ def test_bit_blocks_are_the_stream_of_next_bit():
             random_bit_blocks(seed)
 
 
-def _per_flip_sample(d, bits):
-    # the independent oracle: derive every configuration afresh on every
-    # flip and check the window invariant after each one
-    c = CumulativeDist.initial(d)
-    c.check_invariant()
-    consumed = []
-    while not c.is_terminal:
+def _interval_sample(d, bits):
+    # the independent oracle, the interval algorithm with no sampler code:
+    # reading heads as 0, the bits b1..bk pick the dyadic interval
+    # [x / 2^k, (x + 1) / 2^k); sampling stops at the first k where no
+    # boundary C_j / T of the cumulative weights lies strictly inside it,
+    # and the outcome is the weight interval that contains it
+    total, sums = d.total, list(accumulate(d.weights))
+    x, scale, consumed = 0, 1, []
+    inside = sums[:-1]  # the boundaries strictly inside (x, x + 1) / scale
+    while inside:
         b = bits.next_bit()
         consumed.append(b)
-        c = c.split_left() if b == 0 else c.split_right()
-        c.check_invariant()
-    return SampleTrace(c.outcome, tuple(consumed))
+        x, scale = 2 * x + b, 2 * scale
+        # a boundary inside the half was inside the whole
+        inside = [c for c in inside if x * total < c * scale < (x + 1) * total]
+    outcome = next(j for j, c in enumerate(sums, 1) if (x + 1) * total <= c * scale)
+    return SampleTrace(outcome, tuple(consumed))
 
 
 def _reference_trials(d, runs, seed):
-    # one per-flip draw per run, all on the one stream of the seed
+    # one oracle draw per run, all on the one stream of the seed
     tallies = [0] * d.size
     total_flips = 0
     source = RandomBitSource(seed)
     for _ in range(runs):
-        trace = _per_flip_sample(d, source)
+        trace = _interval_sample(d, source)
         tallies[trace.outcome - 1] += 1
         total_flips += trace.flips
     return TrialsResult(d.weights, runs, seed, tuple(tallies), total_flips)
@@ -288,7 +295,7 @@ def test_trials_walk_matches_per_flip_sampling_bit_for_bit(weights):
             assert run_trials(d, runs, seed) == _reference_trials(d, runs, seed)
         # per draw, its flip count: what the total grows by with one more run
         source = RandomBitSource(seed)
-        flips = [_per_flip_sample(d, source).flips for _ in range(60)]
+        flips = [_interval_sample(d, source).flips for _ in range(60)]
         totals = [0] + [run_trials(d, runs, seed).total_flips for runs in range(1, 61)]
         assert [b - a for a, b in zip(totals, totals[1:])] == flips
 
@@ -300,26 +307,58 @@ def test_sample_discrete_matches_per_flip_sampling_bit_for_bit(weights):
         source, reference = RandomBitSource(seed), RandomBitSource(seed)
         for _ in range(30):
             assert sample_discrete(WeightedDist(weights), source) == \
-                _per_flip_sample(WeightedDist(weights), reference)
+                _interval_sample(WeightedDist(weights), reference)
         # a warm table, grown by earlier trials on the same object
         d = WeightedDist(weights)
         run_trials(d, 2000, seed + 1)
         source, reference = RandomBitSource(seed), RandomBitSource(seed)
         for _ in range(300):
-            assert sample_discrete(d, source) == _per_flip_sample(d, reference)
+            assert sample_discrete(d, source) == _interval_sample(d, reference)
         # trials and single draws interleaved on one object
         d = WeightedDist(weights)
         source, reference = RandomBitSource(seed), RandomBitSource(seed)
         for runs in (1, 2, 5, 40):
             for _ in range(runs):
-                assert sample_discrete(d, source) == _per_flip_sample(d, reference)
+                assert sample_discrete(d, source) == _interval_sample(d, reference)
             assert run_trials(d, runs, seed + runs) == \
                 _reference_trials(d, runs, seed + runs)
 
 
+def _seeded_vectors():
+    rng = random.Random(31)
+    for n in (2, 3, 5, 17, 64, 150, 300):
+        yield tuple(rng.randint(1, 10 ** rng.randint(1, 9)) for _ in range(n))
+    yield tuple(range(1, 301))
+
+
+@pytest.mark.parametrize("weights", list(_seeded_vectors()))
+def test_draws_follow_the_dyadic_interval_rule(weights):
+    # every configuration derived cold, on a fresh dist, against an oracle
+    # that shares no code with the sampler
+    for seed in (0, 7):
+        source, reference = RandomBitSource(seed), RandomBitSource(seed)
+        d = WeightedDist(weights)
+        for _ in range(200):
+            assert sample_discrete(d, source) == _interval_sample(d, reference)
+        assert run_trials(WeightedDist(weights), 1000, seed) == \
+            _reference_trials(WeightedDist(weights), 1000, seed)
+
+
+def test_a_cold_ramp_of_1000_outcomes_stays_small():
+    # a configuration stores only its window's sums, so memory follows the
+    # live windows, not N times the configurations derived
+    tracemalloc.start()
+    try:
+        run_trials(WeightedDist(tuple(range(1, 1001))), 20_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
 def _discrete_trials(d, runs, seed):
     # `runs` sample_discrete draws from the stream of the seed, which the
-    # tests above pin to the per-flip oracle: their result, and the
+    # tests above pin to the interval oracle: their result, and the
     # (first bit, end) of each draw on the stream
     source, tallies, spans, pos = RandomBitSource(seed), [0] * d.size, [], 0
     for _ in range(runs):
@@ -375,7 +414,7 @@ def test_exhausted_scripted_bits_leave_the_table_usable():
         d = WeightedDist(weights)
         for _ in range(40):
             bits = [rng.randrange(2) for _ in range(40)]
-            full = _per_flip_sample(d, ScriptedBitSource(bits))
+            full = _interval_sample(d, ScriptedBitSource(bits))
             if full.flips:
                 # run out one bit short, part way into the draw
                 with pytest.raises(BitsExhaustedError):
@@ -387,7 +426,7 @@ def test_every_derived_configuration_is_checked_before_use(monkeypatch):
     real = CumulativeDist.check_invariant
 
     def check(c):
-        if c.key() == (0, (4,), 1):  # the die after heads, heads
+        if (c.low, c.window, c.high) == (0, (4,), 1):  # the die after heads, heads
             raise WindowInvariantError("planted")
         real(c)
 
@@ -419,7 +458,7 @@ def test_a_failed_check_inside_bulk_trials_stores_nothing(monkeypatch, weights,
     real = CumulativeDist.check_invariant
 
     def check(c):
-        if c.key() == planted:
+        if (c.low, c.window, c.high) == planted:
             raise WindowInvariantError("planted")
         real(c)
 
@@ -456,7 +495,7 @@ def test_table_holds_only_the_configurations_draws_reach(weights):
 
 def test_trials_with_fewer_runs_than_nodes_match_per_flip_sampling():
     # fewer runs than the built machine has nodes, so the walk reaches only
-    # part of it; the draws still read the same bits as the per-flip oracle
+    # part of it; the draws still read the same bits as the interval oracle
     d = WeightedDist((50, 98, 54, 6, 34, 66, 63, 52))
     assert 200 < build_machine(d).size
     for runs in (1, 7, 200):
