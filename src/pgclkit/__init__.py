@@ -27,7 +27,7 @@ from .errors import (
     WpError,
 )
 from .expectations import Expectation, constant, from_expr, indicator
-from .exprs import Expr, eval_expr, free_vars, pretty_expr
+from .exprs import Expr, free_vars, pretty_expr
 from .machine import (
     Machine,
     MachineAnalysis,
@@ -66,7 +66,7 @@ __all__ = [
     "VariantSpec", "Verdict", "WeightedDist", "WindowInvariantError",
     "WpConfig", "WpError", "WpResult", "analyze", "build_machine",
     "check_equal", "check_refines", "check_variant", "compile_program",
-    "constant", "dyadic_grid", "eval_expr", "free_vars", "from_expr",
+    "constant", "dyadic_grid", "free_vars", "from_expr",
     "indicator", "load_machine", "machine_to_text", "parse_expression",
     "parse_program", "parse_rational", "parse_source", "pretty_expr",
     "pretty_print", "read_trials_file", "run_trials", "sample_binary",

@@ -278,25 +278,55 @@ def _by_rows(space: StateSpace, left: Optional[tuple], right: Optional[tuple],
     or (i, c, flip) at the first state i where it fails, with the witness
     post [combination c] (1 - [c] if flip, and 1 where c is -1); None when
     a side has no rows, or when no state fails and some state cannot be
-    decided.  Each distinct pair of a left and a right class is compared
-    once, at the first class of the union of their keys that holds it."""
+    decided."""
     if left is None or right is None:
         return None
     key = tuple(sorted({*left[0], *right[0]}))
-    undecided, seen = False, set()
-    for k, pair in enumerate(zip(space.restrict(key, left[0]), space.restrict(key, right[0]))):
-        if pair in seen:
-            continue
-        seen.add(pair)
-        a, b = left[1][pair[0]], right[1][pair[1]]
-        if a == b:
-            continue
-        gap = _row_gap(a, b, refines)
+    undecided = False
+    for k, gap in _gaps(space, key, left, right, refines):
         if gap is _UNDECIDED:
             undecided = True
-        elif gap is not None:
+        else:
             return (space.projection(key)[1][k],) + gap
     return None if undecided else _HOLDS
+
+
+def _gaps(space: StateSpace, key: tuple, left: tuple, right: tuple, refines: bool):
+    """Per class k of key (sorted positions that hold both sides' own, see
+    Compiled.rows) where the two sides' option sets differ, in order:
+    (k, _row_gap of them).  Each distinct pair of a left and a right class
+    is compared once."""
+    gaps: dict = {}
+    for k, pair in enumerate(zip(space.restrict(key, left[0]), space.restrict(key, right[0]))):
+        if pair in gaps:
+            gap = gaps[pair]
+        else:
+            a, b = left[1][pair[0]], right[1][pair[1]]
+            gap = gaps[pair] = None if a == b else _row_gap(a, b, refines)
+        if gap is not None:
+            yield k, gap
+
+
+def _held_by_rows(left: Program, right: Program, space: StateSpace,
+                  observed: Iterable[str], refines: bool) -> set:
+    """The positions in the first variable's domain at whose every state
+    both programs' rows over the observed variables show that the relation
+    holds: where check_equal (or check_refines) of the programs with that
+    variable a parameter of that value says `holds` by the rows.  Each
+    class of what either reads gets its value from its number."""
+    positions = [space.var_pos(n) for n in observed]
+    left_rows = compile_program(left, space).rows(positions)
+    right_rows = compile_program(right, space).rows(positions)
+    if left_rows is None or right_rows is None:
+        return set()
+    key = tuple(sorted({0, *left_rows[0], *right_rows[0]}))
+    step = space.radices(key)[0]  # the classes of one value of position 0
+    held = set(range(space.domains[0].size))
+    for k, _ in _gaps(space, key, left_rows, right_rows, refines):
+        held.discard(k // step)
+        if not held:
+            break
+    return held
 
 
 def _row_gap(spec: frozenset, impl: frozenset, refines: bool):

@@ -8,8 +8,14 @@ Every subcommand takes --json; rationals are rendered as "num/den" strings.
 A program file opens with its `var` declarations, but a --right or --impl
 file may leave them out and is then read over the other file's space; if
 it has them, they must declare that same space.  Under --grid each file
-is read, tokenized and its header checked once, and its program parsed at
-each grid value, as a parameter's value may change it.
+is read, tokenized and its header checked once, then parsed once over the
+space with the grid parameter a variable over the grid; both sides are
+compiled once, and a grid value whose classes all hold by the rows is
+`holds`, as its check alone would say.  Every other value has its program
+parsed with the value and checked alone; so has every value where that
+space has more than _GRID_STATES states, or where its parse reads the
+parameter's value (which may change the parse from value to value) or
+anything else raises.
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from .bits import RandomBitSource, ScriptedBitSource, check_count, check_seed
 from .checks import (
     GRID_DENOMINATOR,
     PROBE_COUNT,
     ProbeFamily,
     Verdict,
+    _held_by_rows,
     check_equal,
     check_refines,
     check_variant,
@@ -35,7 +43,6 @@ from .checks import (
 )
 from .errors import DistError, PgclError, PgclSyntaxError, UsageError
 from .machine import analyze, load_machine, machine_to_text, to_dot
-from .bits import RandomBitSource, ScriptedBitSource
 from .parser import ProgramText, identifiers, parse_expression, parse_rational, tokenize
 from .parser import parse_source  # noqa: F401  (a parse site bench/tracing.py wraps)
 from .programs import VariantSpec, While
@@ -48,7 +55,7 @@ from .sampler import (
     run_trials,
     sample_discrete,
 )
-from .states import StateSpace
+from .states import StateSpace, VarDomain
 from .wp import WpConfig, wp
 
 
@@ -159,17 +166,46 @@ def _cmd_wp(args) -> int:
     return 0
 
 
-def _probes_for(args, space, progs) -> ProbeFamily:
-    if args.probe_vars is not None:
-        names = [n.strip() for n in args.probe_vars.split(",") if n.strip()]
-        if not names:
-            raise UsageError(f"--probe-vars {args.probe_vars!r} names no variable")
-        if len(set(names)) < len(names):
-            raise UsageError(f"--probe-vars {args.probe_vars!r} names a variable twice")
-        return ProbeFamily.over_vars(space, names, seed=args.seed,
-                                     extra=args.extra_probes)
-    return ProbeFamily.default(space, progs, seed=args.seed,
-                               extra=args.extra_probes)
+def _probe_names(args, space: StateSpace) -> Optional[tuple]:
+    """The --probe-vars names, each a variable of space; None without it."""
+    if args.probe_vars is None:
+        return None
+    names = tuple(n.strip() for n in args.probe_vars.split(",") if n.strip())
+    if not names:
+        raise UsageError(f"--probe-vars {args.probe_vars!r} names no variable")
+    if len(set(names)) < len(names):
+        raise UsageError(f"--probe-vars {args.probe_vars!r} names a variable twice")
+    for name in names:
+        if not space.has_var(name):
+            raise UsageError(f"--probe-vars {args.probe_vars!r} names {name}, "
+                             "which is no declared variable")
+    return names
+
+
+# the most states a space over the grid may have: its compiled programs
+# and rows may hold a class per state, where a check per value holds the
+# classes of one value at a time
+_GRID_STATES = 1 << 12
+
+
+def _held_by_grid(args, kind: str, left: ProgramText, right: ProgramText,
+                  params: dict, names: tuple, values: tuple) -> set:
+    """The positions in the grid of the values at which one compile of
+    each file over the grid, the parameter a variable over its values,
+    settles the check as `holds` by the rows, as the check at that value
+    alone says.  A space over the grid of more than _GRID_STATES states,
+    or any error here (a parse that reads the parameter's value, a bad
+    --seed), settles none, and each value is then checked alone."""
+    if len(values) * left.space.size > _GRID_STATES:
+        return set()
+    try:
+        check_seed(args.seed)
+        check_count("extra probes", args.extra_probes)
+        over = StateSpace((VarDomain(args.grid, values), *left.space.domains))
+        return _held_by_rows(left.program(params, over), right.program(params, over),
+                             over, names, kind == "refines")
+    except Exception:
+        return set()
 
 
 def _run_check(args, kind: str) -> int:
@@ -177,20 +213,30 @@ def _run_check(args, kind: str) -> int:
     left = _program_text(args.lhs)
     right = _program_text(args.rhs, left.space)
     _refuse_unread(left.names | right.names, params, args.grid)
+    if args.grid in params:
+        raise UsageError(f"--param {args.grid} names the --grid parameter")
     space = left.space
+    names = _probe_names(args, space)
 
     def one(extra_params) -> Verdict:
         merged = {**params, **extra_params}
         lhs = _named(args.lhs, left.program, merged)
         rhs = _named(args.rhs, right.program, merged)
-        probes = _probes_for(args, space, (lhs, rhs))
+        if names is None:
+            probes = ProbeFamily.default(space, (lhs, rhs), seed=args.seed,
+                                         extra=args.extra_probes)
+        else:
+            probes = ProbeFamily.over_vars(space, names, seed=args.seed,
+                                           extra=args.extra_probes)
         fn = check_equal if kind == "equal" else check_refines
         return fn(lhs, rhs, probes, space)
 
     if args.grid:
+        values = dyadic_grid(args.grid_denominator)
+        held = _held_by_grid(args, kind, left, right, params, names or space.names, values)
         results = []
-        for value in dyadic_grid(args.grid_denominator):
-            v = one({args.grid: value})
+        for k, value in enumerate(values):
+            v = Verdict("holds", method="rows") if k in held else one({args.grid: value})
             results.append((value, v))
             if not args.json:
                 print(f"{args.grid} = {rat(value)}: {v}")

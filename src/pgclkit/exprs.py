@@ -3,13 +3,13 @@
 Expressions evaluate to a Fraction, a symbolic token (str), or a bool.
 Numeric operators demand Fractions, comparisons demand operands of the
 same kind, and the Iverson bracket [b] turns a bool into 0 or 1.  Any
-violation raises EvalError; there is no silent coercion and no floating
+violation is an EvalError; there is no silent coercion and no floating
 point anywhere.
 
-eval_expr evaluates at one state.  evaluate evaluates at every
-combination of an expression's free variables at once, a column per
-node, with numbers as Python ints over the node's common denominator; at
-each combination it gives what eval_expr gives there, errors included.
+evaluate evaluates at every combination of an expression's free
+variables at once, a column per node, with numbers as Python ints over
+the node's common denominator, and each violation as the EvalError entry
+of the combination where it arises.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .errors import EvalError
 from .states import StateSpace
 
 Value = Union[Fraction, str, bool]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Expr:
@@ -110,23 +107,9 @@ class Bracket(Expr):
 
 # --- evaluation ----------------------------------------------------------
 
-# the meaning of each operator, by its spelling in program text
-ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv}
+# the meaning of each comparison, by its spelling in program text
 COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _num(v: Value, what: str) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    raise _needs(v, what, "number")
-
-
-def _bool(v: Value, what: str) -> bool:
-    if isinstance(v, bool):
-        return v
-    raise _needs(v, what, "boolean")
 
 
 def _needs(v, what: str, kind: str) -> EvalError:
@@ -146,63 +129,12 @@ def _kind_name(v) -> str:
     return "number"
 
 
-def eval_expr(e: Expr, state) -> Value:
-    """Evaluate an expression at a State, or at any {name: value} mapping
-    of its free variables.  Total over well-typed inputs."""
-    if isinstance(e, (Lit, BoolLit)):
-        return e.value
-    if isinstance(e, TokenLit):
-        return e.name
-    if isinstance(e, Var):
-        return state[e.name]
-    if isinstance(e, Neg):
-        return -_num(eval_expr(e.operand, state), "unary minus")
-    if isinstance(e, BinOp):
-        a = _num(eval_expr(e.left, state), f"operator {e.op}")
-        b = _num(eval_expr(e.right, state), f"operator {e.op}")
-        try:
-            return ARITHMETIC[e.op](a, b)
-        except KeyError:
-            raise EvalError(f"unknown operator {e.op}") from None
-        except ZeroDivisionError:
-            raise EvalError("division by zero") from None
-    if isinstance(e, Cmp):
-        a = eval_expr(e.left, state)
-        b = eval_expr(e.right, state)
-        if isinstance(a, bool) or isinstance(b, bool):
-            raise EvalError("comparisons over booleans are not supported")
-        if isinstance(a, str) != isinstance(b, str):
-            raise EvalError(
-                f"type mismatch (comparing {_kind_name(a)} to {_kind_name(b)})"
-            )
-        if isinstance(a, str) and e.op not in ("=", "!="):
-            raise EvalError("tokens admit only = and !=")
-        try:
-            return COMPARISONS[e.op](a, b)
-        except KeyError:
-            raise EvalError(f"unknown comparison {e.op}") from None
-    if isinstance(e, Not):
-        return not _bool(eval_expr(e.operand, state), "negation")
-    if isinstance(e, And):
-        # short-circuit, so the right side may be partial when the left fails
-        return _bool(eval_expr(e.left, state), "conjunction") and _bool(
-            eval_expr(e.right, state), "conjunction"
-        )
-    if isinstance(e, Or):
-        return _bool(eval_expr(e.left, state), "disjunction") or _bool(
-            eval_expr(e.right, state), "disjunction"
-        )
-    if isinstance(e, Bracket):
-        return ONE if _bool(eval_expr(e.operand, state), "Iverson bracket") else ZERO
-    raise EvalError(f"unknown expression node {type(e).__name__}")
-
-
 # --- evaluation over columns -----------------------------------------------
 #
 # A column has one entry per combination of the values of the evaluated
 # expression's free variables, numbered as StateSpace.projection numbers
 # them: a number as an int over the column's denominator, a bool, a token,
-# or the EvalError that eval_expr raises there.  A node's denominator is
+# or the EvalError that arises there.  A node's denominator is
 # read off the domains and literals below it: + and - take the lcm of
 # their operands' denominators, * their product, and / the lcm of the
 # divisor's nonzero numerators times the dividend's.  _column also gives
@@ -220,7 +152,7 @@ def evaluate(space: StateSpace, e: Expr) -> tuple:
 
 
 def as_value(v, den: int) -> Value:
-    """A column entry as eval_expr gives it: an int over den as a Fraction."""
+    """A column entry as a value: an int over den as a Fraction."""
     return Fraction(v, den) if v.__class__ is int else v
 
 

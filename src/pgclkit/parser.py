@@ -24,7 +24,8 @@ rounding).  `#` starts a comment that runs to the end of its line.
 
 Named parameters are substituted at parse time: a parameter reads as its
 rational literal, and may not share its name with a declared variable or
-a token.
+a token.  ProgramText can also read a program over a larger space, where
+a parameter is a variable over its values (see ProgramText.program).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import DistError, PgclError, PgclSyntaxError, UsageError
+from .errors import DistError, PgclError, PgclSyntaxError, SpaceError, UsageError
 from .exprs import (
     COMPARISONS,
     And,
@@ -49,7 +50,8 @@ from .exprs import (
     Or,
     TokenLit,
     Var,
-    eval_expr,
+    as_value,
+    evaluate,
     free_vars,
     static_kind,
 )
@@ -145,11 +147,15 @@ _STMT_START = {"SKIP", "ABORT", "IF", "WHILE", "IDENT", "{", "("}
 
 class _Parser:
     def __init__(self, tokens: list[Token], space: Optional[StateSpace],
-                 params: Optional[dict[str, Fraction]] = None):
+                 params: Optional[dict[str, Fraction]] = None,
+                 varying: frozenset = frozenset()):
         self.tokens = tokens
         self.pos = 0
         self.space = space  # None until parse_header reads it
         self.params = dict(params or {})
+        # variables of space that stand for parameters: a parse that
+        # reads one's value, which would differ from value to value, fails
+        self.varying = varying
 
     # --- token plumbing ---------------------------------------------------
 
@@ -389,6 +395,8 @@ class _Parser:
 
     def _declared_name(self) -> str:
         tok = self.expect("IDENT", "a variable name")
+        if tok.text in self.varying:
+            raise self._varies(tok.text, tok)
         if tok.text in self.params:
             raise PgclSyntaxError(
                 f"{tok.text} is a parameter, not an assignable variable",
@@ -403,20 +411,23 @@ class _Parser:
             raise PgclSyntaxError("expected a boolean expression", tok.line, tok.col)
         return e
 
+    def _varies(self, name: str, tok: Token) -> PgclSyntaxError:
+        return PgclSyntaxError(f"the parse reads {name}, which varies over the states",
+                               tok.line, tok.col)
+
     def _const_prob(self, e: Expr, tok: Token) -> Fraction:
-        if free_vars(e):
+        if free_vars(e):  # a varying variable too
             raise PgclSyntaxError(
                 "distribution probabilities must be constants", tok.line, tok.col
             )
         if isinstance(e, Lit):
             return e.value
-        try:
-            value = eval_expr(e, self.space.state_at(0))  # constant, any state works
-        except PgclError as exc:
-            raise PgclSyntaxError(f"bad probability: {exc}", tok.line, tok.col)
-        if not isinstance(value, Fraction):
+        _, (value,), den = evaluate(self.space, e)  # constant: one entry
+        if isinstance(value, PgclError):
+            raise PgclSyntaxError(f"bad probability: {value}", tok.line, tok.col)
+        if value.__class__ is not int:
             raise PgclSyntaxError("probability must be numeric", tok.line, tok.col)
-        return value
+        return as_value(value, den)
 
     # --- expressions ----------------------------------------------------
 
@@ -465,9 +476,21 @@ class _Parser:
                 if right.value == 0:
                     raise PgclSyntaxError("division by zero in literal", at.line, at.col)
                 e = Lit(e.value / right.value)  # fold so 1/2 is one literal
+            elif op == "/" and self._literal(e) and self._literal(right):
+                # one is a varying variable, a literal at each of its values,
+                # where the fold would read it
+                raise self._varies(min(free_vars(e) | free_vars(right)), at)
             else:
                 e = BinOp(op, e, right)
         return e
+
+    def _literal(self, e: Expr) -> bool:
+        """Whether e parses as a literal once each varying variable is
+        the literal of its value: a literal, or a varying variable with
+        any number of minus signs (which fold into a literal)."""
+        while isinstance(e, Neg):
+            e = e.operand
+        return isinstance(e, Lit) or (isinstance(e, Var) and e.name in self.varying)
 
     def parse_factor(self) -> Expr:
         if self.accept("-"):
@@ -550,7 +573,8 @@ class ProgramText:
     space given the header declares it; with one it may be left out, and
     if present must declare exactly that space), then parsed with each
     set of parameters asked for: a parameter becomes a literal, and a
-    `:dist` is checked with its values."""
+    `:dist` is checked with its values.  It may also be parsed once over
+    a larger space, where a parameter is a variable over its values."""
 
     def __init__(self, text: str, space: Optional[StateSpace] = None):
         parser = _Parser(tokenize(text), space)
@@ -563,9 +587,25 @@ class ProgramText:
         """The identifiers of the program after the header."""
         return identifiers(self._tokens[self._start:])
 
-    def program(self, params: Optional[dict[str, Fraction]] = None) -> Program:
-        """The program after the header, up to the end of input."""
-        parser = _Parser(self._tokens, self.space, params)
+    def program(self, params: Optional[dict[str, Fraction]] = None,
+                over: Optional[StateSpace] = None) -> Program:
+        """The program after the header, up to the end of input.
+
+        `over`, a space of this space's variables and more, reads the
+        program over it, each further variable in place of a parameter of
+        its name.  At the states where those variables have given values
+        it is then the program parsed with those values as parameters,
+        unless that parse reads them: where it assigns one, or where a
+        `:dist` probability or the fold of a literal division reads one,
+        this raises a PgclSyntaxError.  One named like a token of this
+        space raises a SpaceError."""
+        space, varying = self.space, frozenset()
+        if over is not None:
+            space, varying = over, frozenset(over.names) - frozenset(self.space.names)
+            tokens = varying & self.space.tokens()
+            if tokens:
+                raise SpaceError(f"{min(tokens)} is a token, not a parameter")
+        parser = _Parser(self._tokens, space, params, varying)
         parser.pos = self._start
         prog = parser.parse_seq()
         parser.expect("EOF", "end of input")

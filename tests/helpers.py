@@ -6,9 +6,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from evaluation import eval_expr
 from pgclkit import Expectation, parse_expression, parse_program, space_of
 from pgclkit.errors import EvalError
-from pgclkit.exprs import Bracket, eval_expr
+from pgclkit.exprs import Bracket
 from pgclkit.programs import (
     Abort,
     Assign,

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from evaluation import eval_expr
 from pgclkit.errors import EvalError, PgclError
 from pgclkit.expectations import Expectation
-from pgclkit.exprs import eval_expr
 from pgclkit.programs import (
     Abort,
     Assign,

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import runpy
@@ -6,6 +7,9 @@ import sys
 
 import pytest
 
+import per_value
+import pgclkit.checks
+import pgclkit.cli
 from pgclkit.cli import main
 
 COIN_LOOP = """\
@@ -284,6 +288,92 @@ def test_a_dist_checked_at_each_grid_value(tmp_path, capsys, dist, printed, erro
     assert capsys.readouterr() == ("", f"error: {right}: {error}\n")
 
 
+BIAS_SPEC = DYADIC_HEADER + "x :in 1 <p> 0\n"
+COIN_SPEC = "var x in {0, 1}\nx :in 1 <p> 0\n"
+
+# (left, right, grid denominator) per case, the grid named p; the right
+# file reads the left's space
+GRID_CASES = {
+    "split-step": (BIAS_SPEC, SPLIT_THEN_COIN.removeprefix(DYADIC_HEADER), 8),
+    "p*p": (BIAS_SPEC, "x :in 1 <p*p> 0\n", 4),
+    "dist-total": (COIN_SPEC, "x :dist [1: p, 0: 1 - p*p]\n", 4),
+    "dist-negative": (COIN_SPEC, "x :dist [1: 2*p, 0: 1 - 2*p]\n", 4),
+    # a literal division: by zero at p = 0, where the parse fails
+    "1/p": ("var x in {0, 1}\nvar q in {0, 1, 4/3, 2, 4}\nx :in 1 <p> 0\n",
+            "q := 1/p; x :in 1 <p> 0\n", 4),
+    "p/p": ("var x in {0, 1}\nvar q in {0, 1/4, 1/2, 3/4, 1}\nx :in 1 <p> 0\n",
+            "IF p = 0 -> x := 0 [] p > 0 -> q := p/p; x :in 1 <p> 0 FI\n", 4),
+    "assigns-p": (COIN_SPEC, "p := 0; x :in 1 <p> 0\n", 4),
+    "assertion": (COIN_SPEC, "{p < 1}; x :in 1 <p> 0\n", 4),
+    "demonic": (COIN_SPEC, "x :in 1 <p> 0 |^| x := 0\n", 4),
+    # 2*p leaves the eighths at p = 1/24, and at p = 1/64, where the space
+    # over the grid has more than _GRID_STATES states
+    "out-of-domain": (BIAS_SPEC, SPLIT_THEN_COIN.removeprefix(DYADIC_HEADER), 24),
+    "out-of-domain-large": (BIAS_SPEC, SPLIT_THEN_COIN.removeprefix(DYADIC_HEADER), 64),
+    # p is a token of the space, which no grid value may replace
+    "token": ("var x in {0, 1}\nvar c in {p, q}\nx :in 1 <1/2> 0\n",
+              "IF p = p THEN x :in 1 <1/2> 0 ELSE x := 0\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_a_grid_check_prints_what_a_check_per_value_prints(tmp_path, capsys, monkeypatch,
+                                                           case):
+    left_text, right_text, denominator = GRID_CASES[case]
+    left = write(tmp_path, "left.pgcl", left_text)
+    right = write(tmp_path, "right.pgcl", right_text)
+    for command, flags in (("check-equal", ("--left", "--right")),
+                           ("check-refines", ("--spec", "--impl"))):
+        for extra in ([], ["--probe-vars", "x"], ["--json"], ["--probe-vars", "x", "--json"]):
+            argv = [command, flags[0], left, flags[1], right, "--grid", "p",
+                    "--grid-denominator", str(denominator), *extra]
+            got = main(argv), *capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(pgclkit.cli, "_run_check", per_value.run_check)
+                want = main(argv), *capsys.readouterr()
+            assert got == want, argv
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--extra-probes", "-1"]])
+def test_a_bad_probe_flag_fails_the_grid_as_a_check_per_value_does(tmp_path, capsys,
+                                                                 monkeypatch, flag):
+    # the rows settle every value of the split step, so no check per value
+    # would meet the flag: it is checked as the first one checks it
+    left = write(tmp_path, "spec.pgcl", BIAS_SPEC)
+    right = write(tmp_path, "step.pgcl", SPLIT_THEN_COIN)
+    argv = ["check-equal", "--left", left, "--right", right, "--grid", "p",
+            "--probe-vars", "x", *flag]
+    got = main(argv), *capsys.readouterr()
+    monkeypatch.setattr(pgclkit.cli, "_run_check", per_value.run_check)
+    assert got == (main(argv), *capsys.readouterr())
+    assert got[0] == 1 and got[1] == ""
+
+
+def test_the_split_step_on_eighths_compiles_each_side_once(tmp_path, capsys, monkeypatch):
+    # the benchmark's split step: one compile over the grid settles all
+    # nine values, where a check per value compiles both sides nine times
+    calls = []
+    for module in (pgclkit.checks, importlib.import_module("pgclkit.wp")):
+        compile_program = module.compile_program
+        monkeypatch.setattr(module, "compile_program",
+                            lambda *a, f=compile_program: calls.append(a) or f(*a))
+    left = write(tmp_path, "spec.pgcl", BIAS_SPEC)
+    right = write(tmp_path, "step.pgcl", SPLIT_THEN_COIN.removeprefix(DYADIC_HEADER))
+    rc = main(["check-equal", "--left", left, "--right", right, "--grid", "p",
+               "--probe-vars", "x", "--seed", "1", "--json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert rc == 0 and [r["status"] for r in results] == ["holds"] * 9
+    assert len(calls) == 2
+    # a space over the grid of more than _GRID_STATES states is not built:
+    # each value is checked alone
+    calls.clear()
+    monkeypatch.setattr(pgclkit.cli, "_GRID_STATES", 9 * 162 - 1)
+    assert main(["check-equal", "--left", left, "--right", right, "--grid", "p",
+                 "--probe-vars", "x", "--seed", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == results
+    assert len(calls) == 18
+
+
 def test_check_equal_grid_with_a_right_header_of_another_space_errors_once(tmp_path, capsys):
     left = write(tmp_path, "spec.pgcl", DYADIC_HEADER + "x :in 1 <p> 0\n")
     right = write(tmp_path, "other.pgcl", "var x in {0, 1}\nx :in 1 <p> 0\n")
@@ -325,12 +415,17 @@ def test_a_param_that_names_a_declared_variable_exits_2(tmp_path, capsys):
     (["check-variant", "--program", "{loop}", "--variant", "x", "--bound", "1",
       "--epsilon", "1/2", "--param", "p=1/2"],
      "error: --param p names nothing the command reads\n"),
-], ids=["token", "unread-param", "unread-grid", "unread-param-of-variant"])
+    # the grid would override the --param value at every grid value
+    (["check-equal", "--left", "{bias}", "--right", "{bias}", "--grid", "p",
+      "--grid-denominator", "2", "--param", "p=1/3"],
+     "error: --param p names the --grid parameter\n"),
+], ids=["token", "unread-param", "unread-grid", "unread-param-of-variant", "grid-param"])
 def test_a_param_or_grid_name_must_be_read_and_no_token(tmp_path, capsys, argv, error):
     files = {"coin": write(tmp_path, "coin.pgcl", "var c in {H, T}\nc := H\n"),
              "zero": write(tmp_path, "zero.pgcl", "var x in {0, 1}\nx := 0\n"),
              "loop": write(tmp_path, "loop.pgcl",
-                           "var x in {0, 1}\nWHILE x = 1 DO x := 0 OD\n")}
+                           "var x in {0, 1}\nWHILE x = 1 DO x := 0 OD\n"),
+             "bias": write(tmp_path, "bias.pgcl", COIN_SPEC)}
     rc = main([a.format(**files) for a in argv])
     captured = capsys.readouterr()
     assert rc == 2
@@ -388,7 +483,8 @@ def test_a_negative_extra_probe_count_exits_1(tmp_path, capsys):
     ("", "error: --probe-vars '' names no variable\n"),
     (" , ", "error: --probe-vars ' , ' names no variable\n"),
     ("x,x", "error: --probe-vars 'x,x' names a variable twice\n"),
-], ids=["empty", "blanks", "repeated"])
+    ("x,p", "error: --probe-vars 'x,p' names p, which is no declared variable\n"),
+], ids=["empty", "blanks", "repeated", "undeclared"])
 def test_a_probe_vars_list_naming_no_variable_or_one_twice_exits_2(tmp_path, capsys,
                                                                  probe_vars, err):
     # over every variable the spec fails, over none it would hold: the two
@@ -398,6 +494,16 @@ def test_a_probe_vars_list_naming_no_variable_or_one_twice_exits_2(tmp_path, cap
     rc = main(["check-refines", "--spec", spec, "--impl", impl, "--probe-vars", probe_vars])
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (2, "", err)
+
+
+def test_an_undeclared_probe_var_is_refused_before_any_grid_line(tmp_path, capsys):
+    # p is the grid parameter, not a variable of the files' space
+    left = write(tmp_path, "spec.pgcl", BIAS_SPEC)
+    right = write(tmp_path, "impl.pgcl", SPLIT_THEN_COIN)
+    rc = main(["check-equal", "--left", left, "--right", right, "--grid", "p",
+               "--probe-vars", "p"])
+    assert (rc, *capsys.readouterr()) == (
+        2, "", "error: --probe-vars 'p' names p, which is no declared variable\n")
 
 
 @pytest.mark.parametrize("denominator", ["0", "-2"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgclkit import EvalError, eval_expr, free_vars, parse_expression, pretty_expr, space_of
+from evaluation import eval_expr
+from pgclkit import EvalError, free_vars, parse_expression, pretty_expr, space_of
 from pgclkit.exprs import (
     COMPARISONS, BinOp, BoolLit, Bracket, Cmp, Lit, Neg, TokenLit, Var, as_value, evaluate,
 )

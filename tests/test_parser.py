@@ -215,6 +215,12 @@ def test_error_carries_line_and_column():
     ("x + 1", "1:3: expected an assignment operator, found '+'"),
     ("x :dist [0: true, 1: 0]", "1:3: probability must be numeric"),
     ("x :dist [0: 1 / (1 - 1), 1: 1]", "1:3: bad probability: division by zero"),
+    ("x :dist [0: H, 1: 0]", "1:3: probability must be numeric"),
+    ("x :dist [0: -(1 = 1), 1: 0]", "1:3: bad probability: unary minus needs a number, "
+     "got boolean"),
+    ("x :dist [0: [H < T], 1: 0]", "1:3: bad probability: tokens admit only = and !="),
+    ("x :dist [0: [1 = H], 1: 0]", "1:3: bad probability: type mismatch "
+     "(comparing number to token H)"),
 ])
 def test_statement_errors_carry_their_position(text, message):
     s = space_of(("x", (0, 1, 2, 3)), ("y", (0, 1)), ("c", ("H", "T")))

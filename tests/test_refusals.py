@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from evaluation import eval_expr
 from pgclkit import (
     CumulativeDist,
     DistError,
@@ -30,7 +31,6 @@ from pgclkit import (
     check_equal,
     compile_program,
     constant,
-    eval_expr,
     pretty_expr,
     pretty_print,
     space_of,
